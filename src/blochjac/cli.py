@@ -10,6 +10,7 @@ consistency failure, 4 inconsistent spectral data, 5 verification failure.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from .inverse import (
     recover_determinant,
     snap_to_rational,
 )
+from .numerics import RootFindingError
 from .operators import PeriodicOperator, validate
 from .spectral import (
     InternalConsistencyError,
@@ -102,6 +104,8 @@ def operator_from_document(doc) -> PeriodicOperator:
         b_raw = doc["b"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"operator document needs integer p, m and lists a, b ({exc})") from exc
+    if p < 1 or m < 1:
+        raise InputError(f"p = {p} and m = {m} must be at least 1")
     for name, mats in (("a", a_raw), ("b", b_raw)):
         if not isinstance(mats, list) or len(mats) != p:
             raise InputError(f"{name} must be a list of {p} matrices")
@@ -193,10 +197,7 @@ def _band_payload(bs, gaps) -> dict:
 def cmd_bands(args) -> int:
     op, digest = _load_operator(args)
     bs = band_structure(op, grid=args.grid, tol=args.tol)
-    cd = char_determinant(op)
-    sp = surface_poly(cd)
-    gaps = classify_gaps(bs, cd, sp)
-    _emit(_result("bands", digest, _band_payload(bs, gaps)))
+    _emit(_result("bands", digest, _band_payload(bs, classify_gaps(bs))))
     return EXIT_OK
 
 
@@ -215,6 +216,23 @@ def cmd_resonances(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low, flag):
+    """argparse type for an integer flag that must be at least low.
+
+    It raises InputError, which argparse lets through, so main reports the
+    flag like any other bad input.
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise InputError(f"{flag}: {exc}") from exc
+        if value < low:
+            raise InputError(f"{flag} must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _parse_z(text: str) -> complex:
     parts = text.split(",")
     if len(parts) > 2:
@@ -224,6 +242,8 @@ def _parse_z(text: str) -> complex:
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError as exc:
         raise InputError(f"--z: {exc}") from exc
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise InputError(f"--z must be finite, got {text!r}")
     return complex(re, im)
 
 
@@ -243,13 +263,12 @@ def _parse_grid(text: str) -> list:
 
 def cmd_lyapunov(args) -> int:
     op, digest = _load_operator(args)
-    points = [_parse_z(args.z)] if args.z is not None else _parse_grid(args.z_grid)
-    cd = char_determinant(op)
-    sp = surface_poly(cd)
+    points = [args.z] if args.z is not None else args.z_grid
+    sp = surface_poly(char_determinant(op))
     out = []
     for z in points:
         branches = lyapunov_at(sp, z)
-        pairs = multipliers_at(cd, z)
+        pairs = multipliers_at(branches)
         out.append(
             {
                 "z": _cnum(z),
@@ -328,8 +347,7 @@ def cmd_recover(args) -> int:
                   for j in range(sd.m + 1)],
         }
         bs = band_structure_from_char(snapped)
-        gaps = classify_gaps(bs, snapped, surface_poly(snapped))
-        payload["bands"] = _band_payload(bs, gaps)
+        payload["bands"] = _band_payload(bs, classify_gaps(bs))
     _emit(_result("recover", _digest(data), payload))
     return EXIT_OK
 
@@ -366,10 +384,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bands", help="spectral bands, edges, and gap classification")
     add_input(sp)
-    sp.add_argument("--grid", type=int, default=257,
-                    help="Floquet cross-validation grid size (default 257)")
+    sp.add_argument("--grid", type=_at_least(2, "--grid"), default=257,
+                    help="Floquet cross-validation grid size, at least 2 (default 257)")
     sp.add_argument("--tol", type=float, default=1e-9,
-                    help="edge refinement tolerance (default 1e-9)")
+                    help="distance within which a branch band touches an edge (default 1e-9)")
     sp.set_defaults(func=cmd_bands)
 
     sp = sub.add_parser("resonances", help="resonance polynomial and its zeros")
@@ -379,8 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lyapunov", help="Lyapunov branch values and multipliers")
     add_input(sp)
     where = sp.add_mutually_exclusive_group(required=True)
-    where.add_argument("--z", help="evaluation point, re or re,im")
-    where.add_argument("--z-grid", help="real evaluation grid lo:hi:N")
+    where.add_argument("--z", type=_parse_z, help="evaluation point, re or re,im")
+    where.add_argument("--z-grid", type=_parse_grid, help="real evaluation grid lo:hi:N")
     sp.set_defaults(func=cmd_lyapunov)
 
     sp = sub.add_parser("recover", help="recover the determinant from spectral data")
@@ -395,16 +413,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", choices=["example1-diag", "example2-const", "example3", "example4", "free"])
     sp.add_argument("--t", default="0", help="parameter t for example3/example4 (rational, default 0)")
     sp.add_argument("--beta", default="1", help="parameter beta for example2-const (rational, default 1)")
-    sp.add_argument("--p", type=int, default=2, help="period for free (default 2)")
-    sp.add_argument("--m", type=int, default=1, help="block size for free (default 1)")
+    sp.add_argument("--p", type=_at_least(1, "--p"), default=2, help="period for free (default 2)")
+    sp.add_argument("--m", type=_at_least(1, "--m"), default=1, help="block size for free (default 1)")
     sp.set_defaults(func=cmd_example)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -412,9 +430,14 @@ def main(argv=None) -> int:
     except InconsistentDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT_DATA
-    except InternalConsistencyError as exc:
+    except (InternalConsistencyError, RootFindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    # an input the exact layer accepts can still overflow a float or
+    # underflow to zero further on; that is a limit of the input, not a bug
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 _HASH_IM = 1000003
 
 
@@ -200,14 +198,6 @@ class RatPoly:
     def one(cls, var="z"):
         return cls((1,), var)
 
-    @classmethod
-    def const(cls, c, var="z"):
-        return cls((c,), var)
-
-    @classmethod
-    def x(cls, var="z"):
-        return cls((0, 1), var)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else -math.inf
@@ -344,12 +334,6 @@ class RatPoly:
             raise ValueError("zero polynomial cannot be made monic")
         return self / self.lc()
 
-    def shift(self, k):
-        """Multiply by var**k."""
-        if self.is_zero():
-            return self
-        return RatPoly((Fraction(0),) * k + self.coeffs, self.var)
-
     def __call__(self, x):
         if isinstance(x, RatPoly):
             acc = RatPoly.zero(x.var)
@@ -370,9 +354,6 @@ class RatPoly:
 
     def complex_coeffs(self):
         return [as_complex(c) for c in self.coeffs]
-
-    def map_coeffs(self, f):
-        return RatPoly([f(c) for c in self.coeffs], self.var)
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -423,14 +404,6 @@ class RatPoly:
         return " ".join(parts)
 
 
-def poly_from_roots(roots, var="z"):
-    out = RatPoly.one(var)
-    x = RatPoly.x(var)
-    for r in roots:
-        out = out * (x - r)
-    return out
-
-
 def gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     """Monic gcd of univariate polynomials via the Euclidean algorithm."""
     if f.is_zero() and g.is_zero():
@@ -439,16 +412,6 @@ def gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def squarefree_part(f: RatPoly) -> RatPoly:
-    """f with repeated roots collapsed: f / gcd(f, f'), made monic."""
-    if f.is_zero():
-        raise ValueError("squarefree part of zero polynomial")
-    if f.degree < 1:
-        return RatPoly.one(f.var)
-    g = gcd(f, f.derivative())
-    return f.exact_div(g).monic()
 
 
 def squarefree_decomposition(f: RatPoly) -> list[tuple[RatPoly, int]]:
@@ -522,9 +485,6 @@ class LaurentSym:
             return got
         var = next((v.var for v in self.coeffs.values()), "z")
         return RatPoly.zero(var)
-
-    def max_exp(self):
-        return max((abs(k) for k in self.coeffs), default=0)
 
     def scale(self, s):
         return LaurentSym({k: v * s for k, v in self.coeffs.items()})
@@ -716,28 +676,6 @@ class BiPoly:
     def derivative_outer(self):
         return BiPoly([k * c for k, c in enumerate(self.coeffs) if k > 0], self.outer)
 
-    def eval_outer(self, x):
-        """Evaluate the outer variable at an exact scalar; RatPoly in z remains."""
-        acc = RatPoly.zero(self._inner_var())
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_inner(self, z0):
-        """Evaluate z at an exact scalar; RatPoly in the outer variable remains."""
-        return RatPoly([c(z0) for c in self.coeffs], self.outer)
-
-    def subs_outer(self, g: RatPoly):
-        """Substitute a z-polynomial for the outer variable."""
-        acc = RatPoly.zero(g.var)
-        for c in reversed(self.coeffs):
-            if c.is_constant():
-                cc = c.coeff(0)
-            else:
-                cc = c
-            acc = acc * g + cc
-        return acc
-
     def content(self) -> RatPoly:
         nz = [c for c in self.coeffs if not c.is_zero()]
         if not nz:
@@ -799,29 +737,11 @@ class BiPoly:
         return f"BiPoly[{terms}]"
 
 
-def bipoly_eval_tau(D: BiPoly, tau0):
-    """Partial evaluation of the outer (tau) variable; exact."""
-    return D.eval_outer(tau0)
-
-
-def bipoly_eval_z(D: BiPoly, z0):
-    """Partial evaluation of the inner (z) variable; exact."""
-    return D.eval_inner(z0)
-
-
 def laurent_from_bipoly(D: BiPoly, m: int) -> LaurentSym:
     """D(z,tau) / tau^m as a symmetric Laurent polynomial; validates the palindrome."""
     if D.degree != 2 * m:
         raise ValueError(f"expected outer degree {2*m}, got {D.degree}")
     return LaurentSym({k - m: D.coeff(k) for k in range(2 * m + 1)})
-
-
-def laurent_to_bipoly(L: LaurentSym, m: int, outer="tau") -> BiPoly:
-    """L * tau^m as an ordinary polynomial in tau (requires exponents >= -m)."""
-    if L.max_exp() > m:
-        raise ValueError("Laurent exponent exceeds the shift")
-    coeffs = [L.coeff(k - m) for k in range(2 * m + 1)]
-    return BiPoly(coeffs, outer)
 
 
 def palindrome_to_nu(L: LaurentSym) -> BiPoly:

@@ -146,6 +146,18 @@ def cosine_matrix(kappas) -> tuple:
     return W, solve
 
 
+def _poly_from_roots(roots) -> list:
+    """Ascending complex coefficients of prod(z - root)."""
+    coeffs = [complex(1)]
+    for r in roots:
+        nxt = [complex(0)] * (len(coeffs) + 1)
+        for i, v in enumerate(coeffs):
+            nxt[i + 1] += v
+            nxt[i] -= complex(r) * v
+        coeffs = nxt
+    return coeffs
+
+
 def constrained_poly(roots, top_coeffs) -> list:
     """The unique r = g * prod(z - root) with prescribed top coefficients.
 
@@ -158,13 +170,7 @@ def constrained_poly(roots, top_coeffs) -> list:
         raise ValueError("need at least one root")
     if not top_coeffs:
         raise ValueError("need at least one prescribed coefficient")
-    h = [complex(1)]
-    for r in roots:
-        nxt = [complex(0)] * (len(h) + 1)
-        for i, hv in enumerate(h):
-            nxt[i + 1] += hv
-            nxt[i] -= complex(r) * hv
-        h = nxt
+    h = _poly_from_roots(roots)
     k = len(roots)
     s = len(top_coeffs) - 1
     g = [complex(0)] * (s + 1)
@@ -282,17 +288,6 @@ def forward_spectral_data(op: PeriodicOperator, kappas, subset_rule: str = "asce
             chosen = [roots[i] for i in sorted(rng.sample(range(pm), size))]
         sets.append(tuple(chosen))
     return SpectralData(p=p, m=m, kappas=tuple(float(k) for k in kappas), lambda_sets=tuple(sets))
-
-
-def _poly_from_roots(roots) -> list:
-    coeffs = [complex(1)]
-    for r in roots:
-        nxt = [complex(0)] * (len(coeffs) + 1)
-        for i, v in enumerate(coeffs):
-            nxt[i + 1] += v
-            nxt[i] -= complex(r) * v
-        coeffs = nxt
-    return coeffs
 
 
 def _max_root_distance(eta: EtaTable, kappa: float, lambdas) -> float:

@@ -1,4 +1,4 @@
-"""Floating-point layer: polynomial roots, Hermitian eigenvalues, bisection.
+"""Floating-point layer: polynomial roots, root clusters, Hermitian eigenvalues.
 
 Everything upstream is exact; this module is the only place roots and
 eigenvalues become floats, with explicit tolerances at every boundary.
@@ -125,7 +125,8 @@ def roots_all(f, rel_tol=DEFAULT_REL_TOL, max_iter=MAX_ITER):
     for r in pts:
         res = abs(_poly_and_deriv(cs, r)[0])
         residuals.append(res)
-        if res > rel_tol * _residual_scale(cs, r):
+        # written so that a NaN residual fails the contract
+        if not res <= rel_tol * _residual_scale(cs, r):
             bad = True
     if bad:
         raise RootFindingError(
@@ -187,26 +188,3 @@ def hermitian_eigs(H):
         raise NonHermitianError(f"Hermiticity defect {defect:.3e} exceeds 1e-12")
     return [float(v) for v in np.linalg.eigvalsh(A)]
 
-
-def refine_bracket(f, lo, hi, tol=1e-12):
-    """Bisection on a sign change; returns the midpoint of the final bracket."""
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    if flo == 0:
-        return float(lo)
-    if fhi == 0:
-        return float(hi)
-    a, b = float(lo), float(hi)
-    for _ in range(4096):
-        if b - a <= tol:
-            break
-        mid = (a + b) / 2
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if flo * fm < 0:
-            b = mid
-        else:
-            a, flo = mid, fm
-    return (a + b) / 2

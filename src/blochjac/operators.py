@@ -7,7 +7,6 @@ quasi-periodic block matrix L(tau), in both exact and Hermitian-float form.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +15,6 @@ from .exactmath import (
     CRational,
     RatPoly,
     det_field,
-    det_ring,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -124,11 +122,6 @@ class MatrixPoly:
         raise AttributeError("MatrixPoly is immutable")
 
     @classmethod
-    def identity(cls, n):
-        return cls([[RatPoly.one() if i == j else RatPoly.zero() for j in range(n)]
-                    for i in range(n)])
-
-    @classmethod
     def from_scalar(cls, mat):
         return cls([[RatPoly((x,), "z") for x in row] for row in mat])
 
@@ -162,33 +155,6 @@ class MatrixPoly:
             t = t + self.rows[i][i]
         return t
 
-    def power(self, k):
-        out = MatrixPoly.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
-
-    def determinant(self):
-        """Exact determinant: cofactor expansion up to 8x8, Bareiss above."""
-        if self.n <= 8:
-            return det_ring(self.rows, RatPoly.zero(), RatPoly.one())
-        return _det_bareiss(self.rows)
-
-    def eval(self, x):
-        return [[e(x) for e in row] for row in self.rows]
-
-    def max_degree(self):
-        degs = [e.degree for row in self.rows for e in row if not e.is_zero()]
-        return max(degs) if degs else -math.inf
-
-    def coeff_matrix(self, k):
-        """Matrix of the z^k coefficients."""
-        return [[e.coeff(k) for e in row] for row in self.rows]
-
     def is_zero(self):
         return all(e.is_zero() for row in self.rows for e in row)
 
@@ -200,27 +166,6 @@ class MatrixPoly:
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
         return f"MatrixPoly[{body}]"
-
-
-def _det_bareiss(rows):
-    a = [[e for e in row] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = RatPoly.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            piv = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
-            if piv is None:
-                return RatPoly.zero()
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
 
 
 def symplectic_form(m):

@@ -22,6 +22,7 @@ from .exactmath import (
     RatPoly,
     bipoly_squarefree_part,
     chebyshev,
+    det_field,
     det_ring,
     discriminant,
     laurent_from_bipoly,
@@ -242,16 +243,16 @@ def lyapunov_at(sp: SurfacePoly, z) -> list:
     return [LyapunovBranch(v, abs(v.imag) <= REAL_TOL) for v in vals]
 
 
-def multipliers_at(cd: CharDeterminant, z) -> list:
-    """2m multiplier values as m pairs (tau_j, 1/tau_j) at the point z.
+def multipliers_at(branches) -> list:
+    """2m multiplier values as m pairs (tau_j, 1/tau_j) for the branches at z.
 
-    Each pair solves tau^2 - 2 nu_j tau + 1 = 0 for a Lyapunov branch nu_j;
-    the pair product is 1 by construction. z lies in the spectrum exactly
-    when some |tau_j| = 1.
+    branches is what lyapunov_at returned at z; each pair solves
+    tau^2 - 2 nu_j tau + 1 = 0 for a Lyapunov branch nu_j, in the same
+    order, and the pair product is 1 by construction. z lies in the
+    spectrum exactly when some |tau_j| = 1.
     """
-    sp = surface_poly(cd)
     pairs = []
-    for b in lyapunov_at(sp, z):
+    for b in branches:
         nu = b.value
         s = cmath.sqrt(nu * nu - 1)
         t = nu + s if abs(nu + s) >= abs(nu - s) else nu - s
@@ -506,7 +507,7 @@ def _cross_validate(op, bs: BandStructure, grid: int):
                 )
 
 
-def classify_gaps(bs: BandStructure, cd: CharDeterminant, sp: SurfacePoly) -> list:
+def classify_gaps(bs: BandStructure) -> list:
     """Maximal intervals where some branch leaves [-1, 1], with endpoint kinds.
 
     Both true spectral gaps (multiplicity 0 between bands) and interior
@@ -514,7 +515,7 @@ def classify_gaps(bs: BandStructure, cd: CharDeterminant, sp: SurfacePoly) -> li
     both endpoints are periodic or antiperiodic eigenvalues, "resonance"
     when both are branch points only, "mixed" otherwise.
     """
-    m = sp.m
+    m = len(bs.branch_bands)
     kind_at = {}
     for e in bs.edges:
         kind_at.setdefault(e.value, set()).add(e.kind)
@@ -566,7 +567,7 @@ def _frobenius_sq(mat):
     return sum(x * x for row in mat for x in row)
 
 
-def verify_identities(op: PeriodicOperator, bands: BandStructure = None) -> list:
+def verify_identities(op: PeriodicOperator) -> list:
     """Run every executable identity for one operator; returns IdentityChecks.
 
     Exact checks: the symplectic normalization, the palindrome and dual
@@ -637,7 +638,7 @@ def verify_identities(op: PeriodicOperator, bands: BandStructure = None) -> list
     if p >= 2:
         det_prod = Fraction(1)
         for n in range(1, p + 1):
-            det_prod *= _det_fraction(op.a_at(n))
+            det_prod *= det_field(op.a_at(n))
         rhs = 2 * pm * float(det_prod * det_prod) ** (1.0 / pm)
         sum2 = float(target2)
         report.append(
@@ -651,8 +652,8 @@ def verify_identities(op: PeriodicOperator, bands: BandStructure = None) -> list
     else:
         report.append(_na("moment-2-lower-bound", "stated for period >= 2"))
 
-    if bands is None:
-        bands = band_structure(op)
+    bands = band_structure_from_char(cd, sp)
+    _cross_validate(op, bands, DEFAULT_GRID)
     norm_inf = float(op.norm_infty())
     lo = bands.segments[0].lo
     hi = bands.segments[-1].hi
@@ -690,57 +691,3 @@ def verify_identities(op: PeriodicOperator, bands: BandStructure = None) -> list
     report.append(_check("trace-chebyshev-sampling", ok, residual=worst))
     return report
 
-
-def _det_fraction(mat):
-    rows = [list(r) for r in mat]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
-def leading_asymptotics(cd: CharDeterminant, op: PeriodicOperator) -> list:
-    """High-energy structure checks: exact degrees plus |z| = 1e3 float ratios."""
-    p, m = cd.p, cd.m
-    pm = p * m
-    report = []
-
-    top = cd.q.z_coefficient(pm)
-    report.append(_check("q-monic", top == {0: Fraction(1)}))
-    report.append(_check("xi-m-leading", cd.xi[m].coeff(pm) == cd.c))
-    report.append(
-        _check("xi-degree-bounds", all(cd.xi[j].degree <= p * j for j in range(2 * m + 1)))
-    )
-
-    sp = surface_poly(cd)
-    z0 = 1000.0
-    scaled = sorted(
-        (b.value / z0**p for b in lyapunov_at(sp, z0)), key=lambda w: (w.real, w.imag)
-    )
-    ap = np.array([[float(x) for x in row] for row in op.a_product_inverse()])
-    targets = sorted(np.linalg.eigvals(ap / 2), key=lambda w: (w.real, w.imag))
-    ok = all(abs(s - t) <= 0.1 * abs(t) for s, t in zip(scaled, targets))
-    report.append(_check("branch-asymptote", ok, detail=f"{scaled} vs {targets}"))
-
-    rho, degenerate = resonance_poly(sp)
-    ap_poly = charpoly([[Fraction(x) / 2 for x in row] for row in op.a_product_inverse()])
-    dis = discriminant(ap_poly)
-    if degenerate or dis == 0:
-        report.append(_na("resonance-asymptote", "repeated leading eigenvalues"))
-    else:
-        val = complex(rho(z0)) / z0 ** (pm * (m - 1))
-        ok = abs(val - float(dis)) <= 0.1 * abs(float(dis))
-        report.append(_check("resonance-asymptote", ok, detail=f"{val} vs {float(dis)}"))
-    return report

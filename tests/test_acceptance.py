@@ -44,7 +44,7 @@ from blochjac.spectral import (
     verify_identities,
 )
 
-Z = RatPoly.x()
+Z = RatPoly([0, 1])
 KAPPAS = (0.0, math.pi, math.pi / 2, math.pi / 3)
 SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]
 
@@ -159,11 +159,7 @@ def test_criterion_4_example4_bands_and_gap():
     assert interval_matches(bs.branch_bands, [(-2, 2)])
     assert interval_matches(bs.branch_bands, [(-1, 3)])
 
-    op = example4(Fraction(1, 2))
-    cd = char_determinant(op)
-    sp = surface_poly(cd)
-    bs = band_structure(op)
-    gaps = classify_gaps(bs, cd, sp)
+    gaps = classify_gaps(band_structure(example4(Fraction(1, 2))))
     t = 0.5
     lo = 0.5 - t / (2 * math.sqrt(t * t + 1))
     hi = 0.5 + t / (2 * math.sqrt(t * t + 1))

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from blochjac import cli
+from blochjac import cli, spectral
 from blochjac.fixtures import example3, example4
 from blochjac.spectral import IdentityCheck
 
@@ -20,6 +20,22 @@ def run_json(capsys, argv):
     code, out = run_cli(capsys, argv)
     assert code == 0
     return json.loads(out)
+
+
+def run_error(capsys, argv):
+    """Exit code of a run that must fail with one `error:` line and no output."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return code
+
+
+def write_json(tmp_path, doc, name):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def write_doc(tmp_path, capsys, argv, name="op.json"):
@@ -242,3 +258,75 @@ def test_cli_pipe_round_trip():
     )
     payload = json.loads(bands.stdout)["payload"]
     assert payload["segments"] == [[pytest.approx(-2), pytest.approx(2), 1]]
+
+
+@pytest.mark.parametrize("flag", ["--p", "--m"])
+def test_example_free_rejects_zero_sizes(capsys, flag):
+    assert run_error(capsys, ["example", "free", flag, "0"]) == 2
+
+
+def test_operator_document_rejects_empty_blocks(tmp_path, capsys):
+    path = write_json(tmp_path, {"p": 2, "m": 0, "a": [[], []], "b": [[], []]}, "m0.json")
+    assert run_error(capsys, ["bands", path]) == 2
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_bands_rejects_grid_without_cross_validation(tmp_path, capsys, grid):
+    path = write_doc(tmp_path, capsys, ["example", "free"])
+    assert run_error(capsys, ["bands", path, "--grid", grid]) == 2
+
+
+@pytest.mark.parametrize("z", ["nan", "inf,0"])
+def test_lyapunov_rejects_non_finite_z(tmp_path, capsys, z):
+    path = write_doc(tmp_path, capsys, ["example", "free"])
+    assert run_error(capsys, ["lyapunov", path, "--z", z]) == 2
+
+
+def test_lyapunov_rejects_z_that_overflows(tmp_path, capsys):
+    path = write_doc(tmp_path, capsys, ["example", "free"])
+    assert run_error(capsys, ["lyapunov", path, "--z", "1e300"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["bands"], ["verify"], ["lyapunov", "--z", "0"]])
+def test_entry_beyond_float_range_exits_2(tmp_path, capsys, argv):
+    path = write_json(tmp_path, {"p": 1, "m": 1, "a": [[["1"]]], "b": [[["1e400"]]]}, "big.json")
+    assert run_error(capsys, [argv[0], path] + argv[1:]) == 2
+
+
+def test_recover_eigenvalue_beyond_float_range_exits_2(tmp_path, capsys):
+    data = {"p": 2, "m": 1, "kappas": [0.0, math.pi], "lambda_sets": [[-2, 1e308], [0]]}
+    assert run_error(capsys, ["recover", write_json(tmp_path, data, "big.json")]) == 2
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of spectral functions through every blochjac module that binds them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(spectral, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "blochjac" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv", [["bands"], ["verify"], ["lyapunov", "--z-grid=-3:3:50"]])
+def test_each_command_builds_d_and_phi_once(tmp_path, capsys, monkeypatch, argv):
+    path = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1/2"])
+    counts = count_calls(monkeypatch, "char_determinant", "surface_poly")
+    code, _ = run_cli(capsys, [argv[0], path] + argv[1:])
+    assert code == 0
+    assert counts == {"char_determinant": 1, "surface_poly": 1}
+
+
+def test_recover_builds_phi_at_most_once(tmp_path, capsys, monkeypatch):
+    data = {"p": 2, "m": 1, "kappas": [0.0, math.pi], "lambda_sets": [[-2, 2], [0]]}
+    path = write_json(tmp_path, data, "data.json")
+    counts = count_calls(monkeypatch, "char_determinant", "surface_poly")
+    payload = run_json(capsys, ["recover", path])["payload"]
+    assert payload["bands"] is not None
+    assert counts["char_determinant"] == 0 and counts["surface_poly"] <= 1

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochjac.exactmath import RatPoly, poly_from_roots
+from blochjac.exactmath import RatPoly
 from blochjac.numerics import (
     NonHermitianError,
     RootFindingError,
     cluster_roots,
     hermitian_eigs,
-    refine_bracket,
     roots_all,
 )
 
@@ -56,7 +55,9 @@ def test_roots_deterministic():
 @given(st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=8),
                 min_size=1, max_size=8, unique=True))
 def test_roots_recover_rational_roots(roots):
-    f = poly_from_roots(roots)
+    f = RatPoly.one()
+    for r in roots:
+        f = f * RatPoly([-r, 1])
     got = roots_all(f)
     want = sorted(float(r) for r in roots)
     assert len(got) == len(want)
@@ -69,6 +70,13 @@ def test_roots_error_carries_best_iterate():
         roots_all([1, -8, 28, -56, 70, -56, 28, -8, 1], max_iter=1)  # (z-1)^8
     assert len(ei.value.best) == 8
     assert len(ei.value.residuals) == 8
+
+
+def test_roots_nan_iterates_fail_the_contract():
+    # 1 + max|c_k/c_n| = 6e10 raised to the 36th power overflows the start
+    # circle, so every iterate is NaN; NaN must not pass the residual check.
+    with pytest.raises(RootFindingError):
+        roots_all([1.0] + [6e10] * 35 + [1.0])
 
 
 def test_roots_rejects_constants():
@@ -119,16 +127,3 @@ def test_hermitian_eigs_trace_and_rotation_invariance():
     eigs2 = hermitian_eigs(U @ A @ U.conj().T)
     assert np.allclose(eigs, eigs2, atol=1e-9)
 
-
-def test_refine_bracket():
-    assert abs(refine_bracket(lambda z: z - 1, 0, 2, 1e-12) - 1.0) < 1e-11
-    delta = lambda z: z * z / 2 - 1
-    assert abs(refine_bracket(lambda z: delta(z) - 1, 1.5, 2.5, 1e-12) - 2.0) < 1e-11
-    d11 = lambda z: (z * z - z - 3) / 2
-    got = refine_bracket(lambda z: d11(z) + 1, 1, 2, 1e-12)
-    assert abs(got - (1 + math.sqrt(5)) / 2) < 1e-10
-
-
-def test_refine_bracket_requires_sign_change():
-    with pytest.raises(ValueError):
-        refine_bracket(lambda z: z * z + 1, -1, 1)

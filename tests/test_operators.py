@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blochjac.exactmath import I as IMAG
-from blochjac.exactmath import RatPoly, mat_transpose
+from blochjac.exactmath import RatPoly, det_ring, mat_transpose
 from blochjac.fixtures import (
     example1_diag,
     free_operator,
@@ -27,7 +27,7 @@ from blochjac.operators import (
     validate,
 )
 
-Z = RatPoly.x()
+Z = RatPoly([0, 1])
 
 
 def test_validate_free_ok():
@@ -73,20 +73,19 @@ def test_monodromy_free_p2():
     M = monodromy(free_operator(2, 1))
     assert M == MatrixPoly([[-1, Z], [-Z, RatPoly([-1, 0, 1])]])
     # leading z^2 block: bottom-right entry 1 = A_2
-    assert M.coeff_matrix(2) == [[0, 0], [0, 1]]
+    assert [[M.entry(i, j).coeff(2) for j in range(2)] for i in range(2)] == [[0, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("seed,p,m", [(1, 2, 2), (2, 3, 2), (3, 2, 3), (4, 1, 2)])
 def test_monodromy_degree_and_leading_block(seed, p, m):
     op = random_operator(seed, p, m)
     M = monodromy(op)
-    assert M.max_degree() <= p
-    lead = M.coeff_matrix(p)
     Ap = op.a_product_inverse()
     for i in range(2 * m):
         for j in range(2 * m):
+            assert M.entry(i, j).degree <= p
             want = Ap[i - m][j - m] if (i >= m and j >= m) else 0
-            assert lead[i][j] == want
+            assert M.entry(i, j).coeff(p) == want
 
 
 def test_modified_monodromy_symplectic_exact():
@@ -98,14 +97,7 @@ def test_modified_monodromy_symplectic_exact():
 def test_modified_monodromy_symplectic_and_det(seed, p, m):
     op = random_operator(seed, p, m)
     assert symplectic_defect(op).is_zero()
-    assert modified_monodromy(op).determinant() == RatPoly([1])
-
-
-def test_det_bareiss_agrees_with_cofactor():
-    op = random_operator(11, 2, 2)
-    M = modified_monodromy(op)
-    from blochjac.operators import _det_bareiss
-    assert _det_bareiss(M.rows) == M.determinant()
+    assert det_ring(modified_monodromy(op).rows, RatPoly.zero(), RatPoly.one()) == RatPoly([1])
 
 
 def test_trace_powers_match_direct():

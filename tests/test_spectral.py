@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blochjac.spectral as spectral_mod
-from blochjac.exactmath import BiPoly, RatPoly, chebyshev
+from blochjac.exactmath import BiPoly, RatPoly, chebyshev, discriminant
 from blochjac.fixtures import (
     example2_const,
     example3,
@@ -16,7 +17,7 @@ from blochjac.fixtures import (
     scalar_operator,
 )
 from blochjac.numerics import hermitian_eigs
-from blochjac.operators import floquet_matrix
+from blochjac.operators import charpoly, floquet_matrix
 from blochjac.spectral import (
     BandStructure,
     InternalConsistencyError,
@@ -27,7 +28,6 @@ from blochjac.spectral import (
     build_char_determinant,
     char_determinant,
     classify_gaps,
-    leading_asymptotics,
     lyapunov_at,
     multipliers_at,
     periodic_eigs,
@@ -136,13 +136,13 @@ def test_lyapunov_double_point_example3():
 
 
 def test_multipliers_free():
-    cd = char_determinant(free_operator(2, 1))
-    ((t1, t2),) = multipliers_at(cd, 0)
+    sp = surface_poly(char_determinant(free_operator(2, 1)))
+    ((t1, t2),) = multipliers_at(lyapunov_at(sp, 0))
     assert abs(t1 - (-1)) < 1e-9 and abs(t2 - (-1)) < 1e-9
-    ((t1, t2),) = multipliers_at(cd, 3)
+    ((t1, t2),) = multipliers_at(lyapunov_at(sp, 3))
     assert abs(t1 * t2 - 1) < 1e-12
     assert abs(t2 - (3.5 + math.sqrt(11.25))) < 1e-9
-    ((t1, t2),) = multipliers_at(cd, 1)  # inside the band
+    ((t1, t2),) = multipliers_at(lyapunov_at(sp, 1))  # inside the band
     assert abs(abs(t1) - 1) < 1e-12 and abs(abs(t2) - 1) < 1e-12
 
 
@@ -260,17 +260,12 @@ def test_band_structure_example3_t1():
 
 
 def test_classify_gaps_free_trivial():
-    op = free_operator(2, 1)
-    cd = char_determinant(op)
-    sp = surface_poly(cd)
-    assert classify_gaps(band_structure(op), cd, sp) == []
+    assert classify_gaps(band_structure(free_operator(2, 1))) == []
 
 
 def test_classify_gaps_example3_stable():
     op = example3(1)
-    cd = char_determinant(op)
-    sp = surface_poly(cd)
-    gaps = classify_gaps(band_structure(op), cd, sp)
+    gaps = classify_gaps(band_structure(op))
     s5 = math.sqrt(5)
     true_gaps = [g for g in gaps if g.multiplicity == 0]
     assert len(true_gaps) == 2
@@ -284,10 +279,7 @@ def test_classify_gaps_example3_stable():
 
 
 def test_classify_gaps_example4_resonance_gap():
-    op = example4(Fraction(1, 2))
-    cd = char_determinant(op)
-    sp = surface_poly(cd)
-    gaps = classify_gaps(band_structure(op), cd, sp)
+    gaps = classify_gaps(band_structure(example4(Fraction(1, 2))))
     shift = 0.5 / (2 * math.sqrt(1.25))
     res = [g for g in gaps if g.kind == "resonance"]
     assert len(res) == 1
@@ -399,26 +391,58 @@ def test_moment_bound_equality_cases():
         assert abs(row.residual) < 1e-9
 
 
+def _asymptotes(op, z0=1000.0):
+    """(branch ratios, branch targets, rho ratio, rho target or None) at z = z0.
+
+    With A_p = (a_1 ... a_p)^-1, the branches grow like nu_j(z) ~ z^p eig_j(A_p / 2)
+    and rho(z) ~ disc(charpoly(A_p / 2)) z^(pm(m-1)); the rho target is None
+    when the leading eigenvalues repeat and the asymptote says nothing.
+    """
+    p, m = op.p, op.m
+    sp = surface_poly(char_determinant(op))
+    scaled = sorted((b.value / z0**p for b in lyapunov_at(sp, z0)), key=lambda w: (w.real, w.imag))
+    ap = op.a_product_inverse()
+    targets = sorted(np.linalg.eigvals(np.array([[float(x) / 2 for x in row] for row in ap])),
+                     key=lambda w: (w.real, w.imag))
+    rho, degenerate = resonance_poly(sp)
+    dis = discriminant(charpoly([[Fraction(x) / 2 for x in row] for row in ap]))
+    rho_ratio = complex(rho(z0)) / z0 ** (p * m * (m - 1))
+    return scaled, targets, rho_ratio, None if degenerate or dis == 0 else float(dis)
+
+
+def _assert_branch_asymptote(scaled, targets):
+    assert len(scaled) == len(targets)
+    assert all(abs(s - t) <= 0.1 * abs(t) for s, t in zip(scaled, targets))
+
+
 def test_leading_asymptotics_free():
     op = free_operator(2, 2)
-    report = leading_asymptotics(char_determinant(op), op)
-    by_name = {c.name: c.status for c in report}
-    assert by_name == {
-        "q-monic": "pass",
-        "xi-m-leading": "pass",
-        "xi-degree-bounds": "pass",
-        "branch-asymptote": "pass",
-        "resonance-asymptote": "n/a",
-    }
+    cd = char_determinant(op)
+    pm = op.p * op.m
+    assert cd.q.z_coefficient(pm) == {0: Fraction(1)}
+    assert cd.xi[op.m].coeff(pm) == cd.c
+    assert all(cd.xi[j].degree <= op.p * j for j in range(2 * op.m + 1))
+    scaled, targets, _, rho_target = _asymptotes(op)
+    _assert_branch_asymptote(scaled, targets)
+    assert rho_target is None
 
 
 def test_leading_asymptotics_scalar_and_block_family():
-    op = scalar_operator([2], [0])
-    report = leading_asymptotics(char_determinant(op), op)
-    assert all(c.status == "pass" for c in report)
+    for op in (scalar_operator([2], [0]), random_operator(11, 3, 2)):
+        scaled, targets, rho_ratio, rho_target = _asymptotes(op)
+        _assert_branch_asymptote(scaled, targets)
+        assert abs(rho_ratio - rho_target) <= 0.1 * abs(rho_target)
 
-    op = example3(1)
-    report = leading_asymptotics(char_determinant(op), op)
-    by_name = {c.name: c.status for c in report}
-    assert by_name["branch-asymptote"] == "pass"
-    assert by_name["resonance-asymptote"] == "n/a"
+    # example3 has repeated leading eigenvalues, so only the branches say anything
+    scaled, targets, _, rho_target = _asymptotes(example3(1))
+    _assert_branch_asymptote(scaled, targets)
+    assert rho_target is None
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Typical library use:", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["gaps"] == []
