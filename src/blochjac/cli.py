@@ -25,7 +25,6 @@ from .fixtures import (
 from .inverse import (
     InconsistentDataError,
     SpectralData,
-    _max_root_distance,
     recover_determinant,
     snap_to_rational,
 )
@@ -216,19 +215,19 @@ def cmd_resonances(args) -> int:
     return EXIT_OK
 
 
-def _at_least(low, flag):
-    """argparse type for an integer flag that must be at least low.
+def _at_least(low, flag, kind):
+    """argparse type for a finite int or float flag that must be at least low.
 
     It raises InputError, which argparse lets through, so main reports the
     flag like any other bad input.
     """
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError as exc:
             raise InputError(f"{flag}: {exc}") from exc
-        if value < low:
-            raise InputError(f"{flag} must be at least {low}, got {value}")
+        if not (math.isfinite(value) and value >= low):
+            raise InputError(f"{flag} must be finite and at least {low}, got {text}")
         return value
     return parse
 
@@ -329,10 +328,7 @@ def cmd_recover(args) -> int:
         "c": _cnum(rec.c),
         "q": [[_cnum(v) for v in rec.q[j]] for j in range(sd.m + 1)],
         "D": [[_cnum(v) for v in rec.D[i]] for i in range(2 * sd.m + 1)],
-        "residuals": [
-            _max_root_distance(rec.eta, kappa, lam)
-            for kappa, lam in zip(sd.kappas, sd.lambda_sets)
-        ],
+        "residuals": list(rec.residuals),
     }
     try:
         snapped = snap_to_rational(rec)
@@ -384,10 +380,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bands", help="spectral bands, edges, and gap classification")
     add_input(sp)
-    sp.add_argument("--grid", type=_at_least(2, "--grid"), default=257,
+    sp.add_argument("--grid", type=_at_least(2, "--grid", int), default=257,
                     help="Floquet cross-validation grid size, at least 2 (default 257)")
-    sp.add_argument("--tol", type=float, default=1e-9,
-                    help="distance within which a branch band touches an edge (default 1e-9)")
+    sp.add_argument("--tol", type=_at_least(0, "--tol", float), default=1e-9,
+                    help="distance within which a branch band touches an edge, "
+                         "finite and at least 0 (default 1e-9)")
     sp.set_defaults(func=cmd_bands)
 
     sp = sub.add_parser("resonances", help="resonance polynomial and its zeros")
@@ -413,8 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", choices=["example1-diag", "example2-const", "example3", "example4", "free"])
     sp.add_argument("--t", default="0", help="parameter t for example3/example4 (rational, default 0)")
     sp.add_argument("--beta", default="1", help="parameter beta for example2-const (rational, default 1)")
-    sp.add_argument("--p", type=_at_least(1, "--p"), default=2, help="period for free (default 2)")
-    sp.add_argument("--m", type=_at_least(1, "--m"), default=1, help="block size for free (default 1)")
+    sp.add_argument("--p", type=_at_least(1, "--p", int), default=2, help="period for free (default 2)")
+    sp.add_argument("--m", type=_at_least(1, "--m", int), default=1, help="block size for free (default 1)")
     sp.set_defaults(func=cmd_example)
 
     return parser

@@ -117,9 +117,6 @@ class CRational:
     def __neg__(self):
         return CRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -313,9 +310,6 @@ class RatPoly:
                 for j, b in enumerate(o.coeffs):
                     rem[k + j] = rem[k + j] - f * b
         return RatPoly(quot, var), RatPoly(rem, var)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -573,10 +567,6 @@ class BiPoly:
     def one(cls, outer="tau"):
         return cls((RatPoly.one("z"),), outer)
 
-    @classmethod
-    def outer_var(cls, outer="tau"):
-        return cls((RatPoly.zero("z"), RatPoly.one("z")), outer)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else -math.inf
@@ -631,12 +621,6 @@ class BiPoly:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __neg__(self):
         return BiPoly([-c for c in self.coeffs], self.outer)
@@ -759,37 +743,6 @@ def palindrome_to_nu(L: LaurentSym) -> BiPoly:
     return out
 
 
-def det_ring(mat, zero, one):
-    """Division-free determinant over any commutative ring (expansion with
-    memoization on column subsets; fine for the small matrices used here)."""
-    n = len(mat)
-    if n == 0:
-        return one
-    states = {0: one}
-    for i in range(n):
-        nxt = {}
-        for mask, val in states.items():
-            pos = 0
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    pos += 1
-                    continue
-                entry = mat[i][j]
-                if not entry:
-                    continue
-                term = val * entry
-                if (i + pos) & 1:
-                    term = -term
-                key = mask | bit
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
-                else:
-                    nxt[key] = term
-        states = nxt
-    return states.get((1 << n) - 1, zero)
-
-
 def det_field(mat):
     """Exact determinant over a field (Fraction / CRational entries)."""
     n = len(mat)
@@ -818,6 +771,36 @@ def det_field(mat):
                 a[r][c] = a[r][c] - f * a[col][c]
     det = sign * det
     return det.demote() if isinstance(det, CRational) else det
+
+
+def interpolate(xs, ys, var):
+    """The polynomial of degree < len(xs) taking the value ys[k] at xs[k].
+
+    Exact Newton divided differences; the points are distinct rationals and
+    the values ints, Fractions or CRationals.
+    """
+    dd = [_norm_coeff(y) for y in ys]
+    n = len(dd)
+    for j in range(1, n):
+        for k in range(n - 1, j - 1, -1):
+            dd[k] = (dd[k] - dd[k - 1]) / (xs[k] - xs[k - j])
+    out = RatPoly(dd[-1:], var)
+    for k in range(n - 2, -1, -1):
+        out = out * RatPoly((-xs[k], 1), var) + dd[k]
+    return out
+
+
+def det_poly(rows):
+    """Exact determinant of a square matrix of RatPoly entries.
+
+    Each row adds at most its largest entry degree to the degree of the
+    determinant. det_field at that bound plus one centred integer points,
+    then interpolation, gives the determinant exactly.
+    """
+    var = next((e.var for row in rows for e in row if e.degree > 0), "z")
+    bound = sum(max((e.degree for e in row if e), default=0) for row in rows)
+    xs = range(-(bound // 2), bound - bound // 2 + 1)
+    return interpolate(xs, [det_field([[e(x) for e in row] for row in rows]) for x in xs], var)
 
 
 def mat_identity(n, one=Fraction(1), zero=Fraction(0)):
@@ -897,15 +880,14 @@ def resultant(f, g):
         if f.is_zero() or g.is_zero():
             raise ValueError("resultant of the zero polynomial")
         n, s = int(f.degree), int(g.degree)
-        var = f._inner_var()
-        zero, one = RatPoly.zero(var), RatPoly.one(var)
+        zero = RatPoly.zero(f._inner_var())
         if n == 0:
             return f.coeff(0) ** s
         if s == 0:
             return g.coeff(0) ** n
         fc = [f.coeff(n - k) for k in range(n + 1)]
         gc = [g.coeff(s - k) for k in range(s + 1)]
-        return det_ring(_sylvester(fc, gc, n, s, zero), zero, one)
+        return det_poly(_sylvester(fc, gc, n, s, zero))
     if isinstance(f, RatPoly) and isinstance(g, RatPoly):
         if f.is_zero() or g.is_zero():
             raise ValueError("resultant of the zero polynomial")

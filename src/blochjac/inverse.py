@@ -120,6 +120,7 @@ class Recovery(NamedTuple):
     q: dict  # tau-power j >= 0 -> ascending z coefficients (complex floats)
     D: dict  # tau-power i = 0..2m -> ascending z coefficients (complex floats)
     c: complex
+    residuals: tuple  # per kappa_j: how far the input eigenvalues sit from the recovered roots
 
 
 def cosine_matrix(kappas) -> tuple:
@@ -378,6 +379,7 @@ def recover_determinant(sd: SpectralData) -> Recovery:
     for i in range(2 * m + 1):
         D[i] = tuple(c * v for v in q[abs(m - i)])
 
+    residuals = []
     for j, kappa in enumerate(kappas):
         worst = _max_root_distance(eta, kappa, sd.lambda_sets[j])
         if worst > RESIDUAL_TOL and _section_residual(eta, kappa, sd.lambda_sets[j]) > RESIDUAL_TOL:
@@ -385,7 +387,8 @@ def recover_determinant(sd: SpectralData) -> Recovery:
                 f"inconsistent spectral data: recovered section at kappa_{j} "
                 f"misses an input eigenvalue by {worst:.3e}"
             )
-    return Recovery(eta=eta, q=q, D=D, c=c)
+        residuals.append(worst)
+    return Recovery(eta=eta, q=q, D=D, c=c, residuals=tuple(residuals))
 
 
 def _snap_value(v: complex):
@@ -420,6 +423,6 @@ def snap_to_rational(rec: Recovery) -> CharDeterminant:
         cols.append(RatPoly(snapped, "z"))
     D = BiPoly(tuple(cols), outer="tau")
     try:
-        return build_char_determinant(D, p, m)
+        return build_char_determinant(D, p, m, None)
     except InternalConsistencyError as exc:
         raise InconsistentDataError(f"inconsistent spectral data: {exc}") from exc

@@ -15,6 +15,7 @@ from .exactmath import (
     CRational,
     RatPoly,
     det_field,
+    det_poly,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -129,22 +130,12 @@ class MatrixPoly:
     def n(self):
         return len(self.rows)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def __matmul__(self, other):
         return MatrixPoly(mat_mul(self.rows, other.rows))
-
-    def __add__(self, other):
-        return MatrixPoly([[x + y for x, y in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         return MatrixPoly([[x - y for x, y in zip(r1, r2)]
                            for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return MatrixPoly([[-x for x in row] for row in self.rows])
 
     def transpose(self):
         return MatrixPoly(mat_transpose(self.rows))
@@ -206,11 +197,11 @@ def monodromy(op: PeriodicOperator) -> MatrixPoly:
     return out
 
 
-def modified_monodromy(op: PeriodicOperator) -> MatrixPoly:
+def modified_monodromy(op: PeriodicOperator, Mp: MatrixPoly) -> MatrixPoly:
     """Symplectic normalization M = P0 M_p P0^{-1} with P0 = a_0^T (+) I_m.
 
-    Satisfies M^T J M = J and det M = 1 exactly; shares its characteristic
-    polynomial with the raw monodromy.
+    Mp is the raw monodromy(op). M satisfies M^T J M = J and det M = 1
+    exactly, and shares its characteristic polynomial with Mp.
     """
     m = op.m
     a0t = mat_transpose(op.a_at(0))
@@ -223,12 +214,11 @@ def modified_monodromy(op: PeriodicOperator) -> MatrixPoly:
             big_inv[i][j] = a0t_inv[i][j]
     P0 = MatrixPoly.from_scalar(big)
     P0_inv = MatrixPoly.from_scalar(big_inv)
-    return P0 @ monodromy(op) @ P0_inv
+    return P0 @ Mp @ P0_inv
 
 
-def trace_powers(op: PeriodicOperator, count: int):
-    """T_n = Tr M_p(z)^n for n = 1..count, as exact polynomials."""
-    M = monodromy(op)
+def trace_powers(M: MatrixPoly, count: int):
+    """T_n = Tr M(z)^n for n = 1..count, as exact polynomials."""
     out = []
     power = M
     for n in range(1, count + 1):
@@ -238,9 +228,9 @@ def trace_powers(op: PeriodicOperator, count: int):
     return out
 
 
-def symplectic_defect(op: PeriodicOperator) -> MatrixPoly:
-    M = modified_monodromy(op)
-    J = symplectic_form(op.m)
+def symplectic_defect(M: MatrixPoly) -> MatrixPoly:
+    """M^T J M - J, which vanishes exactly when M is symplectic."""
+    J = symplectic_form(M.n // 2)
     return (M.transpose() @ J @ M) - J
 
 
@@ -318,18 +308,7 @@ def floquet_matrix_exact(op: PeriodicOperator, tau):
 
 
 def charpoly(A) -> RatPoly:
-    """det(zI - A) for an exact scalar matrix, by the Faddeev-LeVerrier recursion."""
+    """det(zI - A) for an exact scalar matrix."""
     n = len(A)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = mat_identity(n)
-    for k in range(1, n + 1):
-        AM = mat_mul(A, M)
-        tr = AM[0][0]
-        for i in range(1, n):
-            tr = tr + AM[i][i]
-        ck = -tr / k
-        coeffs[n - k] = ck
-        if k < n:
-            M = [[AM[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-    return RatPoly(coeffs, "z")
+    return det_poly([[RatPoly((-A[i][j], 1) if i == j else (-A[i][j],)) for j in range(n)]
+                     for i in range(n)])

@@ -23,8 +23,8 @@ from .exactmath import (
     bipoly_squarefree_part,
     chebyshev,
     det_field,
-    det_ring,
     discriminant,
+    interpolate,
     laurent_from_bipoly,
     palindrome_to_nu,
     squarefree_decomposition,
@@ -36,6 +36,7 @@ from .operators import (
     floquet_matrix,
     floquet_matrix_exact,
     modified_monodromy,
+    monodromy,
     require_valid,
     symplectic_defect,
     trace_powers,
@@ -57,18 +58,21 @@ class CharDeterminant:
 
     Fields: D (polynomial in tau with z-polynomial coefficients), xi
     (coefficients of tau^{2m-j}), c (the leading constant), q (D/(c tau^m),
-    monic of degree pm in z), and the periods p, m.
+    monic of degree pm in z), the periods p, m, and M, the normalized
+    monodromy matrix D was computed from (None when D came from spectral
+    data).
     """
 
-    __slots__ = ("D", "xi", "c", "q", "p", "m")
+    __slots__ = ("D", "xi", "c", "q", "p", "m", "M")
 
-    def __init__(self, D, xi, c, q, p, m):
+    def __init__(self, D, xi, c, q, p, m, M):
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "M", M)
 
     def __setattr__(self, name, value):
         raise AttributeError("CharDeterminant is immutable")
@@ -96,8 +100,19 @@ class SurfacePoly:
         return BiPoly(tuple(reversed(self.phi)), outer="nu")
 
     def nu_coeffs_at(self, z) -> list:
-        """Ascending complex coefficients of Phi(z, .) at a numeric z."""
-        return [p(complex(z)) for p in reversed(self.phi)]
+        """Ascending complex coefficients of Phi(z, .) at a numeric z.
+
+        Raises ValueError naming z when a coefficient is beyond the float range.
+        """
+        z = complex(z)
+        try:
+            cs = [p(z) for p in reversed(self.phi)]
+        except OverflowError:
+            cs = [math.inf]
+        if not all(cmath.isfinite(c) for c in cs):
+            where = repr(z.real) if not z.imag else repr(z)
+            raise ValueError(f"Phi(z, nu) at z = {where} has a coefficient beyond the float range")
+        return cs
 
     def __repr__(self):
         return f"SurfacePoly(m={self.m})"
@@ -158,8 +173,8 @@ def _na(name, detail):
     return IdentityCheck(name, "n/a", 0.0, detail)
 
 
-def build_char_determinant(D: BiPoly, p: int, m: int) -> CharDeterminant:
-    """Validate a candidate determinant and package it with xi, c, q.
+def build_char_determinant(D: BiPoly, p: int, m: int, M) -> CharDeterminant:
+    """Validate a candidate determinant and package it with xi, c, q and M.
 
     Checks the palindrome, the xi symmetry and degree bounds, and the
     leading structure of xi_m; any violation is an internal error because
@@ -179,29 +194,34 @@ def build_char_determinant(D: BiPoly, p: int, m: int) -> CharDeterminant:
         raise InternalConsistencyError(f"deg xi_m = {xi[m].degree}, expected {p*m}")
     c = xi[m].coeff(p * m)
     q = laurent_from_bipoly(D, m).scale(Fraction(1) / c)
-    return CharDeterminant(D=D, xi=xi, c=c, q=q, p=p, m=m)
+    return CharDeterminant(D=D, xi=xi, c=c, q=q, p=p, m=m, M=M)
 
 
 def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     """D(z, tau) computed two independent ways, which must agree exactly.
 
-    Route one expands det(M(z) - tau*I) over the bivariate polynomial ring.
-    Route two builds the tau-coefficients from the traces T_n = Tr M_p^n
-    through the Newton recursion xi_s = -(1/s) * sum_{j<s} T_{s-j} xi_j
-    and mirrors them across the palindrome.
+    Both routes start from one raw monodromy M_p. Route one evaluates the
+    normalized M at pm + 1 points, takes the characteristic polynomial of
+    each value, and interpolates every tau-coefficient in z (their degree
+    is at most pm, which build_char_determinant enforces). Route two builds
+    the tau-coefficients from the traces T_n = Tr M_p^n through the Newton
+    recursion xi_s = -(1/s) * sum_{j<s} T_{s-j} xi_j and mirrors them
+    across the palindrome.
     """
     require_valid(op)
     m = op.m
-    n = 2 * m
-    M = modified_monodromy(op)
-    tau = BiPoly.outer_var("tau")
-    mat = [
-        [BiPoly((M.entry(i, j),)) - (tau if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    D_det = det_ring(mat, BiPoly.zero(), BiPoly.one())
+    Mp = monodromy(op)
+    M = modified_monodromy(op, Mp)
+    pm = op.p * m
+    xs = range(-(pm // 2), pm - pm // 2 + 1)
+    # det(M - tau I) = det(tau I - M) because M has even size 2m
+    pointwise = [charpoly([[e(x) for e in row] for row in M.rows]) for x in xs]
+    D_det = BiPoly(
+        [interpolate(xs, [f.coeff(k) for f in pointwise], "z") for k in range(2 * m + 1)],
+        outer="tau",
+    )
 
-    traces = trace_powers(op, m)
+    traces = trace_powers(Mp, m)
     xi = [RatPoly.one("z")]
     for s in range(1, m + 1):
         acc = RatPoly.zero("z")
@@ -215,7 +235,7 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
         raise InternalConsistencyError(
             "determinant route and trace route disagree on D(z, tau)"
         )
-    cd = build_char_determinant(D_det, op.p, m)
+    cd = build_char_determinant(D_det, op.p, m, M)
     if cd.c != op.leading_constant():
         raise InternalConsistencyError(
             f"leading constant {cd.c} != (-1)^m det A_p = {op.leading_constant()}"
@@ -231,6 +251,15 @@ def surface_poly(cd: CharDeterminant) -> SurfacePoly:
     if phi[0] != RatPoly.one(phi[0].var):
         raise InternalConsistencyError("surface polynomial is not monic in nu")
     return SurfacePoly(phi)
+
+
+def _exact_roots(f: RatPoly, what: str) -> list:
+    """roots_all of an exact polynomial, naming it when a coefficient overflows a float."""
+    try:
+        cs = f.complex_coeffs()
+    except OverflowError:
+        raise ValueError(f"{what} has a coefficient beyond the float range") from None
+    return roots_all(cs)
 
 
 def _branch_values(sp: SurfacePoly, z) -> list:
@@ -288,7 +317,7 @@ def resonances(sp: SurfacePoly) -> ResonanceSet:
     clusters = []
     vals = []
     for g, k in squarefree_decomposition(rho):
-        for r in _conjugate_symmetrize(roots_all(g)):
+        for r in _conjugate_symmetrize(_exact_roots(g, "rho(z)")):
             clusters.append((r, k))
             vals.extend([r] * k)
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
@@ -317,7 +346,7 @@ def _eigs_at_tau(cd: CharDeterminant, tau0) -> list:
         raise InternalConsistencyError(f"q(., {tau0}) has degree {f.degree}")
     out = []
     for g, mult in squarefree_decomposition(f):
-        for r in roots_all(g):
+        for r in _exact_roots(g, f"q(z, {tau0})"):
             if abs(r.imag) > 1e-7:
                 raise InternalConsistencyError(
                     f"non-real root {r} of q(., {tau0}) for a self-adjoint operator"
@@ -386,7 +415,7 @@ def _branch_values_exact(sp: SurfacePoly, x) -> list:
     poly = RatPoly([p(fx) for p in reversed(sp.phi)], "nu")
     out = []
     for g, k in squarefree_decomposition(poly):
-        for r in roots_all(g):
+        for r in _exact_roots(g, f"Phi({fx}, nu)"):
             out.extend([r] * k)
     return out
 
@@ -567,6 +596,13 @@ def _frobenius_sq(mat):
     return sum(x * x for row in mat for x in row)
 
 
+def _float(x, what) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} is beyond the float range") from None
+
+
 def verify_identities(op: PeriodicOperator) -> list:
     """Run every executable identity for one operator; returns IdentityChecks.
 
@@ -587,15 +623,15 @@ def verify_identities(op: PeriodicOperator) -> list:
     pm = p * m
     report = []
 
-    defect = symplectic_defect(op)
-    report.append(_check("symplectic-normalization", defect.is_zero()))
-
     try:
         cd = char_determinant(op)
-        report.append(_check("palindrome-and-dual-route", True))
     except InternalConsistencyError as exc:
+        M = modified_monodromy(op, monodromy(op))
+        report.append(_check("symplectic-normalization", symplectic_defect(M).is_zero()))
         report.append(_check("palindrome-and-dual-route", False, detail=str(exc)))
         return report
+    report.append(_check("symplectic-normalization", symplectic_defect(cd.M).is_zero()))
+    report.append(_check("palindrome-and-dual-route", True))
     sp = surface_poly(cd)
 
     for tau0, label in ((Fraction(1), "1"), (Fraction(-1), "-1"), (I, "i")):
@@ -639,8 +675,8 @@ def verify_identities(op: PeriodicOperator) -> list:
         det_prod = Fraction(1)
         for n in range(1, p + 1):
             det_prod *= det_field(op.a_at(n))
-        rhs = 2 * pm * float(det_prod * det_prod) ** (1.0 / pm)
-        sum2 = float(target2)
+        rhs = 2 * pm * _float(det_prod * det_prod, "moment-2-lower-bound: det^2") ** (1.0 / pm)
+        sum2 = _float(target2, "moment-2-lower-bound: sum of squared entries")
         report.append(
             _check(
                 "moment-2-lower-bound",
@@ -673,7 +709,7 @@ def verify_identities(op: PeriodicOperator) -> list:
     else:
         report.append(_na("norm-sandwich-traceless", "requires sum Tr b_n = 0"))
 
-    traces = trace_powers(op, 3)
+    traces = trace_powers(cd.M, 3)
     rng = random.Random(0xB10C)
     worst = 0.0
     ok = True

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from blochjac import cli, spectral
+from blochjac import cli, operators, spectral
 from blochjac.fixtures import example3, example4
 from blochjac.spectral import IdentityCheck
 
@@ -22,14 +22,18 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
-def run_error(capsys, argv):
-    """Exit code of a run that must fail with one `error:` line and no output."""
+def run_error_line(capsys, argv):
+    """Exit code and stderr line of a run that must fail with one `error:` line and no output."""
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-    return code
+    return code, lines[0]
+
+
+def run_error(capsys, argv):
+    return run_error_line(capsys, argv)[0]
 
 
 def write_json(tmp_path, doc, name):
@@ -276,6 +280,13 @@ def test_bands_rejects_grid_without_cross_validation(tmp_path, capsys, grid):
     assert run_error(capsys, ["bands", path, "--grid", grid]) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bands_rejects_tol_outside_its_range(tmp_path, capsys, tol):
+    path = write_doc(tmp_path, capsys, ["example", "free"])
+    code, line = run_error_line(capsys, ["bands", path, "--tol", tol])
+    assert code == 2 and "--tol" in line
+
+
 @pytest.mark.parametrize("z", ["nan", "inf,0"])
 def test_lyapunov_rejects_non_finite_z(tmp_path, capsys, z):
     path = write_doc(tmp_path, capsys, ["example", "free"])
@@ -284,13 +295,16 @@ def test_lyapunov_rejects_non_finite_z(tmp_path, capsys, z):
 
 def test_lyapunov_rejects_z_that_overflows(tmp_path, capsys):
     path = write_doc(tmp_path, capsys, ["example", "free"])
-    assert run_error(capsys, ["lyapunov", path, "--z", "1e300"]) == 2
+    code, line = run_error_line(capsys, ["lyapunov", path, "--z", "1e300"])
+    assert code == 2 and "Phi(z, nu) at z = 1e+300" in line
 
 
 @pytest.mark.parametrize("argv", [["bands"], ["verify"], ["lyapunov", "--z", "0"]])
 def test_entry_beyond_float_range_exits_2(tmp_path, capsys, argv):
     path = write_json(tmp_path, {"p": 1, "m": 1, "a": [[["1"]]], "b": [[["1e400"]]]}, "big.json")
-    assert run_error(capsys, [argv[0], path] + argv[1:]) == 2
+    code, line = run_error_line(capsys, [argv[0], path] + argv[1:])
+    stage = {"bands": "q(z, 1)", "verify": "q(z, 1)", "lyapunov": "Phi(z, nu) at z = 0.0"}[argv[0]]
+    assert code == 2 and stage in line
 
 
 def test_recover_eigenvalue_beyond_float_range_exits_2(tmp_path, capsys):
@@ -299,10 +313,10 @@ def test_recover_eigenvalue_beyond_float_range_exits_2(tmp_path, capsys):
 
 
 def count_calls(monkeypatch, *names):
-    """Count calls of spectral functions through every blochjac module that binds them."""
+    """Count calls of spectral or operators functions through every blochjac module that binds them."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(spectral, name)
+        original = getattr(spectral, name, None) or getattr(operators, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -330,3 +344,13 @@ def test_recover_builds_phi_at_most_once(tmp_path, capsys, monkeypatch):
     payload = run_json(capsys, ["recover", path])["payload"]
     assert payload["bands"] is not None
     assert counts["char_determinant"] == 0 and counts["surface_poly"] <= 1
+
+
+@pytest.mark.parametrize("command", ["bands", "resonances", "verify", "lyapunov"])
+def test_each_command_builds_the_monodromy_once(tmp_path, capsys, monkeypatch, command):
+    path = write_doc(tmp_path, capsys, ["example", "example4", "--t", "1/2"])
+    counts = count_calls(monkeypatch, "monodromy")
+    argv = [command, path] + (["--z", "0.5"] if command == "lyapunov" else [])
+    code, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert counts == {"monodromy": 1}

@@ -15,9 +15,10 @@ from blochjac.exactmath import (
     bipoly_squarefree_part,
     chebyshev,
     det_field,
-    det_ring,
+    det_poly,
     discriminant,
     gcd,
+    interpolate,
     laurent_from_bipoly,
     mat_inv,
     mat_mul,
@@ -226,10 +227,10 @@ def test_bipoly_eval_examples():
 
 
 def test_bipoly_arithmetic_and_subs():
-    tau = BiPoly.outer_var("tau")
+    tau = BiPoly((0, 1), "tau")
     D = tau * tau - RatPoly([0, 1]) * tau + 1
     assert D == BiPoly([RatPoly([1]), RatPoly([0, -1]), RatPoly([1])], "tau")
-    nu = BiPoly.outer_var("nu")
+    nu = BiPoly((0, 1), "nu")
     branch = RatPoly([-1, 0, Fraction(1, 2)])
     phi = (nu - branch) ** 2
     assert phi == BiPoly([branch * branch, branch * -2, RatPoly([1])], "nu")
@@ -252,7 +253,7 @@ def test_laurent_eval_complex():
 
 
 def test_bipoly_resultant_discriminant():
-    nu = BiPoly.outer_var("nu")
+    nu = BiPoly((0, 1), "nu")
     z = RatPoly([0, 1], "z")
     # Phi = (nu - z)(nu + z) = nu^2 - z^2: discriminant 4z^2
     phi = (nu - z) * (nu + z)
@@ -264,7 +265,7 @@ def test_bipoly_resultant_discriminant():
 
 
 def test_bipoly_gcd_and_deflation():
-    nu = BiPoly.outer_var("nu")
+    nu = BiPoly((0, 1), "nu")
     z = RatPoly([0, 1], "z")
     f = (nu - z) ** 2 * (nu + 1)
     g = bipoly_gcd(f, f.derivative_outer())
@@ -278,19 +279,44 @@ def test_det_helpers():
     m = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
     assert det_field(m) == 1
     rows = [[RatPoly([1]), RatPoly([0, 1])], [RatPoly([0, 1]), RatPoly([1])]]
-    d = det_ring(rows, RatPoly.zero(), RatPoly.one())
-    assert d == RatPoly([1, 0, -1])
+    assert det_poly(rows) == RatPoly([1, 0, -1])
+    # row degrees 3, 0 and 1 bound the degree by 4, which det = z^4 - 5z attains
+    x = RatPoly([0, 1])
+    rows = [[x ** 3, RatPoly([1]), x], [RatPoly([2]), RatPoly([1]), RatPoly([0])],
+            [RatPoly([1]), RatPoly([-1]), x]]
+    want = rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1]) \
+        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0]) \
+        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+    assert det_poly(rows) == want == RatPoly([0, -5, 0, 0, 1])
+    assert det_poly([[RatPoly([1]), x], [RatPoly.zero(), RatPoly.zero()]]).is_zero()
     inv = mat_inv(m)
     assert mat_mul(m, inv) == [[1, 0], [0, 1]]
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.lists(rationals(3), min_size=3, max_size=3), min_size=3, max_size=3))
-def test_det_ring_matches_det_field(rows):
+def test_det_poly_matches_det_field(rows):
     as_polys = [[RatPoly([c]) for c in row] for row in rows]
-    d1 = det_ring(as_polys, RatPoly.zero(), RatPoly.one())
-    d2 = det_field(rows)
-    assert d1 == RatPoly([d2])
+    assert det_poly(as_polys) == RatPoly([det_field(rows)])
+
+
+def gaussian_rationals(max_num=4):
+    return st.builds(CRational, rationals(max_num), rationals(max_num))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.lists(rationals(5), max_size=7),
+        st.lists(gaussian_rationals(), max_size=7),
+    ),
+    st.integers(-3, 3),
+)
+def test_interpolate_round_trip(coeffs, start):
+    f = RatPoly(coeffs, "w")
+    xs = [Fraction(start + k, 2) for k in range(len(coeffs) + 1)]
+    g = interpolate(xs, [f(x) for x in xs], "w")
+    assert g == f and (g.is_constant() or g.var == "w")
 
 
 def test_det_field_singular_and_complex():

@@ -250,8 +250,9 @@ def test_recovered_sections_reproduce_inputs():
     op = random_operator(17, 3, 2)
     sd = data_for(op, 2)
     rec = recover_determinant(sd)
-    for kappa, lam in zip(sd.kappas, sd.lambda_sets):
-        assert _max_root_distance(rec.eta, kappa, lam) <= 1e-7
+    distances = [_max_root_distance(rec.eta, k, lam) for k, lam in zip(sd.kappas, sd.lambda_sets)]
+    assert max(distances) <= 1e-7
+    assert rec.residuals == tuple(distances)
 
 
 def test_wrong_cardinality_rejected():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import blochjac.spectral as spectral_mod
-from blochjac.exactmath import BiPoly, RatPoly, chebyshev, discriminant
+from blochjac.exactmath import BiPoly, I, RatPoly, chebyshev, discriminant
 from blochjac.fixtures import (
     example2_const,
     example3,
@@ -17,7 +17,13 @@ from blochjac.fixtures import (
     scalar_operator,
 )
 from blochjac.numerics import hermitian_eigs
-from blochjac.operators import charpoly, floquet_matrix
+from blochjac.operators import (
+    charpoly,
+    floquet_matrix,
+    floquet_matrix_exact,
+    modified_monodromy,
+    monodromy,
+)
 from blochjac.spectral import (
     BandStructure,
     InternalConsistencyError,
@@ -341,21 +347,44 @@ def test_cross_validation_guard():
 
 
 def test_dual_route_tamper_detected(monkeypatch):
-    op = free_operator(2, 1)
     real = spectral_mod.trace_powers
-    monkeypatch.setattr(spectral_mod, "trace_powers", lambda o, k: [t + 1 for t in real(o, k)])
-    with pytest.raises(InternalConsistencyError):
-        char_determinant(op)
+    seen = []
+
+    def tampered(M, k):
+        seen.append(M)
+        return [t + 1 for t in real(M, k)]
+
+    monkeypatch.setattr(spectral_mod, "trace_powers", tampered)
+    for op in (free_operator(2, 1), random_operator(1, 2, 2)):
+        seen.clear()
+        with pytest.raises(InternalConsistencyError):
+            char_determinant(op)
+        # route two reads the raw monodromy, so it also checks route one's P0 normalization
+        assert seen == [monodromy(op)]
+    assert seen[0] != modified_monodromy(op, seen[0])
+
+
+def test_free_operator_2_8_resonance_poly_is_degenerate_one():
+    rho, degenerate = resonance_poly(surface_poly(char_determinant(free_operator(2, 8))))
+    assert rho == RatPoly.one("z") and degenerate
+
+
+def test_char_determinant_4_4_floquet_identity():
+    op = random_operator(7, 4, 4)
+    cd = char_determinant(op)
+    assert cd.q.z_coefficient(16) == {0: Fraction(1)}
+    for tau0 in (Fraction(1), I):
+        assert cd.q.eval_tau(tau0) == charpoly(floquet_matrix_exact(op, tau0))
 
 
 def test_build_char_determinant_rejects_bad_shapes():
     one = RatPoly.one("z")
     with pytest.raises(InternalConsistencyError):
-        build_char_determinant(BiPoly((zpoly(2), zpoly(0, -1), one), outer="tau"), 1, 1)
+        build_char_determinant(BiPoly((zpoly(2), zpoly(0, -1), one), outer="tau"), 1, 1, None)
     with pytest.raises(InternalConsistencyError):
-        build_char_determinant(BiPoly((one, zpoly(0, 0, -1), one), outer="tau"), 1, 1)
+        build_char_determinant(BiPoly((one, zpoly(0, 0, -1), one), outer="tau"), 1, 1, None)
     with pytest.raises(InternalConsistencyError):
-        build_char_determinant(BiPoly((one, RatPoly.zero("z"), one), outer="tau"), 1, 1)
+        build_char_determinant(BiPoly((one, RatPoly.zero("z"), one), outer="tau"), 1, 1, None)
 
 
 def _status(report, name):
