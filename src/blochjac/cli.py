@@ -91,17 +91,36 @@ def _rational(value, where):
     raise InputError(f"{where}: expected a string, got {type(value).__name__}")
 
 
+def _json_int(doc, key) -> int:
+    """doc[key] when it is a JSON integer; true, 1.5 and "2" are refused, not coerced."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{key} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _finite_number(value, where) -> float:
+    """value as a float when it is a finite JSON number; "inf", false and NaN are refused."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        x = float(value) if number else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise InputError(f"{where} must be a finite JSON number, got {json.dumps(value)}")
+    return x
+
+
 def operator_from_document(doc) -> PeriodicOperator:
     if not isinstance(doc, dict):
         raise InputError("operator document must be a JSON object")
     if doc.get("schema") not in (None, SCHEMA):
         raise InputError(f"unsupported schema {doc.get('schema')!r}")
     try:
-        p = int(doc["p"])
-        m = int(doc["m"])
+        p, m = _json_int(doc, "p"), _json_int(doc, "m")
         a_raw = doc["a"]
         b_raw = doc["b"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InputError(f"operator document needs integer p, m and lists a, b ({exc})") from exc
     if p < 1 or m < 1:
         raise InputError(f"p = {p} and m = {m} must be at least 1")
@@ -287,15 +306,11 @@ def cmd_lyapunov(args) -> int:
 
 
 def _complex_from_doc(value, where) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return complex(value[0], value[1])
-    raise InputError(f"{where}: eigenvalues are numbers or [re, im] pairs")
+    if not isinstance(value, list):
+        return complex(_finite_number(value, where))
+    if len(value) != 2:
+        raise InputError(f"{where}: eigenvalues are numbers or [re, im] pairs")
+    return complex(_finite_number(value[0], f"{where}[0]"), _finite_number(value[1], f"{where}[1]"))
 
 
 def spectral_data_from_document(doc) -> SpectralData:
@@ -304,12 +319,14 @@ def spectral_data_from_document(doc) -> SpectralData:
     if doc.get("schema") not in (None, SCHEMA):
         raise InputError(f"unsupported schema {doc.get('schema')!r}")
     try:
-        p = int(doc["p"])
-        m = int(doc["m"])
-        kappas = tuple(float(k) for k in doc["kappas"])
+        p, m = _json_int(doc, "p"), _json_int(doc, "m")
+        raw_kappas = doc["kappas"]
         raw_sets = doc["lambda_sets"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InputError(f"spectral data needs p, m, kappas, lambda_sets ({exc})") from exc
+    if not isinstance(raw_kappas, list):
+        raise InputError("kappas must be a list of numbers")
+    kappas = tuple(_finite_number(k, f"kappas[{i}]") for i, k in enumerate(raw_kappas))
     if not isinstance(raw_sets, list):
         raise InputError("lambda_sets must be a list of lists")
     sets = []

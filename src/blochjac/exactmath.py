@@ -500,19 +500,6 @@ class LaurentSym:
             return RatPoly.zero("z")
         return out
 
-    def eval_tau_complex(self, tau0: complex):
-        """Float evaluation at complex tau; returns ascending complex z-coefficients."""
-        if tau0 == 0:
-            raise ZeroDivisionError("tau = 0 is outside the Laurent domain")
-        n = max((p.degree for p in self.coeffs.values() if not p.is_zero()), default=0)
-        n = int(n) if n != -math.inf else 0
-        out = [0j] * (n + 1)
-        for k, v in self.coeffs.items():
-            tk = tau0 ** k
-            for j, c in enumerate(v.coeffs):
-                out[j] += as_complex(c) * tk
-        return out
-
     def z_coefficient(self, n):
         """The z^n coefficient as a scalar symmetric Laurent polynomial (dict k -> scalar)."""
         out = {}

@@ -20,10 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactmath import BiPoly, RatPoly, squarefree_decomposition
-from .numerics import cluster_roots, roots_all
-from .operators import PeriodicOperator, require_valid
-from .spectral import CharDeterminant, InternalConsistencyError, build_char_determinant, char_determinant
+from .exactmath import BiPoly, RatPoly
+from .numerics import hermitian_eigs, roots_all
+from .operators import PeriodicOperator, floquet_matrix, require_valid
+from .spectral import CharDeterminant, InternalConsistencyError, build_char_determinant
 
 SNAP_DENOMINATOR = 10**6
 SNAP_TOL = 1e-7
@@ -59,13 +59,17 @@ def coefficient_blocks(p: int, m: int) -> tuple:
     return tuple(blocks)
 
 
+def _cosine_sum(row, kappa: float) -> complex:
+    """row[0] + sum_j 2 cos(j kappa) row[j]: a symmetric Laurent row at tau = e^{i kappa}."""
+    return complex(sum((2 * math.cos(j * kappa) if j else 1) * complex(v) for j, v in enumerate(row)))
+
+
 class EtaTable:
     """Coefficients zeta_{m-j, n} of eta_n against the basis tau^j + tau^-j.
 
     rows[n][j] is the z^n coefficient of the tau^j Laurent coefficient of q;
     entries beyond j = s(n) vanish by the degree bound deg zeta_{m-j} <= p(m-j)
-    and are not stored.  Entries are Fractions when built from an exact
-    determinant and complex floats when produced by recovery.
+    and are not stored.  Recovery fills it with complex floats.
     """
 
     __slots__ = ("p", "m", "rows")
@@ -83,23 +87,9 @@ class EtaTable:
     def __setattr__(self, name, value):
         raise AttributeError("EtaTable is immutable")
 
-    @classmethod
-    def from_char(cls, cd: CharDeterminant) -> "EtaTable":
-        rows = []
-        for n in range(cd.p * cd.m + 1):
-            s = half_degree(cd.p, cd.m, n)
-            rows.append(tuple(cd.q.coeff(j).coeff(n) for j in range(s + 1)))
-            for j in range(s + 1, cd.m + 1):
-                if cd.q.coeff(j).coeff(n) != 0:
-                    raise InternalConsistencyError(
-                        f"z^{n} appears in the tau^{j} coefficient beyond its half-degree"
-                    )
-        return cls(cd.p, cd.m, rows)
-
     def eta_at(self, n: int, kappa: float) -> complex:
         """eta_n(e^{i kappa}), real by Laurent symmetry."""
-        row = self.rows[n]
-        return complex(sum((2 * math.cos(j * kappa) if j else 1) * complex(v) for j, v in enumerate(row)))
+        return _cosine_sum(self.rows[n], kappa)
 
     def section_at(self, kappa: float) -> list:
         """Ascending z-coefficients of q(., e^{i kappa})."""
@@ -211,82 +201,38 @@ def require_spectral_data(sd: SpectralData):
         raise InconsistentDataError("inconsistent spectral data: " + "; ".join(problems))
 
 
-def _exact_cosines(kappa: float, m: int):
-    """cos(j*kappa) for j = 0..m as Fractions, or None when any is irrational.
-
-    The default frequency battery (0, pi, pi/2, pi/3) has rational cosines
-    at every multiple, which is what makes the exact path below available.
-    """
-    out = []
-    for j in range(m + 1):
-        c = math.cos(j * kappa)
-        f = Fraction(c).limit_denominator(10**6)
-        if abs(float(f) - c) > 1e-12:
-            return None
-        out.append(f)
-    return out
-
-
-def _section_roots(cd, table, kappa: float) -> list:
-    """Multiplicity-counted roots of q(., e^{i kappa}), sorted by (re, im).
-
-    With rational cos(j*kappa) the section is an exact rational polynomial,
-    so multiplicities come from squarefree decomposition and every root is
-    a root of a squarefree factor (full accuracy even for repeated roots).
-    Otherwise the roots are clustered: a split k-fold root would poison the
-    partial sets, while the cluster mean is first-order accurate.
-    """
-    cos_exact = _exact_cosines(kappa, cd.m)
-    out = []
-    if cos_exact is not None:
-        coeffs = []
-        for row in table.rows:
-            acc = row[0]
-            for j in range(1, len(row)):
-                acc += 2 * cos_exact[j] * row[j]
-            coeffs.append(acc)
-        for g, k in squarefree_decomposition(RatPoly(coeffs, "z")):
-            for r in roots_all(g):
-                out.extend([r] * k)
-    else:
-        raw = roots_all(cd.q.eval_tau_complex(cmath.exp(1j * kappa)))
-        for center, count in cluster_roots(raw):
-            out.extend([center] * count)
-    out.sort(key=lambda w: (w.real, w.imag))
-    return out
-
-
 def forward_spectral_data(op: PeriodicOperator, kappas, subset_rule: str = "ascending", seed: int = 0) -> SpectralData:
     """Generate recovery input from an operator: full spectrum at kappa_0, subsets after.
 
-    subset_rule picks which (m-j)p + 1 of the pm roots of q(., e^{i kappa_j})
-    enter Lambda_j: "ascending" keeps the smallest in (re, im) order,
-    "descending" the largest, "random" a seeded sample.  Recovery must not
-    care, which is exactly what the round-trip tests exercise.
+    The roots of q(., e^{i kappa}) are the eigenvalues of the Hermitian
+    Floquet matrix L(e^{i kappa}), so each set is read off that matrix in
+    ascending order, repeated eigenvalues included, without building q.
+    subset_rule picks which (m-j)p + 1 of the pm eigenvalues at kappa_j
+    enter Lambda_j: "ascending" keeps the smallest, "descending" the
+    largest, "random" a seeded sample.  Recovery must not care, which is
+    exactly what the round-trip tests exercise.
     """
     require_valid(op)
     if subset_rule not in ("ascending", "descending", "random"):
         raise ValueError(f"unknown subset rule {subset_rule!r}")
-    cd = char_determinant(op)
-    p, m = cd.p, cd.m
+    p, m = op.p, op.m
     pm = p * m
     if len(kappas) != m + 1:
         raise ValueError(f"need {m + 1} frequencies, got {len(kappas)}")
     rng = random.Random(seed)
-    table = EtaTable.from_char(cd)
     sets = []
     for j, kappa in enumerate(kappas):
-        roots = _section_roots(cd, table, float(kappa))
+        eigs = hermitian_eigs(floquet_matrix(op, cmath.exp(1j * float(kappa))))
         if j == 0:
-            sets.append(tuple(roots))
+            sets.append(tuple(eigs))
             continue
         size = (m - j) * p + 1
         if subset_rule == "ascending":
-            chosen = roots[:size]
+            chosen = eigs[:size]
         elif subset_rule == "descending":
-            chosen = roots[-size:]
+            chosen = eigs[-size:]
         else:
-            chosen = [roots[i] for i in sorted(rng.sample(range(pm), size))]
+            chosen = [eigs[i] for i in sorted(rng.sample(range(pm), size))]
         sets.append(tuple(chosen))
     return SpectralData(p=p, m=m, kappas=tuple(float(k) for k in kappas), lambda_sets=tuple(sets))
 
@@ -351,12 +297,7 @@ def recover_determinant(sd: SpectralData) -> Recovery:
 
     try:
         for s in range(1, m + 1):
-            tops = []
-            for n in range(p * (m - s) + 1, pm + 1):
-                row = rows[n]
-                tops.append(
-                    sum((2 * math.cos(j * kappas[s]) if j else 1) * v for j, v in enumerate(row))
-                )
+            tops = [_cosine_sum(rows[n], kappas[s]) for n in range(p * (m - s) + 1, pm + 1)]
             sections.append(constrained_poly(sd.lambda_sets[s], tops))
             _, solve = cosine_matrix(kappas[: s + 1])
             for n in blocks[s]:

@@ -1,4 +1,4 @@
-"""Floating-point layer: polynomial roots, root clusters, Hermitian eigenvalues.
+"""Floating-point layer: polynomial roots and Hermitian eigenvalues.
 
 Everything upstream is exact; this module is the only place roots and
 eigenvalues become floats, with explicit tolerances at every boundary.
@@ -15,7 +15,6 @@ from .exactmath import RatPoly
 
 DEFAULT_REL_TOL = 1e-12
 MAX_ITER = 500
-CLUSTER_SCALE = 1e-6
 STAGNATION = 1e-14
 
 
@@ -136,39 +135,6 @@ def roots_all(f, rel_tol=DEFAULT_REL_TOL, max_iter=MAX_ITER):
         )
     out = zeros + pts
     return sorted(out, key=lambda r: (r.real, r.imag))
-
-
-def cluster_roots(roots, scale=CLUSTER_SCALE):
-    """Group nearby roots into multiplicity clusters.
-
-    Two roots join when |r_i - r_j| <= scale * (1 + (|r_i|+|r_j|)/2);
-    clusters are connected components. Returns [(center, multiplicity)]
-    sorted by (re, im) of the center.
-    """
-    rs = list(roots)
-    n = len(rs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            tol = scale * (1 + (abs(rs[i]) + abs(rs[j])) / 2)
-            if abs(rs[i] - rs[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(rs[i])
-    out = []
-    for members in groups.values():
-        center = sum(members) / len(members)
-        out.append((center, len(members)))
-    out.sort(key=lambda cm: (cm[0].real, cm[0].imag))
-    return out
 
 
 def hermitian_eigs(H):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from blochjac.exactmath import BiPoly, RatPoly, chebyshev
+from blochjac.exactmath import BiPoly, CRational, RatPoly, chebyshev
 from blochjac.fixtures import (
     example1_diag,
     example2_const,
@@ -29,7 +29,14 @@ from blochjac.inverse import (
     snap_to_rational,
 )
 from blochjac.numerics import hermitian_eigs, roots_all
-from blochjac.operators import floquet_matrix, monodromy, symplectic_defect, trace_powers
+from blochjac.operators import (
+    charpoly,
+    floquet_matrix,
+    floquet_matrix_exact,
+    monodromy,
+    symplectic_defect,
+    trace_powers,
+)
 from blochjac.spectral import (
     antiperiodic_eigs,
     band_structure,
@@ -115,7 +122,7 @@ def test_criterion_1_exact_identities(battery):
             assert cd.xi[s] == xi[s]
 
 
-@criterion(2, "Floquet/monodromy equivalence, exact at 1,-1,i and 1e-7 on the circle")
+@criterion(2, "Floquet/monodromy equivalence, exact at 32 rational points of the circle")
 def test_criterion_2_floquet_equivalence(battery):
     for _, _, report in battery:
         for label in ("1", "-1", "i"):
@@ -123,10 +130,15 @@ def test_criterion_2_floquet_equivalence(battery):
     rng = random.Random(2025)
     for k in range(32):
         op, cd, _ = battery[k % len(battery)]
-        x = rng.uniform(0.0, 2 * math.pi)
-        tau = cmath.exp(1j * x)
-        eigs = hermitian_eigs(floquet_matrix(op, tau))
-        roots = roots_all(cd.q.eval_tau_complex(tau))
+        # ((u^2 - v^2) + 2uv i) / (u^2 + v^2) lies exactly on the unit circle
+        u = rng.randint(1, 30)
+        v = rng.choice([-1, 1]) * rng.randint(1, 30)
+        norm = u * u + v * v
+        tau = CRational(Fraction(u * u - v * v, norm), Fraction(2 * u * v, norm))
+        section = cd.q.eval_tau(tau)
+        assert section == charpoly(floquet_matrix_exact(op, tau))
+        eigs = hermitian_eigs(floquet_matrix(op, complex(tau)))
+        roots = roots_all(section)
         assert all(abs(r.imag) <= 1e-7 for r in roots)
         reals = sorted(r.real for r in roots)
         assert len(reals) == len(eigs)

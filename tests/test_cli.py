@@ -312,6 +312,36 @@ def test_recover_eigenvalue_beyond_float_range_exits_2(tmp_path, capsys):
     assert run_error(capsys, ["recover", write_json(tmp_path, data, "big.json")]) == 2
 
 
+@pytest.mark.parametrize("field,value", [("p", 1.5), ("p", True), ("p", "2"), ("m", 1.0), ("m", True)])
+def test_operator_document_refuses_non_integer_sizes(tmp_path, capsys, field, value):
+    # int() would coerce each value into a size that fits the matrices
+    n = int(value) if field == "p" else 2
+    doc = {"p": n, "m": 1, "a": [[["1"]]] * n, "b": [[["0"]]] * n}
+    doc[field] = value
+    code, line = run_error_line(capsys, ["bands", write_json(tmp_path, doc, "sizes.json")])
+    assert code == 2 and line.startswith(f"error: {field} must be a JSON integer")
+
+
+@pytest.mark.parametrize("where,value", [
+    ("p", 2.0), ("m", True),
+    ("kappas[0]", "inf"), ("kappas[0]", "nan"), ("kappas[0]", False), ("kappas[1]", math.inf),
+    ("lambda_sets[0][1]", "2"), ("lambda_sets[0][1]", math.nan), pytest.param("lambda_sets[0][1]", 10**400, id="lambda_sets[0][1]-10**400"),
+    ("lambda_sets[1][0][1]", -math.inf),
+])
+def test_recover_refuses_coerced_or_non_finite_numbers(tmp_path, capsys, where, value):
+    data = {"p": 2, "m": 1, "kappas": [0.0, math.pi], "lambda_sets": [[-2, 2], [[0, 0]]]}
+    key, *indices = where.replace("]", "").split("[")
+    if indices:
+        target = data[key]
+        for i in indices[:-1]:
+            target = target[int(i)]
+        target[int(indices[-1])] = value
+    else:
+        data[key] = value
+    code, line = run_error_line(capsys, ["recover", write_json(tmp_path, data, "numbers.json")])
+    assert code == 2 and line.startswith(f"error: {where} must be a")
+
+
 def count_calls(monkeypatch, *names):
     """Count calls of spectral or operators functions through every blochjac module that binds them."""
     counts = dict.fromkeys(names, 0)

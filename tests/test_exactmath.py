@@ -245,13 +245,6 @@ def test_laurent_bipoly_round_trip():
     assert ev == RatPoly([0, -1])  # i + 1/i = 0, so only -z survives
 
 
-def test_laurent_eval_complex():
-    L = LaurentSym({1: RatPoly([1]), -1: RatPoly([1]), 0: RatPoly([0, 1])})
-    cs = L.eval_tau_complex(complex(math.cos(0.7), math.sin(0.7)))
-    assert abs(cs[0] - 2 * math.cos(0.7)) < 1e-12
-    assert abs(cs[1] - 1) < 1e-12
-
-
 def test_bipoly_resultant_discriminant():
     nu = BiPoly((0, 1), "nu")
     z = RatPoly([0, 1], "z")

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -125,16 +126,16 @@ def test_constrained_poly_random_consistency():
 
 
 def test_eta_table_free_rows():
-    table = EtaTable.from_char(char_determinant(free_operator(2, 1)))
-    assert table.rows == ((-2, -1), (0,), (1,))
+    table = recover_determinant(data_for(free_operator(2, 1), 1)).eta
+    assert [list(row) for row in table.rows] == [pytest.approx(r) for r in ([-2, -1], [0], [1])]
     assert table.eta_at(0, 0.0) == pytest.approx(-4)
     assert table.section_at(0.0) == pytest.approx([-4, 0, 1])
 
 
 def test_eta_table_top_row_is_monic():
-    table = EtaTable.from_char(char_determinant(example3(1)))
-    assert table.rows[4] == (1,)
-    assert table.rows[0][2] == 1  # zeta_0 = 1/c and c = 1 here
+    table = recover_determinant(data_for(example3(1), 2)).eta
+    assert table.rows[4] == pytest.approx((1,))
+    assert table.rows[0][2] == pytest.approx(1)  # zeta_0 = 1/c and c = 1 here
 
 
 def test_eta_table_shape_validation():
@@ -158,6 +159,25 @@ def test_forward_free_block_sizes_and_values():
     assert [len(s) for s in sd.lambda_sets] == [4, 3, 1]
     assert sd.lambda_sets[0] == pytest.approx((-2, -2, 2, 2))
     assert sd.lambda_sets[2] == pytest.approx((-math.sqrt(2),))
+
+
+def test_forward_data_does_not_build_the_determinant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("forward data must come from the Floquet matrix")
+
+    for name in ("char_determinant", "squarefree_decomposition"):
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "blochjac" and name in vars(mod):
+                monkeypatch.setattr(mod, name, refuse)
+    root2 = math.sqrt(2)
+    # free(2, 2) at kappa = 0, pi, pi/2: every eigenvalue is at least double
+    asc = data_for(free_operator(2, 2), 2, "ascending")
+    desc = data_for(free_operator(2, 2), 2, "descending")
+    assert asc.lambda_sets[0] == pytest.approx((-2, -2, 2, 2), abs=1e-12)
+    assert asc.lambda_sets[1] == pytest.approx((0, 0, 0), abs=1e-12)
+    assert asc.lambda_sets[2] == pytest.approx((-root2,), abs=1e-12)
+    assert desc.lambda_sets[1] == pytest.approx((0, 0, 0), abs=1e-12)
+    assert desc.lambda_sets[2] == pytest.approx((root2,), abs=1e-12)
 
 
 def test_forward_subset_rules_differ():
@@ -281,8 +301,8 @@ def test_corrupted_eigenvalue_yields_different_determinant():
 
 
 def test_max_root_distance_measures_corruption():
-    table = EtaTable.from_char(char_determinant(example3(1)))
     clean = data_for(example3(1), 2)
+    table = recover_determinant(clean).eta
     assert _max_root_distance(table, math.pi, clean.lambda_sets[1]) <= 1e-9
     corrupted = [clean.lambda_sets[1][0] + 0.25] + list(clean.lambda_sets[1][1:])
     assert _max_root_distance(table, math.pi, corrupted) > 0.05

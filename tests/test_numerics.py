@@ -11,7 +11,6 @@ from blochjac.exactmath import RatPoly
 from blochjac.numerics import (
     NonHermitianError,
     RootFindingError,
-    cluster_roots,
     hermitian_eigs,
     roots_all,
 )
@@ -33,11 +32,8 @@ def test_roots_multiplier_equation():
 def test_roots_double_root_clusters():
     # 4z^2 + 4z + 1 has the double root -1/2
     rs = roots_all([1, 4, 4])
-    clusters = cluster_roots(rs)
-    assert len(clusters) == 1
-    center, mult = clusters[0]
-    assert mult == 2
-    assert abs(center - (-0.5)) < 1e-7
+    assert len(rs) == 2
+    assert all(abs(r - (-0.5)) < 1e-7 for r in rs)
 
 
 def test_roots_zero_roots_factored():

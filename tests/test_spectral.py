@@ -1,4 +1,6 @@
+import importlib
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -475,3 +477,17 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(block, namespace)
     assert namespace["gaps"] == []
+
+
+def test_readme_library_table_names_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    assert len(rows) == 7
+    for module_cell, contents in rows:
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        for name in re.findall(r"`([^`]+)`", contents):
+            if name.isidentifier():
+                assert hasattr(module, name), f"{module.__name__} has no {name}"
+            else:
+                assert name.startswith("blochjac "), name  # a command line, not a name
