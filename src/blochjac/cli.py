@@ -324,6 +324,8 @@ def spectral_data_from_document(doc) -> SpectralData:
         raw_sets = doc["lambda_sets"]
     except KeyError as exc:
         raise InputError(f"spectral data needs p, m, kappas, lambda_sets ({exc})") from exc
+    if p < 1 or m < 1:
+        raise InputError(f"p = {p} and m = {m} must be at least 1")
     if not isinstance(raw_kappas, list):
         raise InputError("kappas must be a list of numbers")
     kappas = tuple(_finite_number(k, f"kappas[{i}]") for i, k in enumerate(raw_kappas))
@@ -356,10 +358,15 @@ def cmd_recover(args) -> int:
     else:
         payload["exact"] = {
             "c": str(snapped.c),
-            "q": [[str(snapped.q.coeff(j).coeff(n)) for n in range(sd.p * sd.m + 1)]
-                  for j in range(sd.m + 1)],
+            "q": [[str(q.coeff(n)) for n in range(sd.p * sd.m + 1)] for q in snapped.q],
         }
-        bs = band_structure_from_char(snapped)
+        try:
+            bs = band_structure_from_char(snapped)
+        except InternalConsistencyError as exc:
+            # the snapped D is exact: no self-adjoint operator has it
+            raise InconsistentDataError(
+                f"inconsistent spectral data: bands of the snapped determinant: {exc}"
+            ) from exc
         payload["bands"] = _band_payload(bs, classify_gaps(bs))
     _emit(_result("recover", _digest(data), payload))
     return EXIT_OK

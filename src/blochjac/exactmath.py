@@ -1,8 +1,8 @@
 """Exact arithmetic underneath the spectral pipeline.
 
 Everything in this module is rational: Gaussian rationals, univariate
-polynomials with a variable tag, symmetric Laurent polynomials in tau,
-and bivariate polynomials (an outer variable over polynomials in z).
+polynomials with a variable tag, and bivariate polynomials (an outer
+variable over polynomials in z).
 Floating point is confined to the numerics module; coefficients here are
 ints, Fractions, or CRationals, never floats.
 """
@@ -99,20 +99,6 @@ class CRational:
         if o is None:
             return NotImplemented
         return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CRational(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __neg__(self):
         return CRational(-self.re, -self.im)
@@ -421,6 +407,8 @@ def squarefree_decomposition(f: RatPoly) -> list[tuple[RatPoly, int]]:
     out: list[tuple[RatPoly, int]] = []
     if f.degree < 1:
         return out
+    if f.degree == 1:
+        return [(f, 1)]
     df = f.derivative()
     a = gcd(f, df)
     b = f.exact_div(a)
@@ -447,79 +435,6 @@ def chebyshev(n: int) -> RatPoly:
     while len(_cheb_cache) <= n:
         _cheb_cache.append(two_nu * _cheb_cache[-1] - _cheb_cache[-2])
     return _cheb_cache[n]
-
-
-class LaurentSym:
-    """Symmetric Laurent polynomial in tau with RatPoly-in-z coefficients.
-
-    coeffs maps exponent k to the polynomial multiplying tau^k; construction
-    rejects inputs where the k and -k coefficients differ.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        clean = {}
-        for k, v in coeffs.items():
-            if not isinstance(v, RatPoly):
-                v = RatPoly((v,), "z")
-            if not v.is_zero():
-                clean[int(k)] = v
-        for k, v in clean.items():
-            if clean.get(-k, RatPoly.zero(v.var)) != v:
-                raise ValueError("not palindromic")
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSym is immutable")
-
-    def coeff(self, k):
-        got = self.coeffs.get(k)
-        if got is not None:
-            return got
-        var = next((v.var for v in self.coeffs.values()), "z")
-        return RatPoly.zero(var)
-
-    def scale(self, s):
-        return LaurentSym({k: v * s for k, v in self.coeffs.items()})
-
-    def eval_tau(self, tau0):
-        """Exact evaluation at a nonzero rational or Gaussian-rational tau."""
-        if isinstance(tau0, CRational):
-            t = tau0
-        else:
-            t = Fraction(tau0)
-        if not t:
-            raise ZeroDivisionError("tau = 0 is outside the Laurent domain")
-        out = None
-        for k, v in self.coeffs.items():
-            tk = t ** k if isinstance(t, CRational) else (t ** k if k >= 0 else Fraction(1) / t ** (-k))
-            term = v * tk
-            out = term if out is None else out + term
-        if out is None:
-            return RatPoly.zero("z")
-        return out
-
-    def z_coefficient(self, n):
-        """The z^n coefficient as a scalar symmetric Laurent polynomial (dict k -> scalar)."""
-        out = {}
-        for k, v in self.coeffs.items():
-            c = v.coeff(n)
-            if c:
-                out[k] = c
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSym):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        items = ", ".join(f"{k}: {v}" for k, v in sorted(self.coeffs.items()))
-        return f"LaurentSym({{{items}}})"
 
 
 class BiPoly:
@@ -706,28 +621,6 @@ class BiPoly:
     def __repr__(self):
         terms = ", ".join(f"{self.outer}^{k}: ({c})" for k, c in enumerate(self.coeffs))
         return f"BiPoly[{terms}]"
-
-
-def laurent_from_bipoly(D: BiPoly, m: int) -> LaurentSym:
-    """D(z,tau) / tau^m as a symmetric Laurent polynomial; validates the palindrome."""
-    if D.degree != 2 * m:
-        raise ValueError(f"expected outer degree {2*m}, got {D.degree}")
-    return LaurentSym({k - m: D.coeff(k) for k in range(2 * m + 1)})
-
-
-def palindrome_to_nu(L: LaurentSym) -> BiPoly:
-    """Rewrite a symmetric Laurent polynomial via tau^k + tau^-k = 2*T_k(nu).
-
-    The result P satisfies P(z, (tau+1/tau)/2) = L(z, tau) identically.
-    """
-    out = BiPoly((L.coeff(0),), outer="nu")
-    for k in sorted(L.coeffs):
-        if k <= 0:
-            continue
-        cheb = chebyshev(k)
-        term = BiPoly([2 * c * L.coeff(k) for c in cheb.coeffs], outer="nu")
-        out = out + term
-    return out
 
 
 def det_field(mat):

@@ -3,9 +3,10 @@
 Given the full Floquet spectrum at one frequency and progressively smaller
 eigenvalue subsets at m further frequencies (with pairwise distinct cosines),
 the coefficients of q(z, tau) are determined by a sequence of exactly square
-linear solves: each z-coefficient eta_n(tau) is a symmetric Laurent polynomial
-whose half-degree s(n) depends only on which index block K_s the degree n
-falls in, so s(n) + 1 sample values pin it down through a cosine system.
+linear solves: the z^n coefficient of q is a combination of tau^j + tau^-j
+for j up to a half-degree s(n) that depends only on which index block K_s
+the degree n falls in, so s(n) + 1 sample values pin it down through a
+cosine system.
 
 Recovery runs in float arithmetic (the frequencies enter as e^{i kappa});
 snap_to_rational is the optional post-pass that reconstructs exact rational
@@ -42,7 +43,7 @@ class SpectralData(NamedTuple):
 
 
 def half_degree(p: int, m: int, n: int) -> int:
-    """s(n): the Laurent half-degree of the z^n coefficient of q."""
+    """s(n): the largest j for which q[j] can have a z^n term."""
     if not 0 <= n <= p * m:
         raise ValueError(f"coefficient index {n} outside 0..{p * m}")
     if n == 0:
@@ -52,62 +53,17 @@ def half_degree(p: int, m: int, n: int) -> int:
 
 def coefficient_blocks(p: int, m: int) -> tuple:
     """K_0..K_m: z-degree indices grouped by half-degree; they tile 0..pm."""
-    blocks = []
-    for s in range(m):
-        blocks.append(tuple(range(p * (m - s - 1) + 1, p * (m - s) + 1)))
-    blocks.append((0,))
-    return tuple(blocks)
+    return tuple(tuple(n for n in range(p * m + 1) if half_degree(p, m, n) == s)
+                 for s in range(m + 1))
 
 
 def _cosine_sum(row, kappa: float) -> complex:
-    """row[0] + sum_j 2 cos(j kappa) row[j]: a symmetric Laurent row at tau = e^{i kappa}."""
+    """row[0] + sum_j 2 cos(j kappa) row[j]: one z-coefficient of q at tau = e^{i kappa}."""
     return complex(sum((2 * math.cos(j * kappa) if j else 1) * complex(v) for j, v in enumerate(row)))
 
 
-class EtaTable:
-    """Coefficients zeta_{m-j, n} of eta_n against the basis tau^j + tau^-j.
-
-    rows[n][j] is the z^n coefficient of the tau^j Laurent coefficient of q;
-    entries beyond j = s(n) vanish by the degree bound deg zeta_{m-j} <= p(m-j)
-    and are not stored.  Recovery fills it with complex floats.
-    """
-
-    __slots__ = ("p", "m", "rows")
-
-    def __init__(self, p, m, rows):
-        if len(rows) != p * m + 1:
-            raise ValueError(f"need {p * m + 1} coefficient rows, got {len(rows)}")
-        for n, row in enumerate(rows):
-            if len(row) != half_degree(p, m, n) + 1:
-                raise ValueError(f"row {n} must have {half_degree(p, m, n) + 1} entries")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EtaTable is immutable")
-
-    def eta_at(self, n: int, kappa: float) -> complex:
-        """eta_n(e^{i kappa}), real by Laurent symmetry."""
-        return _cosine_sum(self.rows[n], kappa)
-
-    def section_at(self, kappa: float) -> list:
-        """Ascending z-coefficients of q(., e^{i kappa})."""
-        return [self.eta_at(n, kappa) for n in range(self.p * self.m + 1)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EtaTable)
-            and (self.p, self.m, self.rows) == (other.p, other.m, other.rows)
-        )
-
-    def __repr__(self):
-        return f"EtaTable(p={self.p}, m={self.m})"
-
-
 class Recovery(NamedTuple):
-    eta: EtaTable
-    q: dict  # tau-power j >= 0 -> ascending z coefficients (complex floats)
+    q: dict  # j = 0..m -> ascending z coefficients of CharDeterminant.q[j] (complex floats)
     D: dict  # tau-power i = 0..2m -> ascending z coefficients (complex floats)
     c: complex
     residuals: tuple  # per kappa_j: how far the input eigenvalues sit from the recovered roots
@@ -237,9 +193,8 @@ def forward_spectral_data(op: PeriodicOperator, kappas, subset_rule: str = "asce
     return SpectralData(p=p, m=m, kappas=tuple(float(k) for k in kappas), lambda_sets=tuple(sets))
 
 
-def _max_root_distance(eta: EtaTable, kappa: float, lambdas) -> float:
-    """How far the given values sit from actual roots of the recovered section."""
-    section = eta.section_at(kappa)
+def _max_root_distance(section, lambdas) -> float:
+    """How far the given values sit from actual roots of a recovered section."""
     roots = roots_all(section)
     worst = 0.0
     for lam in lambdas:
@@ -248,14 +203,13 @@ def _max_root_distance(eta: EtaTable, kappa: float, lambdas) -> float:
     return worst
 
 
-def _section_residual(eta: EtaTable, kappa: float, lambdas) -> float:
+def _section_residual(section, lambdas) -> float:
     """Largest scaled |section(lam)| over the given values.
 
     Root distance blows up at a k-fold root, where even honest data splits
     by eps^(1/k); the evaluation residual stays near machine precision
     there, so the consistency guard accepts whichever measure is happy.
     """
-    section = eta.section_at(kappa)
     worst = 0.0
     for lam in lambdas:
         z = complex(lam)
@@ -274,14 +228,14 @@ def _section_residual(eta: EtaTable, kappa: float, lambdas) -> float:
 
 
 def recover_determinant(sd: SpectralData) -> Recovery:
-    """Rebuild (eta table, q, D, c) from eigenvalue sets at m+1 frequencies.
+    """Rebuild (q, D, c) from eigenvalue sets at m+1 frequencies.
 
     Step 0 multiplies out q(., e^{i kappa_0}) from the full set Lambda_0 and
     reads off the constant-in-tau coefficients (block K_0).  Step s completes
     q(., e^{i kappa_s}) from the partial set Lambda_s with constrained_poly
     (the top ps coefficients are already known), then solves the cosine
-    system on block K_s.  After step m every zeta is known; c = 1/zeta_0 and
-    D = c tau^m q.  The recovered sections must reproduce every input value
+    system on block K_s.  After step m every q[j] is known; c = 1/q[m](0)
+    and D = c tau^m q.  The recovered sections must reproduce every input value
     as a root, else the data is declared inconsistent.
     """
     require_spectral_data(sd)
@@ -291,6 +245,8 @@ def recover_determinant(sd: SpectralData) -> Recovery:
     blocks = coefficient_blocks(p, m)
 
     sections = [_poly_from_roots(sd.lambda_sets[0])]
+    # rows[n][j]: the z^n coefficient of q_j, for j <= s(n); the degree bound
+    # deg q_j <= p(m - j) makes the entries beyond s(n) vanish
     rows = [None] * (pm + 1)
     for n in blocks[0]:
         rows[n] = (sections[0][n],)
@@ -307,11 +263,10 @@ def recover_determinant(sd: SpectralData) -> Recovery:
     except ValueError as exc:
         raise InconsistentDataError(f"inconsistent spectral data: {exc}") from exc
 
-    eta = EtaTable(p, m, rows)
-    zeta0 = rows[0][m]
-    if abs(zeta0) < 1e-300:
+    qm0 = rows[0][m]
+    if abs(qm0) < 1e-300:
         raise InconsistentDataError("inconsistent spectral data: vanishing leading constant")
-    c = 1 / zeta0
+    c = 1 / qm0
 
     q = {}
     for j in range(m + 1):
@@ -322,14 +277,15 @@ def recover_determinant(sd: SpectralData) -> Recovery:
 
     residuals = []
     for j, kappa in enumerate(kappas):
-        worst = _max_root_distance(eta, kappa, sd.lambda_sets[j])
-        if worst > RESIDUAL_TOL and _section_residual(eta, kappa, sd.lambda_sets[j]) > RESIDUAL_TOL:
+        section = [_cosine_sum(row, kappa) for row in rows]
+        worst = _max_root_distance(section, sd.lambda_sets[j])
+        if worst > RESIDUAL_TOL and _section_residual(section, sd.lambda_sets[j]) > RESIDUAL_TOL:
             raise InconsistentDataError(
                 f"inconsistent spectral data: recovered section at kappa_{j} "
                 f"misses an input eigenvalue by {worst:.3e}"
             )
         residuals.append(worst)
-    return Recovery(eta=eta, q=q, D=D, c=c, residuals=tuple(residuals))
+    return Recovery(q=q, D=D, c=c, residuals=tuple(residuals))
 
 
 def _snap_value(v: complex):
@@ -349,7 +305,8 @@ def snap_to_rational(rec: Recovery) -> CharDeterminant:
     at most 10^6 (and have negligible imaginary part), or the data is not
     a clean snapshot of a rational operator and the whole pass refuses.
     """
-    p, m = rec.eta.p, rec.eta.m
+    m = len(rec.q) - 1
+    p = (len(rec.q[0]) - 1) // m
     cols = []
     for i in range(2 * m + 1):
         snapped = []

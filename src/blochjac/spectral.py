@@ -18,6 +18,7 @@ import numpy as np
 
 from .exactmath import (
     BiPoly,
+    CRational,
     I,
     RatPoly,
     bipoly_squarefree_part,
@@ -25,8 +26,6 @@ from .exactmath import (
     det_field,
     discriminant,
     interpolate,
-    laurent_from_bipoly,
-    palindrome_to_nu,
     squarefree_decomposition,
 )
 from .numerics import hermitian_eigs, roots_all
@@ -53,44 +52,60 @@ class InternalConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
 
 
-class CharDeterminant:
+class CharDeterminant(NamedTuple):
     """det(M(z) - tau*I) with its coefficient family and normalized form.
 
-    Fields: D (polynomial in tau with z-polynomial coefficients), xi
-    (coefficients of tau^{2m-j}), c (the leading constant), q (D/(c tau^m),
-    monic of degree pm in z), the periods p, m, and M, the normalized
-    monodromy matrix D was computed from (None when D came from spectral
-    data).
+    D is a polynomial in tau with z-polynomial coefficients, and xi[j] its
+    coefficient of tau^(2m-j), palindromic: xi[j] == xi[2m-j]. c is the
+    leading constant. q[j] = xi[m-j] / c, so that D / (c tau^m) =
+    q[0] + sum_j q[j] (tau^j + tau^-j), monic of degree pm in z. p and m
+    are the periods, and M is the normalized monodromy matrix D was
+    computed from (None when D came from spectral data).
     """
 
-    __slots__ = ("D", "xi", "c", "q", "p", "m", "M")
+    D: BiPoly
+    xi: tuple
+    c: Fraction
+    q: tuple
+    p: int
+    m: int
+    M: object
 
-    def __init__(self, D, xi, c, q, p, m, M):
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "M", M)
+    def section(self, nu0) -> RatPoly:
+        """q(z, tau0) = q[0] + sum_j 2 T_j(nu0) q[j] for nu0 = (tau0 + 1/tau0)/2, exactly.
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CharDeterminant is immutable")
-
-    def __repr__(self):
-        return f"CharDeterminant(p={self.p}, m={self.m}, c={self.c})"
+        tau0 = 1, -1 and i give nu0 = 1, -1 and 0.
+        """
+        out = self.q[0]
+        for j in range(1, self.m + 1):
+            out = out + self.q[j] * (2 * chebyshev(j)(nu0))
+        return out
 
 
-class SurfacePoly:
-    """Phi(z, nu) = sum phi_j(z) nu^(m-j), monic in nu (phi_0 = 1)."""
+def _gaussian_parts(z):
+    """Integers (a, b, s) with z = (a + b i) / s, for a Fraction, float or complex z."""
+    if isinstance(z, complex):
+        re, im = Fraction(z.real), Fraction(z.imag)
+    else:
+        re, im = Fraction(z), Fraction(0)
+    s = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (s // re.denominator), im.numerator * (s // im.denominator), s
 
-    __slots__ = ("phi",)
 
-    def __init__(self, phi):
-        object.__setattr__(self, "phi", tuple(phi))
+def _phi_at(z) -> str:
+    z = complex(z)
+    return f"Phi(z, nu) at z = {repr(z.real) if not z.imag else repr(z)}"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SurfacePoly is immutable")
+
+class SurfacePoly(NamedTuple):
+    """Phi(z, nu) = sum phi_j(z) nu^(m-j), monic in nu (phi_0 = 1).
+
+    scaled holds (d, the integer coefficients of d * phi_j) per phi_j,
+    ascending in nu, so that evaluation at a point runs Horner over ints.
+    """
+
+    phi: tuple
+    scaled: tuple
 
     @property
     def m(self):
@@ -99,10 +114,31 @@ class SurfacePoly:
     def as_bipoly(self) -> BiPoly:
         return BiPoly(tuple(reversed(self.phi)), outer="nu")
 
-    def nu_coeffs_at(self, z) -> list:
-        """Ascending complex coefficients of Phi(z, .) at a numeric z.
+    def nu_poly_at(self, z) -> RatPoly:
+        """Phi(z, .) as an exact polynomial in nu, at a Fraction, float or complex z.
 
-        Raises ValueError naming z when a coefficient is beyond the float range.
+        With z = (a + b i) / s, homogeneous Horner over ints gives
+        s^deg * d * phi_j(z) as a Gaussian integer.
+        """
+        a, b, s = _gaussian_parts(z)
+        out = []
+        for d, coeffs in self.scaled:
+            re = im = 0
+            pw = 1  # s^k at step k
+            for k, c in enumerate(reversed(coeffs)):
+                if k:
+                    pw *= s
+                re, im = re * a - im * b + c * pw, re * b + im * a
+            den = d * pw
+            out.append(CRational(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den))
+        return RatPoly(out, "nu")
+
+    def nu_coeffs_at(self, z) -> list:
+        """Ascending complex coefficients of Phi(z, .) at a numeric z, by float Horner.
+
+        Band tracking follows branches through these values, and their last
+        bits decide how the branches are numbered. Raises ValueError naming z
+        when a coefficient is beyond the float range.
         """
         z = complex(z)
         try:
@@ -110,12 +146,8 @@ class SurfacePoly:
         except OverflowError:
             cs = [math.inf]
         if not all(cmath.isfinite(c) for c in cs):
-            where = repr(z.real) if not z.imag else repr(z)
-            raise ValueError(f"Phi(z, nu) at z = {where} has a coefficient beyond the float range")
+            raise ValueError(f"{_phi_at(z)} has a coefficient beyond the float range")
         return cs
-
-    def __repr__(self):
-        return f"SurfacePoly(m={self.m})"
 
 
 class LyapunovBranch(NamedTuple):
@@ -193,7 +225,7 @@ def build_char_determinant(D: BiPoly, p: int, m: int, M) -> CharDeterminant:
     if xi[m].degree != p * m:
         raise InternalConsistencyError(f"deg xi_m = {xi[m].degree}, expected {p*m}")
     c = xi[m].coeff(p * m)
-    q = laurent_from_bipoly(D, m).scale(Fraction(1) / c)
+    q = tuple(xi[m - j] / c for j in range(m + 1))
     return CharDeterminant(D=D, xi=xi, c=c, q=q, p=p, m=m, M=M)
 
 
@@ -244,13 +276,24 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
 
 
 def surface_poly(cd: CharDeterminant) -> SurfacePoly:
-    """Phi(z, nu) = D / (2 tau)^m under nu = (tau + 1/tau)/2. Exact."""
-    sym = laurent_from_bipoly(cd.D, cd.m)
-    as_nu = palindrome_to_nu(sym) * Fraction(1, 2**cd.m)
-    phi = tuple(as_nu.coeff(cd.m - j) for j in range(cd.m + 1))
+    """Phi(z, nu) = D / (2 tau)^m under nu = (tau + 1/tau)/2. Exact.
+
+    By the palindrome D / tau^m = xi_m + sum_{k>=1} xi_{m-k} (tau^k + tau^-k),
+    and tau^k + tau^-k = 2 T_k(nu).
+    """
+    m = cd.m
+    by_nu = [cd.xi[m]] + [RatPoly.zero("z")] * m  # ascending in nu
+    for k in range(1, m + 1):
+        for i, t in enumerate(chebyshev(k).coeffs):
+            by_nu[i] = by_nu[i] + cd.xi[m - k] * (2 * t)
+    phi = tuple(by_nu[m - j] * Fraction(1, 2**m) for j in range(m + 1))
     if phi[0] != RatPoly.one(phi[0].var):
         raise InternalConsistencyError("surface polynomial is not monic in nu")
-    return SurfacePoly(phi)
+    scaled = []
+    for f in reversed(phi):
+        d = math.lcm(*(c.denominator for c in f.coeffs))
+        scaled.append((d, tuple(c.numerator * (d // c.denominator) for c in f.coeffs)))
+    return SurfacePoly(phi, tuple(scaled))
 
 
 def _exact_roots(f: RatPoly, what: str) -> list:
@@ -262,13 +305,13 @@ def _exact_roots(f: RatPoly, what: str) -> list:
     return roots_all(cs)
 
 
-def _branch_values(sp: SurfacePoly, z) -> list:
-    return roots_all(sp.nu_coeffs_at(z))
-
-
 def lyapunov_at(sp: SurfacePoly, z) -> list:
-    """The m branch values of nu at z, sorted by (re, im), with real flags."""
-    vals = sorted(_branch_values(sp, z), key=lambda w: (w.real, w.imag))
+    """The m branch values of nu at z, sorted by (re, im), with real flags.
+
+    Phi(z, .) is exact and its repeated roots are split off first, see
+    _branch_values_exact.
+    """
+    vals = sorted(_branch_values_exact(sp, z), key=lambda w: (w.real, w.imag))
     return [LyapunovBranch(v, abs(v.imag) <= REAL_TOL) for v in vals]
 
 
@@ -341,7 +384,7 @@ def _conjugate_symmetrize(roots):
 
 
 def _eigs_at_tau(cd: CharDeterminant, tau0) -> list:
-    f = cd.q.eval_tau(tau0)
+    f = cd.section(tau0)  # nu0 = tau0 at tau0 = 1 and -1
     if f.degree != cd.p * cd.m:
         raise InternalConsistencyError(f"q(., {tau0}) has degree {f.degree}")
     out = []
@@ -403,19 +446,17 @@ def _in_band(v) -> bool:
     return abs(v.imag) <= REAL_TOL and -1 - 1e-10 <= v.real <= 1 + 1e-10
 
 
-def _branch_values_exact(sp: SurfacePoly, x) -> list:
-    """Branch values at a float or Fraction x, exactly, multiplicity-aware.
+def _branch_values_exact(sp: SurfacePoly, z) -> list:
+    """Branch values at a Fraction, float or complex z, exactly, multiplicity-aware.
 
     Aberth splits a k-fold root into a cloud of diameter eps^(1/k), which for
     a permanently double branch (any free operator with m >= 2) fakes a
     conjugate pair and breaks realness flags.  Evaluating Phi exactly and
     peeling multiplicities off first leaves only simple roots for the solver.
     """
-    fx = Fraction(x)
-    poly = RatPoly([p(fx) for p in reversed(sp.phi)], "nu")
     out = []
-    for g, k in squarefree_decomposition(poly):
-        for r in _exact_roots(g, f"Phi({fx}, nu)"):
+    for g, k in squarefree_decomposition(sp.nu_poly_at(z)):
+        for r in _exact_roots(g, _phi_at(z)):
             out.extend([r] * k)
     return out
 
@@ -473,7 +514,7 @@ def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly = None, tol: f
         mid_flags = None
         for idx, x in enumerate(xs):
             x = float(x)
-            cur = _branch_values(sp, x)
+            cur = roots_all(sp.nu_coeffs_at(x))
             if prev is None:
                 cur = sorted(cur, key=lambda w: (w.real, w.imag))
             elif prev2 is None:
@@ -634,18 +675,19 @@ def verify_identities(op: PeriodicOperator) -> list:
     report.append(_check("palindrome-and-dual-route", True))
     sp = surface_poly(cd)
 
-    for tau0, label in ((Fraction(1), "1"), (Fraction(-1), "-1"), (I, "i")):
-        lhs = cd.q.eval_tau(tau0)
+    sections = {}
+    for tau0, nu0, label in ((1, 1, "1"), (-1, -1, "-1"), (I, 0, "i")):
+        sections[label] = cd.section(nu0)
         rhs = charpoly(floquet_matrix_exact(op, tau0))
         report.append(
-            _check(f"floquet-determinant-tau={label}", lhs == rhs)
+            _check(f"floquet-determinant-tau={label}", sections[label] == rhs)
         )
 
     trace_b = _sum_traces(op, lambda n: _trace_of(op.b_at(n)))
     if p >= 2:
-        eta_top = cd.q.z_coefficient(pm - 1)
-        constant = set(eta_top) <= {0}
-        ok = constant and eta_top.get(0, Fraction(0)) == -trace_b
+        # q[j] has z-degree at most p(m - j) < pm - 1 for j >= 1, so every
+        # section has the z^(pm-1) coefficient of q[0]
+        ok = sections["1"].coeff(pm - 1) == -trace_b
         report.append(_check("moment-1-coefficient", ok))
     else:
         report.append(_na("moment-1-coefficient", "period 1 couples tau into Tr L"))
@@ -656,18 +698,18 @@ def verify_identities(op: PeriodicOperator) -> list:
     for n in range(1, p + 1):
         target2 += _frobenius_sq(op.b_at(n)) + 2 * _frobenius_sq(op.a_at(n))
 
-    def moment2_at(tau0):
-        f = cd.q.eval_tau(tau0)
+    def moment2_at(label):
+        f = sections[label]
         e1 = f.coeff(pm - 1)
         e2 = f.coeff(pm - 2)
         return e1 * e1 - 2 * e2
 
     if p >= 3:
-        report.append(_check("moment-2-tau=1", moment2_at(Fraction(1)) == target2))
+        report.append(_check("moment-2-tau=1", moment2_at("1") == target2))
     else:
         report.append(_na("moment-2-tau=1", "survives only for period >= 3"))
     if p >= 2:
-        report.append(_check("moment-2-tau=i", moment2_at(I) == target2))
+        report.append(_check("moment-2-tau=i", moment2_at("i") == target2))
     else:
         report.append(_na("moment-2-tau=i", "period 1 couples tau into Tr L^2"))
 

@@ -135,7 +135,7 @@ def test_criterion_2_floquet_equivalence(battery):
         v = rng.choice([-1, 1]) * rng.randint(1, 30)
         norm = u * u + v * v
         tau = CRational(Fraction(u * u - v * v, norm), Fraction(2 * u * v, norm))
-        section = cd.q.eval_tau(tau)
+        section = cd.section(tau.re)  # nu = (tau + 1/tau)/2 = Re tau on the unit circle
         assert section == charpoly(floquet_matrix_exact(op, tau))
         eigs = hermitian_eigs(floquet_matrix(op, complex(tau)))
         roots = roots_all(section)
@@ -266,7 +266,7 @@ def test_criterion_8_inverse_round_trip():
             rec = recover_determinant(forward_spectral_data(op, kappas, subset_rule=rule, seed=seed))
             for j in range(m + 1):
                 for n in range(p * m + 1):
-                    want = complex(direct.q.coeff(j).coeff(n))
+                    want = complex(direct.q[j].coeff(n))
                     got = rec.q[j][n]
                     assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
         try:

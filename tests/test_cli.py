@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +210,52 @@ def test_recover_wrong_cardinality_exits_4(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, _ = run_cli(capsys, ["recover", str(path)])
     assert code == 4
+
+
+def test_recover_data_of_no_self_adjoint_operator_exits_4(tmp_path, capsys):
+    # recovery snaps to a D whose q(z, -1) = z^2 + 7/2 has no real root
+    data = {"p": 2, "m": 1, "kappas": [0.0, math.pi / 2], "lambda_sets": [[-2, 2], [0.5]]}
+    code, line = run_error_line(capsys, ["recover", write_json(tmp_path, data, "data.json")])
+    assert code == 4 and "bands of the snapped determinant" in line and "q(., -1)" in line
+
+
+@pytest.mark.parametrize("p,m", [(0, 1), (1, 0), (-1, 2)])
+def test_recover_refuses_sizes_below_one(tmp_path, capsys, p, m):
+    data = {"p": p, "m": m, "kappas": [0.0, 3.14], "lambda_sets": [[], [0]]}
+    code, line = run_error_line(capsys, ["recover", write_json(tmp_path, data, "data.json")])
+    assert code == 2 and "must be at least 1" in line
+
+
+def _readme_json(section):
+    """The json code blocks of a README '### section', parsed, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    body = readme.split(f"\n### {section}\n", 1)[1].split("\n#", 1)[0]
+    return [json.loads(block.split("```", 1)[0]) for block in body.split("```json\n")[1:]]
+
+
+@pytest.mark.parametrize(
+    "section,example,argv",
+    [
+        ("bands", ["free", "--p", "2", "--m", "1"], ["bands"]),
+        ("resonances", ["example4", "--t", "1/2"], ["resonances"]),
+        ("lyapunov", ["free", "--p", "3", "--m", "1"], ["lyapunov", "--z", "0"]),
+        ("recover", None, ["recover"]),
+        ("verify", ["free", "--p", "2", "--m", "1"], ["verify"]),
+    ],
+)
+def test_readme_samples_match_the_output(tmp_path, capsys, section, example, argv):
+    blocks = _readme_json(section)
+    if example is None:  # the section's first block is the input document
+        path = write_json(tmp_path, blocks[0], "spectral.json")
+    else:
+        path = write_doc(tmp_path, capsys, ["example"] + example)
+    payload = run_json(capsys, [argv[0], path] + argv[1:])["payload"]
+    sample = blocks[-1]
+    if section == "verify":  # the sample is abridged
+        assert sample["all_pass"] == payload["all_pass"]
+        assert all(check in payload["checks"] for check in sample["checks"])
+    else:
+        assert payload == sample
 
 
 def test_verify_passes_on_free_operator(tmp_path, capsys):

@@ -9,7 +9,6 @@ from blochjac.exactmath import (
     BiPoly,
     CRational,
     I,
-    LaurentSym,
     RatPoly,
     bipoly_gcd,
     bipoly_squarefree_part,
@@ -19,13 +18,12 @@ from blochjac.exactmath import (
     discriminant,
     gcd,
     interpolate,
-    laurent_from_bipoly,
     mat_inv,
     mat_mul,
-    palindrome_to_nu,
     resultant,
     squarefree_decomposition,
 )
+from blochjac.spectral import build_char_determinant
 
 
 def rationals(max_num=4, dens=(1, 2, 3)):
@@ -40,8 +38,8 @@ def test_crational_arithmetic():
     assert (a / a) == 1
     assert a * a.conjugate() == a.abs2() == Fraction(5)
     assert I * I == -1
-    assert I ** 3 == CRational(0, -1)
-    assert I ** (-1) == CRational(0, -1)
+    assert I * I * I == CRational(0, -1)
+    assert 1 / I == CRational(0, -1)
     assert CRational(Fraction(1, 2), 0) == Fraction(1, 2)
     assert hash(CRational(Fraction(1, 2), 0)) == hash(Fraction(1, 2))
     assert complex(a) == 1 + 2j
@@ -91,56 +89,6 @@ def test_chebyshev_cosine():
             assert abs(chebyshev(n)(complex(math.cos(theta))).real - math.cos(n * theta)) < 1e-12
     for n in range(9):
         assert chebyshev(n)(Fraction(1)) == 1
-
-
-def test_palindrome_to_nu_examples():
-    L = LaurentSym({1: RatPoly([1]), -1: RatPoly([1])})
-    assert palindrome_to_nu(L) == BiPoly([RatPoly.zero(), RatPoly([2])], "nu")
-    L2 = LaurentSym({2: RatPoly([1]), -2: RatPoly([1])})
-    assert palindrome_to_nu(L2) == BiPoly([RatPoly([-2]), RatPoly.zero(), RatPoly([4])], "nu")
-    delta = Fraction(7, 3)
-    L3 = LaurentSym({1: RatPoly([1]), -1: RatPoly([1]), 0: RatPoly([-2 * delta])})
-    assert palindrome_to_nu(L3) == BiPoly([RatPoly([-2 * delta]), RatPoly([2])], "nu")
-
-
-def test_laurent_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not palindromic"):
-        LaurentSym({1: RatPoly([1]), -1: RatPoly([2])})
-
-
-def _laurent_mul(a, b):
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            out[k] = out.get(k, RatPoly.zero("z")) + va * vb
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _nu_poly_as_laurent(P: BiPoly):
-    # substitute nu = (tau + 1/tau)/2 and expand
-    nu_l = {1: RatPoly([Fraction(1, 2)]), -1: RatPoly([Fraction(1, 2)])}
-    acc = {}
-    power = {0: RatPoly.one("z")}
-    for c in P.coeffs:
-        for k, v in power.items():
-            if not c.is_zero():
-                acc[k] = acc.get(k, RatPoly.zero("z")) + v * c
-        power = _laurent_mul(power, nu_l)
-    return {k: v for k, v in acc.items() if not v.is_zero()}
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.lists(rationals(), min_size=1, max_size=3), min_size=1, max_size=3))
-def test_palindrome_round_trip(coeff_lists):
-    coeffs = {}
-    for k, cl in enumerate(coeff_lists):
-        p = RatPoly(cl)
-        coeffs[k] = p
-        coeffs[-k] = p
-    L = LaurentSym(coeffs)
-    back = _nu_poly_as_laurent(palindrome_to_nu(L))
-    assert back == dict(L.coeffs)
 
 
 def test_resultant_examples():
@@ -219,10 +167,16 @@ def test_discriminant_multiplicative(fc, gc):
 
 def test_bipoly_eval_examples():
     D = BiPoly([RatPoly([1]), RatPoly([0, -1]), RatPoly([1])], "tau")  # tau^2 - z*tau + 1
-    L = laurent_from_bipoly(D, 1)  # D / tau
-    assert L.eval_tau(1) == RatPoly([2, -1])
-    assert L.eval_tau(-1) == -RatPoly([2, 1])
-    assert L.eval_tau(I) * I == RatPoly([CRational(0, -1)]) * RatPoly([0, 1])  # -i*z
+
+    def at(tau0):  # D(z, tau0), Horner in tau
+        out = RatPoly.zero()
+        for c in reversed(D.coeffs):
+            out = out * tau0 + c
+        return out
+
+    assert at(1) == RatPoly([2, -1])
+    assert at(-1) == RatPoly([2, 1])
+    assert at(I) == RatPoly([0, CRational(0, -1)])  # i^2 + 1 = 0 leaves -i*z
     assert [c(0) for c in D.coeffs] == [1, 0, 1]
 
 
@@ -237,12 +191,13 @@ def test_bipoly_arithmetic_and_subs():
 
 
 def test_laurent_bipoly_round_trip():
+    # D / (c tau) = q[0] + q[1] (tau + 1/tau), and D comes back from q
     D = BiPoly([RatPoly([1]), RatPoly([0, -1]), RatPoly([1])], "tau")
-    L = laurent_from_bipoly(D, 1)
-    assert L.coeff(0) == RatPoly([0, -1])
-    assert BiPoly([L.coeff(k - 1) for k in range(3)], "tau") == D
-    ev = L.eval_tau(I)
-    assert ev == RatPoly([0, -1])  # i + 1/i = 0, so only -z survives
+    cd = build_char_determinant(D, 1, 1, None)
+    assert cd.c == -1
+    assert cd.q == (RatPoly([0, 1]), RatPoly([-1]))
+    assert BiPoly([cd.q[abs(i - 1)] * cd.c for i in range(3)], "tau") == D
+    assert cd.section(0) == RatPoly([0, 1])  # tau = i: i + 1/i = 0, so only z survives
 
 
 def test_bipoly_resultant_discriminant():

@@ -14,7 +14,6 @@ from blochjac.fixtures import (
     random_operator,
 )
 from blochjac.inverse import (
-    EtaTable,
     InconsistentDataError,
     SpectralData,
     coefficient_blocks,
@@ -24,6 +23,7 @@ from blochjac.inverse import (
     half_degree,
     recover_determinant,
     snap_to_rational,
+    _cosine_sum,
     _max_root_distance,
 )
 from blochjac.spectral import (
@@ -125,27 +125,27 @@ def test_constrained_poly_random_consistency():
             assert abs(val) < 1e-9 * (1 + max(abs(c) for c in r))
 
 
+def recovered_section(rec, kappa):
+    """Ascending z-coefficients of the recovered q(., e^{i kappa}), summed as recovery sums them."""
+    m = len(rec.q) - 1
+    p = (len(rec.q[0]) - 1) // m
+    return [_cosine_sum([rec.q[j][n] for j in range(half_degree(p, m, n) + 1)], kappa)
+            for n in range(p * m + 1)]
+
+
 def test_eta_table_free_rows():
-    table = recover_determinant(data_for(free_operator(2, 1), 1)).eta
-    assert [list(row) for row in table.rows] == [pytest.approx(r) for r in ([-2, -1], [0], [1])]
-    assert table.eta_at(0, 0.0) == pytest.approx(-4)
-    assert table.section_at(0.0) == pytest.approx([-4, 0, 1])
+    rec = recover_determinant(data_for(free_operator(2, 1), 1))
+    # z^n coefficient rows: n = 0 has a tau term, the others are constant in tau
+    assert [[rec.q[j][n] for j in range(2)] for n in range(3)] == [
+        pytest.approx(r) for r in ([-2, -1], [0, 0], [1, 0])
+    ]
+    assert recovered_section(rec, 0.0) == pytest.approx([-4, 0, 1])
 
 
 def test_eta_table_top_row_is_monic():
-    table = recover_determinant(data_for(example3(1), 2)).eta
-    assert table.rows[4] == pytest.approx((1,))
-    assert table.rows[0][2] == pytest.approx(1)  # zeta_0 = 1/c and c = 1 here
-
-
-def test_eta_table_shape_validation():
-    with pytest.raises(ValueError, match="rows"):
-        EtaTable(2, 1, ((0, 0), (0,)))
-    with pytest.raises(ValueError, match="entries"):
-        EtaTable(2, 1, ((0,), (0,), (1,)))
-    table = EtaTable(2, 1, ((0, 0), (0,), (1,)))
-    with pytest.raises(AttributeError):
-        table.rows = ()
+    rec = recover_determinant(data_for(example3(1), 2))
+    assert [rec.q[j][4] for j in range(3)] == pytest.approx([1, 0, 0])
+    assert rec.q[2][0] == pytest.approx(1)  # 1/c and c = 1 here
 
 
 def test_forward_free_scalar():
@@ -245,7 +245,7 @@ def test_round_trip_float_coefficients(seed, p, m):
     for rule in ("ascending", "descending", "random"):
         rec = recover_determinant(data_for(op, m, rule, seed=seed))
         for j in range(m + 1):
-            exact = [complex(direct.q.coeff(j).coeff(n)) for n in range(p * m + 1)]
+            exact = [complex(direct.q[j].coeff(n)) for n in range(p * m + 1)]
             for got, want in zip(rec.q[j], exact):
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
@@ -270,7 +270,8 @@ def test_recovered_sections_reproduce_inputs():
     op = random_operator(17, 3, 2)
     sd = data_for(op, 2)
     rec = recover_determinant(sd)
-    distances = [_max_root_distance(rec.eta, k, lam) for k, lam in zip(sd.kappas, sd.lambda_sets)]
+    distances = [_max_root_distance(recovered_section(rec, k), lam)
+                 for k, lam in zip(sd.kappas, sd.lambda_sets)]
     assert max(distances) <= 1e-7
     assert rec.residuals == tuple(distances)
 
@@ -302,10 +303,10 @@ def test_corrupted_eigenvalue_yields_different_determinant():
 
 def test_max_root_distance_measures_corruption():
     clean = data_for(example3(1), 2)
-    table = recover_determinant(clean).eta
-    assert _max_root_distance(table, math.pi, clean.lambda_sets[1]) <= 1e-9
+    section = recovered_section(recover_determinant(clean), math.pi)
+    assert _max_root_distance(section, clean.lambda_sets[1]) <= 1e-9
     corrupted = [clean.lambda_sets[1][0] + 0.25] + list(clean.lambda_sets[1][1:])
-    assert _max_root_distance(table, math.pi, corrupted) > 0.05
+    assert _max_root_distance(section, corrupted) > 0.05
 
 
 def test_snap_rejects_complex_dirt():

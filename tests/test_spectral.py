@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blochjac.spectral as spectral_mod
 from blochjac.exactmath import BiPoly, I, RatPoly, chebyshev, discriminant
@@ -91,16 +93,16 @@ def test_first_trace_coefficient(op, first_trace):
 def test_free_q_is_laurent_symmetric():
     cd = char_determinant(free_operator(2, 1))
     assert cd.c == -1
-    assert cd.q.coeff(0) == zpoly(-2, 0, 1)
-    assert cd.q.coeff(1) == zpoly(-1)
-    assert cd.q.coeff(-1) == zpoly(-1)
+    assert cd.q == (zpoly(-2, 0, 1), zpoly(-1))
+    # D / (c tau) has equal tau^1 and tau^-1 coefficients
+    assert cd.xi[0] / cd.c == cd.xi[2] / cd.c == cd.q[1]
 
 
 def test_example2_floquet_sections_factor():
     z = zpoly(0, 1)
     cd = char_determinant(example2_const(1))
-    assert cd.q.eval_tau(Fraction(1)) == (z + 2) ** 2 * ((z - 2) ** 2 - 4)
-    assert cd.q.eval_tau(Fraction(-1)) == (z**2 - 2) ** 2
+    assert cd.section(1) == (z + 2) ** 2 * ((z - 2) ** 2 - 4)
+    assert cd.section(-1) == (z**2 - 2) ** 2
 
 
 def test_surface_poly_free():
@@ -110,6 +112,27 @@ def test_surface_poly_free():
     sp2 = surface_poly(char_determinant(free_operator(2, 2)))
     body = zpoly(-1, 0, Fraction(1, 2))
     assert sp2.phi == (RatPoly.one("z"), body * (-2), body * body)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 50),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+)
+def test_surface_poly_identity(seed, p, m, tau):
+    # (2 tau)^m Phi(z, (tau + 1/tau)/2) == D(z, tau), exactly, as polynomials in z
+    cd = char_determinant(random_operator(seed, p, m))
+    sp = surface_poly(cd)
+    nu = (tau + 1 / tau) / 2
+    phi_at = RatPoly.zero("z")
+    for f in sp.phi:
+        phi_at = phi_at * nu + f
+    d_at = RatPoly.zero("z")
+    for f in reversed(cd.D.coeffs):
+        d_at = d_at * tau + f
+    assert phi_at * (2 * tau) ** m == d_at
 
 
 def test_surface_poly_example3_branch_product():
@@ -130,6 +153,25 @@ def test_lyapunov_point_samples():
     vals = [b.value for b in lyapunov_at(sp4, 0)]
     assert all(b.real for b in lyapunov_at(sp4, 0))
     assert abs(vals[0] - (-1)) < 1e-12 and abs(vals[1] - (-0.5)) < 1e-12
+
+
+def test_lyapunov_is_exact_where_float_horner_is_not():
+    # float Horner put phi_1 here off by 1.6e-5 relative
+    sp = surface_poly(char_determinant(random_operator(2, 32, 1)))
+    z = 1.9044522261130563
+    exact = float(-sp.phi[1](Fraction(z)))
+    (b,) = lyapunov_at(sp, complex(z, 0))
+    assert b.real and abs(b.value - exact) <= 1e-12 * abs(exact)
+
+
+def test_lyapunov_on_a_degenerate_surface_is_real_and_on_the_circle():
+    # free(2, 2) has Phi = (nu - T_2(z/2))^2: every branch is double
+    sp = surface_poly(char_determinant(free_operator(2, 2)))
+    for z in (-1.0, 0.0, 1.0, complex(1.0, 0.0)):
+        branches = lyapunov_at(sp, z)
+        assert all(b.real for b in branches)
+        for pair in multipliers_at(branches):
+            assert all(abs(abs(t) - 1) <= 1e-9 for t in pair)
 
 
 def test_lyapunov_double_point_example3():
@@ -374,9 +416,9 @@ def test_free_operator_2_8_resonance_poly_is_degenerate_one():
 def test_char_determinant_4_4_floquet_identity():
     op = random_operator(7, 4, 4)
     cd = char_determinant(op)
-    assert cd.q.z_coefficient(16) == {0: Fraction(1)}
-    for tau0 in (Fraction(1), I):
-        assert cd.q.eval_tau(tau0) == charpoly(floquet_matrix_exact(op, tau0))
+    assert [q.coeff(16) for q in cd.q] == [1, 0, 0, 0, 0]
+    for tau0, nu0 in ((Fraction(1), 1), (I, 0)):
+        assert cd.section(nu0) == charpoly(floquet_matrix_exact(op, tau0))
 
 
 def test_build_char_determinant_rejects_bad_shapes():
@@ -450,7 +492,7 @@ def test_leading_asymptotics_free():
     op = free_operator(2, 2)
     cd = char_determinant(op)
     pm = op.p * op.m
-    assert cd.q.z_coefficient(pm) == {0: Fraction(1)}
+    assert [q.coeff(pm) for q in cd.q] == [1] + [0] * op.m
     assert cd.xi[op.m].coeff(pm) == cd.c
     assert all(cd.xi[j].degree <= op.p * j for j in range(2 * op.m + 1))
     scaled, targets, _, rho_target = _asymptotes(op)
