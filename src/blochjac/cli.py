@@ -214,7 +214,7 @@ def _band_payload(bs, gaps) -> dict:
 
 def cmd_bands(args) -> int:
     op, digest = _load_operator(args)
-    bs = band_structure(op, grid=args.grid, tol=args.tol)
+    bs = band_structure(op, grid=args.grid)
     _emit(_result("bands", digest, _band_payload(bs, classify_gaps(bs))))
     return EXIT_OK
 
@@ -234,15 +234,15 @@ def cmd_resonances(args) -> int:
     return EXIT_OK
 
 
-def _at_least(low, flag, kind):
-    """argparse type for a finite int or float flag that must be at least low.
+def _at_least(low, flag):
+    """argparse type for an int flag that must be at least low.
 
     It raises InputError, which argparse lets through, so main reports the
     flag like any other bad input.
     """
     def parse(text: str):
         try:
-            value = kind(text)
+            value = int(text)
         except ValueError as exc:
             raise InputError(f"{flag}: {exc}") from exc
         if not (math.isfinite(value) and value >= low):
@@ -273,6 +273,8 @@ def _parse_grid(text: str) -> list:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InputError(f"--z-grid: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise InputError(f"--z-grid needs finite lo, hi and hi - lo, got {text!r}")
     if n < 2 or hi <= lo:
         raise InputError("--z-grid needs hi > lo and N >= 2")
     step = (hi - lo) / (n - 1)
@@ -404,11 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bands", help="spectral bands, edges, and gap classification")
     add_input(sp)
-    sp.add_argument("--grid", type=_at_least(2, "--grid", int), default=257,
+    sp.add_argument("--grid", type=_at_least(2, "--grid"), default=257,
                     help="Floquet cross-validation grid size, at least 2 (default 257)")
-    sp.add_argument("--tol", type=_at_least(0, "--tol", float), default=1e-9,
-                    help="distance within which a branch band touches an edge, "
-                         "finite and at least 0 (default 1e-9)")
     sp.set_defaults(func=cmd_bands)
 
     sp = sub.add_parser("resonances", help="resonance polynomial and its zeros")
@@ -434,8 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", choices=["example1-diag", "example2-const", "example3", "example4", "free"])
     sp.add_argument("--t", default="0", help="parameter t for example3/example4 (rational, default 0)")
     sp.add_argument("--beta", default="1", help="parameter beta for example2-const (rational, default 1)")
-    sp.add_argument("--p", type=_at_least(1, "--p", int), default=2, help="period for free (default 2)")
-    sp.add_argument("--m", type=_at_least(1, "--m", int), default=1, help="block size for free (default 1)")
+    sp.add_argument("--p", type=_at_least(1, "--p"), default=2, help="period for free (default 2)")
+    sp.add_argument("--m", type=_at_least(1, "--m"), default=1, help="block size for free (default 1)")
     sp.set_defaults(func=cmd_example)
 
     return parser

@@ -1,8 +1,9 @@
 """Exact arithmetic underneath the spectral pipeline.
 
-Everything in this module is rational: Gaussian rationals, univariate
-polynomials with a variable tag, and bivariate polynomials (an outer
-variable over polynomials in z).
+Everything in this module is rational: Gaussian rationals and univariate
+polynomials with a variable tag, with their gcds, resultants and
+discriminants. A polynomial-valued quantity, such as a determinant with
+polynomial entries, is computed at sample points and interpolated.
 Floating point is confined to the numerics module; coefficients here are
 ints, Fractions, or CRationals, never floats.
 """
@@ -437,192 +438,6 @@ def chebyshev(n: int) -> RatPoly:
     return _cheb_cache[n]
 
 
-class BiPoly:
-    """Polynomial in an outer variable whose coefficients are RatPoly in z.
-
-    Index in coeffs = power of the outer variable. Houses D(z, tau) (outer
-    tau) and Phi(z, nu) (outer nu).
-    """
-
-    __slots__ = ("coeffs", "outer")
-
-    def __init__(self, coeffs=(), outer="tau"):
-        inner_var = "z"
-        for c in coeffs:
-            if isinstance(c, RatPoly) and not c.is_constant():
-                inner_var = c.var
-                break
-        cs = [c if isinstance(c, RatPoly) else RatPoly((c,), inner_var) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "outer", outer)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
-
-    @classmethod
-    def zero(cls, outer="tau"):
-        return cls((), outer)
-
-    @classmethod
-    def one(cls, outer="tau"):
-        return cls((RatPoly.one("z"),), outer)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -math.inf
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def coeff(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else RatPoly.zero(self._inner_var())
-
-    def _inner_var(self):
-        for c in self.coeffs:
-            if not c.is_constant():
-                return c.var
-        return "z"
-
-    def lc(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def _check(self, other):
-        if self.outer != other.outer:
-            raise ValueError(f"outer variable mismatch: {self.outer} vs {other.outer}")
-
-    def _lift(self, other):
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, RatPoly):
-            if other.var == self.outer and not other.is_constant():
-                inner = self._inner_var()
-                return BiPoly([RatPoly((c,), inner) for c in other.coeffs], self.outer)
-            return BiPoly((other,), self.outer)
-        try:
-            c = _norm_coeff(other)
-        except TypeError:
-            return None
-        return BiPoly((RatPoly((c,), self._inner_var()),), self.outer)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        self._check(o)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return BiPoly([self.coeff(k) + o.coeff(k) for k in range(n)], self.outer)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __neg__(self):
-        return BiPoly([-c for c in self.coeffs], self.outer)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        self._check(o)
-        if not self.coeffs or not o.coeffs:
-            return BiPoly.zero(self.outer)
-        zero = RatPoly.zero(self._inner_var())
-        out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return BiPoly(out, self.outer)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("nonnegative integer exponent required")
-        out = BiPoly.one(self.outer)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def derivative_outer(self):
-        return BiPoly([k * c for k, c in enumerate(self.coeffs) if k > 0], self.outer)
-
-    def content(self) -> RatPoly:
-        nz = [c for c in self.coeffs if not c.is_zero()]
-        if not nz:
-            return RatPoly.zero(self._inner_var())
-        g = nz[0]
-        for c in nz[1:]:
-            g = gcd(g, c)
-            if g.degree == 0:
-                break
-        return g.monic()
-
-    def primitive(self):
-        c = self.content()
-        if c.is_zero():
-            return self
-        return BiPoly([p.exact_div(c) for p in self.coeffs], self.outer)
-
-    def exact_div(self, other):
-        """Exact division where the divisor's leading coefficient is a nonzero constant."""
-        o = self._lift(other)
-        self._check(o)
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero BiPoly")
-        if not o.lc().is_constant():
-            raise ValueError("exact BiPoly division requires a constant leading coefficient")
-        dlc = o.lc().coeff(0)
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
-            if self.is_zero():
-                return self
-            raise ValueError("division is not exact")
-        quot = [RatPoly.zero(self._inner_var())] * (dq + 1)
-        for k in range(dq, -1, -1):
-            top = rem[k + len(o.coeffs) - 1]
-            if not top.is_zero():
-                f = top / dlc
-                quot[k] = f
-                for j, b in enumerate(o.coeffs):
-                    rem[k + j] = rem[k + j] - f * b
-        if any(not r.is_zero() for r in rem):
-            raise ValueError("division is not exact")
-        return BiPoly(quot, self.outer)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs and (self.outer == o.outer or len(self.coeffs) <= 1)
-
-    def __hash__(self):
-        return hash((self.coeffs, self.outer if len(self.coeffs) > 1 else None))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        terms = ", ".join(f"{self.outer}^{k}: ({c})" for k, c in enumerate(self.coeffs))
-        return f"BiPoly[{terms}]"
-
-
 def det_field(mat):
     """Exact determinant over a field (Fraction / CRational entries)."""
     n = len(mat)
@@ -732,135 +547,46 @@ def mat_inv(mat):
     return [row[n:] for row in a]
 
 
-def _sylvester(fc, gc, n, s, zero):
+def _sylvester(fc, gc, n, s):
     """Sylvester matrix rows from descending coefficient lists fc (deg n) and gc (deg s)."""
     size = n + s
     rows = []
     for i in range(s):
-        row = [zero] * size
+        row = [Fraction(0)] * size
         for j, c in enumerate(fc):
             row[i + j] = c
         rows.append(row)
     for i in range(n):
-        row = [zero] * size
+        row = [Fraction(0)] * size
         for j, c in enumerate(gc):
             row[i + j] = c
         rows.append(row)
     return rows
 
 
-def resultant(f, g):
-    """Resultant via the Sylvester determinant.
+def resultant(f: RatPoly, g: RatPoly):
+    """Resultant of two univariate polynomials via the Sylvester determinant.
 
-    RatPoly inputs give a scalar; BiPoly inputs (same outer variable) give a
-    RatPoly in z. Sign convention follows the row layout: the f block on top.
+    Sign convention follows the row layout: the f block on top.
     """
-    if isinstance(f, BiPoly) and isinstance(g, BiPoly):
-        f._check(g)
-        if f.is_zero() or g.is_zero():
-            raise ValueError("resultant of the zero polynomial")
-        n, s = int(f.degree), int(g.degree)
-        zero = RatPoly.zero(f._inner_var())
-        if n == 0:
-            return f.coeff(0) ** s
-        if s == 0:
-            return g.coeff(0) ** n
-        fc = [f.coeff(n - k) for k in range(n + 1)]
-        gc = [g.coeff(s - k) for k in range(s + 1)]
-        return det_poly(_sylvester(fc, gc, n, s, zero))
-    if isinstance(f, RatPoly) and isinstance(g, RatPoly):
-        if f.is_zero() or g.is_zero():
-            raise ValueError("resultant of the zero polynomial")
-        n, s = int(f.degree), int(g.degree)
-        if n == 0:
-            return f.coeff(0) ** s
-        if s == 0:
-            return g.coeff(0) ** n
-        fc = [f.coeff(n - k) for k in range(n + 1)]
-        gc = [g.coeff(s - k) for k in range(s + 1)]
-        return det_field(_sylvester(fc, gc, n, s, Fraction(0)))
-    raise TypeError("resultant expects two RatPoly or two BiPoly")
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of the zero polynomial")
+    n, s = int(f.degree), int(g.degree)
+    if n == 0:
+        return f.coeff(0) ** s
+    if s == 0:
+        return g.coeff(0) ** n
+    fc = [f.coeff(n - k) for k in range(n + 1)]
+    gc = [g.coeff(s - k) for k in range(s + 1)]
+    return det_field(_sylvester(fc, gc, n, s))
 
 
-def discriminant(f):
+def discriminant(f: RatPoly):
     """(-1)^(n(n-1)/2) * R(f, f') / lc(f); product of squared root differences."""
-    if isinstance(f, BiPoly):
-        n = f.degree
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("discriminant requires degree >= 1")
-        r = resultant(f, f.derivative_outer())
-        if (n * (n - 1) // 2) % 2:
-            r = -r
-        return r.exact_div(f.lc()) if not f.lc().is_constant() else r / f.lc().coeff(0)
-    if isinstance(f, RatPoly):
-        n = f.degree
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("discriminant requires degree >= 1")
-        r = resultant(f, f.derivative())
-        if (n * (n - 1) // 2) % 2:
-            r = -r
-        return r / f.lc()
-    raise TypeError("discriminant expects RatPoly or BiPoly")
-
-
-def _bipoly_pseudo_rem(f: BiPoly, g: BiPoly) -> BiPoly:
-    """Pseudo-remainder of f by g in the outer variable (f, g nonzero, deg f >= deg g)."""
-    rem = f
-    glc = g.lc()
-    dg = int(g.degree)
-    while not rem.is_zero() and int(rem.degree) >= dg:
-        dr = int(rem.degree)
-        lead = rem.lc()
-        shifted = BiPoly((RatPoly.zero(g._inner_var()),) * (dr - dg) + tuple(g.coeffs), g.outer)
-        rem = rem * glc - shifted * lead
-        if not rem.is_zero() and int(rem.degree) >= dr:
-            raise AssertionError("pseudo-division failed to reduce the degree")
-    return rem
-
-
-def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
-    """Gcd in the outer variable via the primitive polynomial remainder sequence.
-
-    Normalized so the leading RatPoly coefficient is monic. Intended for the
-    deflation of monic surface polynomials (content handling included for
-    general inputs).
-    """
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if f.is_zero():
-        return _bipoly_normalize(g)
-    if g.is_zero():
-        return _bipoly_normalize(f)
-    f._check(g)
-    cont = gcd(f.content(), g.content())
-    a, b = f.primitive(), g.primitive()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero():
-        if b.degree == 0:
-            a, b = b, BiPoly.zero(a.outer)
-            continue
-        a, b = b, _bipoly_pseudo_rem(a, b).primitive()
-    if a.degree == 0:
-        out = BiPoly((cont,), f.outer)
-    else:
-        out = a * cont
-    return _bipoly_normalize(out)
-
-
-def _bipoly_normalize(f: BiPoly) -> BiPoly:
-    if f.is_zero():
-        return f
-    return BiPoly([c / f.lc().lc() for c in f.coeffs], f.outer)
-
-
-def bipoly_squarefree_part(f: BiPoly) -> BiPoly:
-    """f / gcd(f, df/d-outer), for f with constant leading coefficient."""
-    if f.is_zero():
-        raise ValueError("squarefree part of zero polynomial")
-    if not isinstance(f.degree, int) or f.degree < 1:
-        return BiPoly.one(f.outer)
-    g = bipoly_gcd(f, f.derivative_outer())
-    if not g.lc().is_constant():
-        raise ValueError("deflation expects a gcd with constant leading coefficient")
-    return _bipoly_normalize(f.exact_div(g))
+    n = f.degree
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("discriminant requires degree >= 1")
+    r = resultant(f, f.derivative())
+    if (n * (n - 1) // 2) % 2:
+        r = -r
+    return r / f.lc()

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactmath import BiPoly, RatPoly
+from .exactmath import RatPoly
 from .numerics import hermitian_eigs, roots_all
 from .operators import PeriodicOperator, floquet_matrix, require_valid
 from .spectral import CharDeterminant, InternalConsistencyError, build_char_determinant
@@ -319,8 +319,8 @@ def snap_to_rational(rec: Recovery) -> CharDeterminant:
                 )
             snapped.append(f)
         cols.append(RatPoly(snapped, "z"))
-    D = BiPoly(tuple(cols), outer="tau")
     try:
-        return build_char_determinant(D, p, m, None)
+        # cols ascend in tau, and xi[j] is the coefficient of tau^(2m-j)
+        return build_char_determinant(tuple(reversed(cols)), p, m, None)
     except InternalConsistencyError as exc:
         raise InconsistentDataError(f"inconsistent spectral data: {exc}") from exc

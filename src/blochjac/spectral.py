@@ -17,14 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .exactmath import (
-    BiPoly,
     CRational,
     I,
     RatPoly,
-    bipoly_squarefree_part,
     chebyshev,
     det_field,
     discriminant,
+    gcd,
     interpolate,
     squarefree_decomposition,
 )
@@ -53,17 +52,17 @@ class InternalConsistencyError(RuntimeError):
 
 
 class CharDeterminant(NamedTuple):
-    """det(M(z) - tau*I) with its coefficient family and normalized form.
+    """D(z, tau) = det(M(z) - tau*I) by its coefficients, and its normalized form.
 
-    D is a polynomial in tau with z-polynomial coefficients, and xi[j] its
-    coefficient of tau^(2m-j), palindromic: xi[j] == xi[2m-j]. c is the
-    leading constant. q[j] = xi[m-j] / c, so that D / (c tau^m) =
-    q[0] + sum_j q[j] (tau^j + tau^-j), monic of degree pm in z. p and m
-    are the periods, and M is the normalized monodromy matrix D was
-    computed from (None when D came from spectral data).
+    xi[j] is the coefficient of tau^(2m-j) in D, a polynomial in z. They
+    are palindromic, xi[j] == xi[2m-j], so xi also lists D's coefficients
+    ascending in tau. c is the leading constant. q[j] = xi[m-j] / c, so
+    that D / (c tau^m) = q[0] + sum_j q[j] (tau^j + tau^-j), monic of
+    degree pm in z. p and m are the periods, and M is the normalized
+    monodromy matrix D was computed from (None when D came from spectral
+    data).
     """
 
-    D: BiPoly
     xi: tuple
     c: Fraction
     q: tuple
@@ -110,9 +109,6 @@ class SurfacePoly(NamedTuple):
     @property
     def m(self):
         return len(self.phi) - 1
-
-    def as_bipoly(self) -> BiPoly:
-        return BiPoly(tuple(reversed(self.phi)), outer="nu")
 
     def nu_poly_at(self, z) -> RatPoly:
         """Phi(z, .) as an exact polynomial in nu, at a Fraction, float or complex z.
@@ -205,16 +201,16 @@ def _na(name, detail):
     return IdentityCheck(name, "n/a", 0.0, detail)
 
 
-def build_char_determinant(D: BiPoly, p: int, m: int, M) -> CharDeterminant:
-    """Validate a candidate determinant and package it with xi, c, q and M.
+def build_char_determinant(xi: tuple, p: int, m: int, M) -> CharDeterminant:
+    """Validate candidate coefficients xi of D and package them with c, q and M.
 
-    Checks the palindrome, the xi symmetry and degree bounds, and the
-    leading structure of xi_m; any violation is an internal error because
-    these are structural facts, not data-dependent ones.
+    xi[j] is the coefficient of tau^(2m-j). Checks the palindrome, the
+    degree bounds, and the leading structure of xi_m; any violation is an
+    internal error because these are structural facts, not data-dependent
+    ones.
     """
-    if D.degree != 2 * m:
-        raise InternalConsistencyError(f"determinant has tau-degree {D.degree}, expected {2*m}")
-    xi = tuple(D.coeff(2 * m - j) for j in range(2 * m + 1))
+    if len(xi) != 2 * m + 1:
+        raise InternalConsistencyError(f"determinant has tau-degree {len(xi) - 1}, expected {2*m}")
     if xi[0] != RatPoly.one(xi[0].var):
         raise InternalConsistencyError("xi_0 != 1")
     for j in range(2 * m + 1):
@@ -226,7 +222,7 @@ def build_char_determinant(D: BiPoly, p: int, m: int, M) -> CharDeterminant:
         raise InternalConsistencyError(f"deg xi_m = {xi[m].degree}, expected {p*m}")
     c = xi[m].coeff(p * m)
     q = tuple(xi[m - j] / c for j in range(m + 1))
-    return CharDeterminant(D=D, xi=xi, c=c, q=q, p=p, m=m, M=M)
+    return CharDeterminant(xi=xi, c=c, q=q, p=p, m=m, M=M)
 
 
 def char_determinant(op: PeriodicOperator) -> CharDeterminant:
@@ -248,10 +244,7 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     xs = range(-(pm // 2), pm - pm // 2 + 1)
     # det(M - tau I) = det(tau I - M) because M has even size 2m
     pointwise = [charpoly([[e(x) for e in row] for row in M.rows]) for x in xs]
-    D_det = BiPoly(
-        [interpolate(xs, [f.coeff(k) for f in pointwise], "z") for k in range(2 * m + 1)],
-        outer="tau",
-    )
+    by_tau = tuple(interpolate(xs, [f.coeff(k) for f in pointwise], "z") for k in range(2 * m + 1))
 
     traces = trace_powers(Mp, m)
     xi = [RatPoly.one("z")]
@@ -260,14 +253,14 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
         for j in range(s):
             acc = acc + traces[s - j - 1] * xi[j]
         xi.append(acc * Fraction(-1, s))
-    mirrored = xi + [xi[m - 1 - j] for j in range(m)]
-    D_trace = BiPoly(tuple(reversed(mirrored)), outer="tau")
+    # palindromic by construction, so it also reads ascending in tau
+    mirrored = tuple(xi + [xi[m - 1 - j] for j in range(m)])
 
-    if D_det != D_trace:
+    if by_tau != mirrored:
         raise InternalConsistencyError(
             "determinant route and trace route disagree on D(z, tau)"
         )
-    cd = build_char_determinant(D_det, op.p, m, M)
+    cd = build_char_determinant(by_tau, op.p, m, M)
     if cd.c != op.leading_constant():
         raise InternalConsistencyError(
             f"leading constant {cd.c} != (-1)^m det A_p = {op.leading_constant()}"
@@ -339,17 +332,38 @@ def resonance_poly(sp: SurfacePoly):
     rho = prod_{i<j} (Delta_i - Delta_j)^2 up to the usual discriminant
     normalization; identically zero means permanently repeated branches
     (for example any free operator with m >= 2), in which case Phi is
-    replaced by its squarefree part in nu and the flag is set.
+    replaced by its squarefree part F in nu and the flag is set.
+
+    Both come from univariate work at n = w m (m - 1) + 1 centred integer
+    points x, where phi_j has z-degree at most w j (w = p when Phi comes
+    from D). A discriminant in nu is isobaric of weight m (m - 1), so its
+    z-degree is below n. Phi is monic in nu, so the discriminant of
+    Phi(x, .) is rho(x); where it vanishes, Phi(x, .) is replaced by its
+    squarefree part. Let d be the largest degree reached. If rho is
+    identically zero, d is the nu-degree of F: the points that fall short
+    are zeros of disc F, which has degree at most w d (d - 1) < n, and at
+    the others the squarefree part is F(x, .). So disc F is known at every
+    point, the discriminant there when the degree is d and 0 at the
+    unlucky points, and interpolation gives it exactly.
     """
-    if sp.m == 1:
+    m = sp.m
+    if m == 1:
         return RatPoly.one("z"), False
-    rho = discriminant(sp.as_bipoly())
-    if not rho.is_zero():
-        return rho, False
-    deflated = bipoly_squarefree_part(sp.as_bipoly())
-    if deflated.degree <= 1:
+    w = max((-(-f.degree // j) for j, f in enumerate(sp.phi) if j and f), default=0)
+    n = w * m * (m - 1) + 1
+    xs = range(-(n // 2), n - n // 2)
+    samples = []
+    for x in xs:
+        f = sp.nu_poly_at(x)
+        r = discriminant(f)
+        if not r:
+            f = f.exact_div(gcd(f, f.derivative()))
+            r = discriminant(f)
+        samples.append((f.degree, r))
+    d = max(deg for deg, _ in samples)
+    if d <= 1:
         return RatPoly.one("z"), True
-    return discriminant(deflated), True
+    return interpolate(xs, [r if deg == d else 0 for deg, r in samples], "z"), d < m
 
 
 def resonances(sp: SurfacePoly) -> ResonanceSet:
@@ -471,7 +485,7 @@ def _flags_from_exact(cur, vals) -> tuple:
     return tuple(flags)
 
 
-def band_structure(op: PeriodicOperator, grid: int = DEFAULT_GRID, tol: float = EDGE_TOL) -> BandStructure:
+def band_structure(op: PeriodicOperator, grid: int = DEFAULT_GRID) -> BandStructure:
     """Bands with multiplicity, edge provenance, and per-branch intervals.
 
     Candidate edges are the real roots of q(., 1), q(., -1) and the real
@@ -482,12 +496,12 @@ def band_structure(op: PeriodicOperator, grid: int = DEFAULT_GRID, tol: float = 
     require_valid(op)
     cd = char_determinant(op)
     sp = surface_poly(cd)
-    bs = band_structure_from_char(cd, sp, tol=tol)
+    bs = band_structure_from_char(cd, sp)
     _cross_validate(op, bs, grid)
     return bs
 
 
-def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly = None, tol: float = EDGE_TOL) -> BandStructure:
+def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly = None) -> BandStructure:
     """The band computation alone, usable when only D(z, tau) is known.
 
     No Floquet cross-validation happens here (there is no operator to
@@ -552,13 +566,12 @@ def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly = None, tol: f
                 bands.append([values[i], values[i + 1]])
         branch_bands.append(tuple((lo, hi) for lo, hi in bands))
 
+    # band ends are taken from values, and merged candidates lie more than
+    # EDGE_TOL apart, so a branch touches an edge exactly when one of its
+    # band ends is that value
     edges = []
     for value, kinds in cands:
-        touching = tuple(
-            j
-            for j in range(m)
-            if any(abs(value - e) <= tol for band in branch_bands[j] for e in band)
-        )
+        touching = tuple(j for j in range(m) if any(value in band for band in branch_bands[j]))
         if touching:
             for kind in sorted(kinds):
                 edges.append(Edge(value, kind, touching))

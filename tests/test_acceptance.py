@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from blochjac.exactmath import BiPoly, CRational, RatPoly, chebyshev
+from blochjac.exactmath import CRational, RatPoly, chebyshev
 from blochjac.fixtures import (
     example1_diag,
     example2_const,
@@ -105,10 +105,9 @@ def test_criterion_1_exact_identities(battery):
     for op, cd, _ in battery:
         p, m = op.p, op.m
         assert symplectic_defect(cd.M).is_zero()
-        for i in range(2 * m + 1):
-            assert cd.D.coeff(i) == cd.D.coeff(2 * m - i)  # tau^2m D(z, 1/tau) = D(z, tau)
+        for j in range(2 * m + 1):
+            assert cd.xi[j] == cd.xi[2 * m - j]  # tau^2m D(z, 1/tau) = D(z, tau)
         for j in range(m + 1):
-            assert cd.xi[j] == cd.xi[2 * m - j]
             assert cd.xi[j].degree <= p * j
         # trace route, recomputed here from raw monodromy traces
         traces = trace_powers(monodromy(op), m)
@@ -156,7 +155,7 @@ def test_criterion_3_example3_t1():
     assert 4 * rho == 4 * Z * Z + 4 * Z + 1
     d1 = (Z * Z - Z - 3) * Fraction(1, 2)
     d2 = (Z * Z + Z - 2) * Fraction(1, 2)
-    assert sp.as_bipoly() == BiPoly((d1 * d2, -(d1 + d2), RatPoly.one("z")), outer="nu")
+    assert sp.phi == (RatPoly.one("z"), -(d1 + d2), d1 * d2)  # Phi = (nu - d1)(nu - d2)
     bs = band_structure(op)
     s5, s17, s21 = math.sqrt(5), math.sqrt(17), math.sqrt(21)
     branch1 = [((1 - s21) / 2, (1 - s5) / 2), ((1 + s5) / 2, (1 + s21) / 2)]
@@ -227,14 +226,16 @@ def test_criterion_6_trace_estimates(battery):
 @criterion(7, "free operator: determinant formula and 2cos((kappa+2 pi n)/p) spectrum")
 def test_criterion_7_free_operator():
     for p in (2, 3, 4):
-        block = BiPoly(
-            (RatPoly.one("z"), chebyshev(p)(Z * Fraction(1, 2)) * (-2), RatPoly.one("z")),
-            outer="tau",
-        )
         for m in (1, 2):
             op = free_operator(p, m)
             cd = char_determinant(op)
-            assert cd.D == block ** m
+            # D and block^m have tau-degree 2m, so 2m + 1 values of tau decide equality
+            for tau0 in range(1, 2 * m + 2):
+                block = tau0 * tau0 + 1 - chebyshev(p)(Z * Fraction(1, 2)) * (2 * tau0)
+                d_at = RatPoly.zero("z")
+                for f in cd.xi:  # Horner: xi[j] is the coefficient of tau^(2m-j)
+                    d_at = d_at * tau0 + f
+                assert d_at == block ** m
             for kappa in (0.0, math.pi / 3, math.pi / 2):
                 eigs = hermitian_eigs(floquet_matrix(op, cmath.exp(1j * kappa)))
                 expected = sorted(
@@ -245,12 +246,11 @@ def test_criterion_7_free_operator():
 
 
 def _lift_to_exact(rec, p, m):
-    cols = []
-    for i in range(2 * m + 1):
-        cols.append(
-            RatPoly([Fraction(v.real).limit_denominator(10**12) for v in rec.D[i]], "z")
-        )
-    return build_char_determinant(BiPoly(tuple(cols), outer="tau"), p, m, None)
+    xi = tuple(
+        RatPoly([Fraction(v.real).limit_denominator(10**12) for v in rec.D[2 * m - j]], "z")
+        for j in range(2 * m + 1)
+    )
+    return build_char_determinant(xi, p, m, None)
 
 
 @criterion(8, "inverse round trip: 20 operators, 3 subset rules, bands to 1e-6")

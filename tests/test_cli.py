@@ -327,11 +327,12 @@ def test_bands_rejects_grid_without_cross_validation(tmp_path, capsys, grid):
     assert run_error(capsys, ["bands", path, "--grid", grid]) == 2
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-def test_bands_rejects_tol_outside_its_range(tmp_path, capsys, tol):
+@pytest.mark.parametrize("grid", ["nan:1:3", "-inf:0:3", "0:inf:3", "-1e308:1e308:3"])
+def test_lyapunov_rejects_non_finite_grid(tmp_path, capsys, grid):
+    # in the last grid hi - lo overflows to inf
     path = write_doc(tmp_path, capsys, ["example", "free"])
-    code, line = run_error_line(capsys, ["bands", path, "--tol", tol])
-    assert code == 2 and "--tol" in line
+    code, line = run_error_line(capsys, ["lyapunov", path, f"--z-grid={grid}"])
+    assert code == 2 and "--z-grid" in line and grid in line
 
 
 @pytest.mark.parametrize("z", ["nan", "inf,0"])

@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochjac.exactmath import (
-    BiPoly,
     CRational,
     I,
     RatPoly,
-    bipoly_gcd,
-    bipoly_squarefree_part,
     chebyshev,
     det_field,
     det_poly,
@@ -23,7 +20,8 @@ from blochjac.exactmath import (
     resultant,
     squarefree_decomposition,
 )
-from blochjac.spectral import build_char_determinant
+from blochjac.fixtures import free_operator
+from blochjac.spectral import build_char_determinant, char_determinant, resonance_poly, surface_poly
 
 
 def rationals(max_num=4, dens=(1, 2, 3)):
@@ -166,61 +164,52 @@ def test_discriminant_multiplicative(fc, gc):
 
 
 def test_bipoly_eval_examples():
-    D = BiPoly([RatPoly([1]), RatPoly([0, -1]), RatPoly([1])], "tau")  # tau^2 - z*tau + 1
+    D = (RatPoly([1]), RatPoly([0, -1]), RatPoly([1]))  # tau^2 - z*tau + 1 by its tau-coefficients
 
     def at(tau0):  # D(z, tau0), Horner in tau
         out = RatPoly.zero()
-        for c in reversed(D.coeffs):
+        for c in reversed(D):
             out = out * tau0 + c
         return out
 
     assert at(1) == RatPoly([2, -1])
     assert at(-1) == RatPoly([2, 1])
     assert at(I) == RatPoly([0, CRational(0, -1)])  # i^2 + 1 = 0 leaves -i*z
-    assert [c(0) for c in D.coeffs] == [1, 0, 1]
+    assert [c(0) for c in D] == [1, 0, 1]
 
 
 def test_bipoly_arithmetic_and_subs():
-    tau = BiPoly((0, 1), "tau")
-    D = tau * tau - RatPoly([0, 1]) * tau + 1
-    assert D == BiPoly([RatPoly([1]), RatPoly([0, -1]), RatPoly([1])], "tau")
-    nu = BiPoly((0, 1), "nu")
+    # free(2, 2) has Phi = (nu - b)^2 with b = z^2/2 - 1: its nu-coefficients
+    # expand the square, and substituting z = x gives (nu - b(x))^2 exactly
     branch = RatPoly([-1, 0, Fraction(1, 2)])
-    phi = (nu - branch) ** 2
-    assert phi == BiPoly([branch * branch, branch * -2, RatPoly([1])], "nu")
+    sp = surface_poly(char_determinant(free_operator(2, 2)))
+    assert sp.phi == (RatPoly([1]), branch * -2, branch * branch)
+    for x in (Fraction(-3), Fraction(1, 2), Fraction(5, 3)):
+        factor = RatPoly([-branch(x), 1], "nu")
+        assert sp.nu_poly_at(x) == factor * factor
 
 
 def test_laurent_bipoly_round_trip():
     # D / (c tau) = q[0] + q[1] (tau + 1/tau), and D comes back from q
-    D = BiPoly([RatPoly([1]), RatPoly([0, -1]), RatPoly([1])], "tau")
-    cd = build_char_determinant(D, 1, 1, None)
+    xi = (RatPoly([1]), RatPoly([0, -1]), RatPoly([1]))
+    cd = build_char_determinant(xi, 1, 1, None)
     assert cd.c == -1
     assert cd.q == (RatPoly([0, 1]), RatPoly([-1]))
-    assert BiPoly([cd.q[abs(i - 1)] * cd.c for i in range(3)], "tau") == D
+    assert tuple(cd.q[abs(i - 1)] * cd.c for i in range(3)) == xi
     assert cd.section(0) == RatPoly([0, 1])  # tau = i: i + 1/i = 0, so only z survives
 
 
 def test_bipoly_resultant_discriminant():
-    nu = BiPoly((0, 1), "nu")
     z = RatPoly([0, 1], "z")
-    # Phi = (nu - z)(nu + z) = nu^2 - z^2: discriminant 4z^2
-    phi = (nu - z) * (nu + z)
-    assert discriminant(phi) == RatPoly([0, 0, 4])
-    # repeated branch: discriminant vanishes identically
-    phi2 = (nu - z) ** 2
-    assert discriminant(phi2).is_zero()
-    assert resultant(nu - z, nu + z) == RatPoly([0, 2])
-
-
-def test_bipoly_gcd_and_deflation():
-    nu = BiPoly((0, 1), "nu")
-    z = RatPoly([0, 1], "z")
-    f = (nu - z) ** 2 * (nu + 1)
-    g = bipoly_gcd(f, f.derivative_outer())
-    assert g == (nu - z)
-    assert bipoly_squarefree_part(f) == (nu - z) * (nu + 1)
-    sf = bipoly_squarefree_part((nu - RatPoly([-1, 0, Fraction(1, 2)])) ** 2)
-    assert sf == nu - RatPoly([-1, 0, Fraction(1, 2)])
+    # Phi = nu^2 - z^2 = (nu - z)(nu + z), from D = (2 tau)^2 Phi: discriminant 4z^2
+    xi = (RatPoly([1]), RatPoly.zero("z"), 2 - 4 * z * z, RatPoly.zero("z"), RatPoly([1]))
+    assert resonance_poly(surface_poly(build_char_determinant(xi, 1, 2, None))) == (
+        RatPoly([0, 0, 4]), False)
+    # repeated branch Phi = (nu - z)^2: the discriminant vanishes identically,
+    # and the squarefree part nu - z has no branch points
+    xi = (RatPoly([1]), -4 * z, 2 + 4 * z * z, -4 * z, RatPoly([1]))
+    assert resonance_poly(surface_poly(build_char_determinant(xi, 1, 2, None))) == (
+        RatPoly([1]), True)
 
 
 def test_det_helpers():

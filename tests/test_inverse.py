@@ -218,7 +218,7 @@ def test_recover_free_scalar_by_hand():
     assert rec.q[0] == pytest.approx((-2, 0, 1))
     assert rec.q[1] == pytest.approx((-1, 0, 0))
     snapped = snap_to_rational(rec)
-    assert snapped.D == char_determinant(free_operator(2, 1)).D
+    assert snapped.xi == char_determinant(free_operator(2, 1)).xi
 
 
 @pytest.mark.parametrize("rule", ["ascending", "descending", "random"])
@@ -235,7 +235,7 @@ def test_recover_free_scalar_by_hand():
 def test_round_trip_exact_after_snap(op, m, rule):
     direct = char_determinant(op)
     rec = recover_determinant(data_for(op, m, rule, seed=7))
-    assert snap_to_rational(rec).D == direct.D
+    assert snap_to_rational(rec).xi == direct.xi
 
 
 @pytest.mark.parametrize("seed,p,m", [(21, 2, 2), (33, 3, 1), (5, 2, 3)])

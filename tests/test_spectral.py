@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochjac.spectral as spectral_mod
-from blochjac.exactmath import BiPoly, I, RatPoly, chebyshev, discriminant
+from blochjac.exactmath import I, RatPoly, chebyshev, discriminant, squarefree_decomposition
 from blochjac.fixtures import (
     example2_const,
     example3,
@@ -22,6 +22,7 @@ from blochjac.fixtures import (
 )
 from blochjac.numerics import hermitian_eigs
 from blochjac.operators import (
+    PeriodicOperator,
     charpoly,
     floquet_matrix,
     floquet_matrix_exact,
@@ -52,15 +53,22 @@ def zpoly(*coeffs):
     return RatPoly(coeffs, "z")
 
 
-def free_block(p):
-    """tau^2 + 1 - 2 tau T_p(z/2), the single-band building block."""
+def free_block(p, tau0):
+    """tau0^2 + 1 - 2 tau0 T_p(z/2), the single-band building block at tau = tau0."""
     half_z = zpoly(0, Fraction(1, 2))
-    return BiPoly((RatPoly.one("z"), chebyshev(p)(half_z) * (-2), RatPoly.one("z")), outer="tau")
+    return chebyshev(p)(half_z) * (-2 * tau0) + (tau0 * tau0 + 1)
+
+
+def d_at(cd, tau0):
+    """D(z, tau0) by Horner in tau: xi[j] is the coefficient of tau^(2m-j)."""
+    out = RatPoly.zero("z")
+    for f in cd.xi:
+        out = out * tau0 + f
+    return out
 
 
 def test_char_determinant_minimal_free():
     cd = char_determinant(free_operator(1, 1))
-    assert cd.D == BiPoly((RatPoly.one("z"), zpoly(0, -1), RatPoly.one("z")), outer="tau")
     assert cd.xi == (RatPoly.one("z"), zpoly(0, -1), RatPoly.one("z"))
     assert cd.c == -1
 
@@ -68,7 +76,10 @@ def test_char_determinant_minimal_free():
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_char_determinant_free_formula(p, m):
     cd = char_determinant(free_operator(p, m))
-    assert cd.D == free_block(p) ** m
+    # both sides have tau-degree 2m, so 2m + 1 values of tau decide equality
+    for k in range(2 * m + 1):
+        tau0 = Fraction(2 * k - 1, 3)
+        assert d_at(cd, tau0) == free_block(p, tau0) ** m
     assert cd.c == (-1) ** m
 
 
@@ -129,10 +140,7 @@ def test_surface_poly_identity(seed, p, m, tau):
     phi_at = RatPoly.zero("z")
     for f in sp.phi:
         phi_at = phi_at * nu + f
-    d_at = RatPoly.zero("z")
-    for f in reversed(cd.D.coeffs):
-        d_at = d_at * tau + f
-    assert phi_at * (2 * tau) ** m == d_at
+    assert phi_at * (2 * tau) ** m == d_at(cd, tau)
 
 
 def test_surface_poly_example3_branch_product():
@@ -408,6 +416,39 @@ def test_dual_route_tamper_detected(monkeypatch):
     assert seen[0] != modified_monodromy(op, seen[0])
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 50),
+    st.sampled_from([(p, m) for p in (1, 2, 3) for m in (1, 2, 3)] + [(2, 4)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(lambda x: x.denominator > 1),
+)
+def test_resonance_poly_is_the_pointwise_discriminant(seed, shape, x):
+    # rho is interpolated from integer points, so non-integer x checks its degree bound
+    sp = surface_poly(char_determinant(random_operator(seed, *shape)))
+    rho, degenerate = resonance_poly(sp)
+    assert not degenerate
+    want = discriminant(sp.nu_poly_at(x)) if sp.m > 1 else 1
+    assert rho(x) == want
+
+
+def partially_degenerate_operator():
+    """p = 2, m = 3, a = I, b_1 = diag(0, 0, 2), b_2 = 0: two free channels and one shifted."""
+    ident = [[Fraction(i == j) for j in range(3)] for i in range(3)]
+    b1 = [[Fraction(0)] * 3 for _ in range(3)]
+    b1[2][2] = Fraction(2)
+    return PeriodicOperator([ident, ident], [b1, [[Fraction(0)] * 3 for _ in range(3)]])
+
+
+def test_resonance_poly_partial_degeneracy_skips_unlucky_points():
+    # Phi = (nu - D0)^2 (nu - D2) with D0 = (z^2 - 2)/2 and D2 = (z^2 - 2z - 2)/2,
+    # so the deflated rho is (D0 - D2)^2 = z^2. At the centre sample z = 0 all
+    # three branches meet, so that point must not set the degree
+    sp = surface_poly(char_determinant(partially_degenerate_operator()))
+    ((_, k),) = squarefree_decomposition(sp.nu_poly_at(Fraction(0)))
+    assert k == 3
+    assert resonance_poly(sp) == (zpoly(0, 0, 1), True)
+
+
 def test_free_operator_2_8_resonance_poly_is_degenerate_one():
     rho, degenerate = resonance_poly(surface_poly(char_determinant(free_operator(2, 8))))
     assert rho == RatPoly.one("z") and degenerate
@@ -423,12 +464,14 @@ def test_char_determinant_4_4_floquet_identity():
 
 def test_build_char_determinant_rejects_bad_shapes():
     one = RatPoly.one("z")
-    with pytest.raises(InternalConsistencyError):
-        build_char_determinant(BiPoly((zpoly(2), zpoly(0, -1), one), outer="tau"), 1, 1, None)
-    with pytest.raises(InternalConsistencyError):
-        build_char_determinant(BiPoly((one, zpoly(0, 0, -1), one), outer="tau"), 1, 1, None)
-    with pytest.raises(InternalConsistencyError):
-        build_char_determinant(BiPoly((one, RatPoly.zero("z"), one), outer="tau"), 1, 1, None)
+    with pytest.raises(InternalConsistencyError, match="tau-degree 1"):
+        build_char_determinant((one, zpoly(0, -1)), 1, 1, None)
+    with pytest.raises(InternalConsistencyError, match="palindrome"):
+        build_char_determinant((one, zpoly(0, -1), zpoly(2)), 1, 1, None)
+    with pytest.raises(InternalConsistencyError, match="exceeds"):
+        build_char_determinant((one, zpoly(0, 0, -1), one), 1, 1, None)
+    with pytest.raises(InternalConsistencyError, match="deg xi_m"):
+        build_char_determinant((one, RatPoly.zero("z"), one), 1, 1, None)
 
 
 def _status(report, name):
