@@ -29,7 +29,7 @@ from .inverse import (
     snap_to_rational,
 )
 from .numerics import RootFindingError
-from .operators import PeriodicOperator, validate
+from .operators import PeriodicOperator
 from .spectral import (
     InternalConsistencyError,
     band_structure,
@@ -136,11 +136,7 @@ def operator_from_document(doc) -> PeriodicOperator:
           for i, row in enumerate(mat)] for n, mat in enumerate(a_raw)]
     b = [[[_rational(x, f"b[{n}][{i}][{j}]") for j, x in enumerate(row)]
           for i, row in enumerate(mat)] for n, mat in enumerate(b_raw)]
-    op = PeriodicOperator(a, b)
-    problems = validate(op)
-    if problems:
-        raise InputError("invalid operator: " + "; ".join(problems))
-    return op
+    return PeriodicOperator(a, b)
 
 
 def operator_to_document(op: PeriodicOperator) -> dict:
@@ -237,16 +233,19 @@ def cmd_resonances(args) -> int:
 def _at_least(low, flag):
     """argparse type for an int flag that must be at least low.
 
-    It raises InputError, which argparse lets through, so main reports the
-    flag like any other bad input.
+    No list or grid can be indexed past sys.maxsize, so larger values are
+    refused too. It raises InputError, which argparse lets through, so main
+    reports the flag like any other bad input.
     """
     def parse(text: str):
         try:
             value = int(text)
         except ValueError as exc:
             raise InputError(f"{flag}: {exc}") from exc
-        if not (math.isfinite(value) and value >= low):
-            raise InputError(f"{flag} must be finite and at least {low}, got {text}")
+        if value < low:
+            raise InputError(f"{flag} must be at least {low}, got {text}")
+        if value > sys.maxsize:
+            raise InputError(f"{flag} must be at most {sys.maxsize}, got {text}")
         return value
     return parse
 

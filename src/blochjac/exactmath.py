@@ -498,8 +498,8 @@ def det_poly(rows):
     return interpolate(xs, [det_field([[e(x) for e in row] for row in rows]) for x in xs], var)
 
 
-def mat_identity(n, one=Fraction(1), zero=Fraction(0)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def mat_identity(n):
+    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A, B):

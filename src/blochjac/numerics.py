@@ -66,13 +66,13 @@ def _residual_scale(cs, x):
     return max(s, 1e-300)
 
 
-def roots_all(f, rel_tol=DEFAULT_REL_TOL, max_iter=MAX_ITER):
+def roots_all(f):
     """All complex roots of f (RatPoly or ascending coefficient sequence).
 
     Aberth-Ehrlich simultaneous iteration started on a circle of radius
-    1 + max|c_k/c_n|; stops when every point stagnates, then enforces
-    |f(r)| <= rel_tol * sum|c_k||r|^k. Exact zero roots are factored out
-    first. Output sorted by (re, im).
+    1 + max|c_k/c_n| for at most MAX_ITER sweeps; stops when every point
+    stagnates, then enforces |f(r)| <= DEFAULT_REL_TOL * sum|c_k||r|^k.
+    Exact zero roots are factored out first. Output sorted by (re, im).
     """
     cs = _as_complex_coeffs(f)
     if len(cs) < 2:
@@ -89,7 +89,7 @@ def roots_all(f, rel_tol=DEFAULT_REL_TOL, max_iter=MAX_ITER):
     radius = 1.0 + max(abs(c) for c in mon[:-1]) if n > 0 else 1.0
     pts = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     locked = [False] * n
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         moved = False
         for j in range(n):
             if locked[j]:
@@ -125,11 +125,11 @@ def roots_all(f, rel_tol=DEFAULT_REL_TOL, max_iter=MAX_ITER):
         res = abs(_poly_and_deriv(cs, r)[0])
         residuals.append(res)
         # written so that a NaN residual fails the contract
-        if not res <= rel_tol * _residual_scale(cs, r):
+        if not res <= DEFAULT_REL_TOL * _residual_scale(cs, r):
             bad = True
     if bad:
         raise RootFindingError(
-            f"root refinement did not meet the residual contract (rel_tol={rel_tol})",
+            f"root refinement did not meet the residual contract (rel_tol={DEFAULT_REL_TOL})",
             best=sorted(pts, key=lambda r: (r.real, r.imag)),
             residuals=residuals,
         )

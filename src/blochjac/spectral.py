@@ -33,10 +33,9 @@ from .operators import (
     charpoly,
     floquet_matrix,
     floquet_matrix_exact,
+    is_symplectic,
     modified_monodromy,
     monodromy,
-    require_valid,
-    symplectic_defect,
     trace_powers,
 )
 
@@ -59,8 +58,8 @@ class CharDeterminant(NamedTuple):
     ascending in tau. c is the leading constant. q[j] = xi[m-j] / c, so
     that D / (c tau^m) = q[0] + sum_j q[j] (tau^j + tau^-j), monic of
     degree pm in z. p and m are the periods, and M is the normalized
-    monodromy matrix D was computed from (None when D came from spectral
-    data).
+    monodromy matrix D was computed from, a nested list of RatPoly in z
+    (None when D came from spectral data).
     """
 
     xi: tuple
@@ -236,14 +235,13 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     recursion xi_s = -(1/s) * sum_{j<s} T_{s-j} xi_j and mirrors them
     across the palindrome.
     """
-    require_valid(op)
     m = op.m
     Mp = monodromy(op)
     M = modified_monodromy(op, Mp)
     pm = op.p * m
     xs = range(-(pm // 2), pm - pm // 2 + 1)
     # det(M - tau I) = det(tau I - M) because M has even size 2m
-    pointwise = [charpoly([[e(x) for e in row] for row in M.rows]) for x in xs]
+    pointwise = [charpoly([[e(x) for e in row] for row in M]) for x in xs]
     by_tau = tuple(interpolate(xs, [f.coeff(k) for f in pointwise], "z") for k in range(2 * m + 1))
 
     traces = trace_powers(Mp, m)
@@ -493,7 +491,6 @@ def band_structure(op: PeriodicOperator, grid: int = DEFAULT_GRID) -> BandStruct
     is the number of real Lyapunov branches inside [-1, 1] at its midpoint.
     The result is cross-validated against Floquet eigenvalues on a grid.
     """
-    require_valid(op)
     cd = char_determinant(op)
     sp = surface_poly(cd)
     bs = band_structure_from_char(cd, sp)
@@ -672,7 +669,6 @@ def verify_identities(op: PeriodicOperator) -> list:
     p = 2 the first power of tau survives in Tr L^2, so those cases are
     reported as not applicable exactly where the cancellation fails.
     """
-    require_valid(op)
     p, m = op.p, op.m
     pm = p * m
     report = []
@@ -681,10 +677,10 @@ def verify_identities(op: PeriodicOperator) -> list:
         cd = char_determinant(op)
     except InternalConsistencyError as exc:
         M = modified_monodromy(op, monodromy(op))
-        report.append(_check("symplectic-normalization", symplectic_defect(M).is_zero()))
+        report.append(_check("symplectic-normalization", is_symplectic(M)))
         report.append(_check("palindrome-and-dual-route", False, detail=str(exc)))
         return report
-    report.append(_check("symplectic-normalization", symplectic_defect(cd.M).is_zero()))
+    report.append(_check("symplectic-normalization", is_symplectic(cd.M)))
     report.append(_check("palindrome-and-dual-route", True))
     sp = surface_poly(cd)
 

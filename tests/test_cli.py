@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from blochjac import cli, operators, spectral
-from blochjac.fixtures import example3, example4
+from blochjac.fixtures import example3, example4, random_operator
 from blochjac.spectral import IdentityCheck
 
 
@@ -316,6 +316,18 @@ def test_example_free_rejects_zero_sizes(capsys, flag):
     assert run_error(capsys, ["example", "free", flag, "0"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--p", "--m", "--grid"])
+def test_int_flags_refuse_values_past_sys_maxsize(capsys, flag):
+    # no list or grid can be indexed that far; the flag is named either way
+    argv = ["bands", "-"] if flag == "--grid" else ["example", "free"]
+    code, line = run_error_line(capsys, argv + [flag, "1" + "0" * 400])
+    assert code == 2 and line.startswith(f"error: {flag} must be at most {sys.maxsize}, got 1000")
+    parse = cli._at_least(1, flag)
+    assert parse(str(sys.maxsize)) == sys.maxsize
+    with pytest.raises(cli.InputError, match=f"^{flag} must be at most"):
+        parse(str(sys.maxsize + 1))
+
+
 def test_operator_document_rejects_empty_blocks(tmp_path, capsys):
     path = write_json(tmp_path, {"p": 2, "m": 0, "a": [[], []], "b": [[], []]}, "m0.json")
     assert run_error(capsys, ["bands", path]) == 2
@@ -432,3 +444,25 @@ def test_each_command_builds_the_monodromy_once(tmp_path, capsys, monkeypatch, c
     code, _ = run_cli(capsys, argv)
     assert code == 0
     assert counts == {"monodromy": 1}
+
+
+@pytest.mark.parametrize("command", ["bands", "resonances", "verify", "lyapunov"])
+def test_each_command_checks_the_operator_hypotheses_once(tmp_path, capsys, monkeypatch, command):
+    # a check of the hypotheses takes det a_n for every n, so the
+    # determinants of a_1 taken in operators count the checks
+    op = random_operator(1, 3, 3)
+    path = write_json(tmp_path, cli.operator_to_document(op), "op.json")
+    a1 = [list(row) for row in op.a[0]]
+    original = operators.det_field
+    checks = []
+
+    def counted(mat):
+        if [list(row) for row in mat] == a1:
+            checks.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(operators, "det_field", counted)
+    argv = [command, path] + (["--z", "0.5"] if command == "lyapunov" else [])
+    code, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert len(checks) == 1

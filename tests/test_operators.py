@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blochjac.exactmath import I as IMAG
-from blochjac.exactmath import RatPoly, det_poly, mat_transpose
+from blochjac.exactmath import CRational, RatPoly, det_poly, mat_mul
 from blochjac.fixtures import (
     example1_diag,
     free_operator,
@@ -14,66 +14,76 @@ from blochjac.fixtures import (
 )
 from blochjac.numerics import hermitian_eigs
 from blochjac.operators import (
-    MatrixPoly,
     PeriodicOperator,
     charpoly,
     floquet_matrix,
     floquet_matrix_exact,
+    is_symplectic,
     modified_monodromy,
     monodromy,
-    symplectic_defect,
     trace_powers,
     transfer_matrix,
-    validate,
 )
 
 Z = RatPoly([0, 1])
 
 
 def test_validate_free_ok():
-    assert validate(free_operator(2, 2)) == []
+    # a_n need not be symmetric, only invertible
+    op = PeriodicOperator([[[1, 2], [0, 1]]], [[[0, 1], [1, 0]]])
+    assert op.a == (((1, 2), (0, 1)),)
 
 
 def test_validate_reports_asymmetric_b():
-    op = PeriodicOperator([[[1, 0], [0, 1]]], [[[0, 1], [2, 0]]])
-    assert validate(op) == ["b not symmetric at n=1"]
+    with pytest.raises(ValueError, match=r"^invalid operator: b not symmetric at n=1$"):
+        PeriodicOperator([[[1, 0], [0, 1]]], [[[0, 1], [2, 0]]])
 
 
 def test_validate_reports_singular_a():
-    op = PeriodicOperator([[[1, 0], [0, 0]]], [[[0, 0], [0, 0]]])
-    assert validate(op) == ["det a_1 = 0"]
+    with pytest.raises(ValueError, match=r"^invalid operator: det a_1 = 0$"):
+        PeriodicOperator([[[1, 0], [0, 0]]], [[[0, 0], [0, 0]]])
+
+
+def test_validate_reports_every_violation():
+    ident, sing = [[1, 0], [0, 1]], [[1, 2], [2, 4]]
+    asym, zero = [[0, 3], [0, 0]], [[0, 0], [0, 0]]
+    with pytest.raises(ValueError) as ei:
+        PeriodicOperator([ident, sing, sing], [zero, asym, asym])
+    assert str(ei.value) == (
+        "invalid operator: b not symmetric at n=2; b not symmetric at n=3; det a_2 = 0; det a_3 = 0"
+    )
 
 
 def test_transfer_matrix_p1_m1_free():
     T = transfer_matrix(free_operator(1, 1), 1)
-    assert T == MatrixPoly([[0, 1], [-1, Z]])
+    assert T == [[0, 1], [-1, Z]]
 
 
 def test_transfer_matrix_p1_m1_scaled():
     op = scalar_operator([2], [1])
     T = transfer_matrix(op, 1)
     # a^{-1} a^T = 1 even with a = 2; a^{-1}(z - b) = (z-1)/2
-    assert T == MatrixPoly([[0, 1], [-1, RatPoly([Fraction(-1, 2), Fraction(1, 2)])]])
+    assert T == [[0, 1], [-1, RatPoly([Fraction(-1, 2), Fraction(1, 2)])]]
 
 
 def test_transfer_matrix_m2_diagonal():
     op = PeriodicOperator([[[1, 0], [0, 1]]], [[[2, 0], [0, 3]]])
     T = transfer_matrix(op, 1)
-    assert T.rows[2][2] == RatPoly([-2, 1])
-    assert T.rows[3][3] == RatPoly([-3, 1])
-    assert T.rows[2][3].is_zero() and T.rows[3][2].is_zero()
-    assert T.rows[2][0] == RatPoly([-1])
+    assert T[2][2] == RatPoly([-2, 1])
+    assert T[3][3] == RatPoly([-3, 1])
+    assert T[2][3].is_zero() and T[3][2].is_zero()
+    assert T[2][0] == RatPoly([-1])
 
 
 def test_monodromy_free_p1():
-    assert monodromy(free_operator(1, 1)) == MatrixPoly([[0, 1], [-1, Z]])
+    assert monodromy(free_operator(1, 1)) == [[0, 1], [-1, Z]]
 
 
 def test_monodromy_free_p2():
     M = monodromy(free_operator(2, 1))
-    assert M == MatrixPoly([[-1, Z], [-Z, RatPoly([-1, 0, 1])]])
+    assert M == [[-1, Z], [-Z, RatPoly([-1, 0, 1])]]
     # leading z^2 block: bottom-right entry 1 = A_2
-    assert [[M.rows[i][j].coeff(2) for j in range(2)] for i in range(2)] == [[0, 0], [0, 1]]
+    assert [[M[i][j].coeff(2) for j in range(2)] for i in range(2)] == [[0, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("seed,p,m", [(1, 2, 2), (2, 3, 2), (3, 2, 3), (4, 1, 2)])
@@ -83,30 +93,32 @@ def test_monodromy_degree_and_leading_block(seed, p, m):
     Ap = op.a_product_inverse()
     for i in range(2 * m):
         for j in range(2 * m):
-            assert M.rows[i][j].degree <= p
+            assert M[i][j].degree <= p
             want = Ap[i - m][j - m] if (i >= m and j >= m) else 0
-            assert M.rows[i][j].coeff(p) == want
+            assert M[i][j].coeff(p) == want
 
 
 def test_modified_monodromy_symplectic_exact():
     op = scalar_operator([2], [0])
-    assert symplectic_defect(modified_monodromy(op, monodromy(op))).is_zero()
+    assert is_symplectic(modified_monodromy(op, monodromy(op)))
+    assert not is_symplectic([[2, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("seed,p,m", [(5, 2, 2), (6, 3, 3), (7, 1, 3)])
 def test_modified_monodromy_symplectic_and_det(seed, p, m):
     op = random_operator(seed, p, m)
     M = modified_monodromy(op, monodromy(op))
-    assert symplectic_defect(M).is_zero()
-    assert det_poly(M.rows) == RatPoly([1])
+    assert is_symplectic(M)
+    assert det_poly(M) == RatPoly([1])
 
 
 def test_trace_powers_match_direct():
     op = random_operator(8, 2, 2)
     M = monodromy(op)
     t1, t2 = trace_powers(M, 2)
-    assert t1 == M.trace()
-    assert t2 == (M @ M).trace()
+    M2 = mat_mul(M, M)
+    assert t1 == sum((M[i][i] for i in range(4)), RatPoly.zero())
+    assert t2 == sum((M2[i][i] for i in range(4)), RatPoly.zero())
 
 
 def test_floquet_free_p2_m1():
@@ -141,11 +153,15 @@ def test_floquet_diagonal_decouples():
     assert np.allclose(eigs, sorted(s1 + s2), atol=1e-9)
 
 
-def test_floquet_exact_matches_float():
-    op = random_operator(9, 3, 2)
-    Lx = floquet_matrix_exact(op, 1)
-    Lf = floquet_matrix(op, 1)
-    assert np.allclose(np.array([[complex(v) for v in row] for row in Lx]), Lf)
+@pytest.mark.parametrize("seed,p,m", [(9, 1, 2), (9, 2, 2), (9, 3, 2), (11, 4, 1)])
+@pytest.mark.parametrize("tau", [Fraction(1), CRational(Fraction(3, 5), Fraction(4, 5))], ids=["1", "3+4i_5"])
+def test_floquet_exact_matches_float(seed, p, m, tau):
+    # p = 1 puts tau and 1/tau into one block; at p = 2 the corners overlap
+    # the off-diagonal blocks
+    op = random_operator(seed, p, m)
+    Lx = floquet_matrix_exact(op, tau)
+    Lf = floquet_matrix(op, complex(tau))
+    assert np.allclose(np.array([[complex(v) for v in row] for row in Lx]), Lf, rtol=0, atol=1e-12)
 
 
 def test_floquet_exact_gaussian_tau():
