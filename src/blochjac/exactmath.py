@@ -395,25 +395,80 @@ def gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     return a.monic()
 
 
+def _sqrt_minus_one(P):
+    c = 2
+    while pow(c, (P - 1) // 2, P) != P - 1:  # Euler's criterion: stop at a non-residue
+        c += 1
+    return pow(c, (P - 1) // 4, P)
+
+
+# Primes P = 1 (mod 4), each with a square root of -1 modulo P, so that
+# reduction modulo P maps Gaussian integers to GF(P) as well as integers.
+_CERTIFICATE = tuple((P, _sqrt_minus_one(P)) for P in (2**61 - 31, 2**61 - 259, 2**61 - 283))
+
+
+def _gcd_is_constant_mod(a, b, P):
+    """Whether gcd(a, b) over GF(P) is a nonzero constant; ascending lists, last entries nonzero."""
+    while b:
+        inv = pow(b[-1], -1, P)
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] * inv % P
+            off = len(a) - len(b)
+            for j, c in enumerate(b):
+                a[off + j] = (a[off + j] - q * c) % P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _squarefree_certificate(f: RatPoly):
+    """A prime P that proves f squarefree over Q(i), or None when no listed prime does.
+
+    With the denominators cleared once, f has Gaussian-integer coefficients,
+    and i maps to a square root of -1 modulo P. When P does not divide
+    n * lc(f), f mod P keeps its degree and f' mod P its degree n - 1, so
+    disc(f mod P) is disc(f) mod P. A constant gcd(f mod P, f' mod P) makes
+    that nonzero, hence disc(f) != 0 (Brown, J. ACM 18, 1971).
+    """
+    n = f.degree
+    parts = [(c.re, c.im) if isinstance(c, CRational) else (c, 0) for c in f.coeffs]
+    s = math.lcm(*(x.denominator for pair in parts for x in pair))
+    ints = [(a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
+            for a, b in parts]
+    for P, i in _CERTIFICATE:
+        fp = [(a + b * i) % P for a, b in ints]
+        if n * fp[-1] % P == 0:
+            continue
+        dfp = [k * c % P for k, c in enumerate(fp)][1:]
+        if _gcd_is_constant_mod(fp, dfp, P):
+            return P
+    return None
+
+
 def squarefree_decomposition(f: RatPoly) -> list[tuple[RatPoly, int]]:
-    """Yun's algorithm: monic, pairwise coprime g_k with f = lc(f) * prod g_k^k.
+    """Monic, pairwise coprime g_k with f = lc(f) * prod g_k^k.
 
     Returns [(g_k, k)] for the factors of degree >= 1, ascending in k.  Root
     multiplicities come out exactly, so callers never have to guess them from
-    clustered float approximations.
+    clustered float approximations.  A squarefree f, the usual case, is
+    proved so modulo a prime (see _squarefree_certificate) and returned as
+    [(f.monic(), 1)]; when no prime gives the proof, Yun's algorithm with
+    Euclid over Q splits f.
     """
     if f.is_zero():
         raise ValueError("squarefree decomposition of zero polynomial")
     f = f.monic()
-    out: list[tuple[RatPoly, int]] = []
     if f.degree < 1:
-        return out
-    if f.degree == 1:
+        return []
+    if f.degree == 1 or _squarefree_certificate(f) is not None:
         return [(f, 1)]
     df = f.derivative()
     a = gcd(f, df)
     b = f.exact_div(a)
     d = df.exact_div(a) - b.derivative()
+    out: list[tuple[RatPoly, int]] = []
     k = 1
     while b.degree > 0:
         g = gcd(b, d)

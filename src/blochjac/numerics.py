@@ -69,9 +69,12 @@ def _residual_scale(cs, x):
 def roots_all(f):
     """All complex roots of f (RatPoly or ascending coefficient sequence).
 
-    Aberth-Ehrlich simultaneous iteration started on a circle of radius
-    1 + max|c_k/c_n| for at most MAX_ITER sweeps; stops when every point
-    stagnates, then enforces |f(r)| <= DEFAULT_REL_TOL * sum|c_k||r|^k.
+    Aberth-Ehrlich simultaneous iteration started on a circle of the
+    Fujiwara radius 2 max_k |c_k/c_n|^(1/(n-k)), which encloses every root
+    and scales with them, so its n-th power stays in range where the
+    roots' own powers do (Bini, Numer. Algorithms 13, 1996). At most
+    MAX_ITER sweeps; stops when every point stagnates, then enforces
+    |f(r)| <= DEFAULT_REL_TOL * sum|c_k||r|^k.
     Exact zero roots are factored out first. Output sorted by (re, im).
     """
     cs = _as_complex_coeffs(f)
@@ -86,7 +89,7 @@ def roots_all(f):
         return sorted(zeros, key=lambda r: (r.real, r.imag))
     lead = cs[-1]
     mon = [c / lead for c in cs]
-    radius = 1.0 + max(abs(c) for c in mon[:-1]) if n > 0 else 1.0
+    radius = 2 * max(abs(c) ** (1.0 / (n - k)) for k, c in enumerate(mon[:-1]))
     pts = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     locked = [False] * n
     for _ in range(MAX_ITER):

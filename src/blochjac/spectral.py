@@ -300,9 +300,14 @@ def lyapunov_at(sp: SurfacePoly, z) -> list:
     """The m branch values of nu at z, sorted by (re, im), with real flags.
 
     Phi(z, .) is exact and its repeated roots are split off first, see
-    _branch_values_exact.
+    _branch_values_exact. At a real z, Phi(z, .) is real: near-real values
+    are snapped to the axis and conjugate values share one real part, so
+    the order of a conjugate pair does not rest on rounding.
     """
-    vals = sorted(_branch_values_exact(sp, z), key=lambda w: (w.real, w.imag))
+    vals = _branch_values_exact(sp, z)
+    if not (isinstance(z, complex) and z.imag):
+        vals = _conjugate_symmetrize(vals)
+    vals = sorted(vals, key=lambda w: (w.real, w.imag))
     return [LyapunovBranch(v, abs(v.imag) <= REAL_TOL) for v in vals]
 
 
@@ -313,10 +318,19 @@ def multipliers_at(branches) -> list:
     tau^2 - 2 nu_j tau + 1 = 0 for a Lyapunov branch nu_j, in the same
     order, and the pair product is 1 by construction. z lies in the
     spectrum exactly when some |tau_j| = 1.
+
+    For a real branch in [-1, 1] the pair is nu -/+ i sqrt(1 - nu^2) on the
+    unit circle, negative imaginary part first; its real parts agree
+    exactly, so sorting would leave the order to rounding. Other pairs are
+    sorted by (re, im).
     """
     pairs = []
     for b in branches:
         nu = b.value
+        if b.real and -1 <= nu.real <= 1:
+            s = cmath.sqrt(1 - nu * nu)
+            pairs.append((nu - 1j * s, nu + 1j * s))
+            continue
         s = cmath.sqrt(nu * nu - 1)
         t = nu + s if abs(nu + s) >= abs(nu - s) else nu - s
         pair = sorted((t, 1 / t), key=lambda w: (w.real, w.imag))
@@ -647,11 +661,9 @@ def _frobenius_sq(mat):
     return sum(x * x for row in mat for x in row)
 
 
-def _float(x, what) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        raise ValueError(f"{what} is beyond the float range") from None
+def _log10(x: Fraction) -> float:
+    """log10 of a positive Fraction of any size."""
+    return math.log10(x.numerator) - math.log10(x.denominator)
 
 
 def verify_identities(op: PeriodicOperator) -> list:
@@ -726,16 +738,19 @@ def verify_identities(op: PeriodicOperator) -> list:
         det_prod = Fraction(1)
         for n in range(1, p + 1):
             det_prod *= det_field(op.a_at(n))
-        rhs = 2 * pm * _float(det_prod * det_prod, "moment-2-lower-bound: det^2") ** (1.0 / pm)
-        sum2 = _float(target2, "moment-2-lower-bound: sum of squared entries")
-        report.append(
-            _check(
-                "moment-2-lower-bound",
-                sum2 >= rhs - 1e-9,
-                residual=sum2 - rhs,
-                detail=f"sum {sum2} vs bound {rhs}",
-            )
-        )
+        # sum >= 2pm (det^2)^(1/pm), decided exactly in its pm-th power
+        det_sq = det_prod * det_prod
+        ok = (target2 / (2 * pm)) ** pm >= det_sq
+        try:
+            sum2 = float(target2)
+            rhs = 2 * pm * float(det_sq) ** (1.0 / pm)
+            residual, detail = sum2 - rhs, f"sum {sum2} vs bound {rhs}"
+        except OverflowError:
+            log_sum = _log10(target2)
+            log_rhs = math.log10(2 * pm) + _log10(det_sq) / pm
+            residual = 0.0
+            detail = f"beyond the float range: log10 sum {log_sum:.6f} vs log10 bound {log_rhs:.6f}"
+        report.append(_check("moment-2-lower-bound", ok, residual=residual, detail=detail))
     else:
         report.append(_na("moment-2-lower-bound", "stated for period >= 2"))
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from blochjac import cli, operators, spectral
+from blochjac import cli, exactmath, operators, spectral
 from blochjac.fixtures import example3, example4, random_operator
 from blochjac.spectral import IdentityCheck
 
@@ -403,10 +403,10 @@ def test_recover_refuses_coerced_or_non_finite_numbers(tmp_path, capsys, where, 
 
 
 def count_calls(monkeypatch, *names):
-    """Count calls of spectral or operators functions through every blochjac module that binds them."""
+    """Count calls of spectral, operators or exactmath functions through every blochjac module that binds them."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(spectral, name, None) or getattr(operators, name)
+        original = next(vars(mod)[name] for mod in (spectral, operators, exactmath) if name in vars(mod))
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -466,3 +466,54 @@ def test_each_command_checks_the_operator_hypotheses_once(tmp_path, capsys, monk
     code, _ = run_cli(capsys, argv)
     assert code == 0
     assert len(checks) == 1
+
+
+def test_band_structure_runs_no_euclid_over_q_on_squarefree_inputs(monkeypatch):
+    # the sections, rho and every sampled Phi(x, .) are squarefree here, and
+    # the modular certificate proves it without a gcd over Q
+    cd = spectral.char_determinant(random_operator(1, 3, 3))
+    sp = spectral.surface_poly(cd)
+    counts = count_calls(monkeypatch, "gcd")
+    spectral.band_structure_from_char(cd, sp)
+    assert counts == {"gcd": 0}
+
+
+def test_lyapunov_runs_no_euclid_over_q_on_squarefree_inputs(monkeypatch):
+    sp = spectral.surface_poly(spectral.char_determinant(random_operator(1, 3, 3)))
+    counts = count_calls(monkeypatch, "gcd")
+    for k in range(50):
+        spectral.lyapunov_at(sp, complex(-3 + 6 * k / 49, 0.0))
+    assert counts == {"gcd": 0}
+
+
+@pytest.mark.parametrize("shape", [(1, 16, 1), (1, 3, 3)])
+def test_lyapunov_order_within_pairs_does_not_rest_on_rounding(tmp_path, capsys, shape):
+    path = write_json(tmp_path, cli.operator_to_document(random_operator(*shape)), "op.json")
+    points = run_json(capsys, ["lyapunov", path, "--z-grid=-3:3:2000"])["payload"]["points"]
+    on_circle = 0
+    for point in points:
+        for mult in point["multipliers"]:
+            if any(mult["on_circle"]):
+                on_circle += 1
+                (_, first), (_, second) = mult["pair"]
+                assert first <= 0 <= second
+        # z is real: a conjugate pair of branches shares one real part and
+        # lists its negative imaginary member first
+        values = [complex(*b["value"]) for b in point["branches"]]
+        upper = [v for v in values if v.imag > 0]
+        assert all(v.conjugate() in values for v in upper)
+        assert all(values.index(v.conjugate()) + 1 == values.index(v) for v in upper)
+    assert on_circle >= 100
+
+
+def test_huge_couplings_pass_bands_and_verify(tmp_path, capsys):
+    # det(a_1 a_2)^2 = 1e400 is beyond the float range, and the second-moment
+    # bound holds with equality; bands needs roots of modulus 2e100
+    doc = {"p": 2, "m": 1, "a": [[["1e100"]], [["1e100"]]], "b": [[["0"]], [["0"]]]}
+    path = write_json(tmp_path, doc, "huge.json")
+    segments = run_json(capsys, ["bands", path])["payload"]["segments"]
+    assert segments == [[-2e100, 2e100, 1]]
+    payload = run_json(capsys, ["verify", path])["payload"]
+    assert payload["all_pass"] is True
+    (bound,) = [c for c in payload["checks"] if c["name"] == "moment-2-lower-bound"]
+    assert bound["status"] == "pass" and "beyond the float range" in bound["detail"]

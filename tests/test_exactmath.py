@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochjac import exactmath
 from blochjac.exactmath import (
     CRational,
     I,
@@ -135,6 +137,93 @@ def test_squarefree_decomposition_rebuilds(roots, extra_mult):
     for g, k in squarefree_decomposition(f):
         rebuilt = rebuilt * g**k
     assert rebuilt == f.monic()
+
+
+def _monic_sqf_list(f: RatPoly):
+    """sympy's squarefree factorization of f as [(monic ascending coefficients, k)]."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(f.coeffs)), x, domain="QQ").sqf_list()
+    return sorted(([Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())], k)
+                  for g, k in factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-4, 4), min_size=2, max_size=4),
+    st.lists(st.integers(-4, 4), min_size=2, max_size=3),
+    st.integers(min_value=1, max_value=3),
+)
+def test_squarefree_decomposition_matches_sympy(gc, hc, k):
+    g, h = RatPoly(gc), RatPoly(hc)
+    if g.degree < 1 or h.degree < 1:
+        return
+    f = g * h**k
+    got = sorted((list(part.coeffs), mult) for part, mult in squarefree_decomposition(f))
+    assert got == _monic_sqf_list(f)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin: the first twelve prime bases decide every n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_certificate_primes_are_primes_with_a_square_root_of_minus_one():
+    assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1) and not _is_prime(561)
+    assert len(exactmath._CERTIFICATE) >= 2
+    for P, i in exactmath._CERTIFICATE:
+        assert _is_prime(P) and P % 4 == 1
+        assert i * i % P == P - 1
+
+
+def test_certificate_skips_an_unlucky_first_prime():
+    z = RatPoly([0, 1], "z")
+    (P0, _), (P1, _) = exactmath._CERTIFICATE[:2]
+    # disc(z^2 - P0) = 4 P0: z^2 - P0 = z^2 mod P0, so only a later prime proves it
+    f = z**2 - P0
+    assert exactmath._squarefree_certificate(f) == P1
+    assert squarefree_decomposition(f) == [(f, 1)]
+    # P0 divides the cleared leading coefficient: P0 is skipped, not asked
+    f = P0 * z**2 + z + 1
+    assert exactmath._squarefree_certificate(f.monic()) == P1
+    assert squarefree_decomposition(f) == [(f.monic(), 1)]
+
+
+def test_certificate_without_a_lucky_prime_falls_back_to_yun():
+    z = RatPoly([0, 1], "z")
+    f = z**2 - math.prod(P for P, _ in exactmath._CERTIFICATE)
+    assert exactmath._squarefree_certificate(f) is None
+    assert squarefree_decomposition(f) == [(f, 1)]
+    assert exactmath._squarefree_certificate((z - 1) ** 2 * (z + 2)) is None
+
+
+def test_certificate_maps_i_to_a_square_root_of_minus_one():
+    z = RatPoly([0, 1], "z")
+    f = (z - I) * (z + 2 * I) * (z - 1)
+    assert exactmath._squarefree_certificate(f) is not None
+    assert squarefree_decomposition(f) == [(f, 1)]
+    # (z - i)^2 (z + 3) would look squarefree if i were mapped to anything else
+    f = (z - I) ** 2 * (z + 3)
+    assert exactmath._squarefree_certificate(f) is None
+    assert squarefree_decomposition(f) == [(z + 3, 1), (z - I, 2)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -69,10 +69,28 @@ def test_roots_error_carries_best_iterate():
 
 
 def test_roots_nan_iterates_fail_the_contract():
-    # 1 + max|c_k/c_n| = 6e10 raised to the 36th power overflows the start
-    # circle, so every iterate is NaN; NaN must not pass the residual check.
+    # the start radius 2 * 6e10 raised to the 36th power overflows, so every
+    # iterate is NaN; NaN must not pass the residual check.
     with pytest.raises(RootFindingError):
         roots_all([1.0] + [6e10] * 35 + [1.0])
+
+
+def test_roots_wilkinson_20_within_the_contract():
+    # a start radius of 1 + max|c_k/c_n| = 1 + 20! overflows in its 20th power
+    f = RatPoly.one()
+    for j in range(1, 21):
+        f = f * RatPoly([-j, 1])
+    rs = roots_all(f)
+    assert len(rs) == 20
+    # float coefficients move these roots by up to about 1e-2 (Wilkinson)
+    assert all(abs(r - j) < 0.05 for r, j in zip(rs, range(1, 21)))
+
+
+def test_roots_start_radius_scales_with_the_roots():
+    # four roots of modulus 1e40; 1 + max|c_k/c_n| = 1e160 overflows in its 4th power
+    cs = [1.0, 0.0, 0.0, 0.0, 1e-160]
+    rs = roots_all(cs)
+    assert all(abs(abs(r) - 1e40) <= 1e-12 * 1e40 for r in rs)
 
 
 def test_roots_rejects_constants():

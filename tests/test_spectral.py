@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -460,6 +461,28 @@ def test_char_determinant_4_4_floquet_identity():
     assert [q.coeff(16) for q in cd.q] == [1, 0, 0, 0, 0]
     for tau0, nu0 in ((Fraction(1), 1), (I, 0)):
         assert cd.section(nu0) == charpoly(floquet_matrix_exact(op, tau0))
+
+
+def _sympy_real_root_count(f: RatPoly) -> int:
+    x = sympy.Symbol("x")
+    return len(sympy.Poly(list(reversed(f.coeffs)), x, domain="QQ").intervals())
+
+
+def test_resonances_3_4_are_finite_with_the_exact_real_count():
+    # rho has degree 36 and coefficients up to 293 bits; a start circle of
+    # radius 1 + max|c_k/c_n| = 2.3e15 overflows in its 36th power
+    rs = resonances(surface_poly(char_determinant(random_operator(1, 3, 4))))
+    assert rs.rho.degree == 36 and len(rs.values) == 36
+    assert all(math.isfinite(v.real) and math.isfinite(v.imag) for v in rs.values)
+    assert sum(rs.real) == _sympy_real_root_count(rs.rho) == 16
+
+
+def test_resonances_4_4_complete():
+    # some real roots of this rho still come out off the axis, unpaired,
+    # with imaginary parts up to 8e-5, so only completion is asserted here
+    rs = resonances(surface_poly(char_determinant(random_operator(7, 4, 4))))
+    assert len(rs.values) == rs.rho.degree == 48
+    assert all(math.isfinite(v.real) and math.isfinite(v.imag) for v in rs.values)
 
 
 def test_build_char_determinant_rejects_bad_shapes():
