@@ -176,6 +176,8 @@ def _load_operator(args):
 
 def cmd_example(args) -> int:
     if args.name == "free":
+        if args.p * args.m**2 > 10**4:  # entries of a_1, ..., a_p, and as many of b
+            raise InputError(f"--p * --m^2 must be at most {10**4}, got {args.p * args.m**2}")
         op = free_operator(args.p, args.m)
     elif args.name == "example1-diag":
         op = example1_diag()
@@ -230,12 +232,12 @@ def cmd_resonances(args) -> int:
     return EXIT_OK
 
 
-def _at_least(low, flag):
-    """argparse type for an int flag that must be at least low.
+def _int_in(low, high, flag):
+    """argparse type for an int flag that must lie in [low, high].
 
-    No list or grid can be indexed past sys.maxsize, so larger values are
-    refused too. It raises InputError, which argparse lets through, so main
-    reports the flag like any other bad input.
+    Every size flag has a ceiling, listed in the README, so that no value
+    can allocate or run without bound. It raises InputError, which argparse
+    lets through, so main reports the flag like any other bad input.
     """
     def parse(text: str):
         try:
@@ -244,8 +246,8 @@ def _at_least(low, flag):
             raise InputError(f"{flag}: {exc}") from exc
         if value < low:
             raise InputError(f"{flag} must be at least {low}, got {text}")
-        if value > sys.maxsize:
-            raise InputError(f"{flag} must be at most {sys.maxsize}, got {text}")
+        if value > high:
+            raise InputError(f"{flag} must be at most {high}, got {text}")
         return value
     return parse
 
@@ -276,6 +278,8 @@ def _parse_grid(text: str) -> list:
         raise InputError(f"--z-grid needs finite lo, hi and hi - lo, got {text!r}")
     if n < 2 or hi <= lo:
         raise InputError("--z-grid needs hi > lo and N >= 2")
+    if n > 10**5:
+        raise InputError(f"--z-grid N must be at most {10**5}, got {n}")
     step = (hi - lo) / (n - 1)
     return [complex(lo + k * step, 0.0) for k in range(n)]
 
@@ -362,7 +366,7 @@ def cmd_recover(args) -> int:
             "q": [[str(q.coeff(n)) for n in range(sd.p * sd.m + 1)] for q in snapped.q],
         }
         try:
-            bs = band_structure_from_char(snapped)
+            bs = band_structure_from_char(snapped, surface_poly(snapped))
         except InternalConsistencyError as exc:
             # the snapped D is exact: no self-adjoint operator has it
             raise InconsistentDataError(
@@ -405,8 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bands", help="spectral bands, edges, and gap classification")
     add_input(sp)
-    sp.add_argument("--grid", type=_at_least(2, "--grid"), default=257,
-                    help="Floquet cross-validation grid size, at least 2 (default 257)")
+    sp.add_argument("--grid", type=_int_in(2, 10**5, "--grid"), default=257,
+                    help="Floquet cross-validation grid size, 2 to 100000 (default 257)")
     sp.set_defaults(func=cmd_bands)
 
     sp = sub.add_parser("resonances", help="resonance polynomial and its zeros")
@@ -417,7 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_input(sp)
     where = sp.add_mutually_exclusive_group(required=True)
     where.add_argument("--z", type=_parse_z, help="evaluation point, re or re,im")
-    where.add_argument("--z-grid", type=_parse_grid, help="real evaluation grid lo:hi:N")
+    where.add_argument("--z-grid", type=_parse_grid,
+                       help="real evaluation grid lo:hi:N, N from 2 to 100000")
     sp.set_defaults(func=cmd_lyapunov)
 
     sp = sub.add_parser("recover", help="recover the determinant from spectral data")
@@ -432,8 +437,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", choices=["example1-diag", "example2-const", "example3", "example4", "free"])
     sp.add_argument("--t", default="0", help="parameter t for example3/example4 (rational, default 0)")
     sp.add_argument("--beta", default="1", help="parameter beta for example2-const (rational, default 1)")
-    sp.add_argument("--p", type=_at_least(1, "--p"), default=2, help="period for free (default 2)")
-    sp.add_argument("--m", type=_at_least(1, "--m"), default=1, help="block size for free (default 1)")
+    sp.add_argument("--p", type=_int_in(1, 10**4, "--p"), default=2,
+                    help="period for free (default 2); p * m^2 at most 10000")
+    sp.add_argument("--m", type=_int_in(1, 100, "--m"), default=1,
+                    help="block size for free (default 1); p * m^2 at most 10000")
     sp.set_defaults(func=cmd_example)
 
     return parser

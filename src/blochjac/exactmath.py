@@ -152,7 +152,7 @@ def as_complex(x):
     """Exact scalar -> python complex (boundary to the numerics module)."""
     if isinstance(x, CRational):
         return complex(x)
-    return complex(Fraction(x))
+    return complex(float(x))
 
 
 class RatPoly:
@@ -313,7 +313,8 @@ class RatPoly:
     def monic(self):
         if self.is_zero():
             raise ValueError("zero polynomial cannot be made monic")
-        return self / self.lc()
+        lc = self.lc()
+        return self if lc == 1 else self / lc
 
     def __call__(self, x):
         if isinstance(x, RatPoly):

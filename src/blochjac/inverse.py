@@ -69,12 +69,12 @@ class Recovery(NamedTuple):
     residuals: tuple  # per kappa_j: how far the input eigenvalues sit from the recovered roots
 
 
-def cosine_matrix(kappas) -> tuple:
-    """(W, solve) with W[r][j] = cos(j kappa_r) over a prefix of frequencies.
+def cosine_matrix(kappas):
+    """solve(rhs) = W^-1 rhs with W[r][j] = cos(j kappa_r) over a prefix of frequencies.
 
-    solve(rhs) returns W^-1 rhs and insists on a small residual; a condition
-    number above 1e12 means two cosines nearly coincide and the system cannot
-    separate the basis elements.
+    solve insists on a small residual; a condition number above 1e12 means
+    two cosines nearly coincide and the system cannot separate the basis
+    elements.
     """
     ks = [float(k) for k in kappas]
     n = len(ks)
@@ -90,7 +90,7 @@ def cosine_matrix(kappas) -> tuple:
             raise ValueError("kappa values too close")
         return [complex(v) for v in x]
 
-    return W, solve
+    return solve
 
 
 def _poly_from_roots(roots) -> list:
@@ -254,7 +254,7 @@ def recover_determinant(sd: SpectralData) -> Recovery:
         for s in range(1, m + 1):
             tops = [_cosine_sum(rows[n], kappas[s]) for n in range(p * (m - s) + 1, pm + 1)]
             sections.append(constrained_poly(sd.lambda_sets[s], tops))
-            _, solve = cosine_matrix(kappas[: s + 1])
+            solve = cosine_matrix(kappas[: s + 1])
             for n in blocks[s]:
                 rhs = [sections[r][n] / 2 for r in range(s + 1)]
                 sol = solve(rhs)

@@ -8,7 +8,6 @@ multiplicities, gap classification, and a battery of identity checks.
 """
 
 import cmath
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -90,11 +89,6 @@ def _gaussian_parts(z):
     return re.numerator * (s // re.denominator), im.numerator * (s // im.denominator), s
 
 
-def _phi_at(z) -> str:
-    z = complex(z)
-    return f"Phi(z, nu) at z = {repr(z.real) if not z.imag else repr(z)}"
-
-
 class SurfacePoly(NamedTuple):
     """Phi(z, nu) = sum phi_j(z) nu^(m-j), monic in nu (phi_0 = 1).
 
@@ -127,22 +121,6 @@ class SurfacePoly(NamedTuple):
             den = d * pw
             out.append(CRational(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den))
         return RatPoly(out, "nu")
-
-    def nu_coeffs_at(self, z) -> list:
-        """Ascending complex coefficients of Phi(z, .) at a numeric z, by float Horner.
-
-        Band tracking follows branches through these values, and their last
-        bits decide how the branches are numbered. Raises ValueError naming z
-        when a coefficient is beyond the float range.
-        """
-        z = complex(z)
-        try:
-            cs = [p(z) for p in reversed(self.phi)]
-        except OverflowError:
-            cs = [math.inf]
-        if not all(cmath.isfinite(c) for c in cs):
-            raise ValueError(f"{_phi_at(z)} has a coefficient beyond the float range")
-        return cs
 
 
 class LyapunovBranch(NamedTuple):
@@ -296,19 +274,30 @@ def _exact_roots(f: RatPoly, what: str) -> list:
     return roots_all(cs)
 
 
-def lyapunov_at(sp: SurfacePoly, z) -> list:
-    """The m branch values of nu at z, sorted by (re, im), with real flags.
+def branch_values(sp: SurfacePoly, z) -> list:
+    """The m branch values of nu at a Fraction, float or complex z, sorted by (re, im).
 
-    Phi(z, .) is exact and its repeated roots are split off first, see
-    _branch_values_exact. At a real z, Phi(z, .) is real: near-real values
+    Phi(z, .) is evaluated exactly and its repeated roots are split off
+    first: Aberth splits a k-fold root into a cloud of diameter eps^(1/k),
+    which for a permanently double branch (any free operator with m >= 2)
+    fakes a conjugate pair. At a real z, Phi(z, .) is real: near-real values
     are snapped to the axis and conjugate values share one real part, so
     the order of a conjugate pair does not rest on rounding.
     """
-    vals = _branch_values_exact(sp, z)
+    zc = complex(z)
+    what = f"Phi(z, nu) at z = {repr(zc.real) if not zc.imag else repr(zc)}"
+    vals = []
+    for g, k in squarefree_decomposition(sp.nu_poly_at(z)):
+        for r in _exact_roots(g, what):
+            vals.extend([r] * k)
     if not (isinstance(z, complex) and z.imag):
         vals = _conjugate_symmetrize(vals)
-    vals = sorted(vals, key=lambda w: (w.real, w.imag))
-    return [LyapunovBranch(v, abs(v.imag) <= REAL_TOL) for v in vals]
+    return sorted(vals, key=lambda w: (w.real, w.imag))
+
+
+def lyapunov_at(sp: SurfacePoly, z) -> list:
+    """branch_values at z with real flags."""
+    return [LyapunovBranch(v, abs(v.imag) <= REAL_TOL) for v in branch_values(sp, z)]
 
 
 def multipliers_at(branches) -> list:
@@ -455,46 +444,21 @@ def _candidate_edges(cd, sp):
     return [(sum(vs) / len(vs), frozenset(kinds)) for vs, kinds in merged]
 
 
-def _match_order(prev, cur):
-    """Reorder cur to follow prev by minimal total displacement."""
-    m = len(prev)
-    if m == 1:
-        return list(cur)
-    best, best_cost = None, None
-    for perm in itertools.permutations(range(m)):
-        cost = sum(abs(prev[i] - cur[perm[i]]) for i in range(m))
-        if best_cost is None or cost < best_cost - 1e-15:
-            best, best_cost = perm, cost
-    return [cur[best[i]] for i in range(m)]
+def _match_nearest(targets, vals) -> list:
+    """vals reordered so that entry i is the value paired with targets[i].
 
-
-def _in_band(v) -> bool:
-    return abs(v.imag) <= REAL_TOL and -1 - 1e-10 <= v.real <= 1 + 1e-10
-
-
-def _branch_values_exact(sp: SurfacePoly, z) -> list:
-    """Branch values at a Fraction, float or complex z, exactly, multiplicity-aware.
-
-    Aberth splits a k-fold root into a cloud of diameter eps^(1/k), which for
-    a permanently double branch (any free operator with m >= 2) fakes a
-    conjugate pair and breaks realness flags.  Evaluating Phi exactly and
-    peeling multiplicities off first leaves only simple roots for the solver.
+    All m^2 distances are taken in ascending order, and a pair is kept when
+    both its target and its value are still free; an exact tie goes to the
+    smaller target index, then to the earlier value.
     """
-    out = []
-    for g, k in squarefree_decomposition(sp.nu_poly_at(z)):
-        for r in _exact_roots(g, _phi_at(z)):
-            out.extend([r] * k)
+    pairs = sorted((abs(t - v), i, j) for i, t in enumerate(targets) for j, v in enumerate(vals))
+    out = [None] * len(targets)
+    taken = [False] * len(vals)
+    for _, i, j in pairs:
+        if out[i] is None and not taken[j]:
+            out[i] = vals[j]
+            taken[j] = True
     return out
-
-
-def _flags_from_exact(cur, vals) -> tuple:
-    """in-band flags for the tracked values cur, read off nearest exact values."""
-    rem = list(vals)
-    flags = []
-    for v in cur:
-        j = min(range(len(rem)), key=lambda i: abs(rem[i] - v))
-        flags.append(_in_band(rem.pop(j)))
-    return tuple(flags)
 
 
 def band_structure(op: PeriodicOperator, grid: int = DEFAULT_GRID) -> BandStructure:
@@ -512,45 +476,44 @@ def band_structure(op: PeriodicOperator, grid: int = DEFAULT_GRID) -> BandStruct
     return bs
 
 
-def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly = None) -> BandStructure:
+def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly) -> BandStructure:
     """The band computation alone, usable when only D(z, tau) is known.
 
-    No Floquet cross-validation happens here (there is no operator to
-    build L(tau) from); band_structure wraps this and adds it.
+    sp is surface_poly(cd). No Floquet cross-validation happens here (there
+    is no operator to build L(tau) from); band_structure wraps this and
+    adds it.
     """
-    if sp is None:
-        sp = surface_poly(cd)
     m = cd.m
     cands = _candidate_edges(cd, sp)
     if not cands:
         raise InternalConsistencyError("no candidate band edges found")
     values = [v for v, _ in cands]
 
-    # Track branch identity through sub-sampled interval interiors.  The
-    # matching target is a linear extrapolation of each branch, so that two
-    # real branches crossing transversally (which happens exactly at interval
-    # boundaries) are continued analytically instead of swapping into upper
-    # and lower envelopes.
+    # Track branch identity through sub-sampled interval interiors.  Branches
+    # are numbered by (re, im) at the first subsample.  The matching target
+    # is a linear extrapolation of each branch, so that two real branches
+    # crossing transversally (which happens exactly at interval boundaries)
+    # are continued analytically instead of swapping into upper and lower
+    # envelopes.
     member = []  # per interval: tuple of booleans per branch
     prev = prev2 = None
     xprev = xprev2 = 0.0
     for left, right in zip(values, values[1:]):
         xs = np.linspace(left, right, _SUBSAMPLES + 2)[1:-1]
-        mid_flags = None
         for idx, x in enumerate(xs):
             x = float(x)
-            cur = roots_all(sp.nu_coeffs_at(x))
-            if prev is None:
-                cur = sorted(cur, key=lambda w: (w.real, w.imag))
-            elif prev2 is None:
-                cur = _match_order(prev, cur)
-            else:
+            cur = branch_values(sp, x)
+            if prev2 is not None:
                 r = (x - xprev) / (xprev - xprev2)
-                cur = _match_order([a + (a - b) * r for a, b in zip(prev, prev2)], cur)
+                cur = _match_nearest([a + (a - b) * r for a, b in zip(prev, prev2)], cur)
+            elif prev is not None:
+                cur = _match_nearest(prev, cur)
             prev2, xprev2 = prev, xprev
             prev, xprev = cur, x
             if idx == _SUBSAMPLES // 2:
-                mid_flags = _flags_from_exact(cur, _branch_values_exact(sp, x))
+                mid_flags = tuple(
+                    abs(v.imag) <= REAL_TOL and -1 - 1e-10 <= v.real <= 1 + 1e-10 for v in cur
+                )
         member.append(mid_flags)
 
     if not member:  # single candidate point: no interior, no bands
@@ -781,7 +744,7 @@ def verify_identities(op: PeriodicOperator) -> list:
     ok = True
     for _ in range(5):
         z0 = Fraction(rng.randint(-194, 194), 97)
-        branches = _branch_values_exact(sp, z0)
+        branches = branch_values(sp, z0)
         for n in (1, 2, 3):
             lhs = complex(traces[n - 1](z0)) / 2
             rhs = sum(chebyshev(n)(v) for v in branches)

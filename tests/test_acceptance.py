@@ -274,7 +274,7 @@ def test_criterion_8_inverse_round_trip():
         except InconsistentDataError:
             recovered = _lift_to_exact(rec, p, m)
         bands_direct = band_structure(op)
-        bands_rec = band_structure_from_char(recovered)
+        bands_rec = band_structure_from_char(recovered, surface_poly(recovered))
         assert len(bands_rec.segments) == len(bands_direct.segments)
         for a, b in zip(bands_rec.segments, bands_direct.segments):
             assert abs(a.lo - b.lo) <= 1e-6

@@ -85,6 +85,16 @@ def test_bands_output_is_byte_deterministic(tmp_path, capsys):
     assert first == second
 
 
+def test_bands_follows_seven_branches(tmp_path, capsys):
+    # branch matching is polynomial in m, so seven branches take seconds
+    path = write_json(tmp_path, cli.operator_to_document(random_operator(1, 1, 7)), "m7.json")
+    payload = run_json(capsys, ["bands", path])["payload"]
+    assert len(payload["branch_bands"]) == 7
+    for lo, hi, mult in payload["segments"]:
+        x = (lo + hi) / 2
+        assert mult == sum(a <= x <= b for bands in payload["branch_bands"] for a, b in bands)
+
+
 def test_bands_rejects_invalid_operator(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -321,11 +331,44 @@ def test_int_flags_refuse_values_past_sys_maxsize(capsys, flag):
     # no list or grid can be indexed that far; the flag is named either way
     argv = ["bands", "-"] if flag == "--grid" else ["example", "free"]
     code, line = run_error_line(capsys, argv + [flag, "1" + "0" * 400])
-    assert code == 2 and line.startswith(f"error: {flag} must be at most {sys.maxsize}, got 1000")
-    parse = cli._at_least(1, flag)
-    assert parse(str(sys.maxsize)) == sys.maxsize
-    with pytest.raises(cli.InputError, match=f"^{flag} must be at most"):
-        parse(str(sys.maxsize + 1))
+    assert code == 2 and line.startswith(f"error: {flag} must be at most ")
+    assert line.endswith(", got 1" + "0" * 400)
+
+
+def _refuse_before_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a refused size flag reached the computation")
+    monkeypatch.setattr(cli, "_read_bytes", fail)
+    monkeypatch.setattr(cli, "free_operator", fail)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bands", "--grid", "100001"], "--grid must be at most 100000, got 100001"),
+        (["bands", "--grid", "1000000000000"], "--grid must be at most 100000, got 1000000000000"),
+        (["lyapunov", "--z-grid=-3:3:100001"], "--z-grid N must be at most 100000, got 100001"),
+        (["lyapunov", "--z-grid=-3:3:10000000000"], "--z-grid N must be at most 100000, got 10000000000"),
+        (["example", "free", "--p", "10001"], "--p must be at most 10000, got 10001"),
+        (["example", "free", "--p", "1000000000000"], "--p must be at most 10000, got 1000000000000"),
+        (["example", "free", "--m", "101"], "--m must be at most 100, got 101"),
+        (["example", "free", "--m", "1000000000"], "--m must be at most 100, got 1000000000"),
+        (["example", "free", "--p", "2", "--m", "100"], "--p * --m^2 must be at most 10000, got 20000"),
+    ],
+)
+def test_size_flags_refuse_values_past_their_ceiling(capsys, monkeypatch, argv, message):
+    _refuse_before_work(monkeypatch)
+    assert run_error_line(capsys, argv) == (2, f"error: {message}")
+
+
+def test_size_flags_accept_their_ceiling(capsys):
+    parser = cli._build_parser()
+    assert parser.parse_args(["bands", "--grid", "100000"]).grid == 100000
+    assert len(parser.parse_args(["lyapunov", "--z-grid=-3:3:100000"]).z_grid) == 100000
+    args = parser.parse_args(["example", "free", "--p", "10000"])
+    assert (args.p, args.m) == (10000, 1)
+    doc = run_json(capsys, ["example", "free", "--p", "1", "--m", "100"])
+    assert (doc["p"], doc["m"]) == (1, 100)
 
 
 def test_operator_document_rejects_empty_blocks(tmp_path, capsys):

@@ -41,3 +41,34 @@ def test_no_src_definition_exists_only_for_tests():
         if not any(stmt.name in names for _, other, names in used_by if other is not stmt):
             unused.append(f"{module}:{stmt.name}")
     assert unused == []
+
+
+def _bound_names(stmt):
+    """Names a module-level import or assignment binds."""
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [(alias.asname or alias.name).split(".")[0] for alias in stmt.names]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+
+
+def test_no_unused_import_or_module_level_name():
+    # an import is read in its own module; a module-level variable is read
+    # somewhere in src outside the statement that binds it
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read_in = {name: [(stmt, _used_names(stmt)) for stmt in tree.body] for name, tree in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            imported = isinstance(stmt, (ast.Import, ast.ImportFrom))
+            scopes = [module] if imported else list(trees)
+            for name in _bound_names(stmt):
+                if name == "annotations" or name.startswith("__"):
+                    continue  # from __future__ import annotations; module dunders
+                if not any(name in names for scope in scopes for other, names in read_in[scope] if other is not stmt):
+                    unused.append(f"{module}:{name}")
+    assert unused == []

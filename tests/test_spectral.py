@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +36,7 @@ from blochjac.spectral import (
     InternalConsistencyError,
     Segment,
     _cross_validate,
+    _match_nearest,
     antiperiodic_eigs,
     band_structure,
     build_char_determinant,
@@ -390,6 +392,50 @@ def test_band_edges_are_attained():
 def test_band_structure_deterministic():
     op = example4(Fraction(1, 2))
     assert band_structure(op) == band_structure(op)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.one_of(
+        st.builds(
+            random_operator,
+            st.integers(0, 50),
+            st.integers(1, 3),
+            st.integers(1, 3),
+        ),
+        st.builds(free_operator, st.just(2), st.just(3)),
+    )
+)
+def test_branch_bands_count_the_multiplicity_and_name_the_edges(op):
+    bs = band_structure(op)
+    for seg in bs.segments:
+        x = (seg.lo + seg.hi) / 2
+        covering = sum(lo <= x <= hi for bands in bs.branch_bands for lo, hi in bands)
+        assert covering == seg.multiplicity
+    for edge in bs.edges:
+        ends = tuple(
+            j for j, bands in enumerate(bs.branch_bands)
+            if any(edge.value in (lo, hi) for lo, hi in bands)
+        )
+        assert edge.branches == ends
+
+
+def test_match_nearest_follows_twelve_shuffled_branches():
+    rng = random.Random(12)
+    vals = [complex(k - 6, 0.5 * (-1) ** k) for k in range(12)]  # 1 apart or more
+    targets = [v + complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for v in vals]
+    shuffled = vals[:]
+    rng.shuffle(shuffled)
+    assert shuffled != vals
+    assert _match_nearest(targets, shuffled) == vals
+
+
+def test_match_nearest_breaks_ties_by_label_then_value():
+    # every distance is 1: label 0 takes the first value
+    assert _match_nearest([0j, 0j], [1 + 0j, -1 + 0j]) == [1 + 0j, -1 + 0j]
+    assert _match_nearest([2 + 0j, 0j], [1 + 0j, 1 + 0j]) == [1 + 0j, 1 + 0j]
+    # the nearest pair goes first, even when label 0 must settle for a farther value
+    assert _match_nearest([0j, 0.9 + 0j], [1 + 0j, 3 + 0j]) == [3 + 0j, 1 + 0j]
 
 
 def test_cross_validation_guard():
