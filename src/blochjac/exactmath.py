@@ -124,14 +124,6 @@ class CRational:
     def __repr__(self):
         return f"CRational({self.re!r}, {self.im!r})"
 
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
 
 I = CRational(0, 1)
 
@@ -353,37 +345,6 @@ class RatPoly:
 
     def __repr__(self):
         return f"RatPoly({list(self.coeffs)!r}, var={self.var!r})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                mono = ""
-            elif k == 1:
-                mono = self.var
-            else:
-                mono = f"{self.var}^{k}"
-            if isinstance(c, CRational):
-                cs = f"({c})"
-            elif c == 1 and mono:
-                cs = ""
-            elif c == -1 and mono:
-                cs = "-"
-            else:
-                cs = str(c)
-            term = cs + ("*" if cs not in ("", "-") and mono else "") + mono
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
-        return " ".join(parts)
 
 
 def gcd(f: RatPoly, g: RatPoly) -> RatPoly:

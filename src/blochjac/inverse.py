@@ -1,12 +1,23 @@
 """Recovery of the characteristic determinant from finite spectral data.
 
-Given the full Floquet spectrum at one frequency and progressively smaller
-eigenvalue subsets at m further frequencies (with pairwise distinct cosines),
-the coefficients of q(z, tau) are determined by a sequence of exactly square
-linear solves: the z^n coefficient of q is a combination of tau^j + tau^-j
-for j up to a half-degree s(n) that depends only on which index block K_s
-the degree n falls in, so s(n) + 1 sample values pin it down through a
-cosine system.
+q(z, tau) = q_0 + sum_j q_j (tau^j + tau^-j), j = 1..m, with q_0 monic of
+degree pm and deg q_j <= p(m - j).  At tau = e^{i kappa_s} the section
+q_0 + sum_j 2 cos(j kappa_s) q_j is divisible by h_s = prod (z - lambda)
+over the eigenvalue set Lambda_s, repeated values included, so its
+remainder modulo h_s vanishes: |Lambda_s| linear equations in the
+coefficients of the q_j.  With pm values at kappa_0, (m - s)p + 1 at each
+further kappa_s and the monic leading coefficient of q_0 there are exactly
+as many equations as unknowns, and recovery is one square linear solve.
+
+Group the unknowns by the index blocks K_0..K_m of the proof (K_s holds
+the z-degrees whose coefficient involves q_0..q_s and no later q_j).  As
+z^n mod h_s = z^n below deg h_s, the equations of degree n in K_s, one per
+kappa_r with r <= s, fix cos(j kappa_r)-combinations of that block's
+unknowns against earlier blocks.  The system is block triangular with the
+cosine matrices cos(j kappa_r), r, j <= s, on its diagonal, so it is
+nonsingular exactly when the cos kappa_s are distinct.  Remainders, unlike
+one evaluation q(lambda) = 0 per value, do not repeat an equation at a
+repeated eigenvalue.
 
 Recovery runs in float arithmetic (the frequencies enter as e^{i kappa});
 snap_to_rational is the optional post-pass that reconstructs exact rational
@@ -42,21 +53,6 @@ class SpectralData(NamedTuple):
     lambda_sets: tuple  # lambda_sets[j] has (m-j)*p + 1 values for j >= 1, p*m for j = 0
 
 
-def half_degree(p: int, m: int, n: int) -> int:
-    """s(n): the largest j for which q[j] can have a z^n term."""
-    if not 0 <= n <= p * m:
-        raise ValueError(f"coefficient index {n} outside 0..{p * m}")
-    if n == 0:
-        return m
-    return m - ((n + p - 1) // p)
-
-
-def coefficient_blocks(p: int, m: int) -> tuple:
-    """K_0..K_m: z-degree indices grouped by half-degree; they tile 0..pm."""
-    return tuple(tuple(n for n in range(p * m + 1) if half_degree(p, m, n) == s)
-                 for s in range(m + 1))
-
-
 def _cosine_sum(row, kappa: float) -> complex:
     """row[0] + sum_j 2 cos(j kappa) row[j]: one z-coefficient of q at tau = e^{i kappa}."""
     return complex(sum((2 * math.cos(j * kappa) if j else 1) * complex(v) for j, v in enumerate(row)))
@@ -69,30 +65,6 @@ class Recovery(NamedTuple):
     residuals: tuple  # per kappa_j: how far the input eigenvalues sit from the recovered roots
 
 
-def cosine_matrix(kappas):
-    """solve(rhs) = W^-1 rhs with W[r][j] = cos(j kappa_r) over a prefix of frequencies.
-
-    solve insists on a small residual; a condition number above 1e12 means
-    two cosines nearly coincide and the system cannot separate the basis
-    elements.
-    """
-    ks = [float(k) for k in kappas]
-    n = len(ks)
-    W = np.array([[math.cos(j * k) for j in range(n)] for k in ks])
-    if np.linalg.cond(W) > 1e12:
-        raise ValueError("kappa values too close")
-
-    def solve(rhs):
-        vec = np.asarray(rhs, dtype=complex)
-        x = np.linalg.solve(W, vec)
-        residual = float(np.linalg.norm(W @ x - vec))
-        if residual > 1e-9 * max(1.0, float(np.linalg.norm(vec))):
-            raise ValueError("kappa values too close")
-        return [complex(v) for v in x]
-
-    return solve
-
-
 def _poly_from_roots(roots) -> list:
     """Ascending complex coefficients of prod(z - root)."""
     coeffs = [complex(1)]
@@ -103,34 +75,6 @@ def _poly_from_roots(roots) -> list:
             nxt[i] -= complex(r) * v
         coeffs = nxt
     return coeffs
-
-
-def constrained_poly(roots, top_coeffs) -> list:
-    """The unique r = g * prod(z - root) with prescribed top coefficients.
-
-    top_coeffs[i] is the coefficient of z^(k+i) in r, k = len(roots), so
-    top_coeffs[-1] is the leading one; deg r = k + len(top_coeffs) - 1.  The
-    factor h = prod(z - root) is monic, which makes the system for g's
-    coefficients triangular from the top down.  Returns ascending coefficients.
-    """
-    if not roots:
-        raise ValueError("need at least one root")
-    if not top_coeffs:
-        raise ValueError("need at least one prescribed coefficient")
-    h = _poly_from_roots(roots)
-    k = len(roots)
-    s = len(top_coeffs) - 1
-    g = [complex(0)] * (s + 1)
-    for i in range(s, -1, -1):
-        acc = complex(top_coeffs[i])
-        for b in range(i + 1, min(s, k + i) + 1):
-            acc -= h[k + i - b] * g[b]
-        g[i] = acc
-    out = [complex(0)] * (k + s + 1)
-    for i, hv in enumerate(h):
-        for b, gv in enumerate(g):
-            out[i + b] += hv * gv
-    return out
 
 
 def require_spectral_data(sd: SpectralData):
@@ -226,57 +170,74 @@ def _section_residual(section, lambdas) -> float:
     return worst
 
 
+def _remainders(h, top: int) -> list:
+    """Ascending coefficients of z^n mod h for n = 0..top; h is monic of degree >= 1."""
+    k = len(h) - 1
+    r = [complex(1)] + [complex(0)] * (k - 1)
+    out = [r]
+    for _ in range(top):
+        # z * r, with z^k replaced by -(h[0] + ... + h[k-1] z^(k-1))
+        r = [(r[i - 1] if i else 0j) - r[-1] * h[i] for i in range(k)]
+        out.append(r)
+    return out
+
+
 def recover_determinant(sd: SpectralData) -> Recovery:
     """Rebuild (q, D, c) from eigenvalue sets at m+1 frequencies.
 
-    Step 0 multiplies out q(., e^{i kappa_0}) from the full set Lambda_0 and
-    reads off the constant-in-tau coefficients (block K_0).  Step s completes
-    q(., e^{i kappa_s}) from the partial set Lambda_s with constrained_poly
-    (the top ps coefficients are already known), then solves the cosine
-    system on block K_s.  After step m every q[j] is known; c = 1/q[m](0)
-    and D = c tau^m q.  The recovered sections must reproduce every input value
-    as a root, else the data is declared inconsistent.
+    One square system (see the module docstring): for each Lambda_s the
+    coefficients of q(., e^{i kappa_s}) mod prod (z - lambda), and a row
+    making q_0 monic; it is solved once with every column scaled to unit
+    size.  A cosine matrix with condition number above 1e12 means two
+    cosines nearly coincide, and the data is refused.  Then c = 1/q_m(0)
+    and D = c tau^m q.  The recovered sections must reproduce every input
+    value as a root, else the data is declared inconsistent.
     """
     require_spectral_data(sd)
     p, m = sd.p, sd.m
     pm = p * m
     kappas = [float(k) for k in sd.kappas]
-    blocks = coefficient_blocks(p, m)
+    for s in range(1, m + 1):
+        W = np.array([[math.cos(j * k) for j in range(s + 1)] for k in kappas[: s + 1]])
+        if np.linalg.cond(W) > 1e12:
+            raise InconsistentDataError("inconsistent spectral data: kappa values too close")
 
-    sections = [_poly_from_roots(sd.lambda_sets[0])]
-    # rows[n][j]: the z^n coefficient of q_j, for j <= s(n); the degree bound
-    # deg q_j <= p(m - j) makes the entries beyond s(n) vanish
-    rows = [None] * (pm + 1)
-    for n in blocks[0]:
-        rows[n] = (sections[0][n],)
-
+    unknowns = [(j, n) for j in range(m + 1) for n in range(p * (m - j) + 1)]
+    rows = []
+    for s, (kappa, lam) in enumerate(zip(kappas, sd.lambda_sets)):
+        weight = [1.0] + [2 * math.cos(j * kappa) for j in range(1, m + 1)]
+        rem = _remainders(_poly_from_roots(lam), pm)
+        block = [[weight[j] * rem[n][i] for j, n in unknowns] for i in range(len(lam))]
+        if not all(cmath.isfinite(v) for row in block for v in row):
+            raise ValueError(f"z^n modulo prod(z - lambda) over lambda set {s} overflows a float")
+        rows += block
+    rows.append([float(u == (0, pm)) for u in unknowns])
+    A = np.array(rows, dtype=complex)
+    # the largest real or imaginary part, which unlike |.| cannot overflow
+    scale = np.maximum(np.abs(A.real).max(axis=0), np.abs(A.imag).max(axis=0))
+    rhs = np.zeros(len(rows), dtype=complex)
+    rhs[-1] = 1
     try:
-        for s in range(1, m + 1):
-            tops = [_cosine_sum(rows[n], kappas[s]) for n in range(p * (m - s) + 1, pm + 1)]
-            sections.append(constrained_poly(sd.lambda_sets[s], tops))
-            solve = cosine_matrix(kappas[: s + 1])
-            for n in blocks[s]:
-                rhs = [sections[r][n] / 2 for r in range(s + 1)]
-                sol = solve(rhs)
-                rows[n] = tuple([2 * sol[0]] + sol[1:])
-    except ValueError as exc:
-        raise InconsistentDataError(f"inconsistent spectral data: {exc}") from exc
+        y = np.linalg.solve(A / scale, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise InconsistentDataError("inconsistent spectral data: the recovery system is singular") from exc
+    coeffs = [[complex(0)] * (pm + 1) for _ in range(m + 1)]
+    for (j, n), v, sc in zip(unknowns, y, scale):
+        coeffs[j][n] = complex(v) / float(sc)
 
-    qm0 = rows[0][m]
+    qm0 = coeffs[m][0]
     if abs(qm0) < 1e-300:
         raise InconsistentDataError("inconsistent spectral data: vanishing leading constant")
     c = 1 / qm0
 
-    q = {}
-    for j in range(m + 1):
-        q[j] = tuple(rows[n][j] if j < len(rows[n]) else complex(0) for n in range(pm + 1))
+    q = {j: tuple(coeffs[j]) for j in range(m + 1)}
     D = {}
     for i in range(2 * m + 1):
         D[i] = tuple(c * v for v in q[abs(m - i)])
 
     residuals = []
     for j, kappa in enumerate(kappas):
-        section = [_cosine_sum(row, kappa) for row in rows]
+        section = [_cosine_sum([qj[n] for qj in coeffs], kappa) for n in range(pm + 1)]
         worst = _max_root_distance(section, sd.lambda_sets[j])
         if worst > RESIDUAL_TOL and _section_residual(section, sd.lambda_sets[j]) > RESIDUAL_TOL:
             raise InconsistentDataError(

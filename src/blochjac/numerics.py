@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-from .exactmath import RatPoly
-
 DEFAULT_REL_TOL = 1e-12
 MAX_ITER = 500
 STAGNATION = 1e-14
@@ -35,10 +33,7 @@ class NonHermitianError(ValueError):
 
 
 def _as_complex_coeffs(f):
-    if isinstance(f, RatPoly):
-        cs = f.complex_coeffs()
-    else:
-        cs = [complex(c) for c in f]
+    cs = [complex(c) for c in f]
     for c in cs:
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("non-finite coefficient")
@@ -67,7 +62,7 @@ def _residual_scale(cs, x):
 
 
 def roots_all(f):
-    """All complex roots of f (RatPoly or ascending coefficient sequence).
+    """All complex roots of f, a sequence of ascending coefficients.
 
     Aberth-Ehrlich simultaneous iteration started on a circle of the
     Fujiwara radius 2 max_k |c_k/c_n|^(1/(n-k)), which encloses every root

@@ -8,6 +8,7 @@ Matrices are nested lists; polynomial matrices hold RatPoly entries in z.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ class PeriodicOperator:
     that exists satisfies them.
     """
 
-    __slots__ = ("p", "m", "a", "b")
+    __slots__ = ("p", "m", "a", "b", "_prod_det_a")
 
     def __init__(self, a, b):
         p = len(a)
@@ -49,13 +50,15 @@ class PeriodicOperator:
         b = tuple(conv(mat, "b", n) for n, mat in enumerate(b))
         violations = [f"b not symmetric at n={n}" for n, bn in enumerate(b, 1)
                       if bn != tuple(zip(*bn))]
-        violations += [f"det a_{n} = 0" for n, an in enumerate(a, 1) if det_field(an) == 0]
+        dets = [det_field(an) for an in a]
+        violations += [f"det a_{n} = 0" for n, d in enumerate(dets, 1) if d == 0]
         if violations:
             raise ValueError("invalid operator: " + "; ".join(violations))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_prod_det_a", math.prod(dets))
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodicOperator is immutable")
@@ -67,17 +70,9 @@ class PeriodicOperator:
     def b_at(self, n):
         return self.b[(n - 1) % self.p]
 
-    def a_product_inverse(self):
-        """A_p = (a_1 a_2 ... a_p)^(-1) as an exact matrix."""
-        prod = mat_identity(self.m)
-        for an in self.a:
-            prod = mat_mul(prod, an)
-        return mat_inv(prod)
-
     def leading_constant(self):
-        """c = (-1)^m det A_p."""
-        d = det_field(self.a_product_inverse())
-        return -d if self.m % 2 else d
+        """c = (-1)^m det A_p = (-1)^m / prod_n det a_n, A_p = (a_1 a_2 ... a_p)^(-1)."""
+        return (-1) ** self.m / self._prod_det_a
 
     def norm_infty(self):
         """Max entry magnitude over all a_n and b_n."""

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochjac import cli, exactmath, operators, spectral
 from blochjac.fixtures import example3, example4, random_operator
@@ -234,6 +239,68 @@ def test_recover_refuses_sizes_below_one(tmp_path, capsys, p, m):
     data = {"p": p, "m": m, "kappas": [0.0, 3.14], "lambda_sets": [[], [0]]}
     code, line = run_error_line(capsys, ["recover", write_json(tmp_path, data, "data.json")])
     assert code == 2 and "must be at least 1" in line
+
+
+def test_recover_huge_eigenvalue_prints_one_error_line(tmp_path):
+    # a separate process, so that a numpy warning would reach the real stderr
+    data = {"p": 2, "m": 1, "kappas": [0.0, math.pi], "lambda_sets": [[1e200, 0.5], [-1.0]]}
+    done = subprocess.run(
+        [sys.executable, "-m", "blochjac.cli", "recover", write_json(tmp_path, data, "huge.json")],
+        capture_output=True,
+    )
+    lines = done.stderr.decode().splitlines()
+    assert done.returncode in (2, 3, 4)
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert done.stdout == b""
+
+
+def run_captured(argv):
+    """Exit code, stdout and stderr of an in-process run; a Python warning counts as stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    shown = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), err.getvalue() + shown
+
+
+# phases with coincident (0, 2 pi) and near-coincident (0.1, 0.1 + 1e-8) cosines
+FUZZ_KAPPAS = (0.0, math.pi, math.pi / 2, math.pi / 3, 2 * math.pi, 0.1, 0.1 + 1e-8, 1.0)
+FUZZ_REALS = st.one_of(
+    st.sampled_from([0.0, 0.5, -1.0, 2.0, 1e-300, 1e200, 1e300, -1e300]),
+    st.floats(min_value=-3, max_value=3),
+)
+FUZZ_EIGENVALUES = st.one_of(FUZZ_REALS, st.lists(FUZZ_REALS, min_size=2, max_size=2))
+
+
+@st.composite
+def spectral_documents(draw):
+    p = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=3))
+    kappas = draw(st.lists(st.sampled_from(FUZZ_KAPPAS), min_size=m + 1, max_size=m + 1))
+    sets = []
+    for j in range(m + 1):
+        size = p * m if j == 0 else (m - j) * p + 1
+        # now and then one value too many or too few
+        size += draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))
+        sets.append(draw(st.lists(FUZZ_EIGENVALUES, min_size=size, max_size=size)))
+    return {"p": p, "m": m, "kappas": kappas, "lambda_sets": sets}
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectral_documents())
+def test_recover_fuzz_ends_in_a_documented_exit(tmp_path_factory, doc):
+    path = write_json(tmp_path_factory.mktemp("fuzz"), doc, "data.json")
+    code, out, err = run_captured(["recover", path])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert out == ""
+    assert run_captured(["recover", path])[1] == out
 
 
 def _readme_json(section):

@@ -56,7 +56,6 @@ def test_ratpoly_basics():
     assert p.degree == 2
     assert p(Fraction(3)) == 8
     assert p(2.0) == 3.0
-    assert str(p) == "z^2 - 1"
     assert RatPoly.zero().degree == -math.inf
     q, r = divmod(p, RatPoly([-1, 1]))
     assert q == RatPoly([1, 1]) and r.is_zero()

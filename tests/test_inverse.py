@@ -16,11 +16,7 @@ from blochjac.fixtures import (
 from blochjac.inverse import (
     InconsistentDataError,
     SpectralData,
-    coefficient_blocks,
-    constrained_poly,
-    cosine_matrix,
     forward_spectral_data,
-    half_degree,
     recover_determinant,
     snap_to_rational,
     _cosine_sum,
@@ -41,102 +37,9 @@ def data_for(op, m, subset_rule="ascending", seed=0):
     return forward_spectral_data(op, KAPPAS[: m + 1], subset_rule=subset_rule, seed=seed)
 
 
-def test_half_degree_values():
-    # p=2, m=2: s drops by one every p degrees, n=0 is the special top row
-    assert [half_degree(2, 2, n) for n in range(5)] == [2, 1, 1, 0, 0]
-    assert half_degree(3, 1, 0) == 1
-    assert half_degree(3, 1, 2) == 0
-
-
-def test_half_degree_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        half_degree(2, 2, 5)
-    with pytest.raises(ValueError):
-        half_degree(2, 2, -1)
-
-
-@pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (2, 3), (1, 1)])
-def test_coefficient_blocks_tile(p, m):
-    blocks = coefficient_blocks(p, m)
-    assert len(blocks) == m + 1
-    seen = [n for block in blocks for n in block]
-    assert sorted(seen) == list(range(p * m + 1))
-    for s, block in enumerate(blocks):
-        assert all(half_degree(p, m, n) == s for n in block)
-
-
-def _columns(solve, n):
-    """W, the inverse of the matrix whose k-th column is solve(e_k)."""
-    inverse = np.array([solve([float(i == k) for i in range(n)]) for k in range(n)]).T
-    return np.linalg.inv(inverse)
-
-
-def test_cosine_matrix_two_frequencies():
-    solve = cosine_matrix((0.0, math.pi))
-    assert np.allclose(_columns(solve, 2), [[1, 1], [1, -1]])
-    assert solve([3, 1]) == [pytest.approx(2), pytest.approx(1)]
-
-
-def test_cosine_matrix_three_frequencies():
-    solve = cosine_matrix((0.0, math.pi, math.pi / 2))
-    assert np.allclose(_columns(solve, 3), [[1, 1, 1], [1, -1, 1], [1, 0, -1]], atol=1e-15)
-
-
-def test_cosine_matrix_close_but_distinct():
-    solve = cosine_matrix((0.0, 0.1))
-    got = solve([2.0, 1.0 + math.cos(0.1)])
-    assert got == [pytest.approx(1), pytest.approx(1)]
-
-
-def test_cosine_matrix_rejects_equal_cosines():
-    with pytest.raises(ValueError, match="too close"):
-        cosine_matrix((0.0, 2 * math.pi))
-
-
-def test_constrained_poly_single_root():
-    assert constrained_poly([0], [1]) == [0j, 1 + 0j]
-
-
-def test_constrained_poly_forced_factor():
-    # prescribe z^3 and z^2 coefficients over roots {1, -1}: g = z is forced
-    got = constrained_poly([1, -1], [0, 1])
-    assert got == [0j, -1 + 0j, 0j, 1 + 0j]
-
-
-def test_constrained_poly_double_root():
-    assert constrained_poly([0, 0], [1]) == [0j, 0j, 1 + 0j]
-
-
-def test_constrained_poly_block_taller_than_root_factor():
-    # one root but four prescribed coefficients: the solve reaches below the
-    # root factor's degree and must not wrap around the coefficient list
-    got = constrained_poly([2], [1, 2, 3, 1])
-    assert got[1:] == [1 + 0j, 2 + 0j, 3 + 0j, 1 + 0j]
-    val = sum(c * 2**i for i, c in enumerate(got))
-    assert abs(val) < 1e-12
-
-
-def test_constrained_poly_random_consistency():
-    rng = random.Random(11)
-    for _ in range(40):
-        k = rng.randint(1, 4)
-        s = rng.randint(0, 3)
-        roots = [complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for _ in range(k)]
-        tops = [complex(rng.uniform(-2, 2)) for _ in range(s)] + [complex(rng.uniform(0.5, 2))]
-        r = constrained_poly(roots, tops)
-        assert len(r) == k + s + 1
-        assert r[k:] == pytest.approx(tops)
-        for root in roots:
-            val = sum(c * root**i for i, c in enumerate(r))
-            assert abs(val) < 1e-9 * (1 + max(abs(c) for c in r))
-
-
 def recovered_section(rec, kappa):
     """Ascending z-coefficients of the recovered q(., e^{i kappa}), summed as recovery sums them."""
-    m = len(rec.q) - 1
-    p = (len(rec.q[0]) - 1) // m
-    return [_cosine_sum([rec.q[j][n] for j in range(half_degree(p, m, n) + 1)], kappa)
-            for n in range(p * m + 1)]
+    return [_cosine_sum(column, kappa) for column in zip(*rec.q.values())]
 
 
 def test_eta_table_free_rows():
@@ -294,6 +197,38 @@ def test_duplicate_cosines_rejected():
     sd = data_for(example3(1), 2)
     with pytest.raises(InconsistentDataError, match="coincide"):
         recover_determinant(sd._replace(kappas=(0.0, math.pi, 2 * math.pi)))
+
+
+def test_nearly_coincident_cosines_rejected():
+    # pairwise 1e-7 apart, above the 1e-9 coincidence test, but the 3 x 3
+    # cosine matrix cos(j kappa_r) has condition number above 1e12
+    kappas = (0.1, 0.1 + 1e-6, 0.1 + 2e-6)
+    sd = forward_spectral_data(example3(1), kappas)
+    with pytest.raises(InconsistentDataError, match="kappa values too close"):
+        recover_determinant(sd)
+
+
+def test_close_but_distinct_cosines_recover_and_snap():
+    # cos 0 - cos 0.1 = 5e-3 is small, but the system stays well conditioned
+    op = random_operator(1, 2, 1)
+    rec = recover_determinant(forward_spectral_data(op, (0.0, 0.1)))
+    assert snap_to_rational(rec).xi == char_determinant(op).xi
+
+
+def test_recovery_is_one_linear_solve(monkeypatch):
+    solves = []
+    original = np.linalg.solve
+
+    def counted(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    recover_determinant(data_for(random_operator(5, 2, 3), 3))
+    assert len(solves) == 1
+    A, rhs = solves[0]
+    # q_j has p(m - j) + 1 coefficients: 7 + 5 + 3 + 1 unknowns for p = 2, m = 3
+    assert A.shape == (16, 16) and rhs.shape == (16,)
 
 
 def test_corrupted_eigenvalue_yields_different_determinant():

@@ -17,7 +17,7 @@ from blochjac.numerics import (
 
 
 def test_roots_quadratic():
-    rs = roots_all(RatPoly([-4, 0, 1]))
+    rs = roots_all([-4, 0, 1])
     assert abs(rs[0] - (-2)) < 1e-10 and abs(rs[1] - 2) < 1e-10
 
 
@@ -54,7 +54,7 @@ def test_roots_recover_rational_roots(roots):
     f = RatPoly.one()
     for r in roots:
         f = f * RatPoly([-r, 1])
-    got = roots_all(f)
+    got = roots_all(f.complex_coeffs())
     want = sorted(float(r) for r in roots)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -80,7 +80,7 @@ def test_roots_wilkinson_20_within_the_contract():
     f = RatPoly.one()
     for j in range(1, 21):
         f = f * RatPoly([-j, 1])
-    rs = roots_all(f)
+    rs = roots_all(f.complex_coeffs())
     assert len(rs) == 20
     # float coefficients move these roots by up to about 1e-2 (Wilkinson)
     assert all(abs(r - j) < 0.05 for r, j in zip(rs, range(1, 21)))

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from blochjac.exactmath import I as IMAG
-from blochjac.exactmath import CRational, RatPoly, det_poly, mat_mul
+from blochjac.exactmath import CRational, RatPoly, det_field, det_poly, mat_inv, mat_mul
 from blochjac.fixtures import (
     example1_diag,
     free_operator,
@@ -90,12 +91,13 @@ def test_monodromy_free_p2():
 def test_monodromy_degree_and_leading_block(seed, p, m):
     op = random_operator(seed, p, m)
     M = monodromy(op)
-    Ap = op.a_product_inverse()
+    Ap = mat_inv(functools.reduce(mat_mul, op.a))
     for i in range(2 * m):
         for j in range(2 * m):
             assert M[i][j].degree <= p
             want = Ap[i - m][j - m] if (i >= m and j >= m) else 0
             assert M[i][j].coeff(p) == want
+    assert op.leading_constant() == (-1) ** m * det_field(Ap)
 
 
 def test_modified_monodromy_symplectic_exact():

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 import random
@@ -12,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochjac.spectral as spectral_mod
-from blochjac.exactmath import I, RatPoly, chebyshev, discriminant, squarefree_decomposition
+from blochjac.exactmath import (
+    I,
+    RatPoly,
+    chebyshev,
+    discriminant,
+    mat_inv,
+    mat_mul,
+    squarefree_decomposition,
+)
 from blochjac.fixtures import (
     example2_const,
     example3,
@@ -586,7 +595,7 @@ def _asymptotes(op, z0=1000.0):
     p, m = op.p, op.m
     sp = surface_poly(char_determinant(op))
     scaled = sorted((b.value / z0**p for b in lyapunov_at(sp, z0)), key=lambda w: (w.real, w.imag))
-    ap = op.a_product_inverse()
+    ap = mat_inv(functools.reduce(mat_mul, op.a))
     targets = sorted(np.linalg.eigvals(np.array([[float(x) / 2 for x in row] for row in ap])),
                      key=lambda w: (w.real, w.imag))
     rho, degenerate = resonance_poly(sp)
