@@ -1,9 +1,10 @@
 """Exact arithmetic underneath the spectral pipeline.
 
-Everything in this module is rational: Gaussian rationals and univariate
+Everything in this module is exact: Gaussian rationals and univariate
 polynomials with a variable tag, with their gcds, resultants and
-discriminants. A polynomial-valued quantity, such as a determinant with
-polynomial entries, is computed at sample points and interpolated.
+discriminants, and a small GF(P) layer over one list of 61-bit primes
+(gcds, characteristic polynomials, interpolation and Chinese remaindering).
+A polynomial-valued quantity is computed at sample points and interpolated.
 Floating point is confined to the numerics module; coefficients here are
 ints, Fractions, or CRationals, never floats.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count, islice
+from operator import mul
 
 _HASH_IM = 1000003
 
@@ -357,6 +360,20 @@ def gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     return a.monic()
 
 
+def _is_prime(n):
+    """Miller-Rabin on the first twelve prime bases, deterministic below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for b in bases:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+            return False
+    return True
+
+
 def _sqrt_minus_one(P):
     c = 2
     while pow(c, (P - 1) // 2, P) != P - 1:  # Euler's criterion: stop at a non-residue
@@ -364,9 +381,24 @@ def _sqrt_minus_one(P):
     return pow(c, (P - 1) // 4, P)
 
 
-# Primes P = 1 (mod 4), each with a square root of -1 modulo P, so that
-# reduction modulo P maps Gaussian integers to GF(P) as well as integers.
-_CERTIFICATE = tuple((P, _sqrt_minus_one(P)) for P in (2**61 - 31, 2**61 - 259, 2**61 - 283))
+# Primes P = 1 (mod 4) below 2^61, descending, each with a square root of -1
+# modulo P, so that reduction modulo P maps Gaussian integers to GF(P) as
+# well as integers. _primes extends the list as far as a caller reads it.
+_PRIMES = []
+
+
+def _primes():
+    """Yield (P, sqrt(-1) mod P) from _PRIMES in order, without end."""
+    for k in count():
+        if k == len(_PRIMES):
+            n = _PRIMES[-1][0] - 4 if _PRIMES else 2**61 - 3
+            while not _is_prime(n):
+                n -= 4
+            _PRIMES.append((n, _sqrt_minus_one(n)))
+        yield _PRIMES[k]
+
+
+_CERTIFICATE = tuple(islice(_primes(), 3))
 
 
 def _gcd_is_constant_mod(a, b, P):
@@ -383,6 +415,71 @@ def _gcd_is_constant_mod(a, b, P):
                 a.pop()
         a, b = b, a
     return len(a) == 1
+
+
+def _charpoly_mod(A, P):
+    """Ascending coefficients of det(t I - A) over GF(P) for a square list A of ints.
+
+    Pivoted elimination brings A to upper Hessenberg form H by similarity;
+    the charpoly p_k of the leading k x k block of H then follows from
+    p_(k+1) = t p_k - sum_(i<=k) h_ik h_(i+1,i) ... h_(k,k-1) p_i
+    (Cohen, GTM 138, Algorithm 2.2.9).
+    """
+    n = len(A)
+    H = [list(row) for row in A]
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if H[i][k - 1]), None)
+        if piv is None:
+            continue
+        H[k], H[piv] = H[piv], H[k]
+        for row in H:
+            row[k], row[piv] = row[piv], row[k]
+        inv = pow(H[k][k - 1], -1, P)
+        for i in range(k + 1, n):
+            u = H[i][k - 1] * inv % P
+            if u:  # row i -= u row k, then column k += u column i
+                H[i] = [(a - u * b) % P for a, b in zip(H[i], H[k])]
+                for row in H:
+                    row[k] = (row[k] + u * row[i]) % P
+    polys = [[1]]
+    for k in range(n):
+        new, prod = [0] + polys[k], 1
+        for i in range(k, -1, -1):
+            c = H[i][k] * prod % P
+            for idx, v in enumerate(polys[i]):
+                new[idx] -= c * v
+            prod = prod * H[i][i - 1] % P  # for i - 1; unused after i = 0
+        polys.append([v % P for v in new])
+    return polys[n]
+
+
+def _interpolation_rows(xs, P):
+    """V over GF(P) with (V y)_i the z^i coefficient of the interpolant of y at the ints xs.
+
+    Column k is the Lagrange basis polynomial prod_(j != k) (z - x_j) / (x_k - x_j),
+    whose numerator is prod_j (z - x_j) divided by z - x_k. The points are
+    distinct modulo P.
+    """
+    master = [1]
+    for x in xs:
+        master = [(a - x * b) % P for a, b in zip([0] + master, master + [0])]
+    cols = []
+    for xk in xs:
+        w = pow(math.prod(xk - xj for xj in xs if xj != xk), -1, P)
+        quot, acc = [], 0
+        for c in reversed(master[1:]):  # synthetic division, descending
+            acc = (c + xk * acc) % P
+            quot.append(acc * w % P)
+        cols.append(quot[::-1])
+    return [list(row) for row in zip(*cols)]
+
+
+def _crt(residues, primes):
+    """Integers in (-N/2, N/2], N = prod primes, congruent to residues[k][i] modulo primes[k]."""
+    N = math.prod(primes)
+    basis = [N // P * pow(N // P, -1, P) for P in primes]
+    out = [sum(map(mul, column, basis)) % N for column in zip(*residues)]
+    return [x - N if 2 * x > N else x for x in out]
 
 
 def _squarefree_certificate(f: RatPoly):
@@ -502,35 +599,12 @@ def interpolate(xs, ys, var):
     return out
 
 
-def det_poly(rows):
-    """Exact determinant of a square matrix of RatPoly entries.
-
-    Each row adds at most its largest entry degree to the degree of the
-    determinant. det_field at that bound plus one centred integer points,
-    then interpolation, gives the determinant exactly.
-    """
-    var = next((e.var for row in rows for e in row if e.degree > 0), "z")
-    bound = sum(max((e.degree for e in row if e), default=0) for row in rows)
-    xs = range(-(bound // 2), bound - bound // 2 + 1)
-    return interpolate(xs, [det_field([[e(x) for e in row] for row in rows]) for x in xs], var)
-
-
-def mat_identity(n):
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def mat_mul(A, B, P=None):
+    """A B over any ring of Python scalars; over GF(P) on ints when P is given."""
+    cols = list(zip(*B))
+    if P is None:
+        return [[sum(map(mul, row, col)) for col in cols] for row in A]
+    return [[sum(map(mul, row, col)) % P for col in cols] for row in A]
 
 
 def mat_transpose(A):

@@ -30,10 +30,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .exactmath import RatPoly
-from .numerics import hermitian_eigs, roots_all
+from .numerics import RootFindingError, hermitian_eigs, roots_all
 from .operators import PeriodicOperator, floquet_matrix
 from .spectral import CharDeterminant, InternalConsistencyError, build_char_determinant
 
@@ -193,6 +191,8 @@ def recover_determinant(sd: SpectralData) -> Recovery:
     and D = c tau^m q.  The recovered sections must reproduce every input
     value as a root, else the data is declared inconsistent.
     """
+    import numpy as np
+
     require_spectral_data(sd)
     p, m = sd.p, sd.m
     pm = p * m
@@ -238,7 +238,13 @@ def recover_determinant(sd: SpectralData) -> Recovery:
     residuals = []
     for j, kappa in enumerate(kappas):
         section = [_cosine_sum([qj[n] for qj in coeffs], kappa) for n in range(pm + 1)]
-        worst = _max_root_distance(section, sd.lambda_sets[j])
+        try:
+            worst = _max_root_distance(section, sd.lambda_sets[j])
+        except RootFindingError:
+            # a limit of the input, such as coefficients 200 orders of magnitude apart
+            raise ValueError(
+                f"recovered section at kappa_{j} has coefficients beyond the float root finder"
+            ) from None
         if worst > RESIDUAL_TOL and _section_residual(section, sd.lambda_sets[j]) > RESIDUAL_TOL:
             raise InconsistentDataError(
                 f"inconsistent spectral data: recovered section at kappa_{j} "

@@ -9,8 +9,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 DEFAULT_REL_TOL = 1e-12
 MAX_ITER = 500
 STAGNATION = 1e-14
@@ -142,6 +140,8 @@ def hermitian_eigs(H):
     inputs whose Hermiticity defect exceeds 1e-12 absolute. Accuracy
     contract: 1e-10 * ||H||.
     """
+    import numpy as np
+
     A = np.asarray(H, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrix required")

@@ -1,24 +1,21 @@
 """Periodic block Jacobi operators and their derived matrices.
 
-Houses the coefficient data (p, m, a_n, b_n), transfer matrices, the
-monodromy product, the symplectically-normalized monodromy, and the
-quasi-periodic block matrix L(tau), in both exact and Hermitian-float form.
-Matrices are nested lists; polynomial matrices hold RatPoly entries in z.
+Houses the coefficient data (p, m, a_n, b_n), the z-free parts of the
+transfer matrices, the monodromy product and its symplectic normalization
+at a point, exactly or modulo a prime, and the quasi-periodic block matrix
+L(tau), in both exact and Hermitian-float form. Matrices are nested lists
+of scalars.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
+from typing import NamedTuple
 
 from .exactmath import (
     CRational,
-    RatPoly,
     det_field,
-    det_poly,
-    mat_identity,
     mat_inv,
     mat_mul,
     mat_transpose,
@@ -87,60 +84,84 @@ class PeriodicOperator:
         return f"PeriodicOperator(p={self.p}, m={self.m})"
 
 
-def transfer_matrix(op: PeriodicOperator, n: int) -> list:
-    """T_n = (0 I; -a_n^{-1} a_{n-1}^T  a_n^{-1}(z - b_n)), indices wrapping mod p."""
-    m = op.m
-    inv = mat_inv(op.a_at(n))
-    bl = mat_mul(inv, mat_transpose(op.a_at(n - 1)))
-    inv_b = mat_mul(inv, op.b_at(n))
-    z, o = RatPoly.zero(), RatPoly.one()
-    rows = [[z] * m + [o if j == i else z for j in range(m)] for i in range(m)]
-    for i in range(m):
-        left = [RatPoly((-bl[i][j],)) for j in range(m)]
-        right = [RatPoly((-inv_b[i][j], inv[i][j])) for j in range(m)]
-        rows.append(left + right)
-    return rows
+class TransferParts(NamedTuple):
+    """The z-free parts of the transfer matrices, over one common denominator.
 
-
-def monodromy(op: PeriodicOperator) -> list:
-    """M_p(z) = T_p ... T_1 (left multiplication order)."""
-    out = transfer_matrix(op, 1)
-    for n in range(2, op.p + 1):
-        out = mat_mul(transfer_matrix(op, n), out)
-    return out
-
-
-def modified_monodromy(op: PeriodicOperator, Mp: list) -> list:
-    """Symplectic normalization M = P0 M_p P0^{-1} with P0 = a_0^T (+) I_m.
-
-    Mp is the raw monodromy(op). M satisfies M^T J M = J and det M = 1
-    exactly, and shares its characteristic polynomial with Mp.
+    delta T_n(z) = (0, delta I; K_n, z S_n - R_n) with the integer m x m
+    matrices K_n = -delta a_n^-1 a_(n-1)^T, S_n = delta a_n^-1 and
+    R_n = delta a_n^-1 b_n; steps[n - 1] = (K_n, S_n, R_n) and delta is the
+    least common denominator of all their unscaled entries, so
+    delta^p M_p(z) has integer polynomial entries. p0 and p0_inv are a_0^T
+    and its inverse, the corner of P0 = a_0^T (+) I_m.
     """
-    m = op.m
-    a0t = mat_transpose(op.a_at(0))
-    a0t_inv = mat_inv(a0t)
-    P0 = mat_identity(2 * m)
-    P0_inv = mat_identity(2 * m)
-    for i in range(m):
-        for j in range(m):
-            P0[i][j] = a0t[i][j]
-            P0_inv[i][j] = a0t_inv[i][j]
-    return mat_mul(mat_mul(P0, Mp), P0_inv)
+
+    delta: int
+    steps: tuple
+    p0: tuple
+    p0_inv: tuple
+
+    def mod(self, P):
+        """These parts over GF(P), or None when P divides delta or a denominator of p0 or p0_inv."""
+        corner = [x for mat in (self.p0, self.p0_inv) for row in mat for x in row]
+        if self.delta % P == 0 or any(x.denominator % P == 0 for x in corner):
+            return None
+
+        def red(mat):
+            # ints and Fractions alike have a numerator and a denominator
+            return tuple(tuple(x.numerator * pow(x.denominator, -1, P) % P for x in row)
+                         for row in mat)
+
+        return TransferParts(self.delta, tuple(tuple(map(red, step)) for step in self.steps),
+                             red(self.p0), red(self.p0_inv))
 
 
-def trace_powers(M: list, count: int):
-    """T_n = Tr M(z)^n for n = 1..count, as exact polynomials."""
-    out = []
-    power = M
-    for n in range(1, count + 1):
-        out.append(sum((power[i][i] for i in range(len(M))), RatPoly.zero()))
-        if n < count:
-            power = mat_mul(power, M)
-    return out
+def transfer_parts(op: PeriodicOperator) -> TransferParts:
+    """The exact per-operator setup of every monodromy evaluation, built once."""
+    raw = []
+    for n in range(1, op.p + 1):
+        inv = mat_inv(op.a_at(n))
+        minus_prev_t = [[-x for x in col] for col in zip(*op.a_at(n - 1))]
+        raw.append((mat_mul(inv, minus_prev_t), inv, mat_mul(inv, op.b_at(n))))
+    delta = math.lcm(*(x.denominator for step in raw for mat in step for row in mat for x in row))
+    steps = tuple(tuple(tuple(tuple(int(x * delta) for x in row) for row in mat) for mat in step)
+                  for step in raw)
+    p0 = mat_transpose(op.a_at(0))
+    return TransferParts(delta, steps, tuple(map(tuple, p0)), tuple(map(tuple, mat_inv(p0))))
+
+
+def monodromy_at(parts: TransferParts, x, P=None) -> list:
+    """delta^p M_p(x) = (delta T_p(x)) ... (delta T_1(x)) at a scalar x.
+
+    Exact for an int or Fraction x; over GF(P) on ints when P is given,
+    with parts = parts.mod(P). With M_p = (U; V) in m-row halves,
+    delta T_n M_p = (delta V; W (U; V)) for W = (K_n | x S_n - R_n).
+    """
+    m = len(parts.p0)
+    d = parts.delta
+    upper = [[int(i == j) for j in range(2 * m)] for i in range(m)]
+    lower = [[int(i + m == j) for j in range(2 * m)] for i in range(m)]
+    for K, S, R in parts.steps:
+        W = [list(Ki) + [x * s - r for s, r in zip(Si, Ri)] for Ki, Si, Ri in zip(K, S, R)]
+        # mat_mul reduces lower modulo P, so delta * lower stays small
+        upper, lower = [[d * v for v in row] for row in lower], mat_mul(W, upper + lower, P)
+    return (upper if P is None else [[v % P for v in row] for row in upper]) + lower
+
+
+def normalized_at(parts: TransferParts, Mx, P=None) -> list:
+    """P0 Mx P0^-1 for P0 = a_0^T (+) I_m; over GF(P) when P is given.
+
+    Applied to M_p(x) it gives the symplectically normalized M(x), with
+    M^T J M = J and det M = 1, similar to M_p(x); applied to delta^p M_p(x),
+    it gives delta^p M(x).
+    """
+    m = len(parts.p0)
+    rows = mat_mul(parts.p0, Mx[:m], P) + [list(row) for row in Mx[m:]]
+    left = mat_mul([row[:m] for row in rows], parts.p0_inv, P)
+    return [lo + row[m:] for lo, row in zip(left, rows)]
 
 
 def is_symplectic(M: list) -> bool:
-    """M^T J M == J for J = (0 I; -I 0)."""
+    """M^T J M == J for J = (0 I; -I 0), on an exact scalar matrix."""
     m = len(M) // 2
     JM = M[m:] + [[-e for e in row] for row in M[:m]]
     J = [[(j == i + m) - (i == j + m) for j in range(2 * m)] for i in range(2 * m)]
@@ -174,11 +195,13 @@ def _floquet_layout(a, b, t, tinv) -> list:
     return L
 
 
-def floquet_matrix(op: PeriodicOperator, tau: complex) -> np.ndarray:
-    """L(tau) as a Hermitian complex matrix; requires |tau| = 1 within 1e-12.
+def floquet_matrix(op: PeriodicOperator, tau: complex):
+    """L(tau) as a Hermitian complex numpy array; requires |tau| = 1 within 1e-12.
 
     Built on float copies of the entries, with conj(tau) as 1/tau.
     """
+    import numpy as np
+
     t = complex(tau)
     if abs(abs(t) - 1) > 1e-12:
         raise ValueError(f"|tau| = {abs(t)!r} is off the unit circle")
@@ -200,10 +223,3 @@ def floquet_matrix_exact(op: PeriodicOperator, tau):
             raise ZeroDivisionError("tau must be nonzero")
         tinv = 1 / t
     return _floquet_layout(op.a, op.b, t, tinv)
-
-
-def charpoly(A) -> RatPoly:
-    """det(zI - A) for an exact scalar matrix."""
-    n = len(A)
-    return det_poly([[RatPoly((-A[i][j], 1) if i == j else (-A[i][j],)) for j in range(n)]
-                     for i in range(n)])

@@ -11,31 +11,35 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
-
-import numpy as np
 
 from .exactmath import (
     CRational,
     I,
     RatPoly,
+    _charpoly_mod,
+    _crt,
+    _interpolation_rows,
+    _primes,
     chebyshev,
     det_field,
     discriminant,
     gcd,
     interpolate,
+    mat_mul,
     squarefree_decomposition,
 )
 from .numerics import hermitian_eigs, roots_all
 from .operators import (
     PeriodicOperator,
-    charpoly,
+    TransferParts,
     floquet_matrix,
     floquet_matrix_exact,
     is_symplectic,
-    modified_monodromy,
-    monodromy,
-    trace_powers,
+    monodromy_at,
+    normalized_at,
+    transfer_parts,
 )
 
 REAL_TOL = 1e-9
@@ -56,9 +60,9 @@ class CharDeterminant(NamedTuple):
     are palindromic, xi[j] == xi[2m-j], so xi also lists D's coefficients
     ascending in tau. c is the leading constant. q[j] = xi[m-j] / c, so
     that D / (c tau^m) = q[0] + sum_j q[j] (tau^j + tau^-j), monic of
-    degree pm in z. p and m are the periods, and M is the normalized
-    monodromy matrix D was computed from, a nested list of RatPoly in z
-    (None when D came from spectral data).
+    degree pm in z. p and m are the periods, and parts are the transfer
+    parts of the operator D was computed from (None when D came from
+    spectral data).
     """
 
     xi: tuple
@@ -66,7 +70,7 @@ class CharDeterminant(NamedTuple):
     q: tuple
     p: int
     m: int
-    M: object
+    parts: TransferParts | None
 
     def section(self, nu0) -> RatPoly:
         """q(z, tau0) = q[0] + sum_j 2 T_j(nu0) q[j] for nu0 = (tau0 + 1/tau0)/2, exactly.
@@ -178,8 +182,8 @@ def _na(name, detail):
     return IdentityCheck(name, "n/a", 0.0, detail)
 
 
-def build_char_determinant(xi: tuple, p: int, m: int, M) -> CharDeterminant:
-    """Validate candidate coefficients xi of D and package them with c, q and M.
+def build_char_determinant(xi: tuple, p: int, m: int, parts) -> CharDeterminant:
+    """Validate candidate coefficients xi of D and package them with c, q and parts.
 
     xi[j] is the coefficient of tau^(2m-j). Checks the palindrome, the
     degree bounds, and the leading structure of xi_m; any violation is an
@@ -199,44 +203,114 @@ def build_char_determinant(xi: tuple, p: int, m: int, M) -> CharDeterminant:
         raise InternalConsistencyError(f"deg xi_m = {xi[m].degree}, expected {p*m}")
     c = xi[m].coeff(p * m)
     q = tuple(xi[m - j] / c for j in range(m + 1))
-    return CharDeterminant(xi=xi, c=c, q=q, p=p, m=m, M=M)
+    return CharDeterminant(xi=xi, c=c, q=q, p=p, m=m, parts=parts)
+
+
+def _route_one(parts: TransferParts, x: int, P: int) -> list:
+    """delta^(p min(j, 2m-j)) xi_j(x) mod P for j = 0..2m, from a charpoly of P0 M_p(x) P0^-1.
+
+    The charpoly of delta^p M gives delta^(pj) xi_j; past the middle the
+    palindrome xi_j = xi_(2m-j) makes delta^(p(2m-j)) xi_j the integral one.
+    """
+    m = len(parts.p0)
+    # det(M - tau I) = det(tau I - M) at even size, so xi_j is the t^(2m-j) coefficient
+    out = _charpoly_mod(normalized_at(parts, monodromy_at(parts, x, P), P), P)[::-1]
+    back = pow(parts.delta, -2 * len(parts.steps), P)
+    return out[:m + 1] + [v * pow(back, j, P) % P for j, v in enumerate(out[m + 1:], 1)]
+
+
+def _route_two(parts: TransferParts, x: int, P: int) -> list:
+    """delta^(pj) xi_j(x) mod P for j = 0..m, by the Newton recursion on Tr N^s, N = delta^p M_p(x).
+
+    Powers are formed up to h = ceil(m/2); Tr N^(h+r) is the sum of the
+    entrywise product of N^h with the transpose of N^r.
+    """
+    m = len(parts.p0)
+    N = monodromy_at(parts, x, P)
+    powers = [N]
+    while 2 * len(powers) < m:
+        powers.append(mat_mul(powers[-1], N, P))
+    traces = [sum(pw[i][i] for i in range(2 * m)) for pw in powers]
+    top = [v for row in powers[-1] for v in row]
+    for pw in powers[:m - len(powers)]:
+        traces.append(sum(map(mul, top, (v for col in zip(*pw) for v in col))))
+    xi = [1]
+    for s in range(1, m + 1):
+        acc = sum(traces[s - j - 1] * xi[j] for j in range(s))
+        xi.append(-acc * pow(s, -1, P) % P)
+    return xi
+
+
+def _coefficient_bound(parts: TransferParts) -> int:
+    """B >= |every z-coefficient of delta^(pj) xi_j|, j = 0..m.
+
+    Let |.| sum the absolute values of a polynomial's coefficients, taken
+    entrywise. Then |delta^p M_p| <= R = |delta T_p| ... |delta T_1|.
+    delta^(pj) xi_j is up to sign the sum of the C(2m, j) principal j x j
+    minors of delta^p M_p, and each is at most the product of its rows'
+    sums in R, so at most the product of the j largest row sums.
+    """
+    m, d = len(parts.p0), parts.delta
+    R = [[int(i == j) for j in range(2 * m)] for i in range(2 * m)]
+    for K, S, Rn in parts.steps:
+        T = [[0] * m + [d * (i == j) for j in range(m)] for i in range(m)]
+        T += [[abs(k) for k in Ki] + [abs(s) + abs(r) for s, r in zip(Si, Ri)]
+              for Ki, Si, Ri in zip(K, S, Rn)]
+        R = mat_mul(T, R)
+    sums = sorted((sum(row) for row in R), reverse=True)
+    return max(math.comb(2 * m, j) * math.prod(sums[:j]) for j in range(m + 1))
+
+
+def _reconstruct(route, primes, parts: TransferParts, xs, bound: int) -> tuple:
+    """The xi_j that route computes pointwise, over Q.
+
+    Primes come from primes until their product exceeds 2 * bound. Modulo
+    each, the values at xs are interpolated; the Chinese remainder theorem
+    lifts the coefficients to integers in symmetric range, and they are
+    divided by delta^(p min(j, 2m-j)).
+    """
+    residues, used = [], []
+    while math.prod(used) <= 2 * bound:
+        P, red = next(primes)
+        rows = _interpolation_rows(xs, P)
+        values = [route(red, x, P) for x in xs]
+        residues.append([sum(map(mul, row, ys)) % P for ys in zip(*values) for row in rows])
+        used.append(P)
+    ints = _crt(residues, used)
+    n, m, p = len(xs), len(parts.p0), len(parts.steps)
+    scales = [parts.delta ** (p * min(j, 2 * m - j)) for j in range(len(ints) // n)]
+    return tuple(RatPoly([Fraction(v, d) for v in ints[j * n:(j + 1) * n]], "z") for j, d in enumerate(scales))
 
 
 def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     """D(z, tau) computed two independent ways, which must agree exactly.
 
-    Both routes start from one raw monodromy M_p. Route one evaluates the
-    normalized M at pm + 1 points, takes the characteristic polynomial of
-    each value, and interpolates every tau-coefficient in z (their degree
-    is at most pm, which build_char_determinant enforces). Route two builds
-    the tau-coefficients from the traces T_n = Tr M_p^n through the Newton
-    recursion xi_s = -(1/s) * sum_{j<s} T_{s-j} xi_j and mirrors them
-    across the palindrome.
+    Both routes evaluate delta^p M_p from the transfer parts at the pm + 1
+    centred integer points modulo 61-bit primes and interpolate every
+    tau-coefficient in z (its degree is at most pm, which
+    build_char_determinant enforces). Route one takes the charpoly of the
+    normalized P0 M_p P0^-1; route two the Newton recursion
+    xi_s = -(1/s) * sum_{j<s} T_{s-j} xi_j on the traces T_n = Tr M_p^n,
+    mirrored across the palindrome. Each takes as many primes as the proven
+    coefficient bound needs (Brown, J. ACM 18, 1971), disjoint from the
+    other's, and skips a prime that divides a denominator of the parts.
     """
     m = op.m
-    Mp = monodromy(op)
-    M = modified_monodromy(op, Mp)
     pm = op.p * m
+    parts = transfer_parts(op)
     xs = range(-(pm // 2), pm - pm // 2 + 1)
-    # det(M - tau I) = det(tau I - M) because M has even size 2m
-    pointwise = [charpoly([[e(x) for e in row] for row in M]) for x in xs]
-    by_tau = tuple(interpolate(xs, [f.coeff(k) for f in pointwise], "z") for k in range(2 * m + 1))
-
-    traces = trace_powers(Mp, m)
-    xi = [RatPoly.one("z")]
-    for s in range(1, m + 1):
-        acc = RatPoly.zero("z")
-        for j in range(s):
-            acc = acc + traces[s - j - 1] * xi[j]
-        xi.append(acc * Fraction(-1, s))
+    bound = _coefficient_bound(parts)
+    primes = ((P, red) for P, _ in _primes() for red in [parts.mod(P)] if red is not None)
+    by_tau = _reconstruct(_route_one, primes, parts, xs, bound)
+    xi = list(_reconstruct(_route_two, primes, parts, xs, bound))
     # palindromic by construction, so it also reads ascending in tau
-    mirrored = tuple(xi + [xi[m - 1 - j] for j in range(m)])
+    mirrored = tuple(xi + xi[m - 1::-1])
 
     if by_tau != mirrored:
         raise InternalConsistencyError(
             "determinant route and trace route disagree on D(z, tau)"
         )
-    cd = build_char_determinant(by_tau, op.p, m, M)
+    cd = build_char_determinant(by_tau, op.p, m, parts)
     if cd.c != op.leading_constant():
         raise InternalConsistencyError(
             f"leading constant {cd.c} != (-1)^m det A_p = {op.leading_constant()}"
@@ -499,9 +573,10 @@ def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly) -> BandStruct
     prev = prev2 = None
     xprev = xprev2 = 0.0
     for left, right in zip(values, values[1:]):
-        xs = np.linspace(left, right, _SUBSAMPLES + 2)[1:-1]
-        for idx, x in enumerate(xs):
-            x = float(x)
+        # the interior of numpy.linspace(left, right, _SUBSAMPLES + 2), bit for bit
+        step = (right - left) / (_SUBSAMPLES + 1)
+        for idx in range(_SUBSAMPLES):
+            x = left + (idx + 1) * step
             cur = branch_values(sp, x)
             if prev2 is not None:
                 r = (x - xprev) / (xprev - xprev2)
@@ -553,6 +628,8 @@ def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly) -> BandStruct
 
 
 def _cross_validate(op, bs: BandStructure, grid: int):
+    import numpy as np
+
     segs = bs.segments
     for x in np.linspace(0.0, 2 * math.pi, grid):
         tau = complex(math.cos(x), math.sin(x))
@@ -624,6 +701,12 @@ def _frobenius_sq(mat):
     return sum(x * x for row in mat for x in row)
 
 
+def _monodromy_exact(parts: TransferParts, x) -> list:
+    """M_p(x) over Q at an int or Fraction x."""
+    scale = parts.delta ** len(parts.steps)
+    return [[Fraction(v) / scale for v in row] for row in monodromy_at(parts, x)]
+
+
 def _log10(x: Fraction) -> float:
     """log10 of a positive Fraction of any size."""
     return math.log10(x.numerator) - math.log10(x.denominator)
@@ -632,9 +715,10 @@ def _log10(x: Fraction) -> float:
 def verify_identities(op: PeriodicOperator) -> list:
     """Run every executable identity for one operator; returns IdentityChecks.
 
-    Exact checks: the symplectic normalization, the palindrome and dual
-    routes (implicit in char_determinant), the Floquet determinant match
-    at tau in {1, -1, i}, the first two eigenvalue-moment identities read
+    Exact checks: the symplectic normalization (at 2p + 1 points), the
+    palindrome and dual routes (implicit in char_determinant), the Floquet
+    determinant match q(x, tau0) = det(x I - L(tau0)) at pm + 1 points for
+    tau0 in {1, -1, i}, the first two eigenvalue-moment identities read
     off q's top coefficients. Float checks: the second-moment lower bound,
     the norm sandwich from band extremes, and the trace-vs-Chebyshev
     sampling identity.
@@ -646,26 +730,29 @@ def verify_identities(op: PeriodicOperator) -> list:
     """
     p, m = op.p, op.m
     pm = p * m
-    report = []
-
     try:
         cd = char_determinant(op)
+        parts, dual = cd.parts, _check("palindrome-and-dual-route", True)
     except InternalConsistencyError as exc:
-        M = modified_monodromy(op, monodromy(op))
-        report.append(_check("symplectic-normalization", is_symplectic(M)))
-        report.append(_check("palindrome-and-dual-route", False, detail=str(exc)))
+        cd, parts = None, transfer_parts(op)
+        dual = _check("palindrome-and-dual-route", False, detail=str(exc))
+    # M = P0 M_p P0^-1 has z-degree at most p, so 2p + 1 points prove M^T J M = J
+    symplectic = all(is_symplectic(normalized_at(parts, _monodromy_exact(parts, x)))
+                     for x in range(-p, p + 1))
+    report = [_check("symplectic-normalization", symplectic), dual]
+    if cd is None:
         return report
-    report.append(_check("symplectic-normalization", is_symplectic(cd.M)))
-    report.append(_check("palindrome-and-dual-route", True))
     sp = surface_poly(cd)
 
+    # both sides have z-degree at most pm, so pm + 1 points decide equality
+    xs = [Fraction(x) for x in range(-(pm // 2), pm - pm // 2 + 1)]
     sections = {}
     for tau0, nu0, label in ((1, 1, "1"), (-1, -1, "-1"), (I, 0, "i")):
         sections[label] = cd.section(nu0)
-        rhs = charpoly(floquet_matrix_exact(op, tau0))
-        report.append(
-            _check(f"floquet-determinant-tau={label}", sections[label] == rhs)
-        )
+        L = floquet_matrix_exact(op, tau0)
+        ok = all(sections[label](x) == det_field([[x * (i == j) - e for j, e in enumerate(row)]
+                                                  for i, row in enumerate(L)]) for x in xs)
+        report.append(_check(f"floquet-determinant-tau={label}", ok))
 
     trace_b = _sum_traces(op, lambda n: _trace_of(op.b_at(n)))
     if p >= 2:
@@ -738,15 +825,17 @@ def verify_identities(op: PeriodicOperator) -> list:
     else:
         report.append(_na("norm-sandwich-traceless", "requires sum Tr b_n = 0"))
 
-    traces = trace_powers(cd.M, 3)
     rng = random.Random(0xB10C)
     worst = 0.0
     ok = True
     for _ in range(5):
         z0 = Fraction(rng.randint(-194, 194), 97)
         branches = branch_values(sp, z0)
+        M = _monodromy_exact(cd.parts, z0)
+        powers = [M, mat_mul(M, M)]
+        powers.append(mat_mul(powers[1], M))
         for n in (1, 2, 3):
-            lhs = complex(traces[n - 1](z0)) / 2
+            lhs = complex(_trace_of(powers[n - 1])) / 2
             rhs = sum(chebyshev(n)(v) for v in branches)
             err = abs(lhs - rhs)
             tol = 1e-8 * max(1.0, abs(lhs))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from blochjac.exactmath import CRational, RatPoly, chebyshev
+from blochjac.exactmath import CRational, RatPoly, chebyshev, det_field, interpolate, mat_mul
 from blochjac.fixtures import (
     example1_diag,
     example2_const,
@@ -30,12 +30,11 @@ from blochjac.inverse import (
 )
 from blochjac.numerics import hermitian_eigs, roots_all
 from blochjac.operators import (
-    charpoly,
     floquet_matrix,
     floquet_matrix_exact,
     is_symplectic,
-    monodromy,
-    trace_powers,
+    monodromy_at,
+    normalized_at,
 )
 from blochjac.spectral import (
     antiperiodic_eigs,
@@ -54,6 +53,15 @@ from blochjac.spectral import (
 Z = RatPoly([0, 1])
 KAPPAS = (0.0, math.pi, math.pi / 2, math.pi / 3)
 SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]
+
+
+def charpoly(A):
+    """det(zI - A) of an exact scalar matrix, interpolated from det_field at len(A) + 1 points."""
+    n = len(A)
+    xs = range(n + 1)
+    dets = [det_field([[Fraction(x * (i == j)) - e for j, e in enumerate(row)] for i, row in enumerate(A)])
+            for x in xs]
+    return interpolate(xs, dets, "z")
 
 
 def criterion(num, label):
@@ -104,21 +112,24 @@ def interval_matches(bands, expected, tol=1e-9):
 def test_criterion_1_exact_identities(battery):
     for op, cd, _ in battery:
         p, m = op.p, op.m
-        assert is_symplectic(cd.M)
+        scale = cd.parts.delta ** p
+        # 2pm + 1 points exceed the z-degrees of M^T J M and of every xi_s
+        for x in (Fraction(2 * k - p * m, 3) for k in range(2 * p * m + 1)):
+            Mp = [[Fraction(v) / scale for v in row] for row in monodromy_at(cd.parts, x)]
+            assert is_symplectic(normalized_at(cd.parts, Mp))
+            # trace route, recomputed here from exact traces of M_p(x)
+            power, traces = Mp, []
+            for s in range(m):
+                traces.append(sum(power[i][i] for i in range(2 * m)))
+                power = mat_mul(power, Mp)
+            xi = [Fraction(1)]
+            for s in range(1, m + 1):
+                xi.append(-sum(traces[s - j - 1] * xi[j] for j in range(s)) / s)
+            assert [cd.xi[s](x) for s in range(m + 1)] == xi
         for j in range(2 * m + 1):
             assert cd.xi[j] == cd.xi[2 * m - j]  # tau^2m D(z, 1/tau) = D(z, tau)
         for j in range(m + 1):
             assert cd.xi[j].degree <= p * j
-        # trace route, recomputed here from raw monodromy traces
-        traces = trace_powers(monodromy(op), m)
-        xi = [RatPoly.one("z")]
-        for s in range(1, m + 1):
-            acc = RatPoly.zero("z")
-            for j in range(s):
-                acc = acc + traces[s - j - 1] * xi[j]
-            xi.append(acc * Fraction(-1, s))
-        for s in range(m + 1):
-            assert cd.xi[s] == xi[s]
 
 
 @criterion(2, "Floquet/monodromy equivalence, exact at 32 rational points of the circle")

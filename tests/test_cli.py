@@ -254,6 +254,14 @@ def test_recover_huge_eigenvalue_prints_one_error_line(tmp_path):
     assert done.stdout == b""
 
 
+def test_recover_section_beyond_the_root_finder_exits_2(tmp_path, capsys):
+    # the recovered q is finite, but its section at kappa_0 spans 200 orders of magnitude
+    data = {"p": 2, "m": 1, "kappas": [0.0, math.pi], "lambda_sets": [[1e200, 0.5], [-1.0]]}
+    code, line = run_error_line(capsys, ["recover", write_json(tmp_path, data, "huge.json")])
+    assert code == 2
+    assert line == "error: recovered section at kappa_0 has coefficients beyond the float root finder"
+
+
 def run_captured(argv):
     """Exit code, stdout and stderr of an in-process run; a Python warning counts as stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -547,13 +555,33 @@ def test_recover_builds_phi_at_most_once(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["bands", "resonances", "verify", "lyapunov"])
-def test_each_command_builds_the_monodromy_once(tmp_path, capsys, monkeypatch, command):
+def test_each_command_builds_the_transfer_parts_once(tmp_path, capsys, monkeypatch, command):
+    # the exact per-operator setup that every monodromy evaluation reads
     path = write_doc(tmp_path, capsys, ["example", "example4", "--t", "1/2"])
-    counts = count_calls(monkeypatch, "monodromy")
+    counts = count_calls(monkeypatch, "transfer_parts")
     argv = [command, path] + (["--z", "0.5"] if command == "lyapunov" else [])
     code, _ = run_cli(capsys, argv)
     assert code == 0
-    assert counts == {"monodromy": 1}
+    assert counts == {"transfer_parts": 1}
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["resonances", "OP"], ["lyapunov", "OP", "--z", "0"]])
+def test_commands_without_floquet_solves_never_import_numpy(tmp_path, capsys, argv):
+    path = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1/2"])
+    script = (
+        "import sys\n"
+        "from blochjac import cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "sys.stdout.write('numpy loaded' if 'numpy' in sys.modules else '')\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script] + [path if a == "OP" else a for a in argv],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert not done.stdout.endswith("numpy loaded")
 
 
 @pytest.mark.parametrize("command", ["bands", "resonances", "verify", "lyapunov"])

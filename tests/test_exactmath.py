@@ -13,7 +13,6 @@ from blochjac.exactmath import (
     RatPoly,
     chebyshev,
     det_field,
-    det_poly,
     discriminant,
     gcd,
     interpolate,
@@ -303,26 +302,49 @@ def test_bipoly_resultant_discriminant():
 def test_det_helpers():
     m = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
     assert det_field(m) == 1
-    rows = [[RatPoly([1]), RatPoly([0, 1])], [RatPoly([0, 1]), RatPoly([1])]]
-    assert det_poly(rows) == RatPoly([1, 0, -1])
-    # row degrees 3, 0 and 1 bound the degree by 4, which det = z^4 - 5z attains
-    x = RatPoly([0, 1])
-    rows = [[x ** 3, RatPoly([1]), x], [RatPoly([2]), RatPoly([1]), RatPoly([0])],
-            [RatPoly([1]), RatPoly([-1]), x]]
-    want = rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1]) \
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0]) \
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    assert det_poly(rows) == want == RatPoly([0, -5, 0, 0, 1])
-    assert det_poly([[RatPoly([1]), x], [RatPoly.zero(), RatPoly.zero()]]).is_zero()
     inv = mat_inv(m)
     assert mat_mul(m, inv) == [[1, 0], [0, 1]]
+    P = exactmath._CERTIFICATE[0][0]
+    assert mat_mul([[P - 1, 2]], [[3], [P - 5]], P) == [[P - 13]]
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.lists(rationals(3), min_size=3, max_size=3), min_size=3, max_size=3))
-def test_det_poly_matches_det_field(rows):
-    as_polys = [[RatPoly([c]) for c in row] for row in rows]
-    assert det_poly(as_polys) == RatPoly([det_field(rows)])
+def test_prime_list_is_every_prime_1_mod_4_below_2_61_in_order():
+    listed = [P for (P, _), _ in zip(exactmath._primes(), range(12))]
+    assert [P for P, _ in exactmath._CERTIFICATE] == listed[:3]
+    assert listed[0] == 2**61 - 31 and listed == sorted(listed, reverse=True)
+    for hi, lo in zip([2**61 + 3] + listed, listed):
+        assert _is_prime(lo) and lo % 4 == 1
+        assert not any(_is_prime(n) for n in range(lo + 4, hi, 4))
+    assert all(exactmath._is_prime(n) == _is_prime(n) for n in range(2**61 - 400, 2**61))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_charpoly_mod_reduces_the_exact_charpoly(rows):
+    # det(t I - A) interpolated exactly from det_field at n + 1 points
+    n = len(rows)
+    xs = range(n + 1)
+    exact = interpolate(xs, [det_field([[Fraction(x * (i == j) - e) for j, e in enumerate(row)]
+                                        for i, row in enumerate(rows)]) for x in xs], "z")
+    for P, _ in exactmath._CERTIFICATE[:2]:
+        red = [[e % P for e in row] for row in rows]
+        assert exactmath._charpoly_mod(red, P) == [int(c) % P for c in exact.coeffs] + [0] * (n + 1 - len(exact.coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=9))
+def test_interpolation_and_crt_recover_integer_coefficients(coeffs):
+    # three 61-bit primes hold every integer of at most 182 bits in symmetric range
+    primes = [P for P, _ in exactmath._CERTIFICATE]
+    xs = range(-(len(coeffs) // 2), len(coeffs) - len(coeffs) // 2)
+    f = RatPoly(coeffs)
+    residues = []
+    for P in primes:
+        rows = exactmath._interpolation_rows(xs, P)
+        ys = [int(f(x)) % P for x in xs]
+        residues.append([sum(a * y for a, y in zip(row, ys)) % P for row in rows])
+    assert exactmath._crt(residues, primes) == coeffs
 
 
 def gaussian_rationals(max_num=4):

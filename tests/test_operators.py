@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from blochjac.exactmath import I as IMAG
-from blochjac.exactmath import CRational, RatPoly, det_field, det_poly, mat_inv, mat_mul
+from blochjac.exactmath import (
+    CRational,
+    RatPoly,
+    _charpoly_mod,
+    _primes,
+    det_field,
+    interpolate,
+    mat_inv,
+    mat_mul,
+)
 from blochjac.fixtures import (
     example1_diag,
     free_operator,
@@ -16,17 +25,55 @@ from blochjac.fixtures import (
 from blochjac.numerics import hermitian_eigs
 from blochjac.operators import (
     PeriodicOperator,
-    charpoly,
     floquet_matrix,
     floquet_matrix_exact,
     is_symplectic,
-    modified_monodromy,
-    monodromy,
-    trace_powers,
-    transfer_matrix,
+    monodromy_at,
+    normalized_at,
+    transfer_parts,
 )
+from blochjac.spectral import _route_two
 
 Z = RatPoly([0, 1])
+P = next(_primes())[0]
+
+
+def transfer_matrix(op, n):
+    """T_n(z) as RatPoly entries, read back from the scaled transfer parts."""
+    parts = transfer_parts(op)
+    m, d = op.m, parts.delta
+    K, S, R = parts.steps[n - 1]
+    top = [[RatPoly([0])] * m + [RatPoly([int(i == j)]) for j in range(m)] for i in range(m)]
+    return top + [[RatPoly([Fraction(k, d)]) for k in K[i]]
+                  + [RatPoly([Fraction(-r, d), Fraction(s, d)]) for s, r in zip(S[i], R[i])]
+                  for i in range(m)]
+
+
+def monodromy(op):
+    """M_p(z) entrywise, interpolated from monodromy_at at p + 2 points, one past its degree bound."""
+    parts = transfer_parts(op)
+    xs = range(op.p + 2)
+    scale = parts.delta ** op.p
+    values = [monodromy_at(parts, x) for x in xs]
+    n = 2 * op.m
+    return [[interpolate(xs, [Fraction(v[i][j], scale) for v in values], "z") for j in range(n)]
+            for i in range(n)]
+
+
+def modified_monodromy_at(op, x):
+    """The normalized M = P0 M_p P0^-1 at a point x, over Q."""
+    parts = transfer_parts(op)
+    scale = parts.delta ** op.p
+    return normalized_at(parts, [[Fraction(v, scale) for v in row] for row in monodromy_at(parts, x)])
+
+
+def charpoly(A):
+    """det(zI - A) of an exact scalar matrix, interpolated from det_field at len(A) + 1 points."""
+    n = len(A)
+    xs = range(n + 1)
+    dets = [det_field([[Fraction(x * (i == j)) - e for j, e in enumerate(row)] for i, row in enumerate(A)])
+            for x in xs]
+    return interpolate(xs, dets, "z")
 
 
 def test_validate_free_ok():
@@ -102,25 +149,35 @@ def test_monodromy_degree_and_leading_block(seed, p, m):
 
 def test_modified_monodromy_symplectic_exact():
     op = scalar_operator([2], [0])
-    assert is_symplectic(modified_monodromy(op, monodromy(op)))
+    assert all(is_symplectic(modified_monodromy_at(op, Fraction(x, 3))) for x in range(-4, 5))
     assert not is_symplectic([[2, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("seed,p,m", [(5, 2, 2), (6, 3, 3), (7, 1, 3)])
 def test_modified_monodromy_symplectic_and_det(seed, p, m):
     op = random_operator(seed, p, m)
-    M = modified_monodromy(op, monodromy(op))
-    assert is_symplectic(M)
-    assert det_poly(M) == RatPoly([1])
+    for x in (Fraction(-7, 3), 0, 1, Fraction(5, 2)):
+        M = modified_monodromy_at(op, x)
+        assert is_symplectic(M)
+        assert det_field(M) == 1
 
 
 def test_trace_powers_match_direct():
-    op = random_operator(8, 2, 2)
-    M = monodromy(op)
-    t1, t2 = trace_powers(M, 2)
-    M2 = mat_mul(M, M)
-    assert t1 == sum((M[i][i] for i in range(4)), RatPoly.zero())
-    assert t2 == sum((M2[i][i] for i in range(4)), RatPoly.zero())
+    # route two's traces of powers, N^h against N^(s-h), give the Newton
+    # coefficients of the directly computed powers, modulo a prime
+    for seed, p, m in ((8, 2, 2), (8, 1, 5), (9, 2, 4)):
+        parts = transfer_parts(random_operator(seed, p, m))
+        red = parts.mod(P)
+        for x in (-2, 0, 3):
+            N = monodromy_at(red, x, P)
+            power, traces = N, []
+            for s in range(1, m + 1):
+                traces.append(sum(power[i][i] for i in range(2 * m)) % P)
+                power = mat_mul(power, N, P)
+            xi = [1]
+            for s in range(1, m + 1):
+                xi.append(-sum(traces[s - j - 1] * xi[j] for j in range(s)) * pow(s, -1, P) % P)
+            assert _route_two(red, x, P) == xi
 
 
 def test_floquet_free_p2_m1():
@@ -174,8 +231,9 @@ def test_floquet_exact_gaussian_tau():
 
 
 def test_charpoly_2x2():
-    A = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
+    A = [[2, 1], [0, 3]]
     assert charpoly(A) == RatPoly([6, -5, 1])
+    assert _charpoly_mod(A, P) == [6, P - 5, 1]
 
 
 def test_charpoly_matches_eigs():
@@ -185,3 +243,6 @@ def test_charpoly_matches_eigs():
     eigs = hermitian_eigs(floquet_matrix(op, -1))
     vals = sorted(np.roots(list(reversed(cp.complex_coeffs()))).real)
     assert np.allclose(vals, eigs, atol=1e-8)
+    # the Hessenberg charpoly over GF(P) of the same matrix reduces the exact one
+    red = [[x.numerator * pow(x.denominator, -1, P) % P for x in map(Fraction, row)] for row in L]
+    assert _charpoly_mod(red, P) == [c.numerator * pow(c.denominator, -1, P) % P for c in cp.coeffs]

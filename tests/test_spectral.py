@@ -16,8 +16,11 @@ import blochjac.spectral as spectral_mod
 from blochjac.exactmath import (
     I,
     RatPoly,
+    _primes,
     chebyshev,
+    det_field,
     discriminant,
+    interpolate,
     mat_inv,
     mat_mul,
     squarefree_decomposition,
@@ -34,11 +37,9 @@ from blochjac.fixtures import (
 from blochjac.numerics import hermitian_eigs
 from blochjac.operators import (
     PeriodicOperator,
-    charpoly,
     floquet_matrix,
     floquet_matrix_exact,
-    modified_monodromy,
-    monodromy,
+    transfer_parts,
 )
 from blochjac.spectral import (
     BandStructure,
@@ -69,6 +70,33 @@ def free_block(p, tau0):
     """tau0^2 + 1 - 2 tau0 T_p(z/2), the single-band building block at tau = tau0."""
     half_z = zpoly(0, Fraction(1, 2))
     return chebyshev(p)(half_z) * (-2 * tau0) + (tau0 * tau0 + 1)
+
+
+def charpoly(A):
+    """det(zI - A) of an exact scalar matrix, interpolated from det_field at len(A) + 1 points."""
+    n = len(A)
+    xs = range(n + 1)
+    dets = [det_field([[Fraction(x * (i == j)) - e for j, e in enumerate(row)] for i, row in enumerate(A)])
+            for x in xs]
+    return interpolate(xs, dets, "z")
+
+
+def monodromy_oracle(op, x):
+    """M_p(x) as the exact Fraction product T_p(x) ... T_1(x), built from the blocks alone.
+
+    T_n(x) = (0, I; -a_n^-1 a_(n-1)^T, a_n^-1 (x - b_n)), indices wrapping mod p.
+    """
+    m = op.m
+    out = [[Fraction(i == j) for j in range(2 * m)] for i in range(2 * m)]
+    for n in range(1, op.p + 1):
+        inv = mat_inv(op.a_at(n))
+        left = mat_mul(inv, [list(col) for col in zip(*op.a_at(n - 1))])
+        shifted = [[x * (i == j) - op.b_at(n)[i][j] for j in range(m)] for i in range(m)]
+        right = mat_mul(inv, shifted)
+        T = [[Fraction(i + m == j) for j in range(2 * m)] for i in range(m)]
+        T += [[-v for v in left[i]] + right[i] for i in range(m)]
+        out = mat_mul(T, out)
+    return out
 
 
 def d_at(cd, tau0):
@@ -455,21 +483,67 @@ def test_cross_validation_guard():
 
 
 def test_dual_route_tamper_detected(monkeypatch):
-    real = spectral_mod.trace_powers
-    seen = []
+    # one wrong residue, at one point modulo one prime, in either route
+    used = {}
+    for name in ("_route_one", "_route_two"):
+        used[name] = set()
 
-    def tampered(M, k):
-        seen.append(M)
-        return [t + 1 for t in real(M, k)]
+        def recording(parts, x, P, _real=getattr(spectral_mod, name), _name=name):
+            used[_name].add(P)
+            return _real(parts, x, P)
 
-    monkeypatch.setattr(spectral_mod, "trace_powers", tampered)
-    for op in (free_operator(2, 1), random_operator(1, 2, 2)):
-        seen.clear()
-        with pytest.raises(InternalConsistencyError):
-            char_determinant(op)
-        # route two reads the raw monodromy, so it also checks route one's P0 normalization
-        assert seen == [monodromy(op)]
-    assert seen[0] != modified_monodromy(op, seen[0])
+        monkeypatch.setattr(spectral_mod, name, recording)
+    char_determinant(random_operator(1, 2, 2))
+    assert used["_route_one"] and used["_route_two"]
+    assert not used["_route_one"] & used["_route_two"]
+
+    for name in ("_route_one", "_route_two"):
+        real = getattr(spectral_mod, name)
+        for op in (free_operator(2, 1), random_operator(1, 2, 2)):
+            calls = []
+
+            def tampered(parts, x, P):
+                out = real(parts, x, P)
+                calls.append(x)
+                if len(calls) == 2:
+                    out[1] = (out[1] + 1) % P
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral_mod, name, tampered)
+                with pytest.raises(InternalConsistencyError, match="disagree"):
+                    char_determinant(op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 50),
+    st.sampled_from([(p, m) for p in (1, 2, 3) for m in (1, 2, 3)] + [(2, 4), (4, 1), (8, 1)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+    st.integers(-3, 3),
+)
+def test_d_matches_the_pointwise_transfer_product(seed, shape, x, tau):
+    # sum_j xi_j(x) tau^(2m-j) against det(M_p(x) - tau I), exact at a rational x
+    op = random_operator(seed, *shape)
+    cd = char_determinant(op)
+    M = monodromy_oracle(op, x)
+    want = det_field([[v - tau * (i == j) for j, v in enumerate(row)] for i, row in enumerate(M)])
+    assert sum(f(x) * tau ** (2 * op.m - j) for j, f in enumerate(cd.xi)) == want
+
+
+def test_d_skips_a_prime_that_divides_a_denominator():
+    P = next(_primes())[0]
+    half = Fraction(1, 2)
+    op = PeriodicOperator([[[1, half], [0, 3]], [[2, 0], [1, 1]]],
+                          [[[Fraction(1, P), 0], [0, -1]], [[0, half], [half, 1]]])
+    parts = transfer_parts(op)
+    assert parts.delta % P == 0 and parts.mod(P) is None
+    cd = char_determinant(op)
+    for x in (Fraction(-1, 3), Fraction(2), Fraction(7, 5)):
+        M = monodromy_oracle(op, x)
+        for tau in (-2, 1, 3):
+            want = det_field([[v - tau * (i == j) for j, v in enumerate(row)] for i, row in enumerate(M)])
+            assert sum(f(x) * tau ** (4 - j) for j, f in enumerate(cd.xi)) == want
 
 
 @settings(max_examples=20, deadline=None)
