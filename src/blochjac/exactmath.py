@@ -3,8 +3,9 @@
 Everything in this module is exact: Gaussian rationals and univariate
 polynomials with a variable tag, with their gcds, resultants and
 discriminants, and a small GF(P) layer over one list of 61-bit primes
-(gcds, characteristic polynomials, interpolation and Chinese remaindering).
-A polynomial-valued quantity is computed at sample points and interpolated.
+(gcds and Chinese remaindering). One Hessenberg characteristic polynomial
+and one Newton interpolation serve Q, Q(i) and GF(P) alike: a
+polynomial-valued quantity is computed at sample points and interpolated.
 Floating point is confined to the numerics module; coefficients here are
 ints, Fractions, or CRationals, never floats.
 """
@@ -417,63 +418,6 @@ def _gcd_is_constant_mod(a, b, P):
     return len(a) == 1
 
 
-def _charpoly_mod(A, P):
-    """Ascending coefficients of det(t I - A) over GF(P) for a square list A of ints.
-
-    Pivoted elimination brings A to upper Hessenberg form H by similarity;
-    the charpoly p_k of the leading k x k block of H then follows from
-    p_(k+1) = t p_k - sum_(i<=k) h_ik h_(i+1,i) ... h_(k,k-1) p_i
-    (Cohen, GTM 138, Algorithm 2.2.9).
-    """
-    n = len(A)
-    H = [list(row) for row in A]
-    for k in range(1, n - 1):
-        piv = next((i for i in range(k, n) if H[i][k - 1]), None)
-        if piv is None:
-            continue
-        H[k], H[piv] = H[piv], H[k]
-        for row in H:
-            row[k], row[piv] = row[piv], row[k]
-        inv = pow(H[k][k - 1], -1, P)
-        for i in range(k + 1, n):
-            u = H[i][k - 1] * inv % P
-            if u:  # row i -= u row k, then column k += u column i
-                H[i] = [(a - u * b) % P for a, b in zip(H[i], H[k])]
-                for row in H:
-                    row[k] = (row[k] + u * row[i]) % P
-    polys = [[1]]
-    for k in range(n):
-        new, prod = [0] + polys[k], 1
-        for i in range(k, -1, -1):
-            c = H[i][k] * prod % P
-            for idx, v in enumerate(polys[i]):
-                new[idx] -= c * v
-            prod = prod * H[i][i - 1] % P  # for i - 1; unused after i = 0
-        polys.append([v % P for v in new])
-    return polys[n]
-
-
-def _interpolation_rows(xs, P):
-    """V over GF(P) with (V y)_i the z^i coefficient of the interpolant of y at the ints xs.
-
-    Column k is the Lagrange basis polynomial prod_(j != k) (z - x_j) / (x_k - x_j),
-    whose numerator is prod_j (z - x_j) divided by z - x_k. The points are
-    distinct modulo P.
-    """
-    master = [1]
-    for x in xs:
-        master = [(a - x * b) % P for a, b in zip([0] + master, master + [0])]
-    cols = []
-    for xk in xs:
-        w = pow(math.prod(xk - xj for xj in xs if xj != xk), -1, P)
-        quot, acc = [], 0
-        for c in reversed(master[1:]):  # synthetic division, descending
-            acc = (c + xk * acc) % P
-            quot.append(acc * w % P)
-        cols.append(quot[::-1])
-    return [list(row) for row in zip(*cols)]
-
-
 def _crt(residues, primes):
     """Integers in (-N/2, N/2], N = prod primes, congruent to residues[k][i] modulo primes[k]."""
     N = math.prod(primes)
@@ -582,20 +526,74 @@ def det_field(mat):
     return det.demote() if isinstance(det, CRational) else det
 
 
-def interpolate(xs, ys, var):
-    """The polynomial of degree < len(xs) taking the value ys[k] at xs[k].
+def _reducer(P):
+    """Identity on a list of field elements, or reduction modulo P when P is given."""
+    if P is None:
+        return lambda vals: vals
+    return lambda vals: [v % P for v in vals]
 
-    Exact Newton divided differences; the points are distinct rationals and
-    the values ints, Fractions or CRationals.
+
+def charpoly(A, P=None):
+    """Ascending coefficients of det(t I - A) for a square list A.
+
+    Exact over Q(i) on int, Fraction or CRational entries; over GF(P) on
+    ints when P is given. Pivoted elimination brings A to upper Hessenberg
+    form H by similarity; the charpoly p_k of the leading k x k block of H
+    then follows from
+    p_(k+1) = t p_k - sum_(i<=k) h_ik h_(i+1,i) ... h_(k,k-1) p_i
+    (Cohen, GTM 138, Algorithm 2.2.9).
     """
-    dd = [_norm_coeff(y) for y in ys]
-    n = len(dd)
+    red = _reducer(P)
+    n = len(A)
+    H = [red(list(row)) for row in A]
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if H[i][k - 1]), None)
+        if piv is None:
+            continue
+        H[k], H[piv] = H[piv], H[k]
+        for row in H:
+            row[k], row[piv] = row[piv], row[k]
+        inv = Fraction(1) / H[k][k - 1] if P is None else pow(H[k][k - 1], -1, P)
+        # row i -= u_i row k for every i > k, then column k += sum_i u_i column i
+        us = red([H[i][k - 1] * inv for i in range(k + 1, n)])
+        for i, u in enumerate(us, k + 1):
+            if u:
+                H[i] = red([a - u * b for a, b in zip(H[i], H[k])])
+        for row, v in zip(H, red([row[k] + sum(map(mul, us, row[k + 1:])) for row in H])):
+            row[k] = v
+    polys = [[1]]
+    for k in range(n):
+        new, prod = [0] + polys[k], 1
+        for i in range(k, -1, -1):
+            c = H[i][k] * prod
+            for idx, v in enumerate(polys[i]):
+                new[idx] -= c * v
+            prod = prod * H[i][i - 1] if P is None else prod * H[i][i - 1] % P  # unused after i = 0
+        polys.append(red(new))
+    return polys[n]
+
+
+def interpolate(xs, ys, P=None):
+    """Ascending coefficients of the polynomial of degree < len(xs) with the value ys[k] at xs[k].
+
+    Newton divided differences, then Horner on the Newton form. Exact over
+    Q(i) on int, Fraction or CRational values at distinct rational points;
+    over GF(P) on ints when P is given, at integer points distinct modulo P.
+    """
+    red = _reducer(P)
+    n = len(ys)
+    dd = red(list(ys))
+    inverses = {}  # 1 / (x_k - x_(k-j)), shared by equal differences
     for j in range(1, n):
         for k in range(n - 1, j - 1, -1):
-            dd[k] = (dd[k] - dd[k - 1]) / (xs[k] - xs[k - j])
-    out = RatPoly(dd[-1:], var)
-    for k in range(n - 2, -1, -1):
-        out = out * RatPoly((-xs[k], 1), var) + dd[k]
+            d = xs[k] - xs[k - j]
+            if d not in inverses:
+                inverses[d] = Fraction(1) / d if P is None else pow(d, -1, P)
+            dd[k] = (dd[k] - dd[k - 1]) * inverses[d]
+        dd = red(dd)
+    out = dd[-1:]
+    for x, c in zip(reversed(xs[:n - 1]), reversed(dd[:-1])):  # out (z - x) + c
+        out = red([c - x * out[0]] + [a - x * b for a, b in zip(out, out[1:])] + out[-1:])
     return out
 
 

@@ -1,10 +1,9 @@
 """Periodic block Jacobi operators and their derived matrices.
 
 Houses the coefficient data (p, m, a_n, b_n), the z-free parts of the
-transfer matrices, the monodromy product and its symplectic normalization
-at a point, exactly or modulo a prime, and the quasi-periodic block matrix
-L(tau), in both exact and Hermitian-float form. Matrices are nested lists
-of scalars.
+transfer matrices, the monodromy product at a point, exactly or modulo a
+prime, and the quasi-periodic block matrix L(tau), in both exact and
+Hermitian-float form. Matrices are nested lists of scalars.
 """
 
 from __future__ import annotations
@@ -91,28 +90,23 @@ class TransferParts(NamedTuple):
     matrices K_n = -delta a_n^-1 a_(n-1)^T, S_n = delta a_n^-1 and
     R_n = delta a_n^-1 b_n; steps[n - 1] = (K_n, S_n, R_n) and delta is the
     least common denominator of all their unscaled entries, so
-    delta^p M_p(z) has integer polynomial entries. p0 and p0_inv are a_0^T
-    and its inverse, the corner of P0 = a_0^T (+) I_m.
+    delta^p M_p(z) has integer polynomial entries.
     """
 
     delta: int
     steps: tuple
-    p0: tuple
-    p0_inv: tuple
+
+    @property
+    def m(self):
+        return len(self.steps[0][0])
 
     def mod(self, P):
-        """These parts over GF(P), or None when P divides delta or a denominator of p0 or p0_inv."""
-        corner = [x for mat in (self.p0, self.p0_inv) for row in mat for x in row]
-        if self.delta % P == 0 or any(x.denominator % P == 0 for x in corner):
+        """These parts over GF(P), or None when P divides delta."""
+        if self.delta % P == 0:
             return None
-
-        def red(mat):
-            # ints and Fractions alike have a numerator and a denominator
-            return tuple(tuple(x.numerator * pow(x.denominator, -1, P) % P for x in row)
-                         for row in mat)
-
-        return TransferParts(self.delta, tuple(tuple(map(red, step)) for step in self.steps),
-                             red(self.p0), red(self.p0_inv))
+        red = tuple(tuple(tuple(tuple(x % P for x in row) for row in mat) for mat in step)
+                    for step in self.steps)
+        return TransferParts(self.delta, red)
 
 
 def transfer_parts(op: PeriodicOperator) -> TransferParts:
@@ -125,8 +119,7 @@ def transfer_parts(op: PeriodicOperator) -> TransferParts:
     delta = math.lcm(*(x.denominator for step in raw for mat in step for row in mat for x in row))
     steps = tuple(tuple(tuple(tuple(int(x * delta) for x in row) for row in mat) for mat in step)
                   for step in raw)
-    p0 = mat_transpose(op.a_at(0))
-    return TransferParts(delta, steps, tuple(map(tuple, p0)), tuple(map(tuple, mat_inv(p0))))
+    return TransferParts(delta, steps)
 
 
 def monodromy_at(parts: TransferParts, x, P=None) -> list:
@@ -136,7 +129,7 @@ def monodromy_at(parts: TransferParts, x, P=None) -> list:
     with parts = parts.mod(P). With M_p = (U; V) in m-row halves,
     delta T_n M_p = (delta V; W (U; V)) for W = (K_n | x S_n - R_n).
     """
-    m = len(parts.p0)
+    m = parts.m
     d = parts.delta
     upper = [[int(i == j) for j in range(2 * m)] for i in range(m)]
     lower = [[int(i + m == j) for j in range(2 * m)] for i in range(m)]
@@ -147,25 +140,9 @@ def monodromy_at(parts: TransferParts, x, P=None) -> list:
     return (upper if P is None else [[v % P for v in row] for row in upper]) + lower
 
 
-def normalized_at(parts: TransferParts, Mx, P=None) -> list:
-    """P0 Mx P0^-1 for P0 = a_0^T (+) I_m; over GF(P) when P is given.
-
-    Applied to M_p(x) it gives the symplectically normalized M(x), with
-    M^T J M = J and det M = 1, similar to M_p(x); applied to delta^p M_p(x),
-    it gives delta^p M(x).
-    """
-    m = len(parts.p0)
-    rows = mat_mul(parts.p0, Mx[:m], P) + [list(row) for row in Mx[m:]]
-    left = mat_mul([row[:m] for row in rows], parts.p0_inv, P)
-    return [lo + row[m:] for lo, row in zip(left, rows)]
-
-
-def is_symplectic(M: list) -> bool:
-    """M^T J M == J for J = (0 I; -I 0), on an exact scalar matrix."""
-    m = len(M) // 2
-    JM = M[m:] + [[-e for e in row] for row in M[:m]]
-    J = [[(j == i + m) - (i == j + m) for j in range(2 * m)] for i in range(2 * m)]
-    return mat_mul(mat_transpose(M), JM) == J
+def is_symplectic(M: list, W: list) -> bool:
+    """M^T W M == W for a skew form W, on exact scalar matrices."""
+    return mat_mul(mat_transpose(M), mat_mul(W, M)) == W
 
 
 def _floquet_layout(a, b, t, tinv) -> list:
@@ -198,7 +175,10 @@ def _floquet_layout(a, b, t, tinv) -> list:
 def floquet_matrix(op: PeriodicOperator, tau: complex):
     """L(tau) as a Hermitian complex numpy array; requires |tau| = 1 within 1e-12.
 
-    Built on float copies of the entries, with conj(tau) as 1/tau.
+    Built on float copies of the entries, with conj(tau) as 1/tau. Where
+    blocks overlap (p = 1), rounding of the float sums would make L[i][j]
+    and conj(L[j][i]) differ, so the strict upper triangle is the conjugate
+    of the strict lower one, which eigvalsh reads, and the diagonal is real.
     """
     import numpy as np
 
@@ -206,7 +186,9 @@ def floquet_matrix(op: PeriodicOperator, tau: complex):
     if abs(abs(t) - 1) > 1e-12:
         raise ValueError(f"|tau| = {abs(t)!r} is off the unit circle")
     a, b = ([[[float(x) for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b))
-    return np.array(_floquet_layout(a, b, t, t.conjugate()), dtype=complex)
+    L = np.array(_floquet_layout(a, b, t, t.conjugate()), dtype=complex)
+    lower = np.tril(L, -1)
+    return lower + lower.conj().T + np.diag(L.diagonal().real)
 
 
 def floquet_matrix_exact(op: PeriodicOperator, tau):

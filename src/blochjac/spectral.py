@@ -18,12 +18,10 @@ from .exactmath import (
     CRational,
     I,
     RatPoly,
-    _charpoly_mod,
     _crt,
-    _interpolation_rows,
     _primes,
     chebyshev,
-    det_field,
+    charpoly,
     discriminant,
     gcd,
     interpolate,
@@ -38,7 +36,6 @@ from .operators import (
     floquet_matrix_exact,
     is_symplectic,
     monodromy_at,
-    normalized_at,
     transfer_parts,
 )
 
@@ -207,14 +204,15 @@ def build_char_determinant(xi: tuple, p: int, m: int, parts) -> CharDeterminant:
 
 
 def _route_one(parts: TransferParts, x: int, P: int) -> list:
-    """delta^(p min(j, 2m-j)) xi_j(x) mod P for j = 0..2m, from a charpoly of P0 M_p(x) P0^-1.
+    """delta^(p min(j, 2m-j)) xi_j(x) mod P for j = 0..2m, from the charpoly of delta^p M_p(x).
 
-    The charpoly of delta^p M gives delta^(pj) xi_j; past the middle the
-    palindrome xi_j = xi_(2m-j) makes delta^(p(2m-j)) xi_j the integral one.
+    M_p is similar to the normalized M, so the two share D. The charpoly of
+    delta^p M_p gives delta^(pj) xi_j; past the middle the palindrome
+    xi_j = xi_(2m-j) makes delta^(p(2m-j)) xi_j the integral one.
     """
-    m = len(parts.p0)
+    m = parts.m
     # det(M - tau I) = det(tau I - M) at even size, so xi_j is the t^(2m-j) coefficient
-    out = _charpoly_mod(normalized_at(parts, monodromy_at(parts, x, P), P), P)[::-1]
+    out = charpoly(monodromy_at(parts, x, P), P)[::-1]
     back = pow(parts.delta, -2 * len(parts.steps), P)
     return out[:m + 1] + [v * pow(back, j, P) % P for j, v in enumerate(out[m + 1:], 1)]
 
@@ -225,7 +223,7 @@ def _route_two(parts: TransferParts, x: int, P: int) -> list:
     Powers are formed up to h = ceil(m/2); Tr N^(h+r) is the sum of the
     entrywise product of N^h with the transpose of N^r.
     """
-    m = len(parts.p0)
+    m = parts.m
     N = monodromy_at(parts, x, P)
     powers = [N]
     while 2 * len(powers) < m:
@@ -250,7 +248,7 @@ def _coefficient_bound(parts: TransferParts) -> int:
     minors of delta^p M_p, and each is at most the product of its rows'
     sums in R, so at most the product of the j largest row sums.
     """
-    m, d = len(parts.p0), parts.delta
+    m, d = parts.m, parts.delta
     R = [[int(i == j) for j in range(2 * m)] for i in range(2 * m)]
     for K, S, Rn in parts.steps:
         T = [[0] * m + [d * (i == j) for j in range(m)] for i in range(m)]
@@ -272,12 +270,11 @@ def _reconstruct(route, primes, parts: TransferParts, xs, bound: int) -> tuple:
     residues, used = [], []
     while math.prod(used) <= 2 * bound:
         P, red = next(primes)
-        rows = _interpolation_rows(xs, P)
         values = [route(red, x, P) for x in xs]
-        residues.append([sum(map(mul, row, ys)) % P for ys in zip(*values) for row in rows])
+        residues.append([c for ys in zip(*values) for c in interpolate(xs, ys, P)])
         used.append(P)
     ints = _crt(residues, used)
-    n, m, p = len(xs), len(parts.p0), len(parts.steps)
+    n, m, p = len(xs), parts.m, len(parts.steps)
     scales = [parts.delta ** (p * min(j, 2 * m - j)) for j in range(len(ints) // n)]
     return tuple(RatPoly([Fraction(v, d) for v in ints[j * n:(j + 1) * n]], "z") for j, d in enumerate(scales))
 
@@ -285,15 +282,17 @@ def _reconstruct(route, primes, parts: TransferParts, xs, bound: int) -> tuple:
 def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     """D(z, tau) computed two independent ways, which must agree exactly.
 
-    Both routes evaluate delta^p M_p from the transfer parts at the pm + 1
-    centred integer points modulo 61-bit primes and interpolate every
+    Both routes evaluate delta^p M_p from the transfer parts at pm + 1
+    integer points modulo 61-bit primes and interpolate every
     tau-coefficient in z (its degree is at most pm, which
-    build_char_determinant enforces). Route one takes the charpoly of the
-    normalized P0 M_p P0^-1; route two the Newton recursion
-    xi_s = -(1/s) * sum_{j<s} T_{s-j} xi_j on the traces T_n = Tr M_p^n,
-    mirrored across the palindrome. Each takes as many primes as the proven
-    coefficient bound needs (Brown, J. ACM 18, 1971), disjoint from the
-    other's, and skips a prime that divides a denominator of the parts.
+    build_char_determinant enforces). Route one takes the charpoly of M_p
+    at the centred points; route two the Newton recursion
+    xi_s = -(1/s) * sum_{j<s} T_{s-j} xi_j on the traces T_n = Tr M_p^n at
+    the next pm + 1 integers, mirrored across the palindrome. Each takes as
+    many primes as the proven coefficient bound needs (Brown, J. ACM 18,
+    1971), disjoint from the other's, and skips a prime that divides delta.
+    With disjoint points as well, a fault in reduction, interpolation or
+    lifting shows as a disagreement.
     """
     m = op.m
     pm = op.p * m
@@ -302,7 +301,7 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     bound = _coefficient_bound(parts)
     primes = ((P, red) for P, _ in _primes() for red in [parts.mod(P)] if red is not None)
     by_tau = _reconstruct(_route_one, primes, parts, xs, bound)
-    xi = list(_reconstruct(_route_two, primes, parts, xs, bound))
+    xi = list(_reconstruct(_route_two, primes, parts, range(xs.stop, xs.stop + pm + 1), bound))
     # palindromic by construction, so it also reads ascending in tau
     mirrored = tuple(xi + xi[m - 1::-1])
 
@@ -438,7 +437,7 @@ def resonance_poly(sp: SurfacePoly):
     d = max(deg for deg, _ in samples)
     if d <= 1:
         return RatPoly.one("z"), True
-    return interpolate(xs, [r if deg == d else 0 for deg, r in samples], "z"), d < m
+    return RatPoly(interpolate(xs, [r if deg == d else 0 for deg, r in samples]), "z"), d < m
 
 
 def resonances(sp: SurfacePoly) -> ResonanceSet:
@@ -631,6 +630,10 @@ def _cross_validate(op, bs: BandStructure, grid: int):
     import numpy as np
 
     segs = bs.segments
+    if not segs:
+        raise InternalConsistencyError(
+            f"band computation found no band (candidate edges within EDGE_TOL = {EDGE_TOL} are merged)"
+        )
     for x in np.linspace(0.0, 2 * math.pi, grid):
         tau = complex(math.cos(x), math.sin(x))
         for lam in hermitian_eigs(floquet_matrix(op, tau)):
@@ -717,11 +720,11 @@ def verify_identities(op: PeriodicOperator) -> list:
 
     Exact checks: the symplectic normalization (at 2p + 1 points), the
     palindrome and dual routes (implicit in char_determinant), the Floquet
-    determinant match q(x, tau0) = det(x I - L(tau0)) at pm + 1 points for
-    tau0 in {1, -1, i}, the first two eigenvalue-moment identities read
-    off q's top coefficients. Float checks: the second-moment lower bound,
-    the norm sandwich from band extremes, and the trace-vs-Chebyshev
-    sampling identity.
+    determinant match q(z, tau0) = det(z I - L(tau0)) coefficient by
+    coefficient for tau0 in {1, -1, i}, the first two eigenvalue-moment
+    identities read off q's top coefficients. Float checks: the
+    second-moment lower bound, the norm sandwich from band extremes, and
+    the trace-vs-Chebyshev sampling identity.
 
     The moment identities compare Tr L(tau)^s with coefficient data; for
     p = 1 the wrap-around couples tau into every diagonal block and for
@@ -736,22 +739,21 @@ def verify_identities(op: PeriodicOperator) -> list:
     except InternalConsistencyError as exc:
         cd, parts = None, transfer_parts(op)
         dual = _check("palindrome-and-dual-route", False, detail=str(exc))
-    # M = P0 M_p P0^-1 has z-degree at most p, so 2p + 1 points prove M^T J M = J
-    symplectic = all(is_symplectic(normalized_at(parts, _monodromy_exact(parts, x)))
-                     for x in range(-p, p + 1))
+    # M = P0 M_p P0^-1 with P0 = a_p^T (+) I_m has M^T J M = J exactly when
+    # M_p^T W M_p = W for W = P0^T J P0 = (0 a_p; -a_p^T 0); M_p has z-degree
+    # at most p, so 2p + 1 points prove it
+    ap = op.a_at(0)
+    W = [[0] * m + list(row) for row in ap] + [[-x for x in col] + [0] * m for col in zip(*ap)]
+    symplectic = all(is_symplectic(_monodromy_exact(parts, x), W) for x in range(-p, p + 1))
     report = [_check("symplectic-normalization", symplectic), dual]
     if cd is None:
         return report
     sp = surface_poly(cd)
 
-    # both sides have z-degree at most pm, so pm + 1 points decide equality
-    xs = [Fraction(x) for x in range(-(pm // 2), pm - pm // 2 + 1)]
     sections = {}
     for tau0, nu0, label in ((1, 1, "1"), (-1, -1, "-1"), (I, 0, "i")):
         sections[label] = cd.section(nu0)
-        L = floquet_matrix_exact(op, tau0)
-        ok = all(sections[label](x) == det_field([[x * (i == j) - e for j, e in enumerate(row)]
-                                                  for i, row in enumerate(L)]) for x in xs)
+        ok = RatPoly(charpoly(floquet_matrix_exact(op, tau0)), "z") == sections[label]
         report.append(_check(f"floquet-determinant-tau={label}", ok))
 
     trace_b = _sum_traces(op, lambda n: _trace_of(op.b_at(n)))
@@ -785,11 +787,9 @@ def verify_identities(op: PeriodicOperator) -> list:
         report.append(_na("moment-2-tau=i", "period 1 couples tau into Tr L^2"))
 
     if p >= 2:
-        det_prod = Fraction(1)
-        for n in range(1, p + 1):
-            det_prod *= det_field(op.a_at(n))
-        # sum >= 2pm (det^2)^(1/pm), decided exactly in its pm-th power
-        det_sq = det_prod * det_prod
+        # c = (-1)^m / prod det a_n, and sum >= 2pm (det^2)^(1/pm) is decided
+        # exactly in its pm-th power
+        det_sq = op.leading_constant() ** -2
         ok = (target2 / (2 * pm)) ** pm >= det_sq
         try:
             sum2 = float(target2)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from blochjac.exactmath import CRational, RatPoly, chebyshev, det_field, interpolate, mat_mul
+from blochjac.exactmath import CRational, RatPoly, chebyshev, det_field, interpolate, mat_inv, mat_mul
 from blochjac.fixtures import (
     example1_diag,
     example2_const,
@@ -34,7 +34,6 @@ from blochjac.operators import (
     floquet_matrix_exact,
     is_symplectic,
     monodromy_at,
-    normalized_at,
 )
 from blochjac.spectral import (
     antiperiodic_eigs,
@@ -61,7 +60,7 @@ def charpoly(A):
     xs = range(n + 1)
     dets = [det_field([[Fraction(x * (i == j)) - e for j, e in enumerate(row)] for i, row in enumerate(A)])
             for x in xs]
-    return interpolate(xs, dets, "z")
+    return RatPoly(interpolate(xs, dets), "z")
 
 
 def criterion(num, label):
@@ -113,10 +112,15 @@ def test_criterion_1_exact_identities(battery):
     for op, cd, _ in battery:
         p, m = op.p, op.m
         scale = cd.parts.delta ** p
+        # the normalized M = P0 M_p P0^-1 with P0 = a_p^T (+) I_m
+        zero = [Fraction(0)] * m
+        P0 = [list(col) + zero for col in zip(*op.a_at(0))]
+        P0 += [zero + [Fraction(i == j) for j in range(m)] for i in range(m)]
+        J = [[(j == i + m) - (i == j + m) for j in range(2 * m)] for i in range(2 * m)]
         # 2pm + 1 points exceed the z-degrees of M^T J M and of every xi_s
         for x in (Fraction(2 * k - p * m, 3) for k in range(2 * p * m + 1)):
             Mp = [[Fraction(v) / scale for v in row] for row in monodromy_at(cd.parts, x)]
-            assert is_symplectic(normalized_at(cd.parts, Mp))
+            assert is_symplectic(mat_mul(mat_mul(P0, Mp), mat_inv(P0)), J)
             # trace route, recomputed here from exact traces of M_p(x)
             power, traces = Mp, []
             for s in range(m):

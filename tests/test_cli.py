@@ -644,6 +644,42 @@ def test_lyapunov_order_within_pairs_does_not_rest_on_rounding(tmp_path, capsys,
     assert on_circle >= 100
 
 
+def test_period_one_operator_with_large_entries_passes_bands_and_verify(tmp_path, capsys):
+    # p = 1 adds b, tau a and conj(tau) a^T into one block; the float sums
+    # used to round L[i][j] and conj(L[j][i]) apart by 1.8e-12
+    doc = {"p": 1, "m": 2, "a": [[["41813/9", "24873/7"], ["22509", "-13068"]]],
+           "b": [[["7143/7", "-4752"], ["-4752", "-129"]]]}
+    path = write_json(tmp_path, doc, "p1.json")
+    for command in ("bands", "verify"):
+        code, _ = run_cli(capsys, [command, path])
+        assert code == 0, command
+
+
+def test_bands_thinner_than_the_merge_tolerance_name_the_stage(tmp_path, capsys):
+    doc = {"p": 2, "m": 1, "a": [[["1e-300"]], [["1"]]], "b": [[["0"]], [["0"]]]}
+    path = write_json(tmp_path, doc, "thin.json")
+    assert cli.main(["bands", path]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: band computation found no band "
+                   "(candidate edges within EDGE_TOL = 1e-09 are merged)\n")
+
+
+def test_verify_exits_5_when_one_floquet_entry_changes(tmp_path, capsys, monkeypatch):
+    real = spectral.floquet_matrix_exact
+
+    def changed(op, tau):
+        L = real(op, tau)
+        L[0][0] += 1
+        return L
+
+    path = write_json(tmp_path, cli.operator_to_document(random_operator(1, 2, 2)), "op.json")
+    monkeypatch.setattr(spectral, "floquet_matrix_exact", changed)
+    assert cli.main(["verify", path]) == 5
+    failed = {c["name"] for c in json.loads(capsys.readouterr().out)["payload"]["checks"]
+              if c["status"] == "fail"}
+    assert failed == {"floquet-determinant-tau=1", "floquet-determinant-tau=-1", "floquet-determinant-tau=i"}
+
+
 def test_huge_couplings_pass_bands_and_verify(tmp_path, capsys):
     # det(a_1 a_2)^2 = 1e400 is beyond the float range, and the second-moment
     # bound holds with equality; bands needs roots of modulus 2e100

@@ -29,6 +29,17 @@ def rationals(max_num=4, dens=(1, 2, 3)):
     return st.builds(Fraction, st.integers(-max_num, max_num), st.sampled_from(dens))
 
 
+def gaussian_rationals(max_num=4):
+    return st.builds(CRational, rationals(max_num), rationals(max_num))
+
+
+def det_charpoly(A):
+    """det(t I - A) interpolated exactly from det_field at len(A) + 1 points."""
+    xs = range(len(A) + 1)
+    return RatPoly(interpolate(xs, [det_field([[Fraction(x * (i == j)) - e for j, e in enumerate(row)]
+                                               for i, row in enumerate(A)]) for x in xs]), "z")
+
+
 def test_crational_arithmetic():
     a = CRational(1, 2)
     b = CRational(3, -1)
@@ -322,14 +333,20 @@ def test_prime_list_is_every_prime_1_mod_4_below_2_61_in_order():
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_charpoly_mod_reduces_the_exact_charpoly(rows):
-    # det(t I - A) interpolated exactly from det_field at n + 1 points
     n = len(rows)
-    xs = range(n + 1)
-    exact = interpolate(xs, [det_field([[Fraction(x * (i == j) - e) for j, e in enumerate(row)]
-                                        for i, row in enumerate(rows)]) for x in xs], "z")
+    exact = det_charpoly(rows)
     for P, _ in exactmath._CERTIFICATE[:2]:
         red = [[e % P for e in row] for row in rows]
-        assert exactmath._charpoly_mod(red, P) == [int(c) % P for c in exact.coeffs] + [0] * (n + 1 - len(exact.coeffs))
+        assert exactmath.charpoly(red, P) == [int(c) % P for c in exact.coeffs] + [0] * (n + 1 - len(exact.coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(rationals(9), gaussian_rationals(9), st.just(Fraction(0))), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_charpoly_over_q_and_qi_matches_det_field(rows):
+    # zeros exercise the pivot search of the Hessenberg reduction
+    assert RatPoly(exactmath.charpoly(rows)) == det_charpoly(rows)
 
 
 @settings(max_examples=30, deadline=None)
@@ -339,16 +356,8 @@ def test_interpolation_and_crt_recover_integer_coefficients(coeffs):
     primes = [P for P, _ in exactmath._CERTIFICATE]
     xs = range(-(len(coeffs) // 2), len(coeffs) - len(coeffs) // 2)
     f = RatPoly(coeffs)
-    residues = []
-    for P in primes:
-        rows = exactmath._interpolation_rows(xs, P)
-        ys = [int(f(x)) % P for x in xs]
-        residues.append([sum(a * y for a, y in zip(row, ys)) % P for row in rows])
+    residues = [interpolate(xs, [int(f(x)) % P for x in xs], P) for P in primes]
     assert exactmath._crt(residues, primes) == coeffs
-
-
-def gaussian_rationals(max_num=4):
-    return st.builds(CRational, rationals(max_num), rationals(max_num))
 
 
 @settings(max_examples=40, deadline=None)
@@ -362,8 +371,8 @@ def gaussian_rationals(max_num=4):
 def test_interpolate_round_trip(coeffs, start):
     f = RatPoly(coeffs, "w")
     xs = [Fraction(start + k, 2) for k in range(len(coeffs) + 1)]
-    g = interpolate(xs, [f(x) for x in xs], "w")
-    assert g == f and (g.is_constant() or g.var == "w")
+    g = interpolate(xs, [f(x) for x in xs])
+    assert len(g) == len(xs) and RatPoly(g, "w") == f
 
 
 def test_det_field_singular_and_complex():

@@ -1,16 +1,19 @@
 import functools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochjac.exactmath import I as IMAG
 from blochjac.exactmath import (
     CRational,
     RatPoly,
-    _charpoly_mod,
     _primes,
+    charpoly,
     det_field,
     interpolate,
     mat_inv,
@@ -29,7 +32,6 @@ from blochjac.operators import (
     floquet_matrix_exact,
     is_symplectic,
     monodromy_at,
-    normalized_at,
     transfer_parts,
 )
 from blochjac.spectral import _route_two
@@ -56,24 +58,33 @@ def monodromy(op):
     scale = parts.delta ** op.p
     values = [monodromy_at(parts, x) for x in xs]
     n = 2 * op.m
-    return [[interpolate(xs, [Fraction(v[i][j], scale) for v in values], "z") for j in range(n)]
+    return [[RatPoly(interpolate(xs, [Fraction(v[i][j], scale) for v in values]), "z") for j in range(n)]
             for i in range(n)]
 
 
+def symplectic_j(m):
+    """J = (0 I; -I 0) of size 2m."""
+    return [[(j == i + m) - (i == j + m) for j in range(2 * m)] for i in range(2 * m)]
+
+
 def modified_monodromy_at(op, x):
-    """The normalized M = P0 M_p P0^-1 at a point x, over Q."""
+    """The normalized M = P0 M_p P0^-1 at a point x, over Q, with P0 = a_p^T (+) I_m."""
     parts = transfer_parts(op)
     scale = parts.delta ** op.p
-    return normalized_at(parts, [[Fraction(v, scale) for v in row] for row in monodromy_at(parts, x)])
+    Mp = [[Fraction(v, scale) for v in row] for row in monodromy_at(parts, x)]
+    m = op.m
+    P0 = [list(col) + [Fraction(0)] * m for col in zip(*op.a_at(0))]
+    P0 += [[Fraction(0)] * m + [Fraction(i == j) for j in range(m)] for i in range(m)]
+    return mat_mul(mat_mul(P0, Mp), mat_inv(P0))
 
 
-def charpoly(A):
+def det_charpoly(A):
     """det(zI - A) of an exact scalar matrix, interpolated from det_field at len(A) + 1 points."""
     n = len(A)
     xs = range(n + 1)
     dets = [det_field([[Fraction(x * (i == j)) - e for j, e in enumerate(row)] for i, row in enumerate(A)])
             for x in xs]
-    return interpolate(xs, dets, "z")
+    return RatPoly(interpolate(xs, dets), "z")
 
 
 def test_validate_free_ok():
@@ -149,8 +160,9 @@ def test_monodromy_degree_and_leading_block(seed, p, m):
 
 def test_modified_monodromy_symplectic_exact():
     op = scalar_operator([2], [0])
-    assert all(is_symplectic(modified_monodromy_at(op, Fraction(x, 3))) for x in range(-4, 5))
-    assert not is_symplectic([[2, 0], [0, 1]])
+    J = symplectic_j(1)
+    assert all(is_symplectic(modified_monodromy_at(op, Fraction(x, 3)), J) for x in range(-4, 5))
+    assert not is_symplectic([[2, 0], [0, 1]], J)
 
 
 @pytest.mark.parametrize("seed,p,m", [(5, 2, 2), (6, 3, 3), (7, 1, 3)])
@@ -158,7 +170,7 @@ def test_modified_monodromy_symplectic_and_det(seed, p, m):
     op = random_operator(seed, p, m)
     for x in (Fraction(-7, 3), 0, 1, Fraction(5, 2)):
         M = modified_monodromy_at(op, x)
-        assert is_symplectic(M)
+        assert is_symplectic(M, symplectic_j(m))
         assert det_field(M) == 1
 
 
@@ -202,6 +214,27 @@ def test_floquet_rejects_off_circle():
         floquet_matrix(free_operator(2, 1), 1.5)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32), st.floats(0, 2 * math.pi))
+def test_floquet_matrix_is_exactly_hermitian(p, m, seed, x):
+    # entries of size up to about 1e6; where blocks overlap (p = 1) the float sums
+    # alone would round L[i][j] and conj(L[j][i]) apart
+    rng = random.Random(seed)
+
+    def block(symmetric):
+        mat = [[Fraction(rng.randint(-10**5, 10**5), rng.randint(1, 9)) for _ in range(m)] for _ in range(m)]
+        if symmetric:
+            mat = [[mat[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]
+        else:
+            for i in range(m):
+                mat[i][i] += 10**6  # diagonally dominant, so invertible
+        return mat
+
+    op = PeriodicOperator([block(False) for _ in range(p)], [block(True) for _ in range(p)])
+    L = floquet_matrix(op, complex(math.cos(x), math.sin(x)))
+    assert np.array_equal(L, L.conj().T)
+
+
 def test_floquet_diagonal_decouples():
     op = example1_diag((1, 0, -1, 2))
     x = 1.3
@@ -232,17 +265,21 @@ def test_floquet_exact_gaussian_tau():
 
 def test_charpoly_2x2():
     A = [[2, 1], [0, 3]]
-    assert charpoly(A) == RatPoly([6, -5, 1])
-    assert _charpoly_mod(A, P) == [6, P - 5, 1]
+    assert det_charpoly(A) == RatPoly([6, -5, 1])
+    assert charpoly(A) == [6, -5, 1]
+    assert charpoly(A, P) == [6, P - 5, 1]
+    # over Q(i): det(t I - (i 1; -1 i)) = t^2 - 2i t
+    assert charpoly([[IMAG, CRational(1)], [CRational(-1), IMAG]]) == [0, -2 * IMAG, 1]
 
 
 def test_charpoly_matches_eigs():
     op = random_operator(12, 2, 2)
     L = floquet_matrix_exact(op, -1)
-    cp = charpoly(L)
+    cp = det_charpoly(L)
     eigs = hermitian_eigs(floquet_matrix(op, -1))
     vals = sorted(np.roots(list(reversed(cp.complex_coeffs()))).real)
     assert np.allclose(vals, eigs, atol=1e-8)
-    # the Hessenberg charpoly over GF(P) of the same matrix reduces the exact one
+    # the Hessenberg charpoly over Q is the exact one, and over GF(P) it reduces it
+    assert RatPoly(charpoly(L)) == cp
     red = [[x.numerator * pow(x.denominator, -1, P) % P for x in map(Fraction, row)] for row in L]
-    assert _charpoly_mod(red, P) == [c.numerator * pow(c.denominator, -1, P) % P for c in cp.coeffs]
+    assert charpoly(red, P) == [c.numerator * pow(c.denominator, -1, P) % P for c in cp.coeffs]

@@ -78,7 +78,7 @@ def charpoly(A):
     xs = range(n + 1)
     dets = [det_field([[Fraction(x * (i == j)) - e for j, e in enumerate(row)] for i, row in enumerate(A)])
             for x in xs]
-    return interpolate(xs, dets, "z")
+    return RatPoly(interpolate(xs, dets), "z")
 
 
 def monodromy_oracle(op, x):
@@ -484,18 +484,21 @@ def test_cross_validation_guard():
 
 def test_dual_route_tamper_detected(monkeypatch):
     # one wrong residue, at one point modulo one prime, in either route
-    used = {}
+    used, points = {}, {}
     for name in ("_route_one", "_route_two"):
-        used[name] = set()
+        used[name], points[name] = set(), set()
 
         def recording(parts, x, P, _real=getattr(spectral_mod, name), _name=name):
             used[_name].add(P)
+            points[_name].add(x)
             return _real(parts, x, P)
 
         monkeypatch.setattr(spectral_mod, name, recording)
     char_determinant(random_operator(1, 2, 2))
     assert used["_route_one"] and used["_route_two"]
     assert not used["_route_one"] & used["_route_two"]
+    assert len(points["_route_one"]) == len(points["_route_two"]) == 5
+    assert not points["_route_one"] & points["_route_two"]
 
     for name in ("_route_one", "_route_two"):
         real = getattr(spectral_mod, name)
@@ -513,6 +516,20 @@ def test_dual_route_tamper_detected(monkeypatch):
                 patch.setattr(spectral_mod, name, tampered)
                 with pytest.raises(InternalConsistencyError, match="disagree"):
                     char_determinant(op)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (16, 1)])
+def test_a_fault_in_the_shared_interpolation_is_detected(monkeypatch, shape):
+    # an interpolation that takes its points to be 0, 1, ... returns D(z + s)
+    # for the route's first point s, which the routes' disjoint points tell apart
+    real = spectral_mod.interpolate
+
+    def from_zero(xs, ys, P=None):
+        return real(range(len(ys)), ys, P)
+
+    monkeypatch.setattr(spectral_mod, "interpolate", from_zero)
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        char_determinant(random_operator(1, *shape))
 
 
 @settings(max_examples=40, deadline=None)
@@ -629,6 +646,21 @@ def test_build_char_determinant_rejects_bad_shapes():
 def _status(report, name):
     (row,) = [c for c in report if c.name == name]
     return row.status
+
+
+def test_verify_symplectic_check_fails_on_a_non_symplectic_monodromy(monkeypatch):
+    # doubling a row doubles det M_p, and M^T W M = W forces det M = +-1
+    real = spectral_mod._monodromy_exact
+
+    def doubled_row(parts, x):
+        M = real(parts, x)
+        M[0] = [2 * v for v in M[0]]
+        return M
+
+    op = random_operator(1, 2, 2)
+    assert _status(verify_identities(op), "symplectic-normalization") == "pass"
+    monkeypatch.setattr(spectral_mod, "_monodromy_exact", doubled_row)
+    assert _status(verify_identities(op), "symplectic-normalization") == "fail"
 
 
 def test_verify_identities_statuses():
