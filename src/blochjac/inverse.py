@@ -19,7 +19,8 @@ nonsingular exactly when the cos kappa_s are distinct.  Remainders, unlike
 one evaluation q(lambda) = 0 per value, do not repeat an equation at a
 repeated eigenvalue.
 
-Recovery runs in float arithmetic (the frequencies enter as e^{i kappa});
+Recovery runs in float arithmetic (the frequencies enter as e^{i kappa}),
+with one pure-Python Gaussian elimination with partial pivoting, _solve;
 snap_to_rational is the optional post-pass that reconstructs exact rational
 coefficients when the data came from a rational operator.
 """
@@ -180,26 +181,60 @@ def _remainders(h, top: int) -> list:
     return out
 
 
+def _solve(A, b):
+    """x with A x = b by Gaussian elimination with partial pivoting; None at an exactly zero pivot.
+
+    The pivot is the entry of largest |re| + |im|, as LAPACK's izamax picks
+    it: unlike abs(), that sum cannot overflow.  A and b are not modified.
+    """
+    n = len(A)
+    M = [[complex(v) for v in row] + [complex(rhs)] for row, rhs in zip(A, b)]
+    for k in range(n):
+        top = max(range(k, n), key=lambda i: abs(M[i][k].real) + abs(M[i][k].imag))
+        M[k], M[top] = M[top], M[k]
+        pivot = M[k][k]
+        if pivot == 0:
+            return None
+        tail = M[k][k + 1:]
+        for row in M[k + 1:]:
+            f = row[k] / pivot
+            if f:
+                row[k + 1:] = [v - f * t for v, t in zip(row[k + 1:], tail)]
+    x = [0j] * n
+    for k in reversed(range(n)):
+        row = M[k]
+        x[k] = (row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) / row[k]
+    return x
+
+
+def _cond_1(W) -> float:
+    """The 1-norm condition number of a square matrix, from its inverse; inf when singular."""
+    inverse = [_solve(W, [float(i == k) for i in range(len(W))]) for k in range(len(W))]  # by columns
+    if None in inverse:
+        return math.inf
+    return max(sum(map(abs, col)) for col in zip(*W)) * max(sum(map(abs, col)) for col in inverse)
+
+
 def recover_determinant(sd: SpectralData) -> Recovery:
     """Rebuild (q, D, c) from eigenvalue sets at m+1 frequencies.
 
     One square system (see the module docstring): for each Lambda_s the
     coefficients of q(., e^{i kappa_s}) mod prod (z - lambda), and a row
-    making q_0 monic; it is solved once with every column scaled to unit
-    size.  A cosine matrix with condition number above 1e12 means two
-    cosines nearly coincide, and the data is refused.  Then c = 1/q_m(0)
-    and D = c tau^m q.  The recovered sections must reproduce every input
-    value as a root, else the data is declared inconsistent.
+    making q_0 monic; it is solved once, by _solve, with every column
+    scaled to unit size.  A cosine matrix cos(j kappa_r), r, j <= s, with
+    cond_1 above 1e12 / (s + 1) means two cosines nearly coincide, and the
+    data is refused; as cond_2 <= (s + 1) cond_1, this refuses every matrix
+    with cond_2 above 1e12.  Then c = 1/q_m(0) and D = c tau^m q.  The
+    recovered sections must reproduce every input value as a root, else
+    the data is declared inconsistent.
     """
-    import numpy as np
-
     require_spectral_data(sd)
     p, m = sd.p, sd.m
     pm = p * m
     kappas = [float(k) for k in sd.kappas]
     for s in range(1, m + 1):
-        W = np.array([[math.cos(j * k) for j in range(s + 1)] for k in kappas[: s + 1]])
-        if np.linalg.cond(W) > 1e12:
+        W = [[math.cos(j * k) for j in range(s + 1)] for k in kappas[: s + 1]]
+        if not _cond_1(W) <= 1e12 / (s + 1):
             raise InconsistentDataError("inconsistent spectral data: kappa values too close")
 
     unknowns = [(j, n) for j in range(m + 1) for n in range(p * (m - j) + 1)]
@@ -212,18 +247,15 @@ def recover_determinant(sd: SpectralData) -> Recovery:
             raise ValueError(f"z^n modulo prod(z - lambda) over lambda set {s} overflows a float")
         rows += block
     rows.append([float(u == (0, pm)) for u in unknowns])
-    A = np.array(rows, dtype=complex)
-    # the largest real or imaginary part, which unlike |.| cannot overflow
-    scale = np.maximum(np.abs(A.real).max(axis=0), np.abs(A.imag).max(axis=0))
-    rhs = np.zeros(len(rows), dtype=complex)
-    rhs[-1] = 1
-    try:
-        y = np.linalg.solve(A / scale, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InconsistentDataError("inconsistent spectral data: the recovery system is singular") from exc
+    # the largest real or imaginary part, which unlike |.| cannot overflow;
+    # an all-zero column keeps scale 1 and makes _solve report a singular system
+    scale = [max(max(abs(v.real), abs(v.imag)) for v in col) or 1.0 for col in zip(*rows)]
+    y = _solve([[v / sc for v, sc in zip(row, scale)] for row in rows], [0j] * (len(rows) - 1) + [1])
+    if y is None:
+        raise InconsistentDataError("inconsistent spectral data: the recovery system is singular")
     coeffs = [[complex(0)] * (pm + 1) for _ in range(m + 1)]
     for (j, n), v, sc in zip(unknowns, y, scale):
-        coeffs[j][n] = complex(v) / float(sc)
+        coeffs[j][n] = v / sc
 
     qm0 = coeffs[m][0]
     if abs(qm0) < 1e-300:

@@ -572,7 +572,7 @@ def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly) -> BandStruct
     prev = prev2 = None
     xprev = xprev2 = 0.0
     for left, right in zip(values, values[1:]):
-        # the interior of numpy.linspace(left, right, _SUBSAMPLES + 2), bit for bit
+        # the interior of linspace(left, right, _SUBSAMPLES + 2), bit for bit
         step = (right - left) / (_SUBSAMPLES + 1)
         for idx in range(_SUBSAMPLES):
             x = left + (idx + 1) * step
@@ -626,15 +626,21 @@ def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly) -> BandStruct
     return BandStructure(positive, tuple(edges), tuple(branch_bands))
 
 
-def _cross_validate(op, bs: BandStructure, grid: int):
-    import numpy as np
+def _phase_grid(grid: int) -> list:
+    """grid phases from 0 to 2 pi, bit for bit as linspace(0, 2 pi, grid) spaces them."""
+    if grid < 2:
+        return [0.0] * grid
+    step = 2 * math.pi / (grid - 1)
+    return [i * step for i in range(grid - 1)] + [2 * math.pi]
 
+
+def _cross_validate(op, bs: BandStructure, grid: int):
     segs = bs.segments
     if not segs:
         raise InternalConsistencyError(
             f"band computation found no band (candidate edges within EDGE_TOL = {EDGE_TOL} are merged)"
         )
-    for x in np.linspace(0.0, 2 * math.pi, grid):
+    for x in _phase_grid(grid):
         tau = complex(math.cos(x), math.sin(x))
         for lam in hermitian_eigs(floquet_matrix(op, tau)):
             dist = min((max(lo - lam, lam - hi, 0.0) for lo, hi, _ in segs), default=math.inf)

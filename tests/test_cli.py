@@ -565,9 +565,11 @@ def test_each_command_builds_the_transfer_parts_once(tmp_path, capsys, monkeypat
     assert counts == {"transfer_parts": 1}
 
 
-@pytest.mark.parametrize("argv", [["--version"], ["resonances", "OP"], ["lyapunov", "OP", "--z", "0"]])
+@pytest.mark.parametrize("argv", [["--version"], ["resonances", "OP"], ["lyapunov", "OP", "--z", "0"],
+                                  ["recover", "DATA"], ["example", "example3", "--t", "1/2"]])
 def test_commands_without_floquet_solves_never_import_numpy(tmp_path, capsys, argv):
     path = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1/2"])
+    data = write_json(tmp_path, _readme_json("recover")[0], "spectral.json")
     script = (
         "import sys\n"
         "from blochjac import cli\n"
@@ -578,7 +580,8 @@ def test_commands_without_floquet_solves_never_import_numpy(tmp_path, capsys, ar
         "sys.stdout.write('numpy loaded' if 'numpy' in sys.modules else '')\n"
         "sys.exit(code)\n"
     )
-    done = subprocess.run([sys.executable, "-c", script] + [path if a == "OP" else a for a in argv],
+    files = {"OP": path, "DATA": data}
+    done = subprocess.run([sys.executable, "-c", script] + [files.get(a, a) for a in argv],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert not done.stdout.endswith("numpy loaded")

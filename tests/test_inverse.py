@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blochjac import inverse
 from blochjac.fixtures import (
     example2_const,
     example3,
@@ -18,9 +21,11 @@ from blochjac.inverse import (
     SpectralData,
     forward_spectral_data,
     recover_determinant,
+    require_spectral_data,
     snap_to_rational,
     _cosine_sum,
     _max_root_distance,
+    _solve,
 )
 from blochjac.spectral import (
     band_structure,
@@ -217,18 +222,88 @@ def test_close_but_distinct_cosines_recover_and_snap():
 
 def test_recovery_is_one_linear_solve(monkeypatch):
     solves = []
-    original = np.linalg.solve
+    original = inverse._solve
 
-    def counted(*args):
-        solves.append(args)
-        return original(*args)
+    def counted(A, b):
+        solves.append((A, b))
+        return original(A, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(inverse, "_solve", counted)
     recover_determinant(data_for(random_operator(5, 2, 3), 3))
-    assert len(solves) == 1
-    A, rhs = solves[0]
+    # the other calls invert the small cosine matrices of the guard
+    full = [(A, b) for A, b in solves if len(A) > 4]
+    assert len(full) == 1
+    A, rhs = full[0]
     # q_j has p(m - j) + 1 coefficients: 7 + 5 + 3 + 1 unknowns for p = 2, m = 3
-    assert A.shape == (16, 16) and rhs.shape == (16,)
+    assert len(A) == 16 and all(len(row) == 16 for row in A) and len(rhs) == 16
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 22, 91, 153])
+def test_solve_matches_lapack_with_small_backward_error(n):
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = np.array(_solve(A.tolist(), b.tolist()))
+        want = np.linalg.solve(A, b)
+        assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.cond(A) * np.linalg.norm(want)
+        backward = np.linalg.norm(A @ x - b, np.inf) / (np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf))
+        assert backward < 1e-15
+
+
+def test_solve_returns_none_on_a_singular_matrix():
+    assert _solve([[1, 2], [2, 4]], [1, 0]) is None
+    assert _solve([[1, 0, 2], [3, 0, 1], [2, 0, 5]], [1, 1, 1]) is None  # an all-zero column
+    assert _solve([[0j]], [1]) is None
+
+
+def test_solve_survives_parts_near_the_float_limit():
+    big = 1.7e308
+    x = _solve([[big + big * 1j, 1], [1, big - big * 1j]], [big, 1j])
+    assert len(x) == 2  # no OverflowError from abs() of a complex, no ZeroDivisionError
+    assert _solve([[big, big], [big, big]], [1, 1]) is None
+
+
+def test_singular_recovery_system_is_refused(monkeypatch):
+    # z^1 mod h dropped from every set: the columns of the q_j z^1 are all zero
+    original = inverse._remainders
+
+    def drop_z1(h, top):
+        out = original(h, top)
+        out[1] = [0j] * len(out[1])
+        return out
+
+    monkeypatch.setattr(inverse, "_remainders", drop_z1)
+    with pytest.raises(InconsistentDataError, match="the recovery system is singular"):
+        recover_determinant(data_for(example3(1), 2))
+
+
+def _cosine_matrix(kappas, s):
+    return np.array([[math.cos(j * k) for j in range(s + 1)] for k in kappas[: s + 1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=3),
+    base=st.floats(min_value=-0.99, max_value=0.99),
+    gaps=st.lists(st.floats(min_value=-9, max_value=-2), min_size=3, max_size=3),
+    signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3),
+)
+def test_cosine_guard_refuses_whatever_the_2_norm_guard_refused(m, base, gaps, signs):
+    # cosines base + sum of steps 10^g, g in [-9, -2]: nearly coincident
+    cosines = [base]
+    for g, sign in zip(gaps[:m], signs):
+        cosines.append(cosines[-1] + sign * 10.0**g)
+    kappas = tuple(math.acos(max(-1.0, min(1.0, c))) for c in cosines)
+    sets = tuple((0.5,) * (m if j == 0 else m - j + 1) for j in range(m + 1))
+    sd = SpectralData(p=1, m=m, kappas=kappas, lambda_sets=sets)
+    try:
+        require_spectral_data(sd)
+    except InconsistentDataError:
+        return  # coincident cosines, refused before any condition number
+    if any(np.linalg.cond(_cosine_matrix(kappas, s)) > 1e12 for s in range(1, m + 1)):
+        with pytest.raises(InconsistentDataError, match="kappa values too close"):
+            recover_determinant(sd)
 
 
 def test_corrupted_eigenvalue_yields_different_determinant():

@@ -47,6 +47,7 @@ from blochjac.spectral import (
     Segment,
     _cross_validate,
     _match_nearest,
+    _phase_grid,
     antiperiodic_eigs,
     band_structure,
     build_char_determinant,
@@ -480,6 +481,12 @@ def test_cross_validation_guard():
     fake = BandStructure((Segment(-0.5, 0.5, 1),), (), ((-0.5, 0.5),))
     with pytest.raises(InternalConsistencyError):
         _cross_validate(op, fake, 33)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 257, 4097, 10**5])
+def test_phase_grid_is_numpy_linspace_bit_for_bit(grid):
+    want = np.linspace(0.0, 2 * math.pi, grid)
+    assert [x.hex() for x in _phase_grid(grid)] == [float(x).hex() for x in want]
 
 
 def test_dual_route_tamper_detected(monkeypatch):
