@@ -1,13 +1,15 @@
 """Exact arithmetic underneath the spectral pipeline.
 
 Everything in this module is exact: Gaussian rationals and univariate
-polynomials with a variable tag, with their gcds, resultants and
-discriminants, and a small GF(P) layer over one list of 61-bit primes
-(gcds and Chinese remaindering). One Hessenberg characteristic polynomial
-and one Newton interpolation serve Q, Q(i) and GF(P) alike: a
-polynomial-valued quantity is computed at sample points and interpolated.
-Floating point is confined to the numerics module; coefficients here are
-ints, Fractions, or CRationals, never floats.
+polynomials with a variable tag, and a small GF(P) layer over one list of
+61-bit primes with Chinese remaindering. Each job has one algorithm, and
+each algorithm serves Q, Q(i) and GF(P) alike: one Euclidean remainder
+loop, euclid, gives gcds, resultants and discriminants; one Hessenberg
+characteristic polynomial and one Newton interpolation let a
+polynomial-valued quantity be computed at sample points and
+interpolated; and one Gauss-Jordan elimination, det_inv, gives a
+determinant with its inverse. Floating point is confined to the numerics
+module; coefficients here are ints, Fractions, or CRationals, never floats.
 """
 
 from __future__ import annotations
@@ -294,9 +296,6 @@ class RatPoly:
                     rem[k + j] = rem[k + j] - f * b
         return RatPoly(quot, var), RatPoly(rem, var)
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def exact_div(self, other):
         q, r = divmod(self, other)
         if not r.is_zero():
@@ -351,16 +350,6 @@ class RatPoly:
         return f"RatPoly({list(self.coeffs)!r}, var={self.var!r})"
 
 
-def gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic gcd of univariate polynomials via the Euclidean algorithm."""
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 def _is_prime(n):
     """Miller-Rabin on the first twelve prime bases, deterministic below 3.3e24."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -402,22 +391,6 @@ def _primes():
 _CERTIFICATE = tuple(islice(_primes(), 3))
 
 
-def _gcd_is_constant_mod(a, b, P):
-    """Whether gcd(a, b) over GF(P) is a nonzero constant; ascending lists, last entries nonzero."""
-    while b:
-        inv = pow(b[-1], -1, P)
-        a = list(a)
-        while len(a) >= len(b):
-            q = a[-1] * inv % P
-            off = len(a) - len(b)
-            for j, c in enumerate(b):
-                a[off + j] = (a[off + j] - q * c) % P
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
 def _crt(residues, primes):
     """Integers in (-N/2, N/2], N = prod primes, congruent to residues[k][i] modulo primes[k]."""
     N = math.prod(primes)
@@ -432,8 +405,9 @@ def _squarefree_certificate(f: RatPoly):
     With the denominators cleared once, f has Gaussian-integer coefficients,
     and i maps to a square root of -1 modulo P. When P does not divide
     n * lc(f), f mod P keeps its degree and f' mod P its degree n - 1, so
-    disc(f mod P) is disc(f) mod P. A constant gcd(f mod P, f' mod P) makes
-    that nonzero, hence disc(f) != 0 (Brown, J. ACM 18, 1971).
+    Res(f mod P, f' mod P) is Res(f, f') mod P. Where euclid finds it
+    nonzero, Res(f, f') and with it disc(f) are nonzero (Brown, J. ACM 18,
+    1971).
     """
     n = f.degree
     parts = [(c.re, c.im) if isinstance(c, CRational) else (c, 0) for c in f.coeffs]
@@ -445,7 +419,7 @@ def _squarefree_certificate(f: RatPoly):
         if n * fp[-1] % P == 0:
             continue
         dfp = [k * c % P for k, c in enumerate(fp)][1:]
-        if _gcd_is_constant_mod(fp, dfp, P):
+        if euclid(fp, dfp, P)[1]:
             return P
     return None
 
@@ -494,36 +468,6 @@ def chebyshev(n: int) -> RatPoly:
     while len(_cheb_cache) <= n:
         _cheb_cache.append(two_nu * _cheb_cache[-1] - _cheb_cache[-2])
     return _cheb_cache[n]
-
-
-def det_field(mat):
-    """Exact determinant over a field (Fraction / CRational entries)."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    sign = 1
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pval = a[col][col]
-        det = det * pval
-        inv = 1 / pval if not isinstance(pval, CRational) else pval.inverse()
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if not f:
-                continue
-            for c in range(col, n):
-                a[r][c] = a[r][c] - f * a[col][c]
-    det = sign * det
-    return det.demote() if isinstance(det, CRational) else det
 
 
 def _reducer(P):
@@ -597,6 +541,61 @@ def interpolate(xs, ys, P=None):
     return out
 
 
+def euclid(a, b, P=None):
+    """(g, r): the last nonzero remainder of Euclid's algorithm on a and b, and Res(a, b).
+
+    a and b are ascending coefficient lists with len(a) >= len(b) and
+    nonzero last entries (modulo P when P is given); an empty b, the zero
+    polynomial, gives g = a, and r = 0 when deg a >= 1. Exact over Q(i) on int,
+    Fraction or CRational entries; over GF(P) on ints when P is given. Each
+    division step a = q b + c carries the resultant along by
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg c) Res(b, c),
+    down to Res(a, b_0) = b_0^(deg a) for a constant b (Cohen, GTM 138,
+    section 3.3). Powers are repeated products, since CRational has none.
+    """
+    red = _reducer(P)
+    a, b = red(list(a)), red(list(b))
+    r = Fraction(1) if P is None else 1
+    while len(b) > 1:
+        inv = Fraction(1) / b[-1] if P is None else pow(b[-1], -1, P)
+        c = list(a)
+        while len(c) >= len(b):
+            q, = red([c.pop() * inv])
+            off = len(c) - len(b) + 1
+            c[off:] = red([x - q * y for x, y in zip(c[off:], b)])
+            while c and not c[-1]:
+                c.pop()
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            r = -r
+        for _ in range(len(a) - len(c)):
+            r = r * b[-1]
+        r, = red([r])
+        a, b = b, c
+    for _ in range(len(a) - 1):
+        r = r * (b[0] if b else 0)
+    r, = red([r])
+    return b or a, r.demote() if isinstance(r, CRational) else r
+
+
+def gcd(f: RatPoly, g: RatPoly) -> RatPoly:
+    """Monic gcd of univariate polynomials, the last nonzero remainder of euclid."""
+    if f.is_zero() and g.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    a, b = sorted((f.coeffs, g.coeffs), key=len, reverse=True)
+    return RatPoly(euclid(a, b)[0], f._join_var(g)).monic()
+
+
+def discriminant(f: RatPoly):
+    """(-1)^(n(n-1)/2) * Res(f, f') / lc(f); product of squared root differences."""
+    n = f.degree
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("discriminant requires degree >= 1")
+    r = euclid(f.coeffs, f.derivative().coeffs)[1] / f.lc()
+    if (n * (n - 1) // 2) % 2:
+        r = -r
+    return r.demote() if isinstance(r, CRational) else r
+
+
 def mat_mul(A, B, P=None):
     """A B over any ring of Python scalars; over GF(P) on ints when P is given."""
     cols = list(zip(*B))
@@ -609,73 +608,27 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_inv(mat):
-    """Exact inverse over a field; raises ZeroDivisionError when singular."""
-    n = len(mat)
-    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pval = a[col][col]
-        inv = 1 / pval if not isinstance(pval, CRational) else pval.inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if not f:
-                continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def det_inv(mat):
+    """(det mat, mat^-1) by Gauss-Jordan elimination over a field; the inverse is None when det mat = 0.
 
-
-def _sylvester(fc, gc, n, s):
-    """Sylvester matrix rows from descending coefficient lists fc (deg n) and gc (deg s)."""
-    size = n + s
-    rows = []
-    for i in range(s):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(fc):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(gc):
-            row[i + j] = c
-        rows.append(row)
-    return rows
-
-
-def resultant(f: RatPoly, g: RatPoly):
-    """Resultant of two univariate polynomials via the Sylvester determinant.
-
-    Sign convention follows the row layout: the f block on top.
+    Exact on int, Fraction or CRational entries; a CRational determinant is
+    demoted.
     """
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial")
-    n, s = int(f.degree), int(g.degree)
-    if n == 0:
-        return f.coeff(0) ** s
-    if s == 0:
-        return g.coeff(0) ** n
-    fc = [f.coeff(n - k) for k in range(n + 1)]
-    gc = [g.coeff(s - k) for k in range(s + 1)]
-    return det_field(_sylvester(fc, gc, n, s))
-
-
-def discriminant(f: RatPoly):
-    """(-1)^(n(n-1)/2) * R(f, f') / lc(f); product of squared root differences."""
-    n = f.degree
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("discriminant requires degree >= 1")
-    r = resultant(f, f.derivative())
-    if (n * (n - 1) // 2) % 2:
-        r = -r
-    return r / f.lc()
+    n = len(mat)
+    a = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det = det * a[col][col]
+        inv = Fraction(1) / a[col][col]
+        pivot_row = a[col] = [x * inv for x in a[col]]
+        for r, row in enumerate(a):
+            f = row[col]
+            if f and r != col:
+                a[r] = [x - f * y for x, y in zip(row, pivot_row)]
+    return det.demote() if isinstance(det, CRational) else det, [row[n:] for row in a]

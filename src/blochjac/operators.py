@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 from .exactmath import (
     CRational,
-    det_field,
-    mat_inv,
+    det_inv,
     mat_mul,
     mat_transpose,
 )
@@ -28,10 +27,11 @@ class PeriodicOperator:
     index 0 stores a_1/b_1 and a_0 means a_p (periodic wrap). Construction
     checks the shapes and the hypotheses (every b_n symmetric, every a_n
     invertible) and raises ValueError when one fails, so every operator
-    that exists satisfies them.
+    that exists satisfies them. The one elimination of each a_n that checks
+    it also keeps its inverse, in a_inv with the layout of a.
     """
 
-    __slots__ = ("p", "m", "a", "b", "_prod_det_a")
+    __slots__ = ("p", "m", "a", "b", "a_inv", "_prod_det_a")
 
     def __init__(self, a, b):
         p = len(a)
@@ -46,7 +46,7 @@ class PeriodicOperator:
         b = tuple(conv(mat, "b", n) for n, mat in enumerate(b))
         violations = [f"b not symmetric at n={n}" for n, bn in enumerate(b, 1)
                       if bn != tuple(zip(*bn))]
-        dets = [det_field(an) for an in a]
+        dets, invs = zip(*map(det_inv, a))
         violations += [f"det a_{n} = 0" for n, d in enumerate(dets, 1) if d == 0]
         if violations:
             raise ValueError("invalid operator: " + "; ".join(violations))
@@ -54,6 +54,7 @@ class PeriodicOperator:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a_inv", tuple(tuple(map(tuple, inv)) for inv in invs))
         object.__setattr__(self, "_prod_det_a", math.prod(dets))
 
     def __setattr__(self, name, value):
@@ -113,7 +114,7 @@ def transfer_parts(op: PeriodicOperator) -> TransferParts:
     """The exact per-operator setup of every monodromy evaluation, built once."""
     raw = []
     for n in range(1, op.p + 1):
-        inv = mat_inv(op.a_at(n))
+        inv = op.a_inv[n - 1]
         minus_prev_t = [[-x for x in col] for col in zip(*op.a_at(n - 1))]
         raw.append((mat_mul(inv, minus_prev_t), inv, mat_mul(inv, op.b_at(n))))
     delta = math.lcm(*(x.denominator for step in raw for mat in step for row in mat for x in row))

@@ -589,12 +589,13 @@ def test_commands_without_floquet_solves_never_import_numpy(tmp_path, capsys, ar
 
 @pytest.mark.parametrize("command", ["bands", "resonances", "verify", "lyapunov"])
 def test_each_command_checks_the_operator_hypotheses_once(tmp_path, capsys, monkeypatch, command):
-    # a check of the hypotheses takes det a_n for every n, so the
-    # determinants of a_1 taken in operators count the checks
+    # a check of the hypotheses eliminates every a_n once, for det a_n and
+    # a_n^-1 together, so the eliminations of a_1 taken in operators count
+    # the checks, and one per command also shows transfer_parts inverts none
     op = random_operator(1, 3, 3)
     path = write_json(tmp_path, cli.operator_to_document(op), "op.json")
     a1 = [list(row) for row in op.a[0]]
-    original = operators.det_field
+    original = operators.det_inv
     checks = []
 
     def counted(mat):
@@ -602,7 +603,7 @@ def test_each_command_checks_the_operator_hypotheses_once(tmp_path, capsys, monk
             checks.append(mat)
         return original(mat)
 
-    monkeypatch.setattr(operators, "det_field", counted)
+    monkeypatch.setattr(operators, "det_inv", counted)
     argv = [command, path] + (["--z", "0.5"] if command == "lyapunov" else [])
     code, _ = run_cli(capsys, argv)
     assert code == 0

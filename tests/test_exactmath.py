@@ -12,16 +12,15 @@ from blochjac.exactmath import (
     I,
     RatPoly,
     chebyshev,
-    det_field,
+    det_inv,
     discriminant,
+    euclid,
     gcd,
     interpolate,
-    mat_inv,
     mat_mul,
-    resultant,
     squarefree_decomposition,
 )
-from blochjac.fixtures import free_operator
+from blochjac.fixtures import free_operator, random_operator
 from blochjac.spectral import build_char_determinant, char_determinant, resonance_poly, surface_poly
 
 
@@ -34,10 +33,10 @@ def gaussian_rationals(max_num=4):
 
 
 def det_charpoly(A):
-    """det(t I - A) interpolated exactly from det_field at len(A) + 1 points."""
+    """det(t I - A) interpolated exactly from det_inv at len(A) + 1 points."""
     xs = range(len(A) + 1)
-    return RatPoly(interpolate(xs, [det_field([[Fraction(x * (i == j)) - e for j, e in enumerate(row)]
-                                               for i, row in enumerate(A)]) for x in xs]), "z")
+    return RatPoly(interpolate(xs, [det_inv([[Fraction(x * (i == j)) - e for j, e in enumerate(row)]
+                                               for i, row in enumerate(A)])[0] for x in xs]), "z")
 
 
 def test_crational_arithmetic():
@@ -100,9 +99,77 @@ def test_chebyshev_cosine():
         assert chebyshev(n)(Fraction(1)) == 1
 
 
+def resultant(f: RatPoly, g: RatPoly):
+    """Res(f, g) from euclid, which takes the longer list first: Res(f, g) = (-1)^(deg f deg g) Res(g, f)."""
+    if len(f.coeffs) >= len(g.coeffs):
+        return euclid(f.coeffs, g.coeffs)[1]
+    return (-1) ** (f.degree * g.degree) * euclid(g.coeffs, f.coeffs)[1]
+
+
+def _to_sympy(f: RatPoly, x):
+    return sympy.Poly(list(reversed(f.coeffs)) or [0], x, domain="QQ")
+
+
+def _from_sympy(F):
+    """Ascending Fraction coefficients of a sympy Poly over QQ."""
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(F.all_coeffs())]
+    return coeffs if any(coeffs) else []
+
+
 def test_resultant_examples():
     assert resultant(RatPoly([-1, 0, 1], "tau"), RatPoly([-1, 1], "tau")) == 0
     assert resultant(RatPoly([-2, 1], "tau"), RatPoly([-3, 1], "tau")) == -1
+
+
+def test_euclid_never_raises_a_gaussian_rational_to_a_power():
+    # f = 1 + i nu has f' = i, so Res(f, f') = i and disc f = i / i = 1
+    d = discriminant(RatPoly([1, I], "nu"))
+    assert d == Fraction(1) and isinstance(d, Fraction)
+    assert euclid([1, 0, 1], [I])[1] == -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals(), min_size=1, max_size=6), st.lists(rationals(), min_size=1, max_size=6))
+def test_euclid_matches_sympy_resultant_and_gcd(fc, gc):
+    f, g = sorted((RatPoly(fc), RatPoly(gc)), key=lambda h: len(h.coeffs), reverse=True)
+    if g.is_zero():
+        return
+    x = sympy.Symbol("x")
+    F, G = _to_sympy(f, x), _to_sympy(g, x)
+    assert euclid(f.coeffs, g.coeffs)[1] == Fraction(int(F.resultant(G).p), int(F.resultant(G).q))
+    assert list(gcd(f, g).coeffs) == _from_sympy(F.gcd(G).monic())
+
+
+def _mod(c, P):
+    return c.numerator * pow(c.denominator, -1, P) % P
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=3),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    st.integers(0, 2),
+)
+def test_euclid_mod_p_reduces_the_exact_euclid(hc, uc, vc, k):
+    # f = h u and g = h v share h; every leading coefficient is a nonzero
+    # integer far below the 61-bit P, so P divides none of them
+    P = exactmath._CERTIFICATE[k][0]
+    h, u, v = RatPoly(hc), RatPoly(uc), RatPoly(vc)
+    if h.is_zero() or u.is_zero() or v.is_zero():
+        return
+    f, g = sorted((h * u, h * v), key=lambda w: len(w.coeffs), reverse=True)
+    gp, rp = euclid([int(c) for c in f.coeffs], [int(c) for c in g.coeffs], P)
+    r = euclid(f.coeffs, g.coeffs)[1]
+    assert rp == _mod(r, P)
+    # with d = gcd(f, g), gcd(f mod P, g mod P) = d mod P unless P divides
+    # Res(f / d, g / d), which sympy decides independently
+    d = gcd(f, g)
+    x = sympy.Symbol("x")
+    cofactors = _to_sympy(f.exact_div(d), x).resultant(_to_sympy(g.exact_div(d), x))
+    if int(cofactors.p) % P:
+        lc_inv = pow(gp[-1], -1, P)
+        assert [c * lc_inv % P for c in gp] == [_mod(c, P) for c in d.coeffs]
 
 
 def test_discriminant_examples():
@@ -261,6 +328,16 @@ def test_discriminant_multiplicative(fc, gc):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4)])
+def test_resonance_poly_is_sympys_discriminant_of_phi(shape):
+    sp = surface_poly(char_determinant(random_operator(1, *shape)))
+    z, nu = sympy.symbols("z nu")
+    phi = sum(_to_sympy(f, z).as_expr() * nu ** (sp.m - j) for j, f in enumerate(sp.phi))
+    rho, degenerate = resonance_poly(sp)
+    assert not degenerate
+    assert list(rho.coeffs) == _from_sympy(sympy.Poly(sympy.discriminant(phi, nu), z, domain="QQ"))
+
+
 def test_bipoly_eval_examples():
     D = (RatPoly([1]), RatPoly([0, -1]), RatPoly([1]))  # tau^2 - z*tau + 1 by its tau-coefficients
 
@@ -312,8 +389,8 @@ def test_bipoly_resultant_discriminant():
 
 def test_det_helpers():
     m = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
-    assert det_field(m) == 1
-    inv = mat_inv(m)
+    det, inv = det_inv(m)
+    assert det == 1
     assert mat_mul(m, inv) == [[1, 0], [0, 1]]
     P = exactmath._CERTIFICATE[0][0]
     assert mat_mul([[P - 1, 2]], [[3], [P - 5]], P) == [[P - 13]]
@@ -344,7 +421,7 @@ def test_charpoly_mod_reduces_the_exact_charpoly(rows):
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(st.one_of(rationals(9), gaussian_rationals(9), st.just(Fraction(0))), min_size=n, max_size=n),
     min_size=n, max_size=n)))
-def test_charpoly_over_q_and_qi_matches_det_field(rows):
+def test_charpoly_over_q_and_qi_matches_gauss_jordan(rows):
     # zeros exercise the pivot search of the Hessenberg reduction
     assert RatPoly(exactmath.charpoly(rows)) == det_charpoly(rows)
 
@@ -375,9 +452,10 @@ def test_interpolate_round_trip(coeffs, start):
     assert len(g) == len(xs) and RatPoly(g, "w") == f
 
 
-def test_det_field_singular_and_complex():
-    assert det_field([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
-    d = det_field([[I, CRational(1)], [CRational(-1), I]])
-    assert d == Fraction(0)
-    d2 = det_field([[I, CRational(0)], [CRational(0), I]])
-    assert d2 == -1
+def test_det_inv_singular_and_complex():
+    assert det_inv([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == (0, None)
+    d, inv = det_inv([[I, CRational(1)], [CRational(-1), I]])
+    assert d == Fraction(0) and inv is None
+    d2, inv2 = det_inv([[I, CRational(0)], [CRational(0), I]])
+    assert d2 == -1 and isinstance(d2, Fraction)
+    assert inv2 == [[-I, 0], [0, -I]]

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,30 +17,37 @@ def _library_table_names():
 
 def _used_names(node):
     """Names a syntax tree reads, as bare names or as attributes."""
-    out = set()
+    return set(_name_counts(node))
+
+
+def _name_counts(node):
+    """How often a syntax tree reads each name, bare or as an attribute."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
     return out
 
 
 def test_no_src_definition_exists_only_for_tests():
-    # every module-level def or class is used in src outside its own
-    # definition, or is named in the README library table, or is a fixture
+    # every module-level def or class, and every public method or property
+    # of a src class, is read in src outside its own definition, or is named
+    # in the README library table, or lives in fixtures
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    statements = [(name, stmt) for name, tree in trees.items() for stmt in tree.body]
-    used_by = [(name, stmt, _used_names(stmt)) for name, stmt in statements]
+    reads = sum((_name_counts(tree) for tree in trees.values()), Counter())
     documented = _library_table_names()
     unused = []
-    for module, stmt in statements:
-        if module == "fixtures.py" or not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+    for module, tree in trees.items():
+        if module == "fixtures.py":
             continue
-        if stmt.name in documented:
-            continue
-        if not any(stmt.name in names for _, other, names in used_by if other is not stmt):
-            unused.append(f"{module}:{stmt.name}")
+        defs = [stmt for stmt in tree.body if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+        defs += [method for cls in defs if isinstance(cls, ast.ClassDef) for method in cls.body
+                 if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")]
+        for stmt in defs:
+            if stmt.name not in documented and reads[stmt.name] == _name_counts(stmt)[stmt.name]:
+                unused.append(f"{module}:{stmt.name}")
     assert unused == []
 
 
