@@ -33,13 +33,12 @@ from .operators import PeriodicOperator
 from .spectral import (
     InternalConsistencyError,
     band_structure,
-    band_structure_from_char,
     char_determinant,
     classify_gaps,
+    cross_validate,
     lyapunov_at,
     multipliers_at,
     resonances,
-    surface_poly,
     verify_identities,
 )
 
@@ -212,15 +211,15 @@ def _band_payload(bs, gaps) -> dict:
 
 def cmd_bands(args) -> int:
     op, digest = _load_operator(args)
-    bs = band_structure(op, grid=args.grid)
+    bs = band_structure(char_determinant(op))
+    cross_validate(op, bs, args.grid)
     _emit(_result("bands", digest, _band_payload(bs, classify_gaps(bs))))
     return EXIT_OK
 
 
 def cmd_resonances(args) -> int:
     op, digest = _load_operator(args)
-    sp = surface_poly(char_determinant(op))
-    rs = resonances(sp)
+    rs = resonances(char_determinant(op))
     payload = {
         "rho": [str(c) for c in rs.rho.coeffs],
         "zeros": [_cnum(v) for v in rs.values],
@@ -287,10 +286,10 @@ def _parse_grid(text: str) -> list:
 def cmd_lyapunov(args) -> int:
     op, digest = _load_operator(args)
     points = [args.z] if args.z is not None else args.z_grid
-    sp = surface_poly(char_determinant(op))
+    cd = char_determinant(op)
     out = []
     for z in points:
-        branches = lyapunov_at(sp, z)
+        branches = lyapunov_at(cd, z)
         pairs = multipliers_at(branches)
         out.append(
             {
@@ -366,7 +365,7 @@ def cmd_recover(args) -> int:
             "q": [[str(q.coeff(n)) for n in range(sd.p * sd.m + 1)] for q in snapped.q],
         }
         try:
-            bs = band_structure_from_char(snapped, surface_poly(snapped))
+            bs = band_structure(snapped)
         except InternalConsistencyError as exc:
             # the snapped D is exact: no self-adjoint operator has it
             raise InconsistentDataError(

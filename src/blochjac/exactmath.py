@@ -54,9 +54,6 @@ class CRational:
         """Return the plain Fraction when the imaginary part vanishes."""
         return self.re if self.im == 0 else self
 
-    def conjugate(self):
-        return CRational(self.re, -self.im)
-
     def abs2(self):
         return self.re * self.re + self.im * self.im
 
@@ -262,18 +259,6 @@ class RatPoly:
             raise ZeroDivisionError("division of polynomial by zero scalar")
         return RatPoly([a / c for a in self.coeffs], self.var)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("nonnegative integer exponent required")
-        out = RatPoly.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __divmod__(self, other):
         o = self._lift(other)
         if o is None:
@@ -312,11 +297,6 @@ class RatPoly:
         return self if lc == 1 else self / lc
 
     def __call__(self, x):
-        if isinstance(x, RatPoly):
-            acc = RatPoly.zero(x.var)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
         if isinstance(x, (float, complex)):
             acc = 0j
             for c in reversed(self.coeffs):

@@ -51,7 +51,7 @@ class InternalConsistencyError(RuntimeError):
 
 
 class CharDeterminant(NamedTuple):
-    """D(z, tau) = det(M(z) - tau*I) by its coefficients, and its normalized form.
+    """D(z, tau) = det(M(z) - tau*I) by its coefficients, its normalized form, and Phi.
 
     xi[j] is the coefficient of tau^(2m-j) in D, a polynomial in z. They
     are palindromic, xi[j] == xi[2m-j], so xi also lists D's coefficients
@@ -60,6 +60,12 @@ class CharDeterminant(NamedTuple):
     degree pm in z. p and m are the periods, and parts are the transfer
     parts of the operator D was computed from (None when D came from
     spectral data).
+
+    phi is D written in the Chebyshev variable: the surface polynomial
+    Phi(z, nu) = D / (2 tau)^m = sum phi_j(z) nu^(m-j) under
+    nu = (tau + 1/tau)/2, monic in nu (phi_0 = 1). scaled holds
+    (d, the integer coefficients of d * phi_j) per phi_j, ascending in nu,
+    so that evaluation at a point runs Horner over ints.
     """
 
     xi: tuple
@@ -68,6 +74,8 @@ class CharDeterminant(NamedTuple):
     p: int
     m: int
     parts: TransferParts | None
+    phi: tuple
+    scaled: tuple
 
     def section(self, nu0) -> RatPoly:
         """q(z, tau0) = q[0] + sum_j 2 T_j(nu0) q[j] for nu0 = (tau0 + 1/tau0)/2, exactly.
@@ -78,31 +86,6 @@ class CharDeterminant(NamedTuple):
         for j in range(1, self.m + 1):
             out = out + self.q[j] * (2 * chebyshev(j)(nu0))
         return out
-
-
-def _gaussian_parts(z):
-    """Integers (a, b, s) with z = (a + b i) / s, for a Fraction, float or complex z."""
-    if isinstance(z, complex):
-        re, im = Fraction(z.real), Fraction(z.imag)
-    else:
-        re, im = Fraction(z), Fraction(0)
-    s = math.lcm(re.denominator, im.denominator)
-    return re.numerator * (s // re.denominator), im.numerator * (s // im.denominator), s
-
-
-class SurfacePoly(NamedTuple):
-    """Phi(z, nu) = sum phi_j(z) nu^(m-j), monic in nu (phi_0 = 1).
-
-    scaled holds (d, the integer coefficients of d * phi_j) per phi_j,
-    ascending in nu, so that evaluation at a point runs Horner over ints.
-    """
-
-    phi: tuple
-    scaled: tuple
-
-    @property
-    def m(self):
-        return len(self.phi) - 1
 
     def nu_poly_at(self, z) -> RatPoly:
         """Phi(z, .) as an exact polynomial in nu, at a Fraction, float or complex z.
@@ -122,6 +105,16 @@ class SurfacePoly(NamedTuple):
             den = d * pw
             out.append(CRational(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den))
         return RatPoly(out, "nu")
+
+
+def _gaussian_parts(z):
+    """Integers (a, b, s) with z = (a + b i) / s, for a Fraction, float or complex z."""
+    if isinstance(z, complex):
+        re, im = Fraction(z.real), Fraction(z.imag)
+    else:
+        re, im = Fraction(z), Fraction(0)
+    s = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (s // re.denominator), im.numerator * (s // im.denominator), s
 
 
 class LyapunovBranch(NamedTuple):
@@ -180,12 +173,13 @@ def _na(name, detail):
 
 
 def build_char_determinant(xi: tuple, p: int, m: int, parts) -> CharDeterminant:
-    """Validate candidate coefficients xi of D and package them with c, q and parts.
+    """Validate candidate coefficients xi of D and package them with c, q, Phi and parts.
 
     xi[j] is the coefficient of tau^(2m-j). Checks the palindrome, the
     degree bounds, and the leading structure of xi_m; any violation is an
     internal error because these are structural facts, not data-dependent
-    ones.
+    ones. Phi follows from the palindrome: D / tau^m = xi_m +
+    sum_{k>=1} xi_{m-k} (tau^k + tau^-k), and tau^k + tau^-k = 2 T_k(nu).
     """
     if len(xi) != 2 * m + 1:
         raise InternalConsistencyError(f"determinant has tau-degree {len(xi) - 1}, expected {2*m}")
@@ -200,7 +194,18 @@ def build_char_determinant(xi: tuple, p: int, m: int, parts) -> CharDeterminant:
         raise InternalConsistencyError(f"deg xi_m = {xi[m].degree}, expected {p*m}")
     c = xi[m].coeff(p * m)
     q = tuple(xi[m - j] / c for j in range(m + 1))
-    return CharDeterminant(xi=xi, c=c, q=q, p=p, m=m, parts=parts)
+    by_nu = [xi[m]] + [RatPoly.zero("z")] * m  # ascending in nu
+    for k in range(1, m + 1):
+        for i, t in enumerate(chebyshev(k).coeffs):
+            by_nu[i] = by_nu[i] + xi[m - k] * (2 * t)
+    phi = tuple(by_nu[m - j] * Fraction(1, 2**m) for j in range(m + 1))
+    if phi[0] != RatPoly.one(phi[0].var):
+        raise InternalConsistencyError("surface polynomial is not monic in nu")
+    scaled = []
+    for f in reversed(phi):
+        d = math.lcm(*(v.denominator for v in f.coeffs))
+        scaled.append((d, tuple(v.numerator * (d // v.denominator) for v in f.coeffs)))
+    return CharDeterminant(xi=xi, c=c, q=q, p=p, m=m, parts=parts, phi=phi, scaled=tuple(scaled))
 
 
 def _route_one(parts: TransferParts, x: int, P: int) -> list:
@@ -317,27 +322,6 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     return cd
 
 
-def surface_poly(cd: CharDeterminant) -> SurfacePoly:
-    """Phi(z, nu) = D / (2 tau)^m under nu = (tau + 1/tau)/2. Exact.
-
-    By the palindrome D / tau^m = xi_m + sum_{k>=1} xi_{m-k} (tau^k + tau^-k),
-    and tau^k + tau^-k = 2 T_k(nu).
-    """
-    m = cd.m
-    by_nu = [cd.xi[m]] + [RatPoly.zero("z")] * m  # ascending in nu
-    for k in range(1, m + 1):
-        for i, t in enumerate(chebyshev(k).coeffs):
-            by_nu[i] = by_nu[i] + cd.xi[m - k] * (2 * t)
-    phi = tuple(by_nu[m - j] * Fraction(1, 2**m) for j in range(m + 1))
-    if phi[0] != RatPoly.one(phi[0].var):
-        raise InternalConsistencyError("surface polynomial is not monic in nu")
-    scaled = []
-    for f in reversed(phi):
-        d = math.lcm(*(c.denominator for c in f.coeffs))
-        scaled.append((d, tuple(c.numerator * (d // c.denominator) for c in f.coeffs)))
-    return SurfacePoly(phi, tuple(scaled))
-
-
 def _exact_roots(f: RatPoly, what: str) -> list:
     """roots_all of an exact polynomial, naming it when a coefficient overflows a float."""
     try:
@@ -347,7 +331,7 @@ def _exact_roots(f: RatPoly, what: str) -> list:
     return roots_all(cs)
 
 
-def branch_values(sp: SurfacePoly, z) -> list:
+def branch_values(cd: CharDeterminant, z) -> list:
     """The m branch values of nu at a Fraction, float or complex z, sorted by (re, im).
 
     Phi(z, .) is evaluated exactly and its repeated roots are split off
@@ -360,7 +344,7 @@ def branch_values(sp: SurfacePoly, z) -> list:
     zc = complex(z)
     what = f"Phi(z, nu) at z = {repr(zc.real) if not zc.imag else repr(zc)}"
     vals = []
-    for g, k in squarefree_decomposition(sp.nu_poly_at(z)):
+    for g, k in squarefree_decomposition(cd.nu_poly_at(z)):
         for r in _exact_roots(g, what):
             vals.extend([r] * k)
     if not (isinstance(z, complex) and z.imag):
@@ -368,9 +352,9 @@ def branch_values(sp: SurfacePoly, z) -> list:
     return sorted(vals, key=lambda w: (w.real, w.imag))
 
 
-def lyapunov_at(sp: SurfacePoly, z) -> list:
+def lyapunov_at(cd: CharDeterminant, z) -> list:
     """branch_values at z with real flags."""
-    return [LyapunovBranch(v, abs(v.imag) <= REAL_TOL) for v in branch_values(sp, z)]
+    return [LyapunovBranch(v, abs(v.imag) <= REAL_TOL) for v in branch_values(cd, z)]
 
 
 def multipliers_at(branches) -> list:
@@ -400,7 +384,7 @@ def multipliers_at(branches) -> list:
     return pairs
 
 
-def resonance_poly(sp: SurfacePoly):
+def resonance_poly(cd: CharDeterminant):
     """(rho, degenerate): the discriminant of Phi in nu, deflated if it vanishes.
 
     rho = prod_{i<j} (Delta_i - Delta_j)^2 up to the usual discriminant
@@ -420,15 +404,15 @@ def resonance_poly(sp: SurfacePoly):
     point, the discriminant there when the degree is d and 0 at the
     unlucky points, and interpolation gives it exactly.
     """
-    m = sp.m
+    m = cd.m
     if m == 1:
         return RatPoly.one("z"), False
-    w = max((-(-f.degree // j) for j, f in enumerate(sp.phi) if j and f), default=0)
+    w = max((-(-f.degree // j) for j, f in enumerate(cd.phi) if j and f), default=0)
     n = w * m * (m - 1) + 1
     xs = range(-(n // 2), n - n // 2)
     samples = []
     for x in xs:
-        f = sp.nu_poly_at(x)
+        f = cd.nu_poly_at(x)
         r = discriminant(f)
         if not r:
             f = f.exact_div(gcd(f, f.derivative()))
@@ -440,9 +424,9 @@ def resonance_poly(sp: SurfacePoly):
     return RatPoly(interpolate(xs, [r if deg == d else 0 for deg, r in samples]), "z"), d < m
 
 
-def resonances(sp: SurfacePoly) -> ResonanceSet:
+def resonances(cd: CharDeterminant) -> ResonanceSet:
     """All zeros of rho, conjugate-paired, with exact multiplicities."""
-    rho, degenerate = resonance_poly(sp)
+    rho, degenerate = resonance_poly(cd)
     if rho.degree <= 0:
         return ResonanceSet((), (), (), degenerate, rho)
     clusters = []
@@ -496,14 +480,14 @@ def antiperiodic_eigs(cd: CharDeterminant) -> list:
     return _eigs_at_tau(cd, Fraction(-1))
 
 
-def _candidate_edges(cd, sp):
+def _candidate_edges(cd: CharDeterminant):
     """Sorted deduplicated (value, kinds) from eigenvalues and resonances."""
     tagged = []
     for v, _ in periodic_eigs(cd):
         tagged.append((v, "periodic"))
     for v, _ in antiperiodic_eigs(cd):
         tagged.append((v, "antiperiodic"))
-    for center, _ in resonances(sp).clusters:
+    for center, _ in resonances(cd).clusters:
         if abs(center.imag) <= 1e-7:
             tagged.append((center.real, "resonance"))
     tagged.sort(key=lambda t: t[0])
@@ -534,30 +518,18 @@ def _match_nearest(targets, vals) -> list:
     return out
 
 
-def band_structure(op: PeriodicOperator, grid: int = DEFAULT_GRID) -> BandStructure:
+def band_structure(cd: CharDeterminant) -> BandStructure:
     """Bands with multiplicity, edge provenance, and per-branch intervals.
 
     Candidate edges are the real roots of q(., 1), q(., -1) and the real
     resonances; multiplicity on each interval between consecutive candidates
     is the number of real Lyapunov branches inside [-1, 1] at its midpoint.
-    The result is cross-validated against Floquet eigenvalues on a grid.
-    """
-    cd = char_determinant(op)
-    sp = surface_poly(cd)
-    bs = band_structure_from_char(cd, sp)
-    _cross_validate(op, bs, grid)
-    return bs
-
-
-def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly) -> BandStructure:
-    """The band computation alone, usable when only D(z, tau) is known.
-
-    sp is surface_poly(cd). No Floquet cross-validation happens here (there
-    is no operator to build L(tau) from); band_structure wraps this and
-    adds it.
+    Only D(z, tau) is needed, so bands of a determinant recovered from
+    spectral data come from here too; cross_validate checks them against
+    the Floquet eigenvalues of an operator.
     """
     m = cd.m
-    cands = _candidate_edges(cd, sp)
+    cands = _candidate_edges(cd)
     if not cands:
         raise InternalConsistencyError("no candidate band edges found")
     values = [v for v, _ in cands]
@@ -576,7 +548,7 @@ def band_structure_from_char(cd: CharDeterminant, sp: SurfacePoly) -> BandStruct
         step = (right - left) / (_SUBSAMPLES + 1)
         for idx in range(_SUBSAMPLES):
             x = left + (idx + 1) * step
-            cur = branch_values(sp, x)
+            cur = branch_values(cd, x)
             if prev2 is not None:
                 r = (x - xprev) / (xprev - xprev2)
                 cur = _match_nearest([a + (a - b) * r for a, b in zip(prev, prev2)], cur)
@@ -634,7 +606,8 @@ def _phase_grid(grid: int) -> list:
     return [i * step for i in range(grid - 1)] + [2 * math.pi]
 
 
-def _cross_validate(op, bs: BandStructure, grid: int):
+def cross_validate(op: PeriodicOperator, bs: BandStructure, grid: int):
+    """Every Floquet eigenvalue of op at grid phases lies within CROSS_TOL of a band of bs."""
     segs = bs.segments
     if not segs:
         raise InternalConsistencyError(
@@ -754,7 +727,6 @@ def verify_identities(op: PeriodicOperator) -> list:
     report = [_check("symplectic-normalization", symplectic), dual]
     if cd is None:
         return report
-    sp = surface_poly(cd)
 
     sections = {}
     for tau0, nu0, label in ((1, 1, "1"), (-1, -1, "-1"), (I, 0, "i")):
@@ -810,8 +782,8 @@ def verify_identities(op: PeriodicOperator) -> list:
     else:
         report.append(_na("moment-2-lower-bound", "stated for period >= 2"))
 
-    bands = band_structure_from_char(cd, sp)
-    _cross_validate(op, bands, DEFAULT_GRID)
+    bands = band_structure(cd)
+    cross_validate(op, bands, DEFAULT_GRID)
     norm_inf = float(op.norm_infty())
     lo = bands.segments[0].lo
     hi = bands.segments[-1].hi
@@ -836,7 +808,7 @@ def verify_identities(op: PeriodicOperator) -> list:
     ok = True
     for _ in range(5):
         z0 = Fraction(rng.randint(-194, 194), 97)
-        branches = branch_values(sp, z0)
+        branches = branch_values(cd, z0)
         M = _monodromy_exact(cd.parts, z0)
         powers = [M, mat_mul(M, M)]
         powers.append(mat_mul(powers[1], M))

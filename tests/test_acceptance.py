@@ -37,15 +37,15 @@ from blochjac.operators import (
 )
 from blochjac.spectral import (
     antiperiodic_eigs,
+    DEFAULT_GRID,
     band_structure,
-    band_structure_from_char,
     build_char_determinant,
     char_determinant,
     classify_gaps,
+    cross_validate,
     lyapunov_at,
     periodic_eigs,
     resonances,
-    surface_poly,
     verify_identities,
 )
 
@@ -165,13 +165,13 @@ def test_criterion_3_example3_t1():
     op = example3(1)
     cd = char_determinant(op)
     assert cd.xi[1] == -(2 * Z * Z - 5)  # first trace T1 = 2z^2 - 5
-    sp = surface_poly(cd)
-    rho = resonances(sp).rho
+    rho = resonances(cd).rho
     assert 4 * rho == 4 * Z * Z + 4 * Z + 1
     d1 = (Z * Z - Z - 3) * Fraction(1, 2)
     d2 = (Z * Z + Z - 2) * Fraction(1, 2)
-    assert sp.phi == (RatPoly.one("z"), -(d1 + d2), d1 * d2)  # Phi = (nu - d1)(nu - d2)
-    bs = band_structure(op)
+    assert cd.phi == (RatPoly.one("z"), -(d1 + d2), d1 * d2)  # Phi = (nu - d1)(nu - d2)
+    bs = band_structure(cd)
+    cross_validate(op, bs, DEFAULT_GRID)
     s5, s17, s21 = math.sqrt(5), math.sqrt(17), math.sqrt(21)
     branch1 = [((1 - s21) / 2, (1 - s5) / 2), ((1 + s5) / 2, (1 + s21) / 2)]
     branch2 = [(-(1 + s17) / 2, -1), (0, (s17 - 1) / 2)]
@@ -181,11 +181,16 @@ def test_criterion_3_example3_t1():
 
 @criterion(4, "example4: t=0 bands [-1,3], [-2,2]; t=1/2 resonance gap")
 def test_criterion_4_example4_bands_and_gap():
-    bs = band_structure(example4(0))
+    op = example4(0)
+    bs = band_structure(char_determinant(op))
+    cross_validate(op, bs, DEFAULT_GRID)
     assert interval_matches(bs.branch_bands, [(-2, 2)])
     assert interval_matches(bs.branch_bands, [(-1, 3)])
 
-    gaps = classify_gaps(band_structure(example4(Fraction(1, 2))))
+    op = example4(Fraction(1, 2))
+    bs = band_structure(char_determinant(op))
+    cross_validate(op, bs, DEFAULT_GRID)
+    gaps = classify_gaps(bs)
     t = 0.5
     lo = 0.5 - t / (2 * math.sqrt(t * t + 1))
     hi = 0.5 + t / (2 * math.sqrt(t * t + 1))
@@ -246,11 +251,12 @@ def test_criterion_7_free_operator():
             cd = char_determinant(op)
             # D and block^m have tau-degree 2m, so 2m + 1 values of tau decide equality
             for tau0 in range(1, 2 * m + 2):
-                block = tau0 * tau0 + 1 - chebyshev(p)(Z * Fraction(1, 2)) * (2 * tau0)
+                t_half = RatPoly([c / 2**k for k, c in enumerate(chebyshev(p).coeffs)])  # T_p(z/2)
+                block = tau0 * tau0 + 1 - t_half * (2 * tau0)
                 d_at = RatPoly.zero("z")
                 for f in cd.xi:  # Horner: xi[j] is the coefficient of tau^(2m-j)
                     d_at = d_at * tau0 + f
-                assert d_at == block ** m
+                assert d_at == math.prod([block] * m)
             for kappa in (0.0, math.pi / 3, math.pi / 2):
                 eigs = hermitian_eigs(floquet_matrix(op, cmath.exp(1j * kappa)))
                 expected = sorted(
@@ -288,8 +294,9 @@ def test_criterion_8_inverse_round_trip():
             recovered = snap_to_rational(rec)
         except InconsistentDataError:
             recovered = _lift_to_exact(rec, p, m)
-        bands_direct = band_structure(op)
-        bands_rec = band_structure_from_char(recovered, surface_poly(recovered))
+        bands_direct = band_structure(direct)
+        cross_validate(op, bands_direct, DEFAULT_GRID)
+        bands_rec = band_structure(recovered)
         assert len(bands_rec.segments) == len(bands_direct.segments)
         for a, b in zip(bands_rec.segments, bands_direct.segments):
             assert abs(a.lo - b.lo) <= 1e-6
@@ -312,14 +319,14 @@ def _scalar_lyapunov(potentials, z):
 @criterion(9, "diagonal example matches scalar oracle; free m=2 sets degeneracy flag")
 def test_criterion_9_degeneracy():
     op = example1_diag()  # potentials (1, -1) and (0, 2) on the two channels
-    sp = surface_poly(char_determinant(op))
+    cd = char_determinant(op)
     for k in range(21):
         z = -3 + 0.3 * k
         expected = sorted((_scalar_lyapunov((1, -1), z), _scalar_lyapunov((0, 2), z)))
-        got = lyapunov_at(sp, Fraction(z).limit_denominator(10))
+        got = lyapunov_at(cd, Fraction(z).limit_denominator(10))
         assert all(b.real for b in got)
         for b, e in zip(got, expected):
             assert abs(b.value.real - e) <= 1e-9
 
-    free = resonances(surface_poly(char_determinant(free_operator(2, 2))))
+    free = resonances(char_determinant(free_operator(2, 2)))
     assert free.degenerate is True

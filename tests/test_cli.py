@@ -536,22 +536,40 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
-@pytest.mark.parametrize("argv", [["bands"], ["verify"], ["lyapunov", "--z-grid=-3:3:50"]])
+@pytest.mark.parametrize("argv", [["bands"], ["verify"], ["lyapunov", "--z-grid=-3:3:50"], ["resonances"]])
 def test_each_command_builds_d_and_phi_once(tmp_path, capsys, monkeypatch, argv):
+    # build_char_determinant computes Phi with D, so one call builds both
     path = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1/2"])
-    counts = count_calls(monkeypatch, "char_determinant", "surface_poly")
+    counts = count_calls(monkeypatch, "char_determinant", "build_char_determinant")
     code, _ = run_cli(capsys, [argv[0], path] + argv[1:])
     assert code == 0
-    assert counts == {"char_determinant": 1, "surface_poly": 1}
+    assert counts == {"char_determinant": 1, "build_char_determinant": 1}
 
 
 def test_recover_builds_phi_at_most_once(tmp_path, capsys, monkeypatch):
     data = {"p": 2, "m": 1, "kappas": [0.0, math.pi], "lambda_sets": [[-2, 2], [0]]}
     path = write_json(tmp_path, data, "data.json")
-    counts = count_calls(monkeypatch, "char_determinant", "surface_poly")
+    counts = count_calls(monkeypatch, "char_determinant", "build_char_determinant")
     payload = run_json(capsys, ["recover", path])["payload"]
     assert payload["bands"] is not None
-    assert counts["char_determinant"] == 0 and counts["surface_poly"] <= 1
+    assert counts == {"char_determinant": 0, "build_char_determinant": 1}
+
+
+@pytest.mark.parametrize("command", ["bands", "verify"])
+def test_cross_validation_runs_once_per_command(tmp_path, capsys, monkeypatch, command):
+    path = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1/2"])
+    counts = count_calls(monkeypatch, "cross_validate")
+    code, _ = run_cli(capsys, [command, path])
+    assert code == 0
+    assert counts == {"cross_validate": 1}
+
+
+def test_band_structure_alone_builds_no_floquet_matrix(monkeypatch):
+    # the Floquet oracle is cross_validate's, and runs only where an operator is known
+    cd = spectral.char_determinant(random_operator(1, 3, 3))
+    counts = count_calls(monkeypatch, "floquet_matrix")
+    spectral.band_structure(cd)
+    assert counts == {"floquet_matrix": 0}
 
 
 @pytest.mark.parametrize("command", ["bands", "resonances", "verify", "lyapunov"])
@@ -614,17 +632,16 @@ def test_band_structure_runs_no_euclid_over_q_on_squarefree_inputs(monkeypatch):
     # the sections, rho and every sampled Phi(x, .) are squarefree here, and
     # the modular certificate proves it without a gcd over Q
     cd = spectral.char_determinant(random_operator(1, 3, 3))
-    sp = spectral.surface_poly(cd)
     counts = count_calls(monkeypatch, "gcd")
-    spectral.band_structure_from_char(cd, sp)
+    spectral.band_structure(cd)
     assert counts == {"gcd": 0}
 
 
 def test_lyapunov_runs_no_euclid_over_q_on_squarefree_inputs(monkeypatch):
-    sp = spectral.surface_poly(spectral.char_determinant(random_operator(1, 3, 3)))
+    cd = spectral.char_determinant(random_operator(1, 3, 3))
     counts = count_calls(monkeypatch, "gcd")
     for k in range(50):
-        spectral.lyapunov_at(sp, complex(-3 + 6 * k / 49, 0.0))
+        spectral.lyapunov_at(cd, complex(-3 + 6 * k / 49, 0.0))
     assert counts == {"gcd": 0}
 
 

@@ -28,11 +28,11 @@ from blochjac.inverse import (
     _solve,
 )
 from blochjac.spectral import (
+    DEFAULT_GRID,
     band_structure,
-    band_structure_from_char,
     char_determinant,
+    cross_validate,
     resonances,
-    surface_poly,
 )
 
 KAPPAS = (0.0, math.pi, math.pi / 2, math.pi / 3)
@@ -337,15 +337,16 @@ def test_downstream_bands_and_resonances_match():
     op = example4(Fraction(1, 2))
     direct = char_determinant(op)
     recovered = snap_to_rational(recover_determinant(data_for(op, 2)))
-    bands_direct = band_structure(op)
-    bands_rec = band_structure_from_char(recovered, surface_poly(recovered))
+    bands_direct = band_structure(direct)
+    cross_validate(op, bands_direct, DEFAULT_GRID)
+    bands_rec = band_structure(recovered)
     assert len(bands_rec.segments) == len(bands_direct.segments)
     for sa, sb in zip(bands_rec.segments, bands_direct.segments):
         assert sa.lo == pytest.approx(sb.lo, abs=1e-6)
         assert sa.hi == pytest.approx(sb.hi, abs=1e-6)
         assert sa.multiplicity == sb.multiplicity
-    res_direct = resonances(surface_poly(direct))
-    res_rec = resonances(surface_poly(recovered))
+    res_direct = resonances(direct)
+    res_rec = resonances(recovered)
     assert len(res_rec.values) == len(res_direct.values)
     for a, b in zip(res_rec.values, res_direct.values):
         assert abs(a - b) <= 1e-6

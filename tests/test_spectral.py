@@ -42,9 +42,9 @@ from blochjac.operators import (
 )
 from blochjac.spectral import (
     BandStructure,
+    DEFAULT_GRID,
     InternalConsistencyError,
     Segment,
-    _cross_validate,
     _match_nearest,
     _phase_grid,
     antiperiodic_eigs,
@@ -52,12 +52,12 @@ from blochjac.spectral import (
     build_char_determinant,
     char_determinant,
     classify_gaps,
+    cross_validate,
     lyapunov_at,
     multipliers_at,
     periodic_eigs,
     resonance_poly,
     resonances,
-    surface_poly,
     verify_identities,
 )
 
@@ -68,8 +68,8 @@ def zpoly(*coeffs):
 
 def free_block(p, tau0):
     """tau0^2 + 1 - 2 tau0 T_p(z/2), the single-band building block at tau = tau0."""
-    half_z = zpoly(0, Fraction(1, 2))
-    return chebyshev(p)(half_z) * (-2 * tau0) + (tau0 * tau0 + 1)
+    t_half = zpoly(*(c / 2**k for k, c in enumerate(chebyshev(p).coeffs)))  # T_p(z/2)
+    return t_half * (-2 * tau0) + (tau0 * tau0 + 1)
 
 
 def charpoly(A):
@@ -119,7 +119,7 @@ def test_char_determinant_free_formula(p, m):
     # both sides have tau-degree 2m, so 2m + 1 values of tau decide equality
     for k in range(2 * m + 1):
         tau0 = Fraction(2 * k - 1, 3)
-        assert d_at(cd, tau0) == free_block(p, tau0) ** m
+        assert d_at(cd, tau0) == math.prod([free_block(p, tau0)] * m)
     assert cd.c == (-1) ** m
 
 
@@ -152,17 +152,16 @@ def test_free_q_is_laurent_symmetric():
 def test_example2_floquet_sections_factor():
     z = zpoly(0, 1)
     cd = char_determinant(example2_const(1))
-    assert cd.section(1) == (z + 2) ** 2 * ((z - 2) ** 2 - 4)
-    assert cd.section(-1) == (z**2 - 2) ** 2
+    assert cd.section(1) == (z + 2) * (z + 2) * ((z - 2) * (z - 2) - 4)
+    assert cd.section(-1) == (z * z - 2) * (z * z - 2)
 
 
-def test_surface_poly_free():
-    half_z = zpoly(0, Fraction(1, 2))
-    sp = surface_poly(char_determinant(free_operator(3, 1)))
-    assert sp.phi == (RatPoly.one("z"), -chebyshev(3)(half_z))
-    sp2 = surface_poly(char_determinant(free_operator(2, 2)))
+def test_phi_free():
+    cd = char_determinant(free_operator(3, 1))
+    assert cd.phi == (RatPoly.one("z"), -zpoly(*(c / 2**k for k, c in enumerate(chebyshev(3).coeffs))))
+    cd2 = char_determinant(free_operator(2, 2))
     body = zpoly(-1, 0, Fraction(1, 2))
-    assert sp2.phi == (RatPoly.one("z"), body * (-2), body * body)
+    assert cd2.phi == (RatPoly.one("z"), body * (-2), body * body)
 
 
 @settings(max_examples=20, deadline=None)
@@ -172,51 +171,50 @@ def test_surface_poly_free():
     st.integers(1, 3),
     st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
 )
-def test_surface_poly_identity(seed, p, m, tau):
+def test_phi_identity(seed, p, m, tau):
     # (2 tau)^m Phi(z, (tau + 1/tau)/2) == D(z, tau), exactly, as polynomials in z
     cd = char_determinant(random_operator(seed, p, m))
-    sp = surface_poly(cd)
     nu = (tau + 1 / tau) / 2
     phi_at = RatPoly.zero("z")
-    for f in sp.phi:
+    for f in cd.phi:
         phi_at = phi_at * nu + f
     assert phi_at * (2 * tau) ** m == d_at(cd, tau)
 
 
-def test_surface_poly_example3_branch_product():
-    sp = surface_poly(char_determinant(example3(1)))
+def test_phi_example3_branch_product():
+    cd = char_determinant(example3(1))
     d1 = zpoly(Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2))
     d2 = zpoly(-1, Fraction(1, 2), Fraction(1, 2))
-    assert sp.phi == (RatPoly.one("z"), -(d1 + d2), d1 * d2)
+    assert cd.phi == (RatPoly.one("z"), -(d1 + d2), d1 * d2)
 
 
 def test_lyapunov_point_samples():
-    sp = surface_poly(char_determinant(free_operator(2, 1)))
-    (b,) = lyapunov_at(sp, 0)
+    cd = char_determinant(free_operator(2, 1))
+    (b,) = lyapunov_at(cd, 0)
     assert b.real and abs(b.value - (-1)) < 1e-12
-    (b,) = lyapunov_at(sp, 10)
+    (b,) = lyapunov_at(cd, 10)
     assert b.real and abs(b.value - 49) < 1e-9
 
-    sp4 = surface_poly(char_determinant(example4(0)))
-    vals = [b.value for b in lyapunov_at(sp4, 0)]
-    assert all(b.real for b in lyapunov_at(sp4, 0))
+    cd4 = char_determinant(example4(0))
+    vals = [b.value for b in lyapunov_at(cd4, 0)]
+    assert all(b.real for b in lyapunov_at(cd4, 0))
     assert abs(vals[0] - (-1)) < 1e-12 and abs(vals[1] - (-0.5)) < 1e-12
 
 
 def test_lyapunov_is_exact_where_float_horner_is_not():
     # float Horner put phi_1 here off by 1.6e-5 relative
-    sp = surface_poly(char_determinant(random_operator(2, 32, 1)))
+    cd = char_determinant(random_operator(2, 32, 1))
     z = 1.9044522261130563
-    exact = float(-sp.phi[1](Fraction(z)))
-    (b,) = lyapunov_at(sp, complex(z, 0))
+    exact = float(-cd.phi[1](Fraction(z)))
+    (b,) = lyapunov_at(cd, complex(z, 0))
     assert b.real and abs(b.value - exact) <= 1e-12 * abs(exact)
 
 
 def test_lyapunov_on_a_degenerate_surface_is_real_and_on_the_circle():
     # free(2, 2) has Phi = (nu - T_2(z/2))^2: every branch is double
-    sp = surface_poly(char_determinant(free_operator(2, 2)))
+    cd = char_determinant(free_operator(2, 2))
     for z in (-1.0, 0.0, 1.0, complex(1.0, 0.0)):
-        branches = lyapunov_at(sp, z)
+        branches = lyapunov_at(cd, z)
         assert all(b.real for b in branches)
         for pair in multipliers_at(branches):
             assert all(abs(abs(t) - 1) <= 1e-9 for t in pair)
@@ -224,9 +222,9 @@ def test_lyapunov_on_a_degenerate_surface_is_real_and_on_the_circle():
 
 def test_lyapunov_double_point_example3():
     # At a real zero of rho the two branches collide.
-    sp = surface_poly(char_determinant(example3(2)))
+    cd = char_determinant(example3(2))
     z0 = (-1 + math.sqrt(3) / 2) / 2
-    a, b = lyapunov_at(sp, z0)
+    a, b = lyapunov_at(cd, z0)
     assert abs(a.value - b.value) < 1e-6
     # z0 carries float error, so the collision only pins the values up to
     # a sqrt(eps)-sized split; realness of each is not decidable here.
@@ -234,38 +232,38 @@ def test_lyapunov_double_point_example3():
 
 
 def test_multipliers_free():
-    sp = surface_poly(char_determinant(free_operator(2, 1)))
-    ((t1, t2),) = multipliers_at(lyapunov_at(sp, 0))
+    cd = char_determinant(free_operator(2, 1))
+    ((t1, t2),) = multipliers_at(lyapunov_at(cd, 0))
     assert abs(t1 - (-1)) < 1e-9 and abs(t2 - (-1)) < 1e-9
-    ((t1, t2),) = multipliers_at(lyapunov_at(sp, 3))
+    ((t1, t2),) = multipliers_at(lyapunov_at(cd, 3))
     assert abs(t1 * t2 - 1) < 1e-12
     assert abs(t2 - (3.5 + math.sqrt(11.25))) < 1e-9
-    ((t1, t2),) = multipliers_at(lyapunov_at(sp, 1))  # inside the band
+    ((t1, t2),) = multipliers_at(lyapunov_at(cd, 1))  # inside the band
     assert abs(abs(t1) - 1) < 1e-12 and abs(abs(t2) - 1) < 1e-12
 
 
 def test_resonance_poly_exact_families():
-    rho, deg = resonance_poly(surface_poly(char_determinant(example3(1))))
+    rho, deg = resonance_poly(char_determinant(example3(1)))
     assert (rho, deg) == (zpoly(Fraction(1, 4), 1, 1), False)
-    rho, deg = resonance_poly(surface_poly(char_determinant(example4(0))))
+    rho, deg = resonance_poly(char_determinant(example4(0)))
     assert (rho, deg) == (zpoly(Fraction(1, 4), -1, 1), False)
     # (2z+1)^2 (4z+9) / 4 for unit off-diagonal constant coefficients
-    rho, deg = resonance_poly(surface_poly(char_determinant(example2_const(1))))
+    rho, deg = resonance_poly(char_determinant(example2_const(1)))
     assert (rho, deg) == (zpoly(Fraction(9, 4), 10, 13, 4), False)
-    rho, deg = resonance_poly(surface_poly(char_determinant(free_operator(2, 1))))
+    rho, deg = resonance_poly(char_determinant(free_operator(2, 1)))
     assert (rho, deg) == (RatPoly.one("z"), False)
 
 
 def test_resonance_poly_degenerate_free():
-    rho, deg = resonance_poly(surface_poly(char_determinant(free_operator(2, 2))))
+    rho, deg = resonance_poly(char_determinant(free_operator(2, 2)))
     assert deg is True
     assert rho == RatPoly.one("z")
-    rs = resonances(surface_poly(char_determinant(free_operator(2, 2))))
+    rs = resonances(char_determinant(free_operator(2, 2)))
     assert rs.values == () and rs.degenerate
 
 
 def test_resonances_real_pair():
-    rs = resonances(surface_poly(char_determinant(example3(2))))
+    rs = resonances(char_determinant(example3(2)))
     lo, hi = (-1 - math.sqrt(3) / 2) / 2, (-1 + math.sqrt(3) / 2) / 2
     assert len(rs.values) == 2 and all(rs.real)
     assert abs(rs.values[0] - lo) < 1e-12 and abs(rs.values[1] - hi) < 1e-12
@@ -273,7 +271,7 @@ def test_resonances_real_pair():
 
 
 def test_resonances_complex_pair():
-    rs = resonances(surface_poly(char_determinant(example3(Fraction(1, 2)))))
+    rs = resonances(char_determinant(example3(Fraction(1, 2))))
     assert len(rs.values) == 2 and not any(rs.real)
     want = complex(-0.5, math.sqrt(3) / 2)
     assert abs(rs.values[0] - want.conjugate()) < 1e-12
@@ -282,7 +280,7 @@ def test_resonances_complex_pair():
 
 
 def test_resonances_double_point_example4():
-    rs = resonances(surface_poly(char_determinant(example4(0))))
+    rs = resonances(char_determinant(example4(0)))
     assert rs.clusters == (((0.5 + 0j), 2),)
     assert rs.values == (0.5, 0.5) and all(rs.real)
 
@@ -309,8 +307,15 @@ def test_periodic_antiperiodic_example2():
     assert [(round(v, 9), k) for v, k in per] == [(-2.0, 3), (6.0, 1)]
 
 
+def validated_bands(op):
+    """band_structure of op's D, cross-validated against op's Floquet eigenvalues."""
+    bs = band_structure(char_determinant(op))
+    cross_validate(op, bs, DEFAULT_GRID)
+    return bs
+
+
 def test_band_structure_free_single_band():
-    bs = band_structure(free_operator(2, 1))
+    bs = validated_bands(free_operator(2, 1))
     assert len(bs.segments) == 1
     seg = bs.segments[0]
     assert abs(seg.lo + 2) < 1e-9 and abs(seg.hi - 2) < 1e-9 and seg.multiplicity == 1
@@ -328,7 +333,7 @@ def _assert_segments(bs, expected, tol=1e-9):
 
 
 def test_band_structure_example4_t0():
-    bs = band_structure(example4(0))
+    bs = validated_bands(example4(0))
     _assert_segments(bs, [(-2, -1, 1), (-1, 2, 2), (2, 3, 1)])
     bands = sorted(bs.branch_bands, key=lambda bands: bands[0][0])
     assert len(bands[0]) == 1 and len(bands[1]) == 1
@@ -338,7 +343,7 @@ def test_band_structure_example4_t0():
 
 def test_band_structure_example3_t1():
     s5, s17, s21 = math.sqrt(5), math.sqrt(17), math.sqrt(21)
-    bs = band_structure(example3(1))
+    bs = validated_bands(example3(1))
     _assert_segments(
         bs,
         [
@@ -358,12 +363,12 @@ def test_band_structure_example3_t1():
 
 
 def test_classify_gaps_free_trivial():
-    assert classify_gaps(band_structure(free_operator(2, 1))) == []
+    assert classify_gaps(validated_bands(free_operator(2, 1))) == []
 
 
 def test_classify_gaps_example3_stable():
     op = example3(1)
-    gaps = classify_gaps(band_structure(op))
+    gaps = classify_gaps(validated_bands(op))
     s5 = math.sqrt(5)
     true_gaps = [g for g in gaps if g.multiplicity == 0]
     assert len(true_gaps) == 2
@@ -373,11 +378,11 @@ def test_classify_gaps_example3_stable():
     assert g.lo_kinds == ("antiperiodic",) and g.hi_kinds == ("antiperiodic",)
     assert true_gaps[1].kind == "stable"
     # every multiplicity-1 stretch is also reported for m = 2
-    assert len(gaps) == 2 + sum(1 for s in band_structure(op).segments if s.multiplicity == 1)
+    assert len(gaps) == 2 + sum(1 for s in validated_bands(op).segments if s.multiplicity == 1)
 
 
 def test_classify_gaps_example4_resonance_gap():
-    gaps = classify_gaps(band_structure(example4(Fraction(1, 2))))
+    gaps = classify_gaps(validated_bands(example4(Fraction(1, 2))))
     shift = 0.5 / (2 * math.sqrt(1.25))
     res = [g for g in gaps if g.kind == "resonance"]
     assert len(res) == 1
@@ -390,17 +395,16 @@ def test_classify_gaps_example4_resonance_gap():
 def test_branches_monotone_between_candidates():
     for op in (example4(0), example3(1)):
         cd = char_determinant(op)
-        sp = surface_poly(cd)
         cands = sorted(
             [v for v, _ in periodic_eigs(cd)]
             + [v for v, _ in antiperiodic_eigs(cd)]
-            + [c.real for c, _ in resonances(sp).clusters if abs(c.imag) < 1e-9]
+            + [c.real for c, _ in resonances(cd).clusters if abs(c.imag) < 1e-9]
         )
         for left, right in zip(cands, cands[1:]):
             if right - left < 1e-8:
                 continue
             xs = np.linspace(left, right, 67)[1:-1]
-            rows = [sorted(b.value.real for b in lyapunov_at(sp, x) if b.real) for x in xs]
+            rows = [sorted(b.value.real for b in lyapunov_at(cd, x) if b.real) for x in xs]
             if len({len(r) for r in rows}) != 1:
                 continue
             for slot in range(len(rows[0])):
@@ -413,7 +417,7 @@ def test_branches_monotone_between_candidates():
 
 def test_band_edges_are_attained():
     op = example4(0)
-    bs = band_structure(op)
+    bs = validated_bands(op)
     samples = []
     for x in np.linspace(0.0, 2 * math.pi, 257):
         tau = complex(math.cos(x), math.sin(x))
@@ -428,7 +432,7 @@ def test_band_edges_are_attained():
 
 def test_band_structure_deterministic():
     op = example4(Fraction(1, 2))
-    assert band_structure(op) == band_structure(op)
+    assert validated_bands(op) == validated_bands(op)
 
 
 @settings(max_examples=20, deadline=None)
@@ -444,7 +448,7 @@ def test_band_structure_deterministic():
     )
 )
 def test_branch_bands_count_the_multiplicity_and_name_the_edges(op):
-    bs = band_structure(op)
+    bs = validated_bands(op)
     for seg in bs.segments:
         x = (seg.lo + seg.hi) / 2
         covering = sum(lo <= x <= hi for bands in bs.branch_bands for lo, hi in bands)
@@ -479,7 +483,7 @@ def test_cross_validation_guard():
     op = free_operator(2, 1)
     fake = BandStructure((Segment(-0.5, 0.5, 1),), (), ((-0.5, 0.5),))
     with pytest.raises(InternalConsistencyError):
-        _cross_validate(op, fake, 33)
+        cross_validate(op, fake, 33)
 
 
 @pytest.mark.parametrize("grid", [2, 3, 257, 4097, 10**5])
@@ -577,10 +581,10 @@ def test_d_skips_a_prime_that_divides_a_denominator():
 )
 def test_resonance_poly_is_the_pointwise_discriminant(seed, shape, x):
     # rho is interpolated from integer points, so non-integer x checks its degree bound
-    sp = surface_poly(char_determinant(random_operator(seed, *shape)))
-    rho, degenerate = resonance_poly(sp)
+    cd = char_determinant(random_operator(seed, *shape))
+    rho, degenerate = resonance_poly(cd)
     assert not degenerate
-    want = discriminant(sp.nu_poly_at(x)) if sp.m > 1 else 1
+    want = discriminant(cd.nu_poly_at(x)) if cd.m > 1 else 1
     assert rho(x) == want
 
 
@@ -596,14 +600,14 @@ def test_resonance_poly_partial_degeneracy_skips_unlucky_points():
     # Phi = (nu - D0)^2 (nu - D2) with D0 = (z^2 - 2)/2 and D2 = (z^2 - 2z - 2)/2,
     # so the deflated rho is (D0 - D2)^2 = z^2. At the centre sample z = 0 all
     # three branches meet, so that point must not set the degree
-    sp = surface_poly(char_determinant(partially_degenerate_operator()))
-    ((_, k),) = squarefree_decomposition(sp.nu_poly_at(Fraction(0)))
+    cd = char_determinant(partially_degenerate_operator())
+    ((_, k),) = squarefree_decomposition(cd.nu_poly_at(Fraction(0)))
     assert k == 3
-    assert resonance_poly(sp) == (zpoly(0, 0, 1), True)
+    assert resonance_poly(cd) == (zpoly(0, 0, 1), True)
 
 
 def test_free_operator_2_8_resonance_poly_is_degenerate_one():
-    rho, degenerate = resonance_poly(surface_poly(char_determinant(free_operator(2, 8))))
+    rho, degenerate = resonance_poly(char_determinant(free_operator(2, 8)))
     assert rho == RatPoly.one("z") and degenerate
 
 
@@ -623,7 +627,7 @@ def _sympy_real_root_count(f: RatPoly) -> int:
 def test_resonances_3_4_are_finite_with_the_exact_real_count():
     # rho has degree 36 and coefficients up to 293 bits; a start circle of
     # radius 1 + max|c_k/c_n| = 2.3e15 overflows in its 36th power
-    rs = resonances(surface_poly(char_determinant(random_operator(1, 3, 4))))
+    rs = resonances(char_determinant(random_operator(1, 3, 4)))
     assert rs.rho.degree == 36 and len(rs.values) == 36
     assert all(math.isfinite(v.real) and math.isfinite(v.imag) for v in rs.values)
     assert sum(rs.real) == _sympy_real_root_count(rs.rho) == 16
@@ -632,7 +636,7 @@ def test_resonances_3_4_are_finite_with_the_exact_real_count():
 def test_resonances_4_4_complete():
     # some real roots of this rho still come out off the axis, unpaired,
     # with imaginary parts up to 8e-5, so only completion is asserted here
-    rs = resonances(surface_poly(char_determinant(random_operator(7, 4, 4))))
+    rs = resonances(char_determinant(random_operator(7, 4, 4)))
     assert len(rs.values) == rs.rho.degree == 48
     assert all(math.isfinite(v.real) and math.isfinite(v.imag) for v in rs.values)
 
@@ -705,12 +709,12 @@ def _asymptotes(op, z0=1000.0):
     when the leading eigenvalues repeat and the asymptote says nothing.
     """
     p, m = op.p, op.m
-    sp = surface_poly(char_determinant(op))
-    scaled = sorted((b.value / z0**p for b in lyapunov_at(sp, z0)), key=lambda w: (w.real, w.imag))
+    cd = char_determinant(op)
+    scaled = sorted((b.value / z0**p for b in lyapunov_at(cd, z0)), key=lambda w: (w.real, w.imag))
     ap = det_inv(functools.reduce(mat_mul, op.a))[1]
     targets = sorted(np.linalg.eigvals(np.array([[float(x) / 2 for x in row] for row in ap])),
                      key=lambda w: (w.real, w.imag))
-    rho, degenerate = resonance_poly(sp)
+    rho, degenerate = resonance_poly(cd)
     dis = discriminant(charpoly([[Fraction(x) / 2 for x in row] for row in ap]))
     rho_ratio = complex(rho(z0)) / z0 ** (p * m * (m - 1))
     return scaled, targets, rho_ratio, None if degenerate or dis == 0 else float(dis)
@@ -745,13 +749,22 @@ def test_leading_asymptotics_scalar_and_block_family():
     assert rho_target is None
 
 
-def test_readme_library_example_runs():
+def test_readme_library_example_runs(monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("Typical library use:", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    calls = []
+    real = spectral_mod.char_determinant
+
+    def counted(op):
+        calls.append(op)
+        return real(op)
+
+    monkeypatch.setattr(spectral_mod, "char_determinant", counted)
     namespace = {}
     exec(block, namespace)
     assert namespace["gaps"] == []
+    assert len(calls) == 1  # D is built once, and the bands reuse it
 
 
 def test_readme_library_table_names_exist():
