@@ -8,6 +8,7 @@ consistency failure, 4 inconsistent spectral data, 5 verification failure.
 """
 
 import argparse
+import decimal
 import hashlib
 import json
 import math
@@ -154,6 +155,15 @@ def _cnum(v) -> list:
     return [z.real + 0.0, z.imag + 0.0]
 
 
+_FULL_DIGITS = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
+
+def _exact(x: Fraction) -> str:
+    """str(x) in full: str of an int refuses more than 4300 digits, and decimal has no such limit."""
+    num, den = (format(_FULL_DIGITS.create_decimal(v), "f") for v in (x.numerator, x.denominator))
+    return num if den == "1" else f"{num}/{den}"
+
+
 def _result(command: str, digest: str, payload) -> dict:
     return {
         "schema": SCHEMA,
@@ -221,7 +231,7 @@ def cmd_resonances(args) -> int:
     op, digest = _load_operator(args)
     rs = resonances(char_determinant(op))
     payload = {
-        "rho": [str(c) for c in rs.rho.coeffs],
+        "rho": [_exact(c) for c in rs.rho.coeffs],
         "zeros": [_cnum(v) for v in rs.values],
         "real": list(rs.real),
         "clusters": [[_cnum(v), k] for v, k in rs.clusters],

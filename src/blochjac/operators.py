@@ -1,9 +1,9 @@
 """Periodic block Jacobi operators and their derived matrices.
 
 Houses the coefficient data (p, m, a_n, b_n), the z-free parts of the
-transfer matrices, the monodromy product at a point, exactly or modulo a
-prime, and the quasi-periodic block matrix L(tau), in both exact and
-Hermitian-float form. Matrices are nested lists of scalars.
+transfer matrices, the exact integer monodromy product at a point, and the
+quasi-periodic block matrix L(tau), in both exact and Hermitian-float form.
+Matrices are nested lists of scalars.
 """
 
 from __future__ import annotations
@@ -85,60 +85,48 @@ class PeriodicOperator:
 
 
 class TransferParts(NamedTuple):
-    """The z-free parts of the transfer matrices, over one common denominator.
+    """The z-free parts of the transfer matrices, each step over its own denominator.
 
-    delta T_n(z) = (0, delta I; K_n, z S_n - R_n) with the integer m x m
-    matrices K_n = -delta a_n^-1 a_(n-1)^T, S_n = delta a_n^-1 and
-    R_n = delta a_n^-1 b_n; steps[n - 1] = (K_n, S_n, R_n) and delta is the
-    least common denominator of all their unscaled entries, so
-    delta^p M_p(z) has integer polynomial entries.
+    d_n T_n(z) = (0, d_n I; K_n, z S_n - R_n) with the integer m x m
+    matrices K_n = -d_n a_n^-1 a_(n-1)^T, S_n = d_n a_n^-1 and
+    R_n = d_n a_n^-1 b_n, where d_n is the least common denominator of
+    step n's unscaled entries; steps[n - 1] = (d_n, K_n, S_n, R_n) and
+    scale = d_1 ... d_p, so scale * M_p(z) has integer polynomial entries.
     """
 
-    delta: int
+    scale: int
     steps: tuple
 
     @property
     def m(self):
-        return len(self.steps[0][0])
-
-    def mod(self, P):
-        """These parts over GF(P), or None when P divides delta."""
-        if self.delta % P == 0:
-            return None
-        red = tuple(tuple(tuple(tuple(x % P for x in row) for row in mat) for mat in step)
-                    for step in self.steps)
-        return TransferParts(self.delta, red)
+        return len(self.steps[0][1])
 
 
 def transfer_parts(op: PeriodicOperator) -> TransferParts:
     """The exact per-operator setup of every monodromy evaluation, built once."""
-    raw = []
+    steps = []
     for n in range(1, op.p + 1):
         inv = op.a_inv[n - 1]
         minus_prev_t = [[-x for x in col] for col in zip(*op.a_at(n - 1))]
-        raw.append((mat_mul(inv, minus_prev_t), inv, mat_mul(inv, op.b_at(n))))
-    delta = math.lcm(*(x.denominator for step in raw for mat in step for row in mat for x in row))
-    steps = tuple(tuple(tuple(tuple(int(x * delta) for x in row) for row in mat) for mat in step)
-                  for step in raw)
-    return TransferParts(delta, steps)
+        raw = (mat_mul(inv, minus_prev_t), inv, mat_mul(inv, op.b_at(n)))
+        d = math.lcm(*(x.denominator for mat in raw for row in mat for x in row))
+        steps.append((d,) + tuple(tuple(tuple(int(x * d) for x in row) for row in mat) for mat in raw))
+    return TransferParts(math.prod(step[0] for step in steps), tuple(steps))
 
 
-def monodromy_at(parts: TransferParts, x, P=None) -> list:
-    """delta^p M_p(x) = (delta T_p(x)) ... (delta T_1(x)) at a scalar x.
+def monodromy_at(parts: TransferParts, x) -> list:
+    """scale * M_p(x) = (d_p T_p(x)) ... (d_1 T_1(x)), exactly, at an int or Fraction x.
 
-    Exact for an int or Fraction x; over GF(P) on ints when P is given,
-    with parts = parts.mod(P). With M_p = (U; V) in m-row halves,
-    delta T_n M_p = (delta V; W (U; V)) for W = (K_n | x S_n - R_n).
+    With M = (U; V) in m-row halves, d_n T_n M = (d_n V; W (U; V)) for
+    W = (K_n | x S_n - R_n).
     """
     m = parts.m
-    d = parts.delta
     upper = [[int(i == j) for j in range(2 * m)] for i in range(m)]
     lower = [[int(i + m == j) for j in range(2 * m)] for i in range(m)]
-    for K, S, R in parts.steps:
+    for d, K, S, R in parts.steps:
         W = [list(Ki) + [x * s - r for s, r in zip(Si, Ri)] for Ki, Si, Ri in zip(K, S, R)]
-        # mat_mul reduces lower modulo P, so delta * lower stays small
-        upper, lower = [[d * v for v in row] for row in lower], mat_mul(W, upper + lower, P)
-    return (upper if P is None else [[v % P for v in row] for row in upper]) + lower
+        upper, lower = [[d * v for v in row] for row in lower], mat_mul(W, upper + lower)
+    return upper + lower
 
 
 def is_symplectic(M: list, W: list) -> bool:

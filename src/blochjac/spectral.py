@@ -208,28 +208,27 @@ def build_char_determinant(xi: tuple, p: int, m: int, parts) -> CharDeterminant:
     return CharDeterminant(xi=xi, c=c, q=q, p=p, m=m, parts=parts, phi=phi, scaled=tuple(scaled))
 
 
-def _route_one(parts: TransferParts, x: int, P: int) -> list:
-    """delta^(p min(j, 2m-j)) xi_j(x) mod P for j = 0..2m, from the charpoly of delta^p M_p(x).
+def _route_one(parts: TransferParts, N: list, P: int) -> list:
+    """scale^min(j, 2m-j) xi_j(x) mod P for j = 0..2m, from the charpoly of N = scale * M_p(x) mod P.
 
     M_p is similar to the normalized M, so the two share D. The charpoly of
-    delta^p M_p gives delta^(pj) xi_j; past the middle the palindrome
-    xi_j = xi_(2m-j) makes delta^(p(2m-j)) xi_j the integral one.
+    scale * M_p gives scale^j xi_j; past the middle the palindrome
+    xi_j = xi_(2m-j) makes scale^(2m-j) xi_j the integral one.
     """
     m = parts.m
     # det(M - tau I) = det(tau I - M) at even size, so xi_j is the t^(2m-j) coefficient
-    out = charpoly(monodromy_at(parts, x, P), P)[::-1]
-    back = pow(parts.delta, -2 * len(parts.steps), P)
+    out = charpoly(N, P)[::-1]
+    back = pow(parts.scale, -2, P)
     return out[:m + 1] + [v * pow(back, j, P) % P for j, v in enumerate(out[m + 1:], 1)]
 
 
-def _route_two(parts: TransferParts, x: int, P: int) -> list:
-    """delta^(pj) xi_j(x) mod P for j = 0..m, by the Newton recursion on Tr N^s, N = delta^p M_p(x).
+def _route_two(parts: TransferParts, N: list, P: int) -> list:
+    """scale^j xi_j(x) mod P for j = 0..m, by the Newton recursion on Tr N^s, N = scale * M_p(x) mod P.
 
     Powers are formed up to h = ceil(m/2); Tr N^(h+r) is the sum of the
     entrywise product of N^h with the transpose of N^r.
     """
     m = parts.m
-    N = monodromy_at(parts, x, P)
     powers = [N]
     while 2 * len(powers) < m:
         powers.append(mat_mul(powers[-1], N, P))
@@ -245,17 +244,17 @@ def _route_two(parts: TransferParts, x: int, P: int) -> list:
 
 
 def _coefficient_bound(parts: TransferParts) -> int:
-    """B >= |every z-coefficient of delta^(pj) xi_j|, j = 0..m.
+    """B >= |every z-coefficient of scale^j xi_j|, j = 0..m.
 
     Let |.| sum the absolute values of a polynomial's coefficients, taken
-    entrywise. Then |delta^p M_p| <= R = |delta T_p| ... |delta T_1|.
-    delta^(pj) xi_j is up to sign the sum of the C(2m, j) principal j x j
-    minors of delta^p M_p, and each is at most the product of its rows'
+    entrywise. Then |scale * M_p| <= R = |d_p T_p| ... |d_1 T_1|.
+    scale^j xi_j is up to sign the sum of the C(2m, j) principal j x j
+    minors of scale * M_p, and each is at most the product of its rows'
     sums in R, so at most the product of the j largest row sums.
     """
-    m, d = parts.m, parts.delta
+    m = parts.m
     R = [[int(i == j) for j in range(2 * m)] for i in range(2 * m)]
-    for K, S, Rn in parts.steps:
+    for d, K, S, Rn in parts.steps:
         T = [[0] * m + [d * (i == j) for j in range(m)] for i in range(m)]
         T += [[abs(k) for k in Ki] + [abs(s) + abs(r) for s, r in zip(Si, Ri)]
               for Ki, Si, Ri in zip(K, S, Rn)]
@@ -267,35 +266,38 @@ def _coefficient_bound(parts: TransferParts) -> int:
 def _reconstruct(route, primes, parts: TransferParts, xs, bound: int) -> tuple:
     """The xi_j that route computes pointwise, over Q.
 
-    Primes come from primes until their product exceeds 2 * bound. Modulo
-    each, the values at xs are interpolated; the Chinese remainder theorem
-    lifts the coefficients to integers in symmetric range, and they are
-    divided by delta^(p min(j, 2m-j)).
+    Primes come from primes until their product exceeds 2 * bound. At each
+    point of xs, monodromy_at runs once and route reads its reduction modulo
+    each prime, so one exact matrix is alive at a time. Modulo each prime the
+    values are interpolated; the Chinese remainder theorem lifts the
+    coefficients to integers in symmetric range, divided by scale^min(j, 2m-j).
     """
-    residues, used = [], []
+    used = []
     while math.prod(used) <= 2 * bound:
-        P, red = next(primes)
-        values = [route(red, x, P) for x in xs]
-        residues.append([c for ys in zip(*values) for c in interpolate(xs, ys, P)])
-        used.append(P)
+        used.append(next(primes))
+    values = []
+    for x in xs:
+        N = monodromy_at(parts, x)
+        values.append([route(parts, [[v % P for v in row] for row in N], P) for P in used])
+    residues = [[c for ys in zip(*vals) for c in interpolate(xs, ys, P)] for P, vals in zip(used, zip(*values))]
     ints = _crt(residues, used)
-    n, m, p = len(xs), parts.m, len(parts.steps)
-    scales = [parts.delta ** (p * min(j, 2 * m - j)) for j in range(len(ints) // n)]
+    n, m = len(xs), parts.m
+    scales = [parts.scale ** min(j, 2 * m - j) for j in range(len(ints) // n)]
     return tuple(RatPoly([Fraction(v, d) for v in ints[j * n:(j + 1) * n]], "z") for j, d in enumerate(scales))
 
 
 def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     """D(z, tau) computed two independent ways, which must agree exactly.
 
-    Both routes evaluate delta^p M_p from the transfer parts at pm + 1
-    integer points modulo 61-bit primes and interpolate every
-    tau-coefficient in z (its degree is at most pm, which
-    build_char_determinant enforces). Route one takes the charpoly of M_p
-    at the centred points; route two the Newton recursion
+    Each route evaluates scale * M_p exactly from the transfer parts, once
+    at each of its pm + 1 integer points, reduces it modulo 61-bit primes
+    and interpolates every tau-coefficient in z (its degree is at most pm,
+    which build_char_determinant enforces). Route one takes the charpoly of
+    M_p at the centred points; route two the Newton recursion
     xi_s = -(1/s) * sum_{j<s} T_{s-j} xi_j on the traces T_n = Tr M_p^n at
     the next pm + 1 integers, mirrored across the palindrome. Each takes as
     many primes as the proven coefficient bound needs (Brown, J. ACM 18,
-    1971), disjoint from the other's, and skips a prime that divides delta.
+    1971), disjoint from the other's, and skips a prime that divides scale.
     With disjoint points as well, a fault in reduction, interpolation or
     lifting shows as a disagreement.
     """
@@ -304,7 +306,7 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     parts = transfer_parts(op)
     xs = range(-(pm // 2), pm - pm // 2 + 1)
     bound = _coefficient_bound(parts)
-    primes = ((P, red) for P, _ in _primes() for red in [parts.mod(P)] if red is not None)
+    primes = (P for P, _ in _primes() if parts.scale % P)
     by_tau = _reconstruct(_route_one, primes, parts, xs, bound)
     xi = list(_reconstruct(_route_two, primes, parts, range(xs.stop, xs.stop + pm + 1), bound))
     # palindromic by construction, so it also reads ascending in tau
@@ -685,8 +687,7 @@ def _frobenius_sq(mat):
 
 def _monodromy_exact(parts: TransferParts, x) -> list:
     """M_p(x) over Q at an int or Fraction x."""
-    scale = parts.delta ** len(parts.steps)
-    return [[Fraction(v) / scale for v in row] for row in monodromy_at(parts, x)]
+    return [[Fraction(v) / parts.scale for v in row] for row in monodromy_at(parts, x)]
 
 
 def _log10(x: Fraction) -> float:

@@ -111,7 +111,7 @@ def interval_matches(bands, expected, tol=1e-9):
 def test_criterion_1_exact_identities(battery):
     for op, cd, _ in battery:
         p, m = op.p, op.m
-        scale = cd.parts.delta ** p
+        scale = cd.parts.scale
         # the normalized M = P0 M_p P0^-1 with P0 = a_p^T (+) I_m
         zero = [Fraction(0)] * m
         P0 = [list(col) + zero for col in zip(*op.a_at(0))]

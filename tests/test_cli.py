@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -311,6 +312,52 @@ def test_recover_fuzz_ends_in_a_documented_exit(tmp_path_factory, doc):
     assert run_captured(["recover", path])[1] == out
 
 
+FUZZ_ENTRIES = ("0", "1", "-1", "2", "1/2", "-7/3", "0.25", "1e-300", "1e300")
+
+
+@st.composite
+def operator_documents(draw):
+    p = draw(st.sampled_from([1, 2]))
+    m = draw(st.sampled_from([1, 2]))
+    entry = st.sampled_from(FUZZ_ENTRIES)
+    a = [[[draw(entry) for _ in range(m)] for _ in range(m)] for _ in range(p)]
+    b = []
+    for _ in range(p):
+        # b_n symmetric, so most documents pass the operator checks
+        upper = {(i, j): draw(entry) for i in range(m) for j in range(i, m)}
+        b.append([[upper[min(i, j), max(i, j)] for j in range(m)] for i in range(m)])
+    return {"p": p, "m": m, "a": a, "b": b}
+
+
+@settings(max_examples=12, deadline=None)
+@given(operator_documents())
+def test_operator_fuzz_ends_in_a_documented_exit(tmp_path_factory, doc):
+    path = write_json(tmp_path_factory.mktemp("fuzz"), doc, "op.json")
+    for argv in (["bands", path], ["resonances", path], ["verify", path], ["lyapunov", path, "--z", "0.5"]):
+        code, out, err = run_captured(argv)
+        assert code in (0, 2, 3, 5), (argv, err)
+        assert "Traceback" not in err
+        if code not in (0, 5):
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
+            assert out == ""
+        assert run_captured(argv)[1] == out
+
+
+def test_resonances_prints_coefficients_past_the_int_string_limit(tmp_path, capsys):
+    # rho has a coefficient of 8803 characters, past Python's 4300-digit str(int)
+    doc = {"p": 1, "m": 2, "a": [[["1", "0"], ["1", "1"]]], "b": [[["1e-2200", "1"], ["1", "2"]]]}
+    payload = run_json(capsys, ["resonances", write_json(tmp_path, doc, "op.json")])["payload"]
+    assert max(len(c) for c in payload["rho"]) == 8803
+    with_limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert [Fraction(c) for c in payload["rho"]] == list(spectral.resonances(
+            spectral.char_determinant(cli.operator_from_document(doc))).rho.coeffs)
+    finally:
+        sys.set_int_max_str_digits(with_limit)
+
+
 def _readme_json(section):
     """The json code blocks of a README '### section', parsed, in order."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -581,6 +628,13 @@ def test_each_command_builds_the_transfer_parts_once(tmp_path, capsys, monkeypat
     code, _ = run_cli(capsys, argv)
     assert code == 0
     assert counts == {"transfer_parts": 1}
+
+
+def test_d_evaluates_the_monodromy_once_per_point(monkeypatch):
+    # each route reads pm + 1 points, and every prime reduces the same matrix
+    counts = count_calls(monkeypatch, "monodromy_at")
+    spectral.char_determinant(random_operator(1, 3, 3))
+    assert counts == {"monodromy_at": 2 * (3 * 3 + 1)}
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["resonances", "OP"], ["lyapunov", "OP", "--z", "0"],

@@ -42,8 +42,8 @@ P = next(_primes())[0]
 def transfer_matrix(op, n):
     """T_n(z) as RatPoly entries, read back from the scaled transfer parts."""
     parts = transfer_parts(op)
-    m, d = op.m, parts.delta
-    K, S, R = parts.steps[n - 1]
+    m = op.m
+    d, K, S, R = parts.steps[n - 1]
     top = [[RatPoly([0])] * m + [RatPoly([int(i == j)]) for j in range(m)] for i in range(m)]
     return top + [[RatPoly([Fraction(k, d)]) for k in K[i]]
                   + [RatPoly([Fraction(-r, d), Fraction(s, d)]) for s, r in zip(S[i], R[i])]
@@ -54,7 +54,7 @@ def monodromy(op):
     """M_p(z) entrywise, interpolated from monodromy_at at p + 2 points, one past its degree bound."""
     parts = transfer_parts(op)
     xs = range(op.p + 2)
-    scale = parts.delta ** op.p
+    scale = parts.scale
     values = [monodromy_at(parts, x) for x in xs]
     n = 2 * op.m
     return [[RatPoly(interpolate(xs, [Fraction(v[i][j], scale) for v in values]), "z") for j in range(n)]
@@ -69,8 +69,7 @@ def symplectic_j(m):
 def modified_monodromy_at(op, x):
     """The normalized M = P0 M_p P0^-1 at a point x, over Q, with P0 = a_p^T (+) I_m."""
     parts = transfer_parts(op)
-    scale = parts.delta ** op.p
-    Mp = [[Fraction(v, scale) for v in row] for row in monodromy_at(parts, x)]
+    Mp = [[Fraction(v, parts.scale) for v in row] for row in monodromy_at(parts, x)]
     m = op.m
     P0 = [list(col) + [Fraction(0)] * m for col in zip(*op.a_at(0))]
     P0 += [[Fraction(0)] * m + [Fraction(i == j) for j in range(m)] for i in range(m)]
@@ -178,9 +177,8 @@ def test_trace_powers_match_direct():
     # coefficients of the directly computed powers, modulo a prime
     for seed, p, m in ((8, 2, 2), (8, 1, 5), (9, 2, 4)):
         parts = transfer_parts(random_operator(seed, p, m))
-        red = parts.mod(P)
         for x in (-2, 0, 3):
-            N = monodromy_at(red, x, P)
+            N = [[v % P for v in row] for row in monodromy_at(parts, x)]
             power, traces = N, []
             for s in range(1, m + 1):
                 traces.append(sum(power[i][i] for i in range(2 * m)) % P)
@@ -188,7 +186,21 @@ def test_trace_powers_match_direct():
             xi = [1]
             for s in range(1, m + 1):
                 xi.append(-sum(traces[s - j - 1] * xi[j] for j in range(s)) * pow(s, -1, P) % P)
-            assert _route_two(red, x, P) == xi
+            assert _route_two(parts, N, P) == xi
+
+
+def test_scale_is_the_product_of_the_per_step_denominators():
+    # the step denominators 4, 6 and 9 have lcm 36, so one common
+    # denominator would scale M_p by 36^3 = 46656 in place of 216
+    op = scalar_operator([1, 1, 1], [Fraction(1, 4), Fraction(1, 6), Fraction(1, 9)])
+    parts = transfer_parts(op)
+    assert [step[0] for step in parts.steps] == [4, 6, 9]
+    assert parts.scale == 216
+    x = Fraction(1, 3)
+    want = [[1, 0], [0, 1]]
+    for (bn,), in op.b:
+        want = mat_mul([[0, 1], [-1, x - bn]], want)  # T_n(x) with a_n = 1
+    assert [[Fraction(v, parts.scale) for v in row] for row in monodromy_at(parts, x)] == want
 
 
 def test_floquet_free_p2_m1():

@@ -38,6 +38,7 @@ from blochjac.operators import (
     PeriodicOperator,
     floquet_matrix,
     floquet_matrix_exact,
+    monodromy_at,
     transfer_parts,
 )
 from blochjac.spectral import (
@@ -493,15 +494,23 @@ def test_phase_grid_is_numpy_linspace_bit_for_bit(grid):
 
 
 def test_dual_route_tamper_detected(monkeypatch):
-    # one wrong residue, at one point modulo one prime, in either route
-    used, points = {}, {}
+    # one wrong residue, at one point modulo one prime, in either route; a
+    # route call's point is the x of the monodromy_at call just before it
+    seen, used, points = [], {}, {}
+    real_monodromy = spectral_mod.monodromy_at
+
+    def recording_monodromy(parts, x):
+        seen.append(x)
+        return real_monodromy(parts, x)
+
+    monkeypatch.setattr(spectral_mod, "monodromy_at", recording_monodromy)
     for name in ("_route_one", "_route_two"):
         used[name], points[name] = set(), set()
 
-        def recording(parts, x, P, _real=getattr(spectral_mod, name), _name=name):
+        def recording(parts, N, P, _real=getattr(spectral_mod, name), _name=name):
             used[_name].add(P)
-            points[_name].add(x)
-            return _real(parts, x, P)
+            points[_name].add(seen[-1])
+            return _real(parts, N, P)
 
         monkeypatch.setattr(spectral_mod, name, recording)
     char_determinant(random_operator(1, 2, 2))
@@ -515,9 +524,9 @@ def test_dual_route_tamper_detected(monkeypatch):
         for op in (free_operator(2, 1), random_operator(1, 2, 2)):
             calls = []
 
-            def tampered(parts, x, P):
-                out = real(parts, x, P)
-                calls.append(x)
+            def tampered(parts, N, P):
+                out = real(parts, N, P)
+                calls.append(P)
                 if len(calls) == 2:
                     out[1] = (out[1] + 1) % P
                 return out
@@ -558,19 +567,43 @@ def test_d_matches_the_pointwise_transfer_product(seed, shape, x, tau):
     assert sum(f(x) * tau ** (2 * op.m - j) for j, f in enumerate(cd.xi)) == want
 
 
-def test_d_skips_a_prime_that_divides_a_denominator():
+def test_d_skips_a_prime_that_divides_a_denominator(monkeypatch):
     P = next(_primes())[0]
     half = Fraction(1, 2)
     op = PeriodicOperator([[[1, half], [0, 3]], [[2, 0], [1, 1]]],
                           [[[Fraction(1, P), 0], [0, -1]], [[0, half], [half, 1]]])
-    parts = transfer_parts(op)
-    assert parts.delta % P == 0 and parts.mod(P) is None
+    assert transfer_parts(op).scale % P == 0
+    moduli = set()
+    for name in ("_route_one", "_route_two"):
+        def recording(parts, N, Q, _real=getattr(spectral_mod, name)):
+            moduli.add(Q)
+            return _real(parts, N, Q)
+
+        monkeypatch.setattr(spectral_mod, name, recording)
     cd = char_determinant(op)
+    assert moduli and P not in moduli
     for x in (Fraction(-1, 3), Fraction(2), Fraction(7, 5)):
         M = monodromy_oracle(op, x)
         for tau in (-2, 1, 3):
             want = det_inv([[v - tau * (i == j) for j, v in enumerate(row)] for i, row in enumerate(M)])[0]
             assert sum(f(x) * tau ** (4 - j) for j, f in enumerate(cd.xi)) == want
+
+
+def distinct_60_bit_operator():
+    """p = 16, m = 1, a_n = 1, b_n = 1 / q_n for 16 distinct 60-bit q_n, so step n has denominator q_n."""
+    return scalar_operator([1] * 16, [Fraction(1, 2**59 + 2 * n + 1) for n in range(16)])
+
+
+@pytest.mark.parametrize("make", [lambda: random_operator(1, 64, 1), lambda: random_operator(1, 4, 5),
+                                  distinct_60_bit_operator], ids=["64,1", "4,5", "16,1 with 60-bit denominators"])
+def test_d_matches_the_pointwise_transfer_product_past_small_shapes(make):
+    op = make()
+    cd = char_determinant(op)
+    x, tau = Fraction(-5, 7), 3
+    M = monodromy_oracle(op, x)
+    assert monodromy_at(cd.parts, x) == [[cd.parts.scale * v for v in row] for row in M]
+    want = det_inv([[v - tau * (i == j) for j, v in enumerate(row)] for i, row in enumerate(M)])[0]
+    assert sum(f(x) * tau ** (2 * op.m - j) for j, f in enumerate(cd.xi)) == want
 
 
 @settings(max_examples=20, deadline=None)
