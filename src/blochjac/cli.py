@@ -45,6 +45,7 @@ from .spectral import (
 
 SCHEMA = "blochjac/1"
 UNIT_CIRCLE_TOL = 1e-9
+MAX_DIGITS = 4300  # Python's default limit on the digits of an int written as a string
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -84,6 +85,14 @@ def _rational(value, where):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # the digits value writes plus its decimal exponent bound the digits of
+        # the numerator and denominator, so they are checked before Fraction builds them
+        mantissa, _, exp = value.lower().replace("_", "").partition("e")
+        exp = exp.strip().lstrip("+-").lstrip("0")
+        exp = exp if exp.isdecimal() else "0"  # none, or one that Fraction refuses
+        digits = max(sum(map(str.isdecimal, part)) for part in mantissa.split("/"))
+        if len(exp) > 5 or digits + int(exp) > MAX_DIGITS:
+            raise InputError(f"{where}: its numerator or denominator would have more than {MAX_DIGITS} digits")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

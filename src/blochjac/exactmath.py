@@ -143,13 +143,6 @@ def _norm_coeff(c):
     raise TypeError(f"exact coefficients only (int, Fraction, CRational), got {type(c).__name__}")
 
 
-def as_complex(x):
-    """Exact scalar -> python complex (boundary to the numerics module)."""
-    if isinstance(x, CRational):
-        return complex(x)
-    return complex(float(x))
-
-
 class RatPoly:
     """Univariate polynomial with exact coefficients and a variable tag.
 
@@ -300,7 +293,7 @@ class RatPoly:
         if isinstance(x, (float, complex)):
             acc = 0j
             for c in reversed(self.coeffs):
-                acc = acc * x + as_complex(c)
+                acc = acc * x + complex(c)
             return acc
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -308,9 +301,6 @@ class RatPoly:
         if isinstance(acc, CRational):
             acc = acc.demote()
         return acc
-
-    def complex_coeffs(self):
-        return [as_complex(c) for c in self.coeffs]
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -379,21 +369,28 @@ def _crt(residues, primes):
     return [x - N if 2 * x > N else x for x in out]
 
 
-def _squarefree_certificate(f: RatPoly):
+def _gaussian_parts(c):
+    """Integers (a, b, s), s > 0, with c = (a + b i) / s, for an exact, float or complex c."""
+    pair = (c.re, c.im) if isinstance(c, CRational) else (c.real, c.imag)
+    (a, r), (b, t) = (x.as_integer_ratio() for x in pair)
+    s = math.lcm(r, t)
+    return a * (s // r), b * (s // t), s
+
+
+def _squarefree_certificate(parts):
     """A prime P that proves f squarefree over Q(i), or None when no listed prime does.
 
-    With the denominators cleared once, f has Gaussian-integer coefficients,
-    and i maps to a square root of -1 modulo P. When P does not divide
+    f is given by its coefficients as _gaussian_parts triples. With the
+    denominators cleared once, f has Gaussian-integer coefficients, and i
+    maps to a square root of -1 modulo P. When P does not divide
     n * lc(f), f mod P keeps its degree and f' mod P its degree n - 1, so
     Res(f mod P, f' mod P) is Res(f, f') mod P. Where euclid finds it
     nonzero, Res(f, f') and with it disc(f) are nonzero (Brown, J. ACM 18,
     1971).
     """
-    n = f.degree
-    parts = [(c.re, c.im) if isinstance(c, CRational) else (c, 0) for c in f.coeffs]
-    s = math.lcm(*(x.denominator for pair in parts for x in pair))
-    ints = [(a.numerator * (s // a.denominator), b.numerator * (s // b.denominator))
-            for a, b in parts]
+    n = len(parts) - 1
+    s = math.lcm(*(d for _, _, d in parts))
+    ints = [(a * (s // d), b * (s // d)) for a, b, d in parts]
     for P, i in _CERTIFICATE:
         fp = [(a + b * i) % P for a, b in ints]
         if n * fp[-1] % P == 0:
@@ -419,7 +416,7 @@ def squarefree_decomposition(f: RatPoly) -> list[tuple[RatPoly, int]]:
     f = f.monic()
     if f.degree < 1:
         return []
-    if f.degree == 1 or _squarefree_certificate(f) is not None:
+    if f.degree == 1 or _squarefree_certificate(list(map(_gaussian_parts, f.coeffs))) is not None:
         return [(f, 1)]
     df = f.derivative()
     a = gcd(f, df)

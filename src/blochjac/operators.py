@@ -28,10 +28,11 @@ class PeriodicOperator:
     checks the shapes and the hypotheses (every b_n symmetric, every a_n
     invertible) and raises ValueError when one fails, so every operator
     that exists satisfies them. The one elimination of each a_n that checks
-    it also keeps its inverse, in a_inv with the layout of a.
+    it also keeps its inverse, in a_inv with the layout of a. The float
+    form that floquet_matrix reads is built on first use and kept too.
     """
 
-    __slots__ = ("p", "m", "a", "b", "a_inv", "_prod_det_a")
+    __slots__ = ("p", "m", "a", "b", "a_inv", "_prod_det_a", "_float")
 
     def __init__(self, a, b):
         p = len(a)
@@ -56,6 +57,7 @@ class PeriodicOperator:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a_inv", tuple(tuple(map(tuple, inv)) for inv in invs))
         object.__setattr__(self, "_prod_det_a", math.prod(dets))
+        object.__setattr__(self, "_float", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodicOperator is immutable")
@@ -164,18 +166,26 @@ def _floquet_layout(a, b, t, tinv) -> list:
 def floquet_matrix(op: PeriodicOperator, tau: complex):
     """L(tau) as a Hermitian complex numpy array; requires |tau| = 1 within 1e-12.
 
-    Built on float copies of the entries, with conj(tau) as 1/tau. Where
-    blocks overlap (p = 1), rounding of the float sums would make L[i][j]
-    and conj(L[j][i]) differ, so the strict upper triangle is the conjugate
-    of the strict lower one, which eigvalsh reads, and the diagonal is real.
+    L = base + tau W + conj(tau) W^T, in the order of the block layout, on
+    float arrays built once per operator. Where blocks overlap (p <= 2),
+    rounding would make L[i][j] and conj(L[j][i]) differ, so the strict
+    upper triangle is the conjugate of the strict lower one, which eigvalsh
+    reads, and the diagonal is real.
     """
     import numpy as np
 
     t = complex(tau)
     if abs(abs(t) - 1) > 1e-12:
         raise ValueError(f"|tau| = {abs(t)!r} is off the unit circle")
-    a, b = ([[[float(x) for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b))
-    L = np.array(_floquet_layout(a, b, t, t.conjugate()), dtype=complex)
+    if op._float is None:
+        a, b = ([[[float(x) for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b))
+        zero = [[0.0] * op.m] * op.m
+        # factors 0.0 leave every sum in base unchanged; W is the corner a_p alone
+        base = _floquet_layout(a, b, 0.0, 0.0)
+        W = _floquet_layout([zero] * (op.p - 1) + a[-1:], [zero] * op.p, 1.0, 0.0)
+        object.__setattr__(op, "_float", (np.array(base), np.array(W)))
+    base, W = op._float
+    L = base + t * W + t.conjugate() * W.T
     lower = np.tril(L, -1)
     return lower + lower.conj().T + np.diag(L.diagonal().real)
 

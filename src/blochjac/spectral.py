@@ -19,7 +19,9 @@ from .exactmath import (
     I,
     RatPoly,
     _crt,
+    _gaussian_parts,
     _primes,
+    _squarefree_certificate,
     chebyshev,
     charpoly,
     discriminant,
@@ -65,7 +67,7 @@ class CharDeterminant(NamedTuple):
     Phi(z, nu) = D / (2 tau)^m = sum phi_j(z) nu^(m-j) under
     nu = (tau + 1/tau)/2, monic in nu (phi_0 = 1). scaled holds
     (d, the integer coefficients of d * phi_j) per phi_j, ascending in nu,
-    so that evaluation at a point runs Horner over ints.
+    so that evaluation at a point runs Horner over ints (phi_at).
     """
 
     xi: tuple
@@ -87,11 +89,12 @@ class CharDeterminant(NamedTuple):
             out = out + self.q[j] * (2 * chebyshev(j)(nu0))
         return out
 
-    def nu_poly_at(self, z) -> RatPoly:
-        """Phi(z, .) as an exact polynomial in nu, at a Fraction, float or complex z.
+    def phi_at(self, z) -> list:
+        """Phi(z, .) at a Fraction, float or complex z, as integer triples ascending in nu.
 
         With z = (a + b i) / s, homogeneous Horner over ints gives
-        s^deg * d * phi_j(z) as a Gaussian integer.
+        s^deg * d * phi_j(z) = re + im i, and the triple is (re, im, d s^deg),
+        the layout of _gaussian_parts.
         """
         a, b, s = _gaussian_parts(z)
         out = []
@@ -102,19 +105,12 @@ class CharDeterminant(NamedTuple):
                 if k:
                     pw *= s
                 re, im = re * a - im * b + c * pw, re * b + im * a
-            den = d * pw
-            out.append(CRational(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den))
-        return RatPoly(out, "nu")
+            out.append((re, im, d * pw))
+        return out
 
-
-def _gaussian_parts(z):
-    """Integers (a, b, s) with z = (a + b i) / s, for a Fraction, float or complex z."""
-    if isinstance(z, complex):
-        re, im = Fraction(z.real), Fraction(z.imag)
-    else:
-        re, im = Fraction(z), Fraction(0)
-    s = math.lcm(re.denominator, im.denominator)
-    return re.numerator * (s // re.denominator), im.numerator * (s // im.denominator), s
+    def nu_poly_at(self, z) -> RatPoly:
+        """Phi(z, .) as an exact polynomial in nu, from the triples of phi_at."""
+        return RatPoly([CRational(Fraction(a, s), Fraction(b, s)) for a, b, s in self.phi_at(z)], "nu")
 
 
 class LyapunovBranch(NamedTuple):
@@ -324,10 +320,10 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     return cd
 
 
-def _exact_roots(f: RatPoly, what: str) -> list:
-    """roots_all of an exact polynomial, naming it when a coefficient overflows a float."""
+def _exact_roots(parts, what: str) -> list:
+    """roots_all of _gaussian_parts triples, each rounded once; names what when one overflows."""
     try:
-        cs = f.complex_coeffs()
+        cs = [complex(a / s, b / s) for a, b, s in parts]
     except OverflowError:
         raise ValueError(f"{what} has a coefficient beyond the float range") from None
     return roots_all(cs)
@@ -336,19 +332,23 @@ def _exact_roots(f: RatPoly, what: str) -> list:
 def branch_values(cd: CharDeterminant, z) -> list:
     """The m branch values of nu at a Fraction, float or complex z, sorted by (re, im).
 
-    Phi(z, .) is evaluated exactly and its repeated roots are split off
-    first: Aberth splits a k-fold root into a cloud of diameter eps^(1/k),
-    which for a permanently double branch (any free operator with m >= 2)
-    fakes a conjugate pair. At a real z, Phi(z, .) is real: near-real values
-    are snapped to the axis and conjugate values share one real part, so
-    the order of a conjugate pair does not rest on rounding.
+    Phi(z, .) is evaluated over the integers (phi_at), which prove it
+    squarefree modulo a prime in the usual case. Where none does, repeated
+    roots are split off the exact polynomial first: Aberth splits a k-fold
+    root into a cloud of diameter eps^(1/k), which for a permanently double
+    branch (any free operator with m >= 2) fakes a conjugate pair. At a real
+    z, Phi(z, .) is real: near-real values are snapped to the axis and
+    conjugate values share one real part, so the order of a conjugate pair
+    does not rest on rounding.
     """
     zc = complex(z)
     what = f"Phi(z, nu) at z = {repr(zc.real) if not zc.imag else repr(zc)}"
-    vals = []
-    for g, k in squarefree_decomposition(cd.nu_poly_at(z)):
-        for r in _exact_roots(g, what):
-            vals.extend([r] * k)
+    parts = cd.phi_at(z)
+    if cd.m == 1 or _squarefree_certificate(parts) is not None:
+        vals = _exact_roots(parts, what)
+    else:
+        vals = [r for g, k in squarefree_decomposition(cd.nu_poly_at(z))
+                for r in _exact_roots(map(_gaussian_parts, g.coeffs), what) for _ in range(k)]
     if not (isinstance(z, complex) and z.imag):
         vals = _conjugate_symmetrize(vals)
     return sorted(vals, key=lambda w: (w.real, w.imag))
@@ -434,7 +434,7 @@ def resonances(cd: CharDeterminant) -> ResonanceSet:
     clusters = []
     vals = []
     for g, k in squarefree_decomposition(rho):
-        for r in _conjugate_symmetrize(_exact_roots(g, "rho(z)")):
+        for r in _conjugate_symmetrize(_exact_roots(map(_gaussian_parts, g.coeffs), "rho(z)")):
             clusters.append((r, k))
             vals.extend([r] * k)
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
@@ -463,7 +463,7 @@ def _eigs_at_tau(cd: CharDeterminant, tau0) -> list:
         raise InternalConsistencyError(f"q(., {tau0}) has degree {f.degree}")
     out = []
     for g, mult in squarefree_decomposition(f):
-        for r in _exact_roots(g, f"q(z, {tau0})"):
+        for r in _exact_roots(map(_gaussian_parts, g.coeffs), f"q(z, {tau0})"):
             if abs(r.imag) > 1e-7:
                 raise InternalConsistencyError(
                     f"non-real root {r} of q(., {tau0}) for a self-adjoint operator"
@@ -609,20 +609,29 @@ def _phase_grid(grid: int) -> list:
 
 
 def cross_validate(op: PeriodicOperator, bs: BandStructure, grid: int):
-    """Every Floquet eigenvalue of op at grid phases lies within CROSS_TOL of a band of bs."""
+    """Every Floquet eigenvalue of op at grid phases lies within CROSS_TOL of a band of bs.
+
+    Distances max(lo - lam, lam - hi, 0) are taken on numpy arrays; the
+    first miss by phase, then ascending lam, raises, and a NaN edge misses.
+    """
+    import numpy as np
+
     segs = bs.segments
     if not segs:
         raise InternalConsistencyError(
             f"band computation found no band (candidate edges within EDGE_TOL = {EDGE_TOL} are merged)"
         )
+    lo, hi = np.array([(s.lo, s.hi) for s in segs]).T
     for x in _phase_grid(grid):
         tau = complex(math.cos(x), math.sin(x))
-        for lam in hermitian_eigs(floquet_matrix(op, tau)):
-            dist = min((max(lo - lam, lam - hi, 0.0) for lo, hi, _ in segs), default=math.inf)
-            if dist > CROSS_TOL:
-                raise InternalConsistencyError(
-                    f"Floquet eigenvalue {lam} at x={x} misses every band by {dist}"
-                )
+        lams = hermitian_eigs(floquet_matrix(op, tau))
+        col = np.array(lams)[:, None]
+        dist = np.maximum(np.maximum(lo - col, col - hi), 0.0).min(axis=1)
+        miss = np.flatnonzero(~(dist <= CROSS_TOL))
+        if miss.size:
+            raise InternalConsistencyError(
+                f"Floquet eigenvalue {lams[miss[0]]} at x={x} misses every band by {float(dist[miss[0]])}"
+            )
 
 
 def classify_gaps(bs: BandStructure) -> list:

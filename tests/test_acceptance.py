@@ -152,7 +152,7 @@ def test_criterion_2_floquet_equivalence(battery):
         section = cd.section(tau.re)  # nu = (tau + 1/tau)/2 = Re tau on the unit circle
         assert section == charpoly(floquet_matrix_exact(op, tau))
         eigs = hermitian_eigs(floquet_matrix(op, complex(tau)))
-        roots = roots_all(section.complex_coeffs())
+        roots = roots_all(list(map(complex, section.coeffs)))
         assert all(abs(r.imag) <= 1e-7 for r in roots)
         reals = sorted(r.real for r in roots)
         assert len(reals) == len(eigs)

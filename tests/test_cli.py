@@ -72,6 +72,29 @@ def test_example_fractional_parameter(capsys):
     assert op.b == want.b
 
 
+@pytest.mark.parametrize("flag", ["--t", "--beta"])
+@pytest.mark.parametrize("value", ["1e5000", "1e-4300", "9" * 5000, "1/" + "7" * 4301])
+def test_example_refuses_a_parameter_past_the_int_string_limit(capsys, flag, value):
+    name = "example3" if flag == "--t" else "example2-const"
+    code, line = run_error_line(capsys, ["example", name, f"{flag}={value}"])
+    assert code == 2
+    assert line == f"error: {flag}: its numerator or denominator would have more than 4300 digits"
+
+
+def test_document_entry_past_the_int_string_limit_is_refused_before_it_is_built(tmp_path, capsys):
+    # Fraction("1e10000000") alone builds a ten-million-digit power of ten
+    doc = {"p": 1, "m": 1, "a": [[["1"]]], "b": [[["1e10000000"]]]}
+    code, line = run_error_line(capsys, ["bands", write_json(tmp_path, doc, "big.json")])
+    assert code == 2
+    assert line == "error: b[0][0][0]: its numerator or denominator would have more than 4300 digits"
+
+
+@pytest.mark.parametrize("entry", ["1e100", "1e160", "1e300", "1e400", "1e-300", "1e4299", "-1e4299", "1e-4299"])
+def test_document_entries_up_to_the_int_string_limit_are_read(entry):
+    doc = {"p": 1, "m": 1, "a": [[["1"]]], "b": [[[entry]]]}
+    assert cli.operator_from_document(doc).b == ((((Fraction(entry),),),))
+
+
 def test_bands_on_emitted_example(tmp_path, capsys):
     path = write_doc(tmp_path, capsys, ["example", "example4", "--t", "0"])
     doc = run_json(capsys, ["bands", path])
@@ -635,6 +658,26 @@ def test_d_evaluates_the_monodromy_once_per_point(monkeypatch):
     counts = count_calls(monkeypatch, "monodromy_at")
     spectral.char_determinant(random_operator(1, 3, 3))
     assert counts == {"monodromy_at": 2 * (3 * 3 + 1)}
+
+
+def test_lyapunov_proves_phi_squarefree_without_an_exact_polynomial(tmp_path, capsys, monkeypatch):
+    # Phi(x, .) is squarefree at every grid point, which the integer certificate proves
+    path = write_json(tmp_path, cli.operator_to_document(random_operator(1, 3, 3)), "op.json")
+    counts = count_calls(monkeypatch, "squarefree_decomposition")
+    code, _ = run_cli(capsys, ["lyapunov", path, "--z-grid=-3:3:50"])
+    assert code == 0
+    assert counts == {"squarefree_decomposition": 0}
+
+
+def test_bands_builds_the_float_form_once_and_solves_every_phase(tmp_path, capsys, monkeypatch):
+    # one Floquet matrix and one eigensolve per phase of the default grid, on
+    # the float form of the operator, whose two block layouts (base and
+    # corner) are built once
+    path = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1/2"])
+    counts = count_calls(monkeypatch, "floquet_matrix", "hermitian_eigs", "_floquet_layout")
+    code, _ = run_cli(capsys, ["bands", path])
+    assert code == 0
+    assert counts == {"floquet_matrix": 257, "hermitian_eigs": 257, "_floquet_layout": 2}
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["resonances", "OP"], ["lyapunov", "OP", "--z", "0"],

@@ -270,35 +270,40 @@ def test_certificate_primes_are_primes_with_a_square_root_of_minus_one():
         assert i * i % P == P - 1
 
 
+def certificate(f):
+    """The certificate prime of a RatPoly, from its coefficients as (a, b, s) triples."""
+    return exactmath._squarefree_certificate(list(map(exactmath._gaussian_parts, f.coeffs)))
+
+
 def test_certificate_skips_an_unlucky_first_prime():
     z = RatPoly([0, 1], "z")
     (P0, _), (P1, _) = exactmath._CERTIFICATE[:2]
     # disc(z^2 - P0) = 4 P0: z^2 - P0 = z^2 mod P0, so only a later prime proves it
     f = z * z - P0
-    assert exactmath._squarefree_certificate(f) == P1
+    assert certificate(f) == P1
     assert squarefree_decomposition(f) == [(f, 1)]
     # P0 divides the cleared leading coefficient: P0 is skipped, not asked
     f = P0 * z * z + z + 1
-    assert exactmath._squarefree_certificate(f.monic()) == P1
+    assert certificate(f.monic()) == P1
     assert squarefree_decomposition(f) == [(f.monic(), 1)]
 
 
 def test_certificate_without_a_lucky_prime_falls_back_to_yun():
     z = RatPoly([0, 1], "z")
     f = z * z - math.prod(P for P, _ in exactmath._CERTIFICATE)
-    assert exactmath._squarefree_certificate(f) is None
+    assert certificate(f) is None
     assert squarefree_decomposition(f) == [(f, 1)]
-    assert exactmath._squarefree_certificate((z - 1) * (z - 1) * (z + 2)) is None
+    assert certificate((z - 1) * (z - 1) * (z + 2)) is None
 
 
 def test_certificate_maps_i_to_a_square_root_of_minus_one():
     z = RatPoly([0, 1], "z")
     f = (z - I) * (z + 2 * I) * (z - 1)
-    assert exactmath._squarefree_certificate(f) is not None
+    assert certificate(f) is not None
     assert squarefree_decomposition(f) == [(f, 1)]
     # (z - i)^2 (z + 3) would look squarefree if i were mapped to anything else
     f = (z - I) * (z - I) * (z + 3)
-    assert exactmath._squarefree_certificate(f) is None
+    assert certificate(f) is None
     assert squarefree_decomposition(f) == [(z + 3, 1), (z - I, 2)]
 
 

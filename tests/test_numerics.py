@@ -54,7 +54,7 @@ def test_roots_recover_rational_roots(roots):
     f = RatPoly.one()
     for r in roots:
         f = f * RatPoly([-r, 1])
-    got = roots_all(f.complex_coeffs())
+    got = roots_all(list(map(complex, f.coeffs)))
     want = sorted(float(r) for r in roots)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -80,7 +80,7 @@ def test_roots_wilkinson_20_within_the_contract():
     f = RatPoly.one()
     for j in range(1, 21):
         f = f * RatPoly([-j, 1])
-    rs = roots_all(f.complex_coeffs())
+    rs = roots_all(list(map(complex, f.coeffs)))
     assert len(rs) == 20
     # float coefficients move these roots by up to about 1e-2 (Wilkinson)
     assert all(abs(r - j) < 0.05 for r, j in zip(rs, range(1, 21)))

@@ -27,6 +27,7 @@ from blochjac.fixtures import (
 from blochjac.numerics import hermitian_eigs
 from blochjac.operators import (
     PeriodicOperator,
+    _floquet_layout,
     floquet_matrix,
     floquet_matrix_exact,
     is_symplectic,
@@ -246,6 +247,27 @@ def test_floquet_matrix_is_exactly_hermitian(p, m, seed, x):
     assert np.array_equal(L, L.conj().T)
 
 
+def floquet_reference(op, tau):
+    """L(tau) built the way floquet_matrix first built it: float entries into one list layout per call."""
+    t = complex(tau)
+    a, b = ([[[float(x) for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b))
+    L = np.array(_floquet_layout(a, b, t, t.conjugate()), dtype=complex)
+    lower = np.tril(L, -1)
+    return lower + lower.conj().T + np.diag(L.diagonal().real)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("seed,m", [(1, 1), (1, 2), (5, 2), (3, 3)])
+def test_floquet_matrix_from_the_float_form_is_bit_for_bit_the_reference(p, seed, m):
+    # p = 1 puts tau and 1/tau into one block; at p = 2 the corners overlap
+    # the off-diagonal blocks
+    op = random_operator(seed, p, m)
+    phases = [2 * math.pi * k / 16 for k in range(17)] + [0.9, math.pi / 2, math.pi]
+    for tau in [1, -1, 1j, -1j] + [complex(math.cos(x), math.sin(x)) for x in phases]:
+        L = floquet_matrix(op, tau)
+        assert L.dtype == complex and L.tobytes() == floquet_reference(op, tau).tobytes()
+
+
 def test_floquet_diagonal_decouples():
     op = example1_diag((1, 0, -1, 2))
     x = 1.3
@@ -288,7 +310,7 @@ def test_charpoly_matches_eigs():
     L = floquet_matrix_exact(op, -1)
     cp = det_charpoly(L)
     eigs = hermitian_eigs(floquet_matrix(op, -1))
-    vals = sorted(np.roots(list(reversed(cp.complex_coeffs()))).real)
+    vals = sorted(np.roots([complex(c) for c in reversed(cp.coeffs)]).real)
     assert np.allclose(vals, eigs, atol=1e-8)
     # the Hessenberg charpoly over Q is the exact one, and over GF(P) it reduces it
     assert RatPoly(charpoly(L)) == cp

@@ -33,7 +33,7 @@ from blochjac.fixtures import (
     rotation_operator,
     scalar_operator,
 )
-from blochjac.numerics import hermitian_eigs
+from blochjac.numerics import hermitian_eigs, roots_all
 from blochjac.operators import (
     PeriodicOperator,
     floquet_matrix,
@@ -46,10 +46,12 @@ from blochjac.spectral import (
     DEFAULT_GRID,
     InternalConsistencyError,
     Segment,
+    _conjugate_symmetrize,
     _match_nearest,
     _phase_grid,
     antiperiodic_eigs,
     band_structure,
+    branch_values,
     build_char_determinant,
     char_determinant,
     classify_gaps,
@@ -230,6 +232,51 @@ def test_lyapunov_double_point_example3():
     # z0 carries float error, so the collision only pins the values up to
     # a sqrt(eps)-sized split; realness of each is not decidable here.
     assert abs(a.value.imag) < 1e-6 and abs(b.value.imag) < 1e-6
+
+
+def exact_route_branch_values(cd, z):
+    """branch_values the way it was first written: an exact polynomial, Yun, then Aberth."""
+    vals = []
+    for g, k in squarefree_decomposition(cd.nu_poly_at(z)):
+        for r in roots_all([complex(c) for c in g.coeffs]):
+            vals.extend([r] * k)
+    if not (isinstance(z, complex) and z.imag):
+        vals = _conjugate_symmetrize(vals)
+    return sorted(vals, key=lambda w: (w.real, w.imag))
+
+
+@pytest.mark.parametrize("seed,p,m", [(1, 1, 2), (2, 2, 2), (3, 3, 2), (4, 1, 3), (5, 2, 3), (1, 3, 3), (7, 5, 1)])
+def test_integer_branch_values_equal_the_exact_route(seed, p, m):
+    cd = char_determinant(random_operator(seed, p, m))
+    rng = random.Random(seed)
+    points = [Fraction(rng.randint(-300, 300), rng.randint(1, 97)) for _ in range(4)]
+    points += [rng.uniform(-3, 3) for _ in range(4)] + [complex(rng.uniform(-3, 3), 0.0)]
+    points += [complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(4)]
+    for z in points:
+        assert branch_values(cd, z) == exact_route_branch_values(cd, z)
+
+
+def test_integer_branch_values_fall_back_to_yun_on_a_double_branch(monkeypatch):
+    # free(2, 2) has Phi = (nu - T_2(z/2))^2, so no prime proves it squarefree
+    cd = char_determinant(free_operator(2, 2))
+    calls = []
+    real = spectral_mod.squarefree_decomposition
+    monkeypatch.setattr(spectral_mod, "squarefree_decomposition", lambda f: calls.append(f) or real(f))
+    for z in (Fraction(1, 3), 0.5, complex(0.5, 0.25)):
+        a, b = branch_values(cd, z)
+        assert a == b
+        assert branch_values(cd, z) == exact_route_branch_values(cd, z)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_integer_branch_values_name_a_coefficient_beyond_the_float_range(m):
+    # distinct diagonal entries, so that Phi(0, .) is squarefree and the integer path runs
+    big = [[Fraction(10**400) * (i + 1) * (i == j) for j in range(m)] for i in range(m)]
+    ident = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    cd = char_determinant(PeriodicOperator([ident], [big]))
+    with pytest.raises(ValueError, match=re.escape("Phi(z, nu) at z = 0.0 has a coefficient beyond the float range")):
+        branch_values(cd, Fraction(0))
 
 
 def test_multipliers_free():
@@ -483,7 +530,18 @@ def test_match_nearest_breaks_ties_by_label_then_value():
 def test_cross_validation_guard():
     op = free_operator(2, 1)
     fake = BandStructure((Segment(-0.5, 0.5, 1),), (), ((-0.5, 0.5),))
-    with pytest.raises(InternalConsistencyError):
+    # the first miss in (phase, ascending eigenvalue) order is named
+    with pytest.raises(InternalConsistencyError) as exc:
+        cross_validate(op, fake, 33)
+    assert str(exc.value) == "Floquet eigenvalue -2.0 at x=0.0 misses every band by 1.5"
+
+
+@pytest.mark.parametrize("lo,hi", [(-3.0, math.nan), (math.nan, 3.0), (math.nan, math.nan)])
+def test_cross_validation_fails_a_band_with_a_nan_edge(lo, hi):
+    # (-3, 3) holds every Floquet eigenvalue of free(2, 1); a NaN edge must not pass
+    op = free_operator(2, 1)
+    fake = BandStructure((Segment(lo, hi, 1),), (), ((lo, hi),))
+    with pytest.raises(InternalConsistencyError, match="misses every band by nan"):
         cross_validate(op, fake, 33)
 
 
