@@ -193,6 +193,8 @@ def _load_operator(args):
 
 
 def cmd_example(args) -> int:
+    # argparse strips a value of "--", as in --t=--, and hands over an empty list
+    t, beta = ("--" if value == [] else value for value in (args.t, args.beta))
     if args.name == "free":
         if args.p * args.m**2 > 10**4:  # entries of a_1, ..., a_p, and as many of b
             raise InputError(f"--p * --m^2 must be at most {10**4}, got {args.p * args.m**2}")
@@ -200,11 +202,11 @@ def cmd_example(args) -> int:
     elif args.name == "example1-diag":
         op = example1_diag()
     elif args.name == "example2-const":
-        op = example2_const(_rational(args.beta, "--beta"))
+        op = example2_const(_rational(beta, "--beta"))
     elif args.name == "example3":
-        op = example3(_rational(args.t, "--t"))
+        op = example3(_rational(t, "--t"))
     else:
-        op = example4(_rational(args.t, "--t"))
+        op = example4(_rational(t, "--t"))
     _emit(operator_to_document(op))
     return EXIT_OK
 

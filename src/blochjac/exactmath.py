@@ -2,11 +2,11 @@
 
 Everything in this module is exact: Gaussian rationals and univariate
 polynomials with a variable tag, and a small GF(P) layer over one list of
-61-bit primes with Chinese remaindering. Each job has one algorithm, and
-each algorithm serves Q, Q(i) and GF(P) alike: one Euclidean remainder
-loop, euclid, gives gcds, resultants and discriminants; one Hessenberg
-characteristic polynomial and one Newton interpolation let a
-polynomial-valued quantity be computed at sample points and
+61-bit primes with Chinese remaindering. Each job has one algorithm: one
+Euclidean remainder loop, euclid, gives gcds, resultants and
+discriminants over Q(i) and GF(P); one Hessenberg characteristic
+polynomial over GF(P) and one Newton interpolation let a
+polynomial-valued quantity be computed at sample points modulo primes and
 interpolated; and one Gauss-Jordan elimination, det_inv, gives a
 determinant with its inverse. Floating point is confined to the numerics
 module; coefficients here are ints, Fractions, or CRationals, never floats.
@@ -127,8 +127,6 @@ class CRational:
     def __repr__(self):
         return f"CRational({self.re!r}, {self.im!r})"
 
-
-I = CRational(0, 1)
 
 
 def _norm_coeff(c):
@@ -449,24 +447,19 @@ def chebyshev(n: int) -> RatPoly:
 
 def _reducer(P):
     """Identity on a list of field elements, or reduction modulo P when P is given."""
-    if P is None:
-        return lambda vals: vals
-    return lambda vals: [v % P for v in vals]
+    return (lambda vals: vals) if P is None else (lambda vals: [v % P for v in vals])
 
 
-def charpoly(A, P=None):
-    """Ascending coefficients of det(t I - A) for a square list A.
+def charpoly(A, P):
+    """Ascending coefficients of det(t I - A) over GF(P), for a square list A of ints.
 
-    Exact over Q(i) on int, Fraction or CRational entries; over GF(P) on
-    ints when P is given. Pivoted elimination brings A to upper Hessenberg
-    form H by similarity; the charpoly p_k of the leading k x k block of H
-    then follows from
+    Pivoted elimination brings A to upper Hessenberg form H by similarity;
+    the charpoly p_k of the leading k x k block of H then follows from
     p_(k+1) = t p_k - sum_(i<=k) h_ik h_(i+1,i) ... h_(k,k-1) p_i
     (Cohen, GTM 138, Algorithm 2.2.9).
     """
-    red = _reducer(P)
     n = len(A)
-    H = [red(list(row)) for row in A]
+    H = [[v % P for v in row] for row in A]
     for k in range(1, n - 1):
         piv = next((i for i in range(k, n) if H[i][k - 1]), None)
         if piv is None:
@@ -474,14 +467,14 @@ def charpoly(A, P=None):
         H[k], H[piv] = H[piv], H[k]
         for row in H:
             row[k], row[piv] = row[piv], row[k]
-        inv = Fraction(1) / H[k][k - 1] if P is None else pow(H[k][k - 1], -1, P)
+        inv = pow(H[k][k - 1], -1, P)
         # row i -= u_i row k for every i > k, then column k += sum_i u_i column i
-        us = red([H[i][k - 1] * inv for i in range(k + 1, n)])
+        us = [H[i][k - 1] * inv % P for i in range(k + 1, n)]
         for i, u in enumerate(us, k + 1):
             if u:
-                H[i] = red([a - u * b for a, b in zip(H[i], H[k])])
-        for row, v in zip(H, red([row[k] + sum(map(mul, us, row[k + 1:])) for row in H])):
-            row[k] = v
+                H[i] = [(a - u * b) % P for a, b in zip(H[i], H[k])]
+        for row in H:
+            row[k] = (row[k] + sum(map(mul, us, row[k + 1:]))) % P
     polys = [[1]]
     for k in range(n):
         new, prod = [0] + polys[k], 1
@@ -489,8 +482,8 @@ def charpoly(A, P=None):
             c = H[i][k] * prod
             for idx, v in enumerate(polys[i]):
                 new[idx] -= c * v
-            prod = prod * H[i][i - 1] if P is None else prod * H[i][i - 1] % P  # unused after i = 0
-        polys.append(red(new))
+            prod = prod * H[i][i - 1] % P  # unused after i = 0
+        polys.append([v % P for v in new])
     return polys[n]
 
 

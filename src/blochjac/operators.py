@@ -2,8 +2,8 @@
 
 Houses the coefficient data (p, m, a_n, b_n), the z-free parts of the
 transfer matrices, the exact integer monodromy product at a point, and the
-quasi-periodic block matrix L(tau), in both exact and Hermitian-float form.
-Matrices are nested lists of scalars.
+quasi-periodic block matrix L(tau): one block layout over any scalars, and
+its Hermitian float form. Matrices are nested lists of scalars.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactmath import (
-    CRational,
-    det_inv,
-    mat_mul,
-    mat_transpose,
-)
+from .exactmath import det_inv, mat_mul, mat_transpose
 
 
 class PeriodicOperator:
@@ -189,18 +184,3 @@ def floquet_matrix(op: PeriodicOperator, tau: complex):
     lower = np.tril(L, -1)
     return lower + lower.conj().T + np.diag(L.diagonal().real)
 
-
-def floquet_matrix_exact(op: PeriodicOperator, tau):
-    """L(tau) over exact scalars for any nonzero rational or Gaussian-rational tau.
-
-    Not Hermitian off the unit circle; used for determinant identities.
-    """
-    if isinstance(tau, CRational):
-        t = tau
-        tinv = tau.inverse()
-    else:
-        t = Fraction(tau)
-        if t == 0:
-            raise ZeroDivisionError("tau must be nonzero")
-        tinv = 1 / t
-    return _floquet_layout(op.a, op.b, t, tinv)

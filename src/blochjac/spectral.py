@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .exactmath import (
     CRational,
-    I,
     RatPoly,
     _crt,
     _gaussian_parts,
@@ -34,8 +33,8 @@ from .numerics import hermitian_eigs, roots_all
 from .operators import (
     PeriodicOperator,
     TransferParts,
+    _floquet_layout,
     floquet_matrix,
-    floquet_matrix_exact,
     is_symplectic,
     monodromy_at,
     transfer_parts,
@@ -239,14 +238,31 @@ def _route_two(parts: TransferParts, N: list, P: int) -> list:
     return xi
 
 
-def _coefficient_bound(parts: TransferParts) -> int:
-    """B >= |every z-coefficient of scale^j xi_j|, j = 0..m.
+def _row_sum_bound(sums, top: int) -> int:
+    """max over k <= top of C(n, k) times the product of the k largest of the n row sums.
 
-    Let |.| sum the absolute values of a polynomial's coefficients, taken
-    entrywise. Then |scale * M_p| <= R = |d_p T_p| ... |d_1 T_1|.
-    scale^j xi_j is up to sign the sum of the C(2m, j) principal j x j
-    minors of scale * M_p, and each is at most the product of its rows'
-    sums in R, so at most the product of the j largest row sums.
+    When sums bound the absolute row sums of A, this bounds the coefficients
+    of t^n .. t^(n-top) in det(t I - A): each is up to sign a sum of C(n, k)
+    principal k x k minors, each at most the product of its rows' sums.
+    """
+    sums = sorted(sums, reverse=True)
+    return max(math.comb(len(sums), k) * math.prod(sums[:k]) for k in range(top + 1))
+
+
+def _enough_primes(primes, bound: int) -> list:
+    """(P, sqrt(-1) mod P) pairs from primes until the product of their P exceeds 2 * bound."""
+    used = []
+    while math.prod(P for P, _ in used) <= 2 * bound:
+        used.append(next(primes))
+    return used
+
+
+def _coefficient_bound(parts: TransferParts) -> int:
+    """B >= |every z-coefficient of scale^j xi_j|, j = 0..m, by _row_sum_bound.
+
+    scale^j xi_j is up to sign the j-th charpoly coefficient of scale * M_p,
+    and |scale * M_p| <= R = |d_p T_p| ... |d_1 T_1|, where |.| sums the
+    absolute values of a polynomial's coefficients, taken entrywise.
     """
     m = parts.m
     R = [[int(i == j) for j in range(2 * m)] for i in range(2 * m)]
@@ -255,8 +271,7 @@ def _coefficient_bound(parts: TransferParts) -> int:
         T += [[abs(k) for k in Ki] + [abs(s) + abs(r) for s, r in zip(Si, Ri)]
               for Ki, Si, Ri in zip(K, S, Rn)]
         R = mat_mul(T, R)
-    sums = sorted((sum(row) for row in R), reverse=True)
-    return max(math.comb(2 * m, j) * math.prod(sums[:j]) for j in range(m + 1))
+    return _row_sum_bound([sum(row) for row in R], m)
 
 
 def _reconstruct(route, primes, parts: TransferParts, xs, bound: int) -> tuple:
@@ -268,9 +283,7 @@ def _reconstruct(route, primes, parts: TransferParts, xs, bound: int) -> tuple:
     values are interpolated; the Chinese remainder theorem lifts the
     coefficients to integers in symmetric range, divided by scale^min(j, 2m-j).
     """
-    used = []
-    while math.prod(used) <= 2 * bound:
-        used.append(next(primes))
+    used = [P for P, _ in _enough_primes(primes, bound)]
     values = []
     for x in xs:
         N = monodromy_at(parts, x)
@@ -302,7 +315,7 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     parts = transfer_parts(op)
     xs = range(-(pm // 2), pm - pm // 2 + 1)
     bound = _coefficient_bound(parts)
-    primes = (P for P, _ in _primes() if parts.scale % P)
+    primes = (pair for pair in _primes() if parts.scale % pair[0])
     by_tau = _reconstruct(_route_one, primes, parts, xs, bound)
     xi = list(_reconstruct(_route_two, primes, parts, range(xs.stop, xs.stop + pm + 1), bound))
     # palindromic by construction, so it also reads ascending in tau
@@ -676,18 +689,8 @@ def classify_gaps(bs: BandStructure) -> list:
     return out
 
 
-def _sum_traces(op, f):
-    total = Fraction(0)
-    for n in range(1, op.p + 1):
-        total += f(n)
-    return total
-
-
 def _trace_of(mat):
-    t = mat[0][0]
-    for i in range(1, len(mat)):
-        t = t + mat[i][i]
-    return t
+    return sum(mat[i][i] for i in range(len(mat)))
 
 
 def _frobenius_sq(mat):
@@ -697,6 +700,28 @@ def _frobenius_sq(mat):
 def _monodromy_exact(parts: TransferParts, x) -> list:
     """M_p(x) over Q at an int or Fraction x."""
     return [[Fraction(v) / parts.scale for v in row] for row in monodromy_at(parts, x)]
+
+
+def _floquet_determinant_holds(op: PeriodicOperator, section: RatPoly, re: int, im: int) -> bool:
+    """Whether det(z I - L(tau0)) == section exactly, for tau0 = re + im i in {1, -1, i}.
+
+    With d the lcm of the denominators of a and b, the identity says that
+    det(t I - d L(tau0)) has the coefficients c_k = d^(n-k) section_k, n = pm.
+    d L(tau0) is Hermitian with Gaussian-integer entries, so the c_k are
+    integers, and reduction modulo (P, i - i_P), i_P^2 = -1 mod P, is
+    reduction modulo P on them: the charpoly modulo P of the layout with
+    tau0 and 1/tau0 = conj(tau0) mapped to re +- im i_P gives c_k mod P.
+    The layout of |d a|, |d b| at tau = 1 bounds the absolute row sums of
+    d L(tau0), so over primes whose product exceeds twice _row_sum_bound,
+    _crt lifts c_k itself (Brown, J. ACM 18, 1971): a proof, not a sample.
+    """
+    d = math.lcm(*(x.denominator for grp in (op.a, op.b) for mat in grp for row in mat for x in row))
+    a, b = ([[[int(x * d) for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b))
+    abs_a, abs_b = ([[list(map(abs, row)) for row in mat] for mat in grp] for grp in (a, b))
+    n = op.p * op.m
+    used = _enough_primes(_primes(), _row_sum_bound(map(sum, _floquet_layout(abs_a, abs_b, 1, 1)), n))
+    residues = [charpoly(_floquet_layout(a, b, (re + im * i) % P, (re - im * i) % P), P) for P, i in used]
+    return _crt(residues, [P for P, _ in used]) == [section.coeff(k) * d ** (n - k) for k in range(n + 1)]
 
 
 def _log10(x: Fraction) -> float:
@@ -709,11 +734,11 @@ def verify_identities(op: PeriodicOperator) -> list:
 
     Exact checks: the symplectic normalization (at 2p + 1 points), the
     palindrome and dual routes (implicit in char_determinant), the Floquet
-    determinant match q(z, tau0) = det(z I - L(tau0)) coefficient by
-    coefficient for tau0 in {1, -1, i}, the first two eigenvalue-moment
-    identities read off q's top coefficients. Float checks: the
-    second-moment lower bound, the norm sandwich from band extremes, and
-    the trace-vs-Chebyshev sampling identity.
+    determinant match q(z, tau0) = det(z I - L(tau0)) for tau0 in {1, -1, i}
+    (modulo primes under a proven bound), the first two eigenvalue-moment
+    identities read off q's top coefficients. Float checks: the second-moment
+    lower bound, the norm sandwich from band extremes, and the
+    trace-vs-Chebyshev sampling identity.
 
     The moment identities compare Tr L(tau)^s with coefficient data; for
     p = 1 the wrap-around couples tau into every diagonal block and for
@@ -739,12 +764,13 @@ def verify_identities(op: PeriodicOperator) -> list:
         return report
 
     sections = {}
-    for tau0, nu0, label in ((1, 1, "1"), (-1, -1, "-1"), (I, 0, "i")):
-        sections[label] = cd.section(nu0)
-        ok = RatPoly(charpoly(floquet_matrix_exact(op, tau0)), "z") == sections[label]
+    # tau0 = re + im i, and nu0 = (tau0 + 1/tau0)/2 = re on the unit circle
+    for re, im, label in ((1, 0, "1"), (-1, 0, "-1"), (0, 1, "i")):
+        sections[label] = cd.section(re)
+        ok = _floquet_determinant_holds(op, sections[label], re, im)
         report.append(_check(f"floquet-determinant-tau={label}", ok))
 
-    trace_b = _sum_traces(op, lambda n: _trace_of(op.b_at(n)))
+    trace_b = sum(map(_trace_of, op.b))
     if p >= 2:
         # q[j] has z-degree at most p(m - j) < pm - 1 for j >= 1, so every
         # section has the z^(pm-1) coefficient of q[0]
@@ -755,9 +781,7 @@ def verify_identities(op: PeriodicOperator) -> list:
 
     # Tr(b^2) = |b|_F^2 for symmetric b and Tr(a a^T) = |a|_F^2, so the
     # second-moment target is a plain sum of squared entries.
-    target2 = Fraction(0)
-    for n in range(1, p + 1):
-        target2 += _frobenius_sq(op.b_at(n)) + 2 * _frobenius_sq(op.a_at(n))
+    target2 = sum(_frobenius_sq(bn) + 2 * _frobenius_sq(an) for an, bn in zip(op.a, op.b))
 
     def moment2_at(label):
         f = sections[label]

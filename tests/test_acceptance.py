@@ -30,8 +30,8 @@ from blochjac.inverse import (
 )
 from blochjac.numerics import hermitian_eigs, roots_all
 from blochjac.operators import (
+    _floquet_layout,
     floquet_matrix,
-    floquet_matrix_exact,
     is_symplectic,
     monodromy_at,
 )
@@ -150,7 +150,7 @@ def test_criterion_2_floquet_equivalence(battery):
         norm = u * u + v * v
         tau = CRational(Fraction(u * u - v * v, norm), Fraction(2 * u * v, norm))
         section = cd.section(tau.re)  # nu = (tau + 1/tau)/2 = Re tau on the unit circle
-        assert section == charpoly(floquet_matrix_exact(op, tau))
+        assert section == charpoly(_floquet_layout(op.a, op.b, tau, 1 / tau))
         eigs = hermitian_eigs(floquet_matrix(op, complex(tau)))
         roots = roots_all(list(map(complex, section.coeffs)))
         assert all(abs(r.imag) <= 1e-7 for r in roots)

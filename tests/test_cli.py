@@ -81,6 +81,14 @@ def test_example_refuses_a_parameter_past_the_int_string_limit(capsys, flag, val
     assert line == f"error: {flag}: its numerator or denominator would have more than 4300 digits"
 
 
+@pytest.mark.parametrize("name,flag", [("example3", "--t"), ("example4", "--t"), ("example2-const", "--beta")])
+def test_example_names_the_flag_and_value_when_the_value_is_a_double_dash(capsys, name, flag):
+    # argparse strips the "--" of --t=-- before the value reaches the parser of rationals
+    code, line = run_error_line(capsys, ["example", name, f"{flag}=--"])
+    assert code == 2
+    assert line == f"error: {flag}: cannot parse '--' as a rational"
+
+
 def test_document_entry_past_the_int_string_limit_is_refused_before_it_is_built(tmp_path, capsys):
     # Fraction("1e10000000") alone builds a ten-million-digit power of ten
     doc = {"p": 1, "m": 1, "a": [[["1"]]], "b": [[["1e10000000"]]]}
@@ -783,15 +791,16 @@ def test_bands_thinner_than_the_merge_tolerance_name_the_stage(tmp_path, capsys)
 
 
 def test_verify_exits_5_when_one_floquet_entry_changes(tmp_path, capsys, monkeypatch):
-    real = spectral.floquet_matrix_exact
+    # the Floquet check builds every L(tau) it reduces from this one block layout
+    real = spectral._floquet_layout
 
-    def changed(op, tau):
-        L = real(op, tau)
+    def changed(a, b, t, tinv):
+        L = real(a, b, t, tinv)
         L[0][0] += 1
         return L
 
     path = write_json(tmp_path, cli.operator_to_document(random_operator(1, 2, 2)), "op.json")
-    monkeypatch.setattr(spectral, "floquet_matrix_exact", changed)
+    monkeypatch.setattr(spectral, "_floquet_layout", changed)
     assert cli.main(["verify", path]) == 5
     failed = {c["name"] for c in json.loads(capsys.readouterr().out)["payload"]["checks"]
               if c["status"] == "fail"}

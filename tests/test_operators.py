@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochjac.exactmath import I as IMAG
 from blochjac.exactmath import (
     CRational,
     RatPoly,
@@ -29,7 +28,6 @@ from blochjac.operators import (
     PeriodicOperator,
     _floquet_layout,
     floquet_matrix,
-    floquet_matrix_exact,
     is_symplectic,
     monodromy_at,
     transfer_parts,
@@ -37,7 +35,8 @@ from blochjac.operators import (
 from blochjac.spectral import _route_two
 
 Z = RatPoly([0, 1])
-P = next(_primes())[0]
+P, I_P = next(_primes())  # I_P * I_P = -1 modulo P
+IMAG = CRational(0, 1)
 
 
 def transfer_matrix(op, n):
@@ -284,14 +283,14 @@ def test_floquet_exact_matches_float(seed, p, m, tau):
     # p = 1 puts tau and 1/tau into one block; at p = 2 the corners overlap
     # the off-diagonal blocks
     op = random_operator(seed, p, m)
-    Lx = floquet_matrix_exact(op, tau)
+    Lx = _floquet_layout(op.a, op.b, tau, 1 / tau)
     Lf = floquet_matrix(op, complex(tau))
     assert np.allclose(np.array([[complex(v) for v in row] for row in Lx]), Lf, rtol=0, atol=1e-12)
 
 
 def test_floquet_exact_gaussian_tau():
     op = random_operator(10, 2, 2)
-    Lx = floquet_matrix_exact(op, IMAG)
+    Lx = _floquet_layout(op.a, op.b, IMAG, -IMAG)
     Lf = floquet_matrix(op, 1j)
     assert np.allclose(np.array([[complex(v) for v in row] for row in Lx]), Lf)
 
@@ -299,20 +298,18 @@ def test_floquet_exact_gaussian_tau():
 def test_charpoly_2x2():
     A = [[2, 1], [0, 3]]
     assert det_charpoly(A) == RatPoly([6, -5, 1])
-    assert charpoly(A) == [6, -5, 1]
     assert charpoly(A, P) == [6, P - 5, 1]
-    # over Q(i): det(t I - (i 1; -1 i)) = t^2 - 2i t
-    assert charpoly([[IMAG, CRational(1)], [CRational(-1), IMAG]]) == [0, -2 * IMAG, 1]
+    # det(t I - (i 1; -1 i)) = t^2 - 2i t, with i mapped to I_P
+    assert charpoly([[I_P, 1], [-1, I_P]], P) == [0, -2 * I_P % P, 1]
 
 
 def test_charpoly_matches_eigs():
     op = random_operator(12, 2, 2)
-    L = floquet_matrix_exact(op, -1)
+    L = _floquet_layout(op.a, op.b, -1, -1)
     cp = det_charpoly(L)
     eigs = hermitian_eigs(floquet_matrix(op, -1))
     vals = sorted(np.roots([complex(c) for c in reversed(cp.coeffs)]).real)
     assert np.allclose(vals, eigs, atol=1e-8)
-    # the Hessenberg charpoly over Q is the exact one, and over GF(P) it reduces it
-    assert RatPoly(charpoly(L)) == cp
+    # the Hessenberg charpoly over GF(P) reduces the exact one
     red = [[x.numerator * pow(x.denominator, -1, P) % P for x in map(Fraction, row)] for row in L]
     assert charpoly(red, P) == [c.numerator * pow(c.denominator, -1, P) % P for c in cp.coeffs]

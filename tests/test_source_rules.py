@@ -1,6 +1,7 @@
 """Rules about the source tree itself, checked by parsing it."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -80,3 +81,20 @@ def test_no_unused_import_or_module_level_name():
                 if not any(name in names for scope in scopes for other, names in read_in[scope] if other is not stmt):
                     unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def test_readme_library_table_names_exist():
+    # each identifier in a module's row is defined or imported there; the table
+    # whitelists names for test_no_src_definition_exists_only_for_tests, so a
+    # stale entry, such as a deleted function, would hide an unused one
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    assert len(rows) == 7
+    for module_cell, contents in rows:
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        for name in re.findall(r"`([^`]+)`", contents):
+            if name.isidentifier():
+                assert hasattr(module, name), f"{module.__name__} has no {name}"
+            else:
+                assert name.startswith("blochjac "), name  # a command line, not a name

@@ -1,5 +1,4 @@
 import functools
-import importlib
 import math
 import random
 import re
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 import blochjac.spectral as spectral_mod
 from blochjac.exactmath import (
-    I,
+    CRational,
     RatPoly,
     _primes,
     chebyshev,
@@ -36,8 +35,8 @@ from blochjac.fixtures import (
 from blochjac.numerics import hermitian_eigs, roots_all
 from blochjac.operators import (
     PeriodicOperator,
+    _floquet_layout,
     floquet_matrix,
-    floquet_matrix_exact,
     monodromy_at,
     transfer_parts,
 )
@@ -706,8 +705,45 @@ def test_char_determinant_4_4_floquet_identity():
     op = random_operator(7, 4, 4)
     cd = char_determinant(op)
     assert [q.coeff(16) for q in cd.q] == [1, 0, 0, 0, 0]
-    for tau0, nu0 in ((Fraction(1), 1), (I, 0)):
-        assert cd.section(nu0) == charpoly(floquet_matrix_exact(op, tau0))
+    for tau0, nu0 in ((Fraction(1), 1), (CRational(0, 1), 0)):
+        assert cd.section(nu0) == charpoly(_floquet_layout(op.a, op.b, tau0, 1 / tau0))
+
+
+def test_floquet_determinant_check_passes_at_every_tau_at_64_1():
+    op = random_operator(1, 64, 1)
+    cd = char_determinant(op)
+    for re, im in ((1, 0), (-1, 0), (0, 1)):
+        assert spectral_mod._floquet_determinant_holds(op, cd.section(re), re, im)
+
+
+def test_floquet_determinant_check_takes_every_prime_its_bound_needs():
+    # two scaled coefficients of det(t I - d L(1)) lie beyond half the first
+    # prime P, so the bound needs a second prime; moving each by exactly P to
+    # its symmetric residue gives a section that a check modulo P alone accepts
+    op = random_operator(1, 16, 1)
+    section = char_determinant(op).section(1)
+    d = math.lcm(*(x.denominator for grp in (op.a, op.b) for mat in grp for row in mat for x in row))
+    P = next(_primes())[0]
+    scaled = [section.coeff(k) * d ** (16 - k) for k in range(17)]
+    moved = [c - P if c > P / 2 else c + P if c < -P / 2 else c for c in scaled]
+    assert sum(c != v for c, v in zip(scaled, moved)) == 2 and all(abs(v) < P / 2 for v in moved)
+    assert spectral_mod._floquet_determinant_holds(op, section, 1, 0)
+    off = RatPoly([v / d ** (16 - k) for k, v in enumerate(moved)], "z")
+    assert not spectral_mod._floquet_determinant_holds(op, off, 1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_row_sum_bound_dominates_every_charpoly_coefficient(rows):
+    # char_determinant bounds the coefficients of t^n .. t^(n-m) only, the
+    # Floquet check all of them; both rest on this bound
+    n = len(rows)
+    cp = charpoly(rows)
+    sums = [sum(map(abs, row)) for row in rows]
+    for top in range(n + 1):
+        bound = spectral_mod._row_sum_bound(sums, top)
+        assert all(abs(cp.coeff(n - k)) <= bound for k in range(top + 1))
 
 
 def _sympy_real_root_count(f: RatPoly) -> int:
@@ -856,17 +892,3 @@ def test_readme_library_example_runs(monkeypatch):
     exec(block, namespace)
     assert namespace["gaps"] == []
     assert len(calls) == 1  # D is built once, and the bands reuse it
-
-
-def test_readme_library_table_names_exist():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme.split("## Library layout", 1)[1].split("\n\n", 2)[1]
-    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
-    assert len(rows) == 7
-    for module_cell, contents in rows:
-        module = importlib.import_module(module_cell.strip().strip("`"))
-        for name in re.findall(r"`([^`]+)`", contents):
-            if name.isidentifier():
-                assert hasattr(module, name), f"{module.__name__} has no {name}"
-            else:
-                assert name.startswith("blochjac "), name  # a command line, not a name
