@@ -184,7 +184,8 @@ def _result(command: str, digest: str, payload) -> dict:
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    # allow_nan=False: a float that overflowed is refused (exit 2), not printed as Infinity
+    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def _load_operator(args):
@@ -242,7 +243,7 @@ def cmd_resonances(args) -> int:
     op, digest = _load_operator(args)
     rs = resonances(char_determinant(op))
     payload = {
-        "rho": [_exact(c) for c in rs.rho.coeffs],
+        "rho": [_exact(c) for c in rs.rho],
         "zeros": [_cnum(v) for v in rs.values],
         "real": list(rs.real),
         "clusters": [[_cnum(v), k] for v, k in rs.clusters],
@@ -383,7 +384,7 @@ def cmd_recover(args) -> int:
     else:
         payload["exact"] = {
             "c": str(snapped.c),
-            "q": [[str(q.coeff(n)) for n in range(sd.p * sd.m + 1)] for q in snapped.q],
+            "q": [[str(c) for c in q] + ["0"] * (sd.p * sd.m + 1 - len(q)) for q in snapped.q],
         }
         try:
             bs = band_structure(snapped)

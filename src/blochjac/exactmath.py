@@ -1,8 +1,9 @@
 """Exact arithmetic underneath the spectral pipeline.
 
-Everything in this module is exact: Gaussian rationals and univariate
-polynomials with a variable tag, and a small GF(P) layer over one list of
-61-bit primes with Chinese remaindering. Each job has one algorithm: one
+Everything in this module is exact: Gaussian rationals, univariate
+polynomials as ascending coefficient tuples with a few kernels on them, and
+a small GF(P) layer over one list of 61-bit primes with Chinese
+remaindering. Each job has one algorithm: one
 Euclidean remainder loop, euclid, gives gcds, resultants and
 discriminants over Q(i) and GF(P); one Hessenberg characteristic
 polynomial over GF(P) and one Newton interpolation let a
@@ -128,194 +129,56 @@ class CRational:
         return f"CRational({self.re!r}, {self.im!r})"
 
 
-
-def _norm_coeff(c):
-    if isinstance(c, bool):
-        raise TypeError("bool is not a polynomial coefficient")
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, CRational):
-        return c.demote()
-    raise TypeError(f"exact coefficients only (int, Fraction, CRational), got {type(c).__name__}")
+# Polynomials are ascending coefficient tuples, index = degree, with no
+# trailing zeros; () is the zero polynomial. Coefficients are Fractions, or
+# CRationals for a polynomial over Q(i).
 
 
-class RatPoly:
-    """Univariate polynomial with exact coefficients and a variable tag.
+def lincomb(*terms) -> tuple:
+    """sum of c f over pairs (c, f) of a scalar and a coefficient sequence, as a polynomial.
 
-    coeffs are stored ascending (index = monomial degree) with no trailing
-    zeros; the zero polynomial has an empty tuple and degree -inf.
+    The sum starts from Fraction(0), so int coefficients come out as
+    Fractions; lincomb((1, f)) normalizes a list f.
     """
+    out = [Fraction(0)] * max((len(f) for _, f in terms), default=0)
+    for c, f in terms:
+        for k, v in enumerate(f):
+            out[k] += c * v
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
-    __slots__ = ("coeffs", "var")
 
-    def __init__(self, coeffs=(), var="z"):
-        cs = [_norm_coeff(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
+def derivative(f) -> tuple:
+    return tuple(k * c for k, c in enumerate(f) if k)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
 
-    @classmethod
-    def zero(cls, var="z"):
-        return cls((), var)
+def monic(f) -> tuple:
+    """f / lc(f)."""
+    if not f:
+        raise ValueError("zero polynomial cannot be made monic")
+    return tuple(f) if f[-1] == 1 else tuple(c / f[-1] for c in f)
 
-    @classmethod
-    def one(cls, var="z"):
-        return cls((1,), var)
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -math.inf
+def exact_div(f, g) -> tuple:
+    """f / g when g divides f, by long division; ValueError when it does not."""
+    rem, quot = list(f), []
+    inv = Fraction(1) / g[-1]
+    while len(rem) >= len(g):
+        quot.append(rem.pop() * inv)
+        off = len(rem) - len(g) + 1
+        rem[off:] = [x - quot[-1] * y for x, y in zip(rem[off:], g)]
+    if any(rem):
+        raise ValueError("division is not exact")
+    return tuple(reversed(quot))
 
-    def is_zero(self):
-        return not self.coeffs
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
-    def lc(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def _join_var(self, other):
-        if self.var == other.var or other.is_constant():
-            return self.var
-        if self.is_constant():
-            return other.var
-        raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def _lift(self, other):
-        if isinstance(other, RatPoly):
-            return other
-        try:
-            c = _norm_coeff(other)
-        except TypeError:
-            return None
-        return RatPoly((c,), self.var)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        var = self._join_var(o)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return RatPoly([self.coeff(k) + o.coeff(k) for k in range(n)], var)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return RatPoly([-c for c in self.coeffs], self.var)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        var = self._join_var(o)
-        if not self.coeffs or not o.coeffs:
-            return RatPoly.zero(var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return RatPoly(out, var)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        c = _norm_coeff(scalar)
-        if not c:
-            raise ZeroDivisionError("division of polynomial by zero scalar")
-        return RatPoly([a / c for a in self.coeffs], self.var)
-
-    def __divmod__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        var = self._join_var(o)
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
-            return RatPoly.zero(var), self
-        quot = [Fraction(0)] * (dq + 1)
-        dlc = o.lc()
-        for k in range(dq, -1, -1):
-            top = rem[k + len(o.coeffs) - 1]
-            if top:
-                f = top / dlc
-                quot[k] = f
-                for j, b in enumerate(o.coeffs):
-                    rem[k + j] = rem[k + j] - f * b
-        return RatPoly(quot, var), RatPoly(rem, var)
-
-    def exact_div(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
-    def derivative(self):
-        return RatPoly([k * c for k, c in enumerate(self.coeffs) if k > 0], self.var)
-
-    def monic(self):
-        if self.is_zero():
-            raise ValueError("zero polynomial cannot be made monic")
-        lc = self.lc()
-        return self if lc == 1 else self / lc
-
-    def __call__(self, x):
-        if isinstance(x, (float, complex)):
-            acc = 0j
-            for c in reversed(self.coeffs):
-                acc = acc * x + complex(c)
-            return acc
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        if isinstance(acc, CRational):
-            acc = acc.demote()
-        return acc
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if self.coeffs != o.coeffs:
-            return False
-        return self.is_constant() or o.is_constant() or self.var == o.var
-
-    def __hash__(self):
-        return hash((self.coeffs, self.var if len(self.coeffs) > 1 else None))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        return f"RatPoly({list(self.coeffs)!r}, var={self.var!r})"
+def horner(f, x):
+    """f(x) by acc * x + c from the top: exact at an exact x, complex at a complex x and Fraction f."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
 
 
 def _is_prime(n):
@@ -399,49 +262,52 @@ def _squarefree_certificate(parts):
     return None
 
 
-def squarefree_decomposition(f: RatPoly) -> list[tuple[RatPoly, int]]:
+def squarefree_decomposition(f) -> list:
     """Monic, pairwise coprime g_k with f = lc(f) * prod g_k^k.
 
     Returns [(g_k, k)] for the factors of degree >= 1, ascending in k.  Root
     multiplicities come out exactly, so callers never have to guess them from
     clustered float approximations.  A squarefree f, the usual case, is
     proved so modulo a prime (see _squarefree_certificate) and returned as
-    [(f.monic(), 1)]; when no prime gives the proof, Yun's algorithm with
-    Euclid over Q splits f.
+    [(monic(f), 1)]; when no prime gives the proof, _yun splits f.
     """
-    if f.is_zero():
+    if not f:
         raise ValueError("squarefree decomposition of zero polynomial")
-    f = f.monic()
-    if f.degree < 1:
+    f = monic(f)
+    if len(f) < 2:
         return []
-    if f.degree == 1 or _squarefree_certificate(list(map(_gaussian_parts, f.coeffs))) is not None:
+    if len(f) == 2 or _squarefree_certificate(list(map(_gaussian_parts, f))) is not None:
         return [(f, 1)]
-    df = f.derivative()
+    return _yun(f)
+
+
+def _yun(f) -> list:
+    """squarefree_decomposition of a monic f of degree >= 2, by Yun's algorithm with Euclid over Q(i)."""
+    df = derivative(f)
     a = gcd(f, df)
-    b = f.exact_div(a)
-    d = df.exact_div(a) - b.derivative()
-    out: list[tuple[RatPoly, int]] = []
+    b = exact_div(f, a)
+    d = lincomb((1, exact_div(df, a)), (-1, derivative(b)))
+    out = []
     k = 1
-    while b.degree > 0:
+    while len(b) > 1:
         g = gcd(b, d)
-        if g.degree > 0:
+        if len(g) > 1:
             out.append((g, k))
-        b = b.exact_div(g)
-        d = d.exact_div(g) - b.derivative()
+        b = exact_div(b, g)
+        d = lincomb((1, exact_div(d, g)), (-1, derivative(b)))
         k += 1
     return out
 
 
-_cheb_cache = [RatPoly((1,), "nu"), RatPoly((0, 1), "nu")]
+_cheb_cache = [(Fraction(1),), (Fraction(0), Fraction(1))]
 
 
-def chebyshev(n: int) -> RatPoly:
-    """Chebyshev polynomial T_n in the variable nu, T_n((t+1/t)/2) = (t^n+t^-n)/2."""
+def chebyshev(n: int) -> tuple:
+    """Chebyshev polynomial T_n, T_n((t+1/t)/2) = (t^n+t^-n)/2, by T_(k+1) = 2 nu T_k - T_(k-1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    two_nu = RatPoly((0, 2), "nu")
     while len(_cheb_cache) <= n:
-        _cheb_cache.append(two_nu * _cheb_cache[-1] - _cheb_cache[-2])
+        _cheb_cache.append(lincomb((2, (0,) + _cheb_cache[-1]), (-1, _cheb_cache[-2])))
     return _cheb_cache[n]
 
 
@@ -547,20 +413,19 @@ def euclid(a, b, P=None):
     return b or a, r.demote() if isinstance(r, CRational) else r
 
 
-def gcd(f: RatPoly, g: RatPoly) -> RatPoly:
+def gcd(f, g) -> tuple:
     """Monic gcd of univariate polynomials, the last nonzero remainder of euclid."""
-    if f.is_zero() and g.is_zero():
+    if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = sorted((f.coeffs, g.coeffs), key=len, reverse=True)
-    return RatPoly(euclid(a, b)[0], f._join_var(g)).monic()
+    return monic(euclid(*sorted((f, g), key=len, reverse=True))[0])
 
 
-def discriminant(f: RatPoly):
+def discriminant(f):
     """(-1)^(n(n-1)/2) * Res(f, f') / lc(f); product of squared root differences."""
-    n = f.degree
-    if not isinstance(n, int) or n < 1:
+    n = len(f) - 1
+    if n < 1:
         raise ValueError("discriminant requires degree >= 1")
-    r = euclid(f.coeffs, f.derivative().coeffs)[1] / f.lc()
+    r = euclid(f, derivative(f))[1] / f[-1]
     if (n * (n - 1) // 2) % 2:
         r = -r
     return r.demote() if isinstance(r, CRational) else r

@@ -31,7 +31,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactmath import RatPoly
+from .exactmath import lincomb
 from .numerics import RootFindingError, hermitian_eigs, roots_all
 from .operators import PeriodicOperator, floquet_matrix
 from .spectral import CharDeterminant, InternalConsistencyError, build_char_determinant
@@ -316,7 +316,7 @@ def snap_to_rational(rec: Recovery) -> CharDeterminant:
                     "is not near a small rational"
                 )
             snapped.append(f)
-        cols.append(RatPoly(snapped, "z"))
+        cols.append(lincomb((1, snapped)))
     try:
         # cols ascend in tau, and xi[j] is the coefficient of tau^(2m-j)
         return build_char_determinant(tuple(reversed(cols)), p, m, None)

@@ -126,11 +126,6 @@ def monodromy_at(parts: TransferParts, x) -> list:
     return upper + lower
 
 
-def is_symplectic(M: list, W: list) -> bool:
-    """M^T W M == W for a skew form W, on exact scalar matrices."""
-    return mat_mul(mat_transpose(M), mat_mul(W, M)) == W
-
-
 def _floquet_layout(a, b, t, tinv) -> list:
     """L(tau) from the blocks a_n, b_n, with t standing for tau and tinv for 1/tau.
 

@@ -16,17 +16,22 @@ from typing import NamedTuple
 
 from .exactmath import (
     CRational,
-    RatPoly,
     _crt,
     _gaussian_parts,
     _primes,
     _squarefree_certificate,
+    _yun,
     chebyshev,
     charpoly,
+    derivative,
     discriminant,
+    exact_div,
     gcd,
+    horner,
     interpolate,
+    lincomb,
     mat_mul,
+    mat_transpose,
     squarefree_decomposition,
 )
 from .numerics import hermitian_eigs, roots_all
@@ -35,7 +40,6 @@ from .operators import (
     TransferParts,
     _floquet_layout,
     floquet_matrix,
-    is_symplectic,
     monodromy_at,
     transfer_parts,
 )
@@ -54,8 +58,9 @@ class InternalConsistencyError(RuntimeError):
 class CharDeterminant(NamedTuple):
     """D(z, tau) = det(M(z) - tau*I) by its coefficients, its normalized form, and Phi.
 
-    xi[j] is the coefficient of tau^(2m-j) in D, a polynomial in z. They
-    are palindromic, xi[j] == xi[2m-j], so xi also lists D's coefficients
+    xi[j] is the coefficient of tau^(2m-j) in D, a polynomial in z (an
+    ascending tuple of Fractions, as every exact polynomial). They are
+    palindromic, xi[j] == xi[2m-j], so xi also lists D's coefficients
     ascending in tau. c is the leading constant. q[j] = xi[m-j] / c, so
     that D / (c tau^m) = q[0] + sum_j q[j] (tau^j + tau^-j), monic of
     degree pm in z. p and m are the periods, and parts are the transfer
@@ -78,15 +83,12 @@ class CharDeterminant(NamedTuple):
     phi: tuple
     scaled: tuple
 
-    def section(self, nu0) -> RatPoly:
+    def section(self, nu0) -> tuple:
         """q(z, tau0) = q[0] + sum_j 2 T_j(nu0) q[j] for nu0 = (tau0 + 1/tau0)/2, exactly.
 
         tau0 = 1, -1 and i give nu0 = 1, -1 and 0.
         """
-        out = self.q[0]
-        for j in range(1, self.m + 1):
-            out = out + self.q[j] * (2 * chebyshev(j)(nu0))
-        return out
+        return lincomb(*((2 * horner(chebyshev(j), nu0) if j else 1, f) for j, f in enumerate(self.q)))
 
     def phi_at(self, z) -> list:
         """Phi(z, .) at a Fraction, float or complex z, as integer triples ascending in nu.
@@ -107,9 +109,9 @@ class CharDeterminant(NamedTuple):
             out.append((re, im, d * pw))
         return out
 
-    def nu_poly_at(self, z) -> RatPoly:
-        """Phi(z, .) as an exact polynomial in nu, from the triples of phi_at."""
-        return RatPoly([CRational(Fraction(a, s), Fraction(b, s)) for a, b, s in self.phi_at(z)], "nu")
+    def nu_poly_at(self, z) -> tuple:
+        """Phi(z, .) as an exact polynomial in nu, from the triples of phi_at; over Q at a real z."""
+        return tuple(CRational(Fraction(a, s), Fraction(b, s)) if b else Fraction(a, s) for a, b, s in self.phi_at(z))
 
 
 class LyapunovBranch(NamedTuple):
@@ -117,12 +119,25 @@ class LyapunovBranch(NamedTuple):
     real: bool
 
 
+class _Rho(tuple):
+    """rho, an ascending tuple of Fractions that also answers rho.coeffs and rho.degree.
+
+    bench/tracer.py reads those two; this carrier goes away when the bench
+    reads rho as a plain tuple (ROADMAP item 1).
+    """
+
+    coeffs = property(tuple)
+    degree = property(lambda self: len(self) - 1)
+
+
 class ResonanceSet(NamedTuple):
+    """The zeros of rho with real flags, their clusters with multiplicity, and rho itself."""
+
     values: tuple
     real: tuple
     clusters: tuple
     degenerate: bool
-    rho: RatPoly
+    rho: _Rho
 
 
 class Segment(NamedTuple):
@@ -178,28 +193,28 @@ def build_char_determinant(xi: tuple, p: int, m: int, parts) -> CharDeterminant:
     """
     if len(xi) != 2 * m + 1:
         raise InternalConsistencyError(f"determinant has tau-degree {len(xi) - 1}, expected {2*m}")
-    if xi[0] != RatPoly.one(xi[0].var):
+    if xi[0] != (1,):
         raise InternalConsistencyError("xi_0 != 1")
     for j in range(2 * m + 1):
         if xi[j] != xi[2 * m - j]:
             raise InternalConsistencyError(f"xi_{j} != xi_{2*m-j}: palindrome broken")
-        if xi[j].degree > p * j:
-            raise InternalConsistencyError(f"deg xi_{j} = {xi[j].degree} exceeds {p*j}")
-    if xi[m].degree != p * m:
-        raise InternalConsistencyError(f"deg xi_m = {xi[m].degree}, expected {p*m}")
-    c = xi[m].coeff(p * m)
-    q = tuple(xi[m - j] / c for j in range(m + 1))
-    by_nu = [xi[m]] + [RatPoly.zero("z")] * m  # ascending in nu
-    for k in range(1, m + 1):
-        for i, t in enumerate(chebyshev(k).coeffs):
-            by_nu[i] = by_nu[i] + xi[m - k] * (2 * t)
-    phi = tuple(by_nu[m - j] * Fraction(1, 2**m) for j in range(m + 1))
-    if phi[0] != RatPoly.one(phi[0].var):
+        if len(xi[j]) - 1 > p * j:
+            raise InternalConsistencyError(f"deg xi_{j} = {len(xi[j]) - 1} exceeds {p*j}")
+    if len(xi[m]) - 1 != p * m:
+        raise InternalConsistencyError(f"deg xi_m = {len(xi[m]) - 1 if xi[m] else -math.inf}, expected {p*m}")
+    c = xi[m][-1]
+    q = tuple(tuple(v / c for v in xi[m - j]) for j in range(m + 1))
+    by_nu = [[] for _ in range(m + 1)]  # the terms (scalar, xi_(m-k)) of the nu^i coefficient of Phi
+    for k in range(m + 1):
+        for i, t in enumerate(chebyshev(k)):
+            by_nu[i].append((Fraction(2 if k else 1, 2**m) * t, xi[m - k]))
+    phi = tuple(lincomb(*terms) for terms in reversed(by_nu))
+    if phi[0] != (1,):
         raise InternalConsistencyError("surface polynomial is not monic in nu")
     scaled = []
     for f in reversed(phi):
-        d = math.lcm(*(v.denominator for v in f.coeffs))
-        scaled.append((d, tuple(v.numerator * (d // v.denominator) for v in f.coeffs)))
+        d = math.lcm(*(v.denominator for v in f))
+        scaled.append((d, tuple(v.numerator * (d // v.denominator) for v in f)))
     return CharDeterminant(xi=xi, c=c, q=q, p=p, m=m, parts=parts, phi=phi, scaled=tuple(scaled))
 
 
@@ -292,7 +307,7 @@ def _reconstruct(route, primes, parts: TransferParts, xs, bound: int) -> tuple:
     ints = _crt(residues, used)
     n, m = len(xs), parts.m
     scales = [parts.scale ** min(j, 2 * m - j) for j in range(len(ints) // n)]
-    return tuple(RatPoly([Fraction(v, d) for v in ints[j * n:(j + 1) * n]], "z") for j, d in enumerate(scales))
+    return tuple(lincomb((Fraction(1, d), ints[j * n:(j + 1) * n])) for j, d in enumerate(scales))
 
 
 def char_determinant(op: PeriodicOperator) -> CharDeterminant:
@@ -360,8 +375,8 @@ def branch_values(cd: CharDeterminant, z) -> list:
     if cd.m == 1 or _squarefree_certificate(parts) is not None:
         vals = _exact_roots(parts, what)
     else:
-        vals = [r for g, k in squarefree_decomposition(cd.nu_poly_at(z))
-                for r in _exact_roots(map(_gaussian_parts, g.coeffs), what) for _ in range(k)]
+        vals = [r for g, k in _yun(cd.nu_poly_at(z))
+                for r in _exact_roots(map(_gaussian_parts, g), what) for _ in range(k)]
     if not (isinstance(z, complex) and z.imag):
         vals = _conjugate_symmetrize(vals)
     return sorted(vals, key=lambda w: (w.real, w.imag))
@@ -392,7 +407,9 @@ def multipliers_at(branches) -> list:
             s = cmath.sqrt(1 - nu * nu)
             pairs.append((nu - 1j * s, nu + 1j * s))
             continue
-        s = cmath.sqrt(nu * nu - 1)
+        sq = nu * nu
+        # nu sqrt(1 - nu^-2) where nu^2 overflows; the pair ~ (2 nu, 1/(2 nu)) is finite
+        s = cmath.sqrt(sq - 1) if cmath.isfinite(sq) else nu * cmath.sqrt(1 - (1 / nu) ** 2)
         t = nu + s if abs(nu + s) >= abs(nu - s) else nu - s
         pair = sorted((t, 1 / t), key=lambda w: (w.real, w.imag))
         pairs.append(tuple(pair))
@@ -421,8 +438,8 @@ def resonance_poly(cd: CharDeterminant):
     """
     m = cd.m
     if m == 1:
-        return RatPoly.one("z"), False
-    w = max((-(-f.degree // j) for j, f in enumerate(cd.phi) if j and f), default=0)
+        return _Rho((Fraction(1),)), False
+    w = max((-(-(len(f) - 1) // j) for j, f in enumerate(cd.phi) if j and f), default=0)
     n = w * m * (m - 1) + 1
     xs = range(-(n // 2), n - n // 2)
     samples = []
@@ -430,24 +447,24 @@ def resonance_poly(cd: CharDeterminant):
         f = cd.nu_poly_at(x)
         r = discriminant(f)
         if not r:
-            f = f.exact_div(gcd(f, f.derivative()))
+            f = exact_div(f, gcd(f, derivative(f)))
             r = discriminant(f)
-        samples.append((f.degree, r))
+        samples.append((len(f) - 1, r))
     d = max(deg for deg, _ in samples)
     if d <= 1:
-        return RatPoly.one("z"), True
-    return RatPoly(interpolate(xs, [r if deg == d else 0 for deg, r in samples]), "z"), d < m
+        return _Rho((Fraction(1),)), True
+    return _Rho(lincomb((1, interpolate(xs, [r if deg == d else 0 for deg, r in samples])))), d < m
 
 
 def resonances(cd: CharDeterminant) -> ResonanceSet:
     """All zeros of rho, conjugate-paired, with exact multiplicities."""
     rho, degenerate = resonance_poly(cd)
-    if rho.degree <= 0:
+    if len(rho) <= 1:
         return ResonanceSet((), (), (), degenerate, rho)
     clusters = []
     vals = []
     for g, k in squarefree_decomposition(rho):
-        for r in _conjugate_symmetrize(_exact_roots(map(_gaussian_parts, g.coeffs), "rho(z)")):
+        for r in _conjugate_symmetrize(_exact_roots(map(_gaussian_parts, g), "rho(z)")):
             clusters.append((r, k))
             vals.extend([r] * k)
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
@@ -472,11 +489,11 @@ def _conjugate_symmetrize(roots):
 
 def _eigs_at_tau(cd: CharDeterminant, tau0) -> list:
     f = cd.section(tau0)  # nu0 = tau0 at tau0 = 1 and -1
-    if f.degree != cd.p * cd.m:
-        raise InternalConsistencyError(f"q(., {tau0}) has degree {f.degree}")
+    if len(f) - 1 != cd.p * cd.m:
+        raise InternalConsistencyError(f"q(., {tau0}) has degree {len(f) - 1}")
     out = []
     for g, mult in squarefree_decomposition(f):
-        for r in _exact_roots(map(_gaussian_parts, g.coeffs), f"q(z, {tau0})"):
+        for r in _exact_roots(map(_gaussian_parts, g), f"q(z, {tau0})"):
             if abs(r.imag) > 1e-7:
                 raise InternalConsistencyError(
                     f"non-real root {r} of q(., {tau0}) for a self-adjoint operator"
@@ -697,12 +714,7 @@ def _frobenius_sq(mat):
     return sum(x * x for row in mat for x in row)
 
 
-def _monodromy_exact(parts: TransferParts, x) -> list:
-    """M_p(x) over Q at an int or Fraction x."""
-    return [[Fraction(v) / parts.scale for v in row] for row in monodromy_at(parts, x)]
-
-
-def _floquet_determinant_holds(op: PeriodicOperator, section: RatPoly, re: int, im: int) -> bool:
+def _floquet_determinant_holds(op: PeriodicOperator, section: tuple, re: int, im: int) -> bool:
     """Whether det(z I - L(tau0)) == section exactly, for tau0 = re + im i in {1, -1, i}.
 
     With d the lcm of the denominators of a and b, the identity says that
@@ -721,7 +733,7 @@ def _floquet_determinant_holds(op: PeriodicOperator, section: RatPoly, re: int, 
     n = op.p * op.m
     used = _enough_primes(_primes(), _row_sum_bound(map(sum, _floquet_layout(abs_a, abs_b, 1, 1)), n))
     residues = [charpoly(_floquet_layout(a, b, (re + im * i) % P, (re - im * i) % P), P) for P, i in used]
-    return _crt(residues, [P for P, _ in used]) == [section.coeff(k) * d ** (n - k) for k in range(n + 1)]
+    return _crt(residues, [P for P, _ in used]) == [c * d ** (n - k) for k, c in enumerate(section)]
 
 
 def _log10(x: Fraction) -> float:
@@ -754,11 +766,14 @@ def verify_identities(op: PeriodicOperator) -> list:
         cd, parts = None, transfer_parts(op)
         dual = _check("palindrome-and-dual-route", False, detail=str(exc))
     # M = P0 M_p P0^-1 with P0 = a_p^T (+) I_m has M^T J M = J exactly when
-    # M_p^T W M_p = W for W = P0^T J P0 = (0 a_p; -a_p^T 0); M_p has z-degree
+    # M_p^T W M_p = W for W = P0^T J P0 = (0 a_p; -a_p^T 0), that is when
+    # N^T W N = scale^2 W for the integer N = scale * M_p; M_p has z-degree
     # at most p, so 2p + 1 points prove it
     ap = op.a_at(0)
     W = [[0] * m + list(row) for row in ap] + [[-x for x in col] + [0] * m for col in zip(*ap)]
-    symplectic = all(is_symplectic(_monodromy_exact(parts, x), W) for x in range(-p, p + 1))
+    target = [[parts.scale**2 * v for v in row] for row in W]
+    symplectic = all(mat_mul(mat_transpose(N), mat_mul(W, N)) == target
+                     for N in (monodromy_at(parts, x) for x in range(-p, p + 1)))
     report = [_check("symplectic-normalization", symplectic), dual]
     if cd is None:
         return report
@@ -774,7 +789,7 @@ def verify_identities(op: PeriodicOperator) -> list:
     if p >= 2:
         # q[j] has z-degree at most p(m - j) < pm - 1 for j >= 1, so every
         # section has the z^(pm-1) coefficient of q[0]
-        ok = sections["1"].coeff(pm - 1) == -trace_b
+        ok = sections["1"][pm - 1] == -trace_b
         report.append(_check("moment-1-coefficient", ok))
     else:
         report.append(_na("moment-1-coefficient", "period 1 couples tau into Tr L"))
@@ -785,8 +800,8 @@ def verify_identities(op: PeriodicOperator) -> list:
 
     def moment2_at(label):
         f = sections[label]
-        e1 = f.coeff(pm - 1)
-        e2 = f.coeff(pm - 2)
+        e1 = f[pm - 1]
+        e2 = f[pm - 2]
         return e1 * e1 - 2 * e2
 
     if p >= 3:
@@ -843,12 +858,12 @@ def verify_identities(op: PeriodicOperator) -> list:
     for _ in range(5):
         z0 = Fraction(rng.randint(-194, 194), 97)
         branches = branch_values(cd, z0)
-        M = _monodromy_exact(cd.parts, z0)
-        powers = [M, mat_mul(M, M)]
-        powers.append(mat_mul(powers[1], M))
+        N = monodromy_at(cd.parts, z0)  # scale * M_p(z0)
+        powers = [N, mat_mul(N, N)]
+        powers.append(mat_mul(powers[1], N))
         for n in (1, 2, 3):
-            lhs = complex(_trace_of(powers[n - 1])) / 2
-            rhs = sum(chebyshev(n)(v) for v in branches)
+            lhs = complex(_trace_of(powers[n - 1]) / cd.parts.scale**n) / 2
+            rhs = sum(horner(chebyshev(n), v) for v in branches)
             err = abs(lhs - rhs)
             tol = 1e-8 * max(1.0, abs(lhs))
             worst = max(worst, err)

@@ -11,8 +11,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from polyref import Z, coeffs, expr
 
-from blochjac.exactmath import CRational, RatPoly, chebyshev, det_inv, interpolate, mat_mul
+from blochjac.exactmath import CRational, det_inv, horner, interpolate, mat_mul
 from blochjac.fixtures import (
     example1_diag,
     example2_const,
@@ -32,7 +34,6 @@ from blochjac.numerics import hermitian_eigs, roots_all
 from blochjac.operators import (
     _floquet_layout,
     floquet_matrix,
-    is_symplectic,
     monodromy_at,
 )
 from blochjac.spectral import (
@@ -49,7 +50,6 @@ from blochjac.spectral import (
     verify_identities,
 )
 
-Z = RatPoly([0, 1])
 KAPPAS = (0.0, math.pi, math.pi / 2, math.pi / 3)
 SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]
 
@@ -60,7 +60,17 @@ def charpoly(A):
     xs = range(n + 1)
     dets = [det_inv([[Fraction(x * (i == j)) - e for j, e in enumerate(row)] for i, row in enumerate(A)])[0]
             for x in xs]
-    return RatPoly(interpolate(xs, dets), "z")
+    return coeffs(expr(interpolate(xs, dets)))
+
+
+def coeff(f, k):
+    """The z^k coefficient of a polynomial f."""
+    return f[k] if k < len(f) else 0
+
+
+def is_symplectic(M, J):
+    """M^T J M == J, on exact scalar matrices."""
+    return mat_mul([list(col) for col in zip(*M)], mat_mul(J, M)) == J
 
 
 def criterion(num, label):
@@ -129,11 +139,11 @@ def test_criterion_1_exact_identities(battery):
             xi = [Fraction(1)]
             for s in range(1, m + 1):
                 xi.append(-sum(traces[s - j - 1] * xi[j] for j in range(s)) / s)
-            assert [cd.xi[s](x) for s in range(m + 1)] == xi
+            assert [horner(cd.xi[s], x) for s in range(m + 1)] == xi
         for j in range(2 * m + 1):
             assert cd.xi[j] == cd.xi[2 * m - j]  # tau^2m D(z, 1/tau) = D(z, tau)
         for j in range(m + 1):
-            assert cd.xi[j].degree <= p * j
+            assert len(cd.xi[j]) - 1 <= p * j
 
 
 @criterion(2, "Floquet/monodromy equivalence, exact at 32 rational points of the circle")
@@ -152,7 +162,7 @@ def test_criterion_2_floquet_equivalence(battery):
         section = cd.section(tau.re)  # nu = (tau + 1/tau)/2 = Re tau on the unit circle
         assert section == charpoly(_floquet_layout(op.a, op.b, tau, 1 / tau))
         eigs = hermitian_eigs(floquet_matrix(op, complex(tau)))
-        roots = roots_all(list(map(complex, section.coeffs)))
+        roots = roots_all(list(map(complex, section)))
         assert all(abs(r.imag) <= 1e-7 for r in roots)
         reals = sorted(r.real for r in roots)
         assert len(reals) == len(eigs)
@@ -164,12 +174,12 @@ def test_criterion_2_floquet_equivalence(battery):
 def test_criterion_3_example3_t1():
     op = example3(1)
     cd = char_determinant(op)
-    assert cd.xi[1] == -(2 * Z * Z - 5)  # first trace T1 = 2z^2 - 5
+    assert cd.xi[1] == coeffs(-(2 * Z * Z - 5))  # first trace T1 = 2z^2 - 5
     rho = resonances(cd).rho
-    assert 4 * rho == 4 * Z * Z + 4 * Z + 1
-    d1 = (Z * Z - Z - 3) * Fraction(1, 2)
-    d2 = (Z * Z + Z - 2) * Fraction(1, 2)
-    assert cd.phi == (RatPoly.one("z"), -(d1 + d2), d1 * d2)  # Phi = (nu - d1)(nu - d2)
+    assert coeffs(4 * expr(rho)) == coeffs(4 * Z * Z + 4 * Z + 1)
+    d1 = (Z * Z - Z - 3) / 2
+    d2 = (Z * Z + Z - 2) / 2
+    assert cd.phi == ((1,), coeffs(-(d1 + d2)), coeffs(d1 * d2))  # Phi = (nu - d1)(nu - d2)
     bs = band_structure(cd)
     cross_validate(op, bs, DEFAULT_GRID)
     s5, s17, s21 = math.sqrt(5), math.sqrt(17), math.sqrt(21)
@@ -251,12 +261,10 @@ def test_criterion_7_free_operator():
             cd = char_determinant(op)
             # D and block^m have tau-degree 2m, so 2m + 1 values of tau decide equality
             for tau0 in range(1, 2 * m + 2):
-                t_half = RatPoly([c / 2**k for k, c in enumerate(chebyshev(p).coeffs)])  # T_p(z/2)
-                block = tau0 * tau0 + 1 - t_half * (2 * tau0)
-                d_at = RatPoly.zero("z")
-                for f in cd.xi:  # Horner: xi[j] is the coefficient of tau^(2m-j)
-                    d_at = d_at * tau0 + f
-                assert d_at == math.prod([block] * m)
+                block = tau0 * tau0 + 1 - sympy.chebyshevt(p, Z / 2) * (2 * tau0)
+                # xi[j] is the coefficient of tau^(2m-j)
+                d_at = sum(expr(f) * tau0 ** (2 * m - j) for j, f in enumerate(cd.xi))
+                assert coeffs(d_at) == coeffs(block**m)
             for kappa in (0.0, math.pi / 3, math.pi / 2):
                 eigs = hermitian_eigs(floquet_matrix(op, cmath.exp(1j * kappa)))
                 expected = sorted(
@@ -268,7 +276,7 @@ def test_criterion_7_free_operator():
 
 def _lift_to_exact(rec, p, m):
     xi = tuple(
-        RatPoly([Fraction(v.real).limit_denominator(10**12) for v in rec.D[2 * m - j]], "z")
+        coeffs(expr([Fraction(v.real).limit_denominator(10**12) for v in rec.D[2 * m - j]]))
         for j in range(2 * m + 1)
     )
     return build_char_determinant(xi, p, m, None)
@@ -287,7 +295,7 @@ def test_criterion_8_inverse_round_trip():
             rec = recover_determinant(forward_spectral_data(op, kappas, subset_rule=rule, seed=seed))
             for j in range(m + 1):
                 for n in range(p * m + 1):
-                    want = complex(direct.q[j].coeff(n))
+                    want = complex(coeff(direct.q[j], n))
                     got = rec.q[j][n]
                     assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
         try:

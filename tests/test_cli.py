@@ -23,10 +23,19 @@ def run_cli(capsys, argv):
     return code, out
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_loads(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, which JSON does not have."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def run_json(capsys, argv):
     code, out = run_cli(capsys, argv)
     assert code == 0
-    return json.loads(out)
+    return strict_loads(out)
 
 
 def run_error_line(capsys, argv):
@@ -286,6 +295,14 @@ def test_recover_huge_eigenvalue_prints_one_error_line(tmp_path):
     assert done.stdout == b""
 
 
+def test_recover_snap_names_a_vanishing_middle_coefficient(tmp_path, capsys):
+    # a = 1e10 makes c = -1e-10, so the tau^m coefficient c q_0 snaps to zero
+    doc = {"p": 1, "m": 1, "kappas": [0.0, math.pi], "lambda_sets": [[2e10], [-2e10]]}
+    payload = run_json(capsys, ["recover", write_json(tmp_path, doc, "data.json")])["payload"]
+    assert payload["exact"] is None
+    assert payload["snap_error"] == "inconsistent spectral data: deg xi_m = -inf, expected 1"
+
+
 def test_recover_section_beyond_the_root_finder_exits_2(tmp_path, capsys):
     # the recovered q is finite, but its section at kappa_0 spans 200 orders of magnitude
     data = {"p": 2, "m": 1, "kappas": [0.0, math.pi], "lambda_sets": [[1e200, 0.5], [-1.0]]}
@@ -336,6 +353,7 @@ def test_recover_fuzz_ends_in_a_documented_exit(tmp_path_factory, doc):
     assert code in (0, 2, 3, 4)
     if code == 0:
         assert err == ""
+        strict_loads(out)
     else:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
@@ -372,6 +390,8 @@ def test_operator_fuzz_ends_in_a_documented_exit(tmp_path_factory, doc):
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), err
             assert out == ""
+        else:
+            strict_loads(out)
         assert run_captured(argv)[1] == out
 
 
@@ -384,9 +404,30 @@ def test_resonances_prints_coefficients_past_the_int_string_limit(tmp_path, caps
     try:
         sys.set_int_max_str_digits(0)
         assert [Fraction(c) for c in payload["rho"]] == list(spectral.resonances(
-            spectral.char_determinant(cli.operator_from_document(doc))).rho.coeffs)
+            spectral.char_determinant(cli.operator_from_document(doc))).rho)
     finally:
         sys.set_int_max_str_digits(with_limit)
+
+
+@pytest.mark.parametrize("doc", [
+    {"p": 2, "m": 1, "a": [[["1"]], [["1"]]], "b": [[["1e160"]], [["0"]]]},
+    {"p": 2, "m": 1, "a": [[["1e-300"]], [["1"]]], "b": [[["0"]], [["0"]]]},
+])
+def test_lyapunov_multipliers_stay_finite_where_nu_squared_overflows(tmp_path, capsys, doc):
+    # the branch at z = 0.5 is -2.5e159 and -3.75e299, so nu^2 overflows,
+    # while the pair, about 2 nu and 1 / (2 nu), is finite
+    (point,) = run_json(capsys, ["lyapunov", write_json(tmp_path, doc, "op.json"), "--z", "0.5"])["payload"]["points"]
+    (multipliers,) = point["multipliers"]
+    t1, t2 = (complex(*v) for v in multipliers["pair"])
+    assert all(math.isfinite(abs(t)) for t in (t1, t2))
+    assert abs(t1 * t2 - 1) <= 1e-12
+
+
+def test_a_float_past_the_range_exits_2_instead_of_printing_infinity(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, capsys, ["example", "free"])
+    monkeypatch.setattr(cli, "multipliers_at", lambda branches: [(complex(math.inf, 0.0), 0j)])
+    code, line = run_error_line(capsys, ["lyapunov", path, "--z", "0.5"])
+    assert code == 2 and "JSON" in line
 
 
 def _readme_json(section):

@@ -1,13 +1,12 @@
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from polyref import Z, coeffs
 
-from blochjac.exactmath import RatPoly
 from blochjac.numerics import (
     NonHermitianError,
     RootFindingError,
@@ -51,10 +50,8 @@ def test_roots_deterministic():
 @given(st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=8),
                 min_size=1, max_size=8, unique=True))
 def test_roots_recover_rational_roots(roots):
-    f = RatPoly.one()
-    for r in roots:
-        f = f * RatPoly([-r, 1])
-    got = roots_all(list(map(complex, f.coeffs)))
+    f = coeffs(math.prod(Z - r for r in roots))
+    got = roots_all(list(map(complex, f)))
     want = sorted(float(r) for r in roots)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -77,10 +74,8 @@ def test_roots_nan_iterates_fail_the_contract():
 
 def test_roots_wilkinson_20_within_the_contract():
     # a start radius of 1 + max|c_k/c_n| = 1 + 20! overflows in its 20th power
-    f = RatPoly.one()
-    for j in range(1, 21):
-        f = f * RatPoly([-j, 1])
-    rs = roots_all(list(map(complex, f.coeffs)))
+    f = coeffs(math.prod(Z - j for j in range(1, 21)))
+    rs = roots_all(list(map(complex, f)))
     assert len(rs) == 20
     # float coefficients move these roots by up to about 1e-2 (Wilkinson)
     assert all(abs(r - j) < 0.05 for r, j in zip(rs, range(1, 21)))

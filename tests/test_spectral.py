@@ -10,15 +10,16 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from polyref import Z, coeffs, expr
 
+import blochjac.exactmath as exactmath
 import blochjac.spectral as spectral_mod
 from blochjac.exactmath import (
     CRational,
-    RatPoly,
     _primes,
-    chebyshev,
     det_inv,
     discriminant,
+    horner,
     interpolate,
     mat_mul,
     squarefree_decomposition,
@@ -64,14 +65,20 @@ from blochjac.spectral import (
 )
 
 
-def zpoly(*coeffs):
-    return RatPoly(coeffs, "z")
+def zpoly(*cs):
+    """The polynomial with ascending coefficients cs, as a sympy expression in z."""
+    return expr(cs)
+
+
+def coeff(f, k):
+    """The z^k coefficient of a polynomial f."""
+    return f[k] if k < len(f) else 0
 
 
 def free_block(p, tau0):
     """tau0^2 + 1 - 2 tau0 T_p(z/2), the single-band building block at tau = tau0."""
-    t_half = zpoly(*(c / 2**k for k, c in enumerate(chebyshev(p).coeffs)))  # T_p(z/2)
-    return t_half * (-2 * tau0) + (tau0 * tau0 + 1)
+    tau0 = sympy.Rational(tau0)
+    return sympy.chebyshevt(p, Z / 2) * (-2 * tau0) + (tau0 * tau0 + 1)
 
 
 def charpoly(A):
@@ -80,7 +87,7 @@ def charpoly(A):
     xs = range(n + 1)
     dets = [det_inv([[Fraction(x * (i == j)) - e for j, e in enumerate(row)] for i, row in enumerate(A)])[0]
             for x in xs]
-    return RatPoly(interpolate(xs, dets), "z")
+    return coeffs(expr(interpolate(xs, dets)))
 
 
 def monodromy_oracle(op, x):
@@ -102,16 +109,14 @@ def monodromy_oracle(op, x):
 
 
 def d_at(cd, tau0):
-    """D(z, tau0) by Horner in tau: xi[j] is the coefficient of tau^(2m-j)."""
-    out = RatPoly.zero("z")
-    for f in cd.xi:
-        out = out * tau0 + f
-    return out
+    """D(z, tau0), as a sympy expression: xi[j] is the coefficient of tau^(2m-j)."""
+    n = len(cd.xi) - 1
+    return sympy.expand(sum(expr(f) * sympy.Rational(tau0) ** (n - j) for j, f in enumerate(cd.xi)))
 
 
 def test_char_determinant_minimal_free():
     cd = char_determinant(free_operator(1, 1))
-    assert cd.xi == (RatPoly.one("z"), zpoly(0, -1), RatPoly.one("z"))
+    assert cd.xi == ((1,), (0, -1), (1,))
     assert cd.c == -1
 
 
@@ -121,7 +126,7 @@ def test_char_determinant_free_formula(p, m):
     # both sides have tau-degree 2m, so 2m + 1 values of tau decide equality
     for k in range(2 * m + 1):
         tau0 = Fraction(2 * k - 1, 3)
-        assert d_at(cd, tau0) == math.prod([free_block(p, tau0)] * m)
+        assert coeffs(d_at(cd, tau0)) == coeffs(free_block(p, tau0) ** m)
     assert cd.c == (-1) ** m
 
 
@@ -138,32 +143,31 @@ def test_char_determinant_free_formula(p, m):
 def test_first_trace_coefficient(op, first_trace):
     # xi_1 = -Tr M_p, and the palindrome repeats it at xi_{2m-1}.
     cd = char_determinant(op)
-    assert cd.xi[1] == -first_trace
-    assert cd.xi[3] == -first_trace
+    assert cd.xi[1] == coeffs(-first_trace)
+    assert cd.xi[3] == coeffs(-first_trace)
     assert cd.c == 1
 
 
 def test_free_q_is_laurent_symmetric():
     cd = char_determinant(free_operator(2, 1))
     assert cd.c == -1
-    assert cd.q == (zpoly(-2, 0, 1), zpoly(-1))
+    assert cd.q == ((-2, 0, 1), (-1,))
     # D / (c tau) has equal tau^1 and tau^-1 coefficients
-    assert cd.xi[0] / cd.c == cd.xi[2] / cd.c == cd.q[1]
+    assert coeffs(expr(cd.xi[0]) / cd.c) == coeffs(expr(cd.xi[2]) / cd.c) == cd.q[1]
 
 
 def test_example2_floquet_sections_factor():
-    z = zpoly(0, 1)
     cd = char_determinant(example2_const(1))
-    assert cd.section(1) == (z + 2) * (z + 2) * ((z - 2) * (z - 2) - 4)
-    assert cd.section(-1) == (z * z - 2) * (z * z - 2)
+    assert cd.section(1) == coeffs((Z + 2) ** 2 * ((Z - 2) ** 2 - 4))
+    assert cd.section(-1) == coeffs((Z**2 - 2) ** 2)
 
 
 def test_phi_free():
     cd = char_determinant(free_operator(3, 1))
-    assert cd.phi == (RatPoly.one("z"), -zpoly(*(c / 2**k for k, c in enumerate(chebyshev(3).coeffs))))
+    assert cd.phi == ((1,), coeffs(-sympy.chebyshevt(3, Z / 2)))
     cd2 = char_determinant(free_operator(2, 2))
-    body = zpoly(-1, 0, Fraction(1, 2))
-    assert cd2.phi == (RatPoly.one("z"), body * (-2), body * body)
+    body = Z**2 / 2 - 1
+    assert cd2.phi == ((1,), coeffs(body * (-2)), coeffs(body * body))
 
 
 @settings(max_examples=20, deadline=None)
@@ -176,18 +180,16 @@ def test_phi_free():
 def test_phi_identity(seed, p, m, tau):
     # (2 tau)^m Phi(z, (tau + 1/tau)/2) == D(z, tau), exactly, as polynomials in z
     cd = char_determinant(random_operator(seed, p, m))
-    nu = (tau + 1 / tau) / 2
-    phi_at = RatPoly.zero("z")
-    for f in cd.phi:
-        phi_at = phi_at * nu + f
-    assert phi_at * (2 * tau) ** m == d_at(cd, tau)
+    nu = sympy.Rational((tau + 1 / tau) / 2)
+    phi_at = sum(expr(f) * nu ** (m - j) for j, f in enumerate(cd.phi))
+    assert coeffs(phi_at * sympy.Rational(2 * tau) ** m) == coeffs(d_at(cd, tau))
 
 
 def test_phi_example3_branch_product():
     cd = char_determinant(example3(1))
     d1 = zpoly(Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2))
     d2 = zpoly(-1, Fraction(1, 2), Fraction(1, 2))
-    assert cd.phi == (RatPoly.one("z"), -(d1 + d2), d1 * d2)
+    assert cd.phi == ((1,), coeffs(-(d1 + d2)), coeffs(d1 * d2))
 
 
 def test_lyapunov_point_samples():
@@ -207,7 +209,7 @@ def test_lyapunov_is_exact_where_float_horner_is_not():
     # float Horner put phi_1 here off by 1.6e-5 relative
     cd = char_determinant(random_operator(2, 32, 1))
     z = 1.9044522261130563
-    exact = float(-cd.phi[1](Fraction(z)))
+    exact = float(-horner(cd.phi[1], Fraction(z)))
     (b,) = lyapunov_at(cd, complex(z, 0))
     assert b.real and abs(b.value - exact) <= 1e-12 * abs(exact)
 
@@ -237,7 +239,7 @@ def exact_route_branch_values(cd, z):
     """branch_values the way it was first written: an exact polynomial, Yun, then Aberth."""
     vals = []
     for g, k in squarefree_decomposition(cd.nu_poly_at(z)):
-        for r in roots_all([complex(c) for c in g.coeffs]):
+        for r in roots_all([complex(c) for c in g]):
             vals.extend([r] * k)
     if not (isinstance(z, complex) and z.imag):
         vals = _conjugate_symmetrize(vals)
@@ -259,13 +261,31 @@ def test_integer_branch_values_fall_back_to_yun_on_a_double_branch(monkeypatch):
     # free(2, 2) has Phi = (nu - T_2(z/2))^2, so no prime proves it squarefree
     cd = char_determinant(free_operator(2, 2))
     calls = []
-    real = spectral_mod.squarefree_decomposition
-    monkeypatch.setattr(spectral_mod, "squarefree_decomposition", lambda f: calls.append(f) or real(f))
+    real = spectral_mod._yun
+    monkeypatch.setattr(spectral_mod, "_yun", lambda f: calls.append(f) or real(f))
     for z in (Fraction(1, 3), 0.5, complex(0.5, 0.25)):
         a, b = branch_values(cd, z)
         assert a == b
         assert branch_values(cd, z) == exact_route_branch_values(cd, z)
     assert len(calls) == 6
+
+
+def test_branch_values_runs_one_certificate_per_point_before_yun(monkeypatch):
+    # Phi(x, .) of free(2, 2) is a square at every x, so each of 50 points
+    # fails the certificate once and goes straight to Yun
+    cd = char_determinant(free_operator(2, 2))
+    calls = []
+    real = exactmath._squarefree_certificate
+
+    def counted(parts):
+        calls.append(parts)
+        return real(parts)
+
+    monkeypatch.setattr(exactmath, "_squarefree_certificate", counted)
+    monkeypatch.setattr(spectral_mod, "_squarefree_certificate", counted)
+    for k in range(50):
+        branch_values(cd, -3 + 6 * k / 49)
+    assert len(calls) == 50
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -291,20 +311,20 @@ def test_multipliers_free():
 
 def test_resonance_poly_exact_families():
     rho, deg = resonance_poly(char_determinant(example3(1)))
-    assert (rho, deg) == (zpoly(Fraction(1, 4), 1, 1), False)
+    assert (rho, deg) == ((Fraction(1, 4), 1, 1), False)
     rho, deg = resonance_poly(char_determinant(example4(0)))
-    assert (rho, deg) == (zpoly(Fraction(1, 4), -1, 1), False)
+    assert (rho, deg) == ((Fraction(1, 4), -1, 1), False)
     # (2z+1)^2 (4z+9) / 4 for unit off-diagonal constant coefficients
     rho, deg = resonance_poly(char_determinant(example2_const(1)))
-    assert (rho, deg) == (zpoly(Fraction(9, 4), 10, 13, 4), False)
+    assert (rho, deg) == (coeffs((2 * Z + 1) ** 2 * (4 * Z + 9) / 4), False)
     rho, deg = resonance_poly(char_determinant(free_operator(2, 1)))
-    assert (rho, deg) == (RatPoly.one("z"), False)
+    assert (rho, deg) == ((1,), False)
 
 
 def test_resonance_poly_degenerate_free():
     rho, deg = resonance_poly(char_determinant(free_operator(2, 2)))
     assert deg is True
-    assert rho == RatPoly.one("z")
+    assert rho == (1,)
     rs = resonances(char_determinant(free_operator(2, 2)))
     assert rs.values == () and rs.degenerate
 
@@ -621,7 +641,7 @@ def test_d_matches_the_pointwise_transfer_product(seed, shape, x, tau):
     cd = char_determinant(op)
     M = monodromy_oracle(op, x)
     want = det_inv([[v - tau * (i == j) for j, v in enumerate(row)] for i, row in enumerate(M)])[0]
-    assert sum(f(x) * tau ** (2 * op.m - j) for j, f in enumerate(cd.xi)) == want
+    assert sum(horner(f, x) * tau ** (2 * op.m - j) for j, f in enumerate(cd.xi)) == want
 
 
 def test_d_skips_a_prime_that_divides_a_denominator(monkeypatch):
@@ -643,7 +663,7 @@ def test_d_skips_a_prime_that_divides_a_denominator(monkeypatch):
         M = monodromy_oracle(op, x)
         for tau in (-2, 1, 3):
             want = det_inv([[v - tau * (i == j) for j, v in enumerate(row)] for i, row in enumerate(M)])[0]
-            assert sum(f(x) * tau ** (4 - j) for j, f in enumerate(cd.xi)) == want
+            assert sum(horner(f, x) * tau ** (4 - j) for j, f in enumerate(cd.xi)) == want
 
 
 def distinct_60_bit_operator():
@@ -660,7 +680,7 @@ def test_d_matches_the_pointwise_transfer_product_past_small_shapes(make):
     M = monodromy_oracle(op, x)
     assert monodromy_at(cd.parts, x) == [[cd.parts.scale * v for v in row] for row in M]
     want = det_inv([[v - tau * (i == j) for j, v in enumerate(row)] for i, row in enumerate(M)])[0]
-    assert sum(f(x) * tau ** (2 * op.m - j) for j, f in enumerate(cd.xi)) == want
+    assert sum(horner(f, x) * tau ** (2 * op.m - j) for j, f in enumerate(cd.xi)) == want
 
 
 @settings(max_examples=20, deadline=None)
@@ -675,7 +695,7 @@ def test_resonance_poly_is_the_pointwise_discriminant(seed, shape, x):
     rho, degenerate = resonance_poly(cd)
     assert not degenerate
     want = discriminant(cd.nu_poly_at(x)) if cd.m > 1 else 1
-    assert rho(x) == want
+    assert horner(rho, x) == want
 
 
 def partially_degenerate_operator():
@@ -693,18 +713,18 @@ def test_resonance_poly_partial_degeneracy_skips_unlucky_points():
     cd = char_determinant(partially_degenerate_operator())
     ((_, k),) = squarefree_decomposition(cd.nu_poly_at(Fraction(0)))
     assert k == 3
-    assert resonance_poly(cd) == (zpoly(0, 0, 1), True)
+    assert resonance_poly(cd) == ((0, 0, 1), True)
 
 
 def test_free_operator_2_8_resonance_poly_is_degenerate_one():
     rho, degenerate = resonance_poly(char_determinant(free_operator(2, 8)))
-    assert rho == RatPoly.one("z") and degenerate
+    assert rho == (1,) and degenerate
 
 
 def test_char_determinant_4_4_floquet_identity():
     op = random_operator(7, 4, 4)
     cd = char_determinant(op)
-    assert [q.coeff(16) for q in cd.q] == [1, 0, 0, 0, 0]
+    assert [coeff(q, 16) for q in cd.q] == [1, 0, 0, 0, 0]
     for tau0, nu0 in ((Fraction(1), 1), (CRational(0, 1), 0)):
         assert cd.section(nu0) == charpoly(_floquet_layout(op.a, op.b, tau0, 1 / tau0))
 
@@ -724,11 +744,11 @@ def test_floquet_determinant_check_takes_every_prime_its_bound_needs():
     section = char_determinant(op).section(1)
     d = math.lcm(*(x.denominator for grp in (op.a, op.b) for mat in grp for row in mat for x in row))
     P = next(_primes())[0]
-    scaled = [section.coeff(k) * d ** (16 - k) for k in range(17)]
+    scaled = [c * d ** (16 - k) for k, c in enumerate(section)]
     moved = [c - P if c > P / 2 else c + P if c < -P / 2 else c for c in scaled]
     assert sum(c != v for c, v in zip(scaled, moved)) == 2 and all(abs(v) < P / 2 for v in moved)
     assert spectral_mod._floquet_determinant_holds(op, section, 1, 0)
-    off = RatPoly([v / d ** (16 - k) for k, v in enumerate(moved)], "z")
+    off = tuple(Fraction(v, d ** (16 - k)) for k, v in enumerate(moved))
     assert not spectral_mod._floquet_determinant_holds(op, off, 1, 0)
 
 
@@ -743,19 +763,18 @@ def test_row_sum_bound_dominates_every_charpoly_coefficient(rows):
     sums = [sum(map(abs, row)) for row in rows]
     for top in range(n + 1):
         bound = spectral_mod._row_sum_bound(sums, top)
-        assert all(abs(cp.coeff(n - k)) <= bound for k in range(top + 1))
+        assert all(abs(cp[n - k]) <= bound for k in range(top + 1))
 
 
-def _sympy_real_root_count(f: RatPoly) -> int:
-    x = sympy.Symbol("x")
-    return len(sympy.Poly(list(reversed(f.coeffs)), x, domain="QQ").intervals())
+def _sympy_real_root_count(f) -> int:
+    return len(sympy.Poly(expr(f), Z, domain="QQ").intervals())
 
 
 def test_resonances_3_4_are_finite_with_the_exact_real_count():
     # rho has degree 36 and coefficients up to 293 bits; a start circle of
     # radius 1 + max|c_k/c_n| = 2.3e15 overflows in its 36th power
     rs = resonances(char_determinant(random_operator(1, 3, 4)))
-    assert rs.rho.degree == 36 and len(rs.values) == 36
+    assert len(rs.rho) - 1 == 36 and len(rs.values) == 36
     assert all(math.isfinite(v.real) and math.isfinite(v.imag) for v in rs.values)
     assert sum(rs.real) == _sympy_real_root_count(rs.rho) == 16
 
@@ -764,20 +783,20 @@ def test_resonances_4_4_complete():
     # some real roots of this rho still come out off the axis, unpaired,
     # with imaginary parts up to 8e-5, so only completion is asserted here
     rs = resonances(char_determinant(random_operator(7, 4, 4)))
-    assert len(rs.values) == rs.rho.degree == 48
+    assert len(rs.values) == len(rs.rho) - 1 == 48
     assert all(math.isfinite(v.real) and math.isfinite(v.imag) for v in rs.values)
 
 
 def test_build_char_determinant_rejects_bad_shapes():
-    one = RatPoly.one("z")
+    one = (Fraction(1),)
     with pytest.raises(InternalConsistencyError, match="tau-degree 1"):
-        build_char_determinant((one, zpoly(0, -1)), 1, 1, None)
+        build_char_determinant((one, (0, -1)), 1, 1, None)
     with pytest.raises(InternalConsistencyError, match="palindrome"):
-        build_char_determinant((one, zpoly(0, -1), zpoly(2)), 1, 1, None)
+        build_char_determinant((one, (0, -1), (2,)), 1, 1, None)
     with pytest.raises(InternalConsistencyError, match="exceeds"):
-        build_char_determinant((one, zpoly(0, 0, -1), one), 1, 1, None)
+        build_char_determinant((one, (0, 0, -1), one), 1, 1, None)
     with pytest.raises(InternalConsistencyError, match="deg xi_m"):
-        build_char_determinant((one, RatPoly.zero("z"), one), 1, 1, None)
+        build_char_determinant((one, (), one), 1, 1, None)
 
 
 def _status(report, name):
@@ -787,7 +806,7 @@ def _status(report, name):
 
 def test_verify_symplectic_check_fails_on_a_non_symplectic_monodromy(monkeypatch):
     # doubling a row doubles det M_p, and M^T W M = W forces det M = +-1
-    real = spectral_mod._monodromy_exact
+    real = spectral_mod.monodromy_at
 
     def doubled_row(parts, x):
         M = real(parts, x)
@@ -796,7 +815,7 @@ def test_verify_symplectic_check_fails_on_a_non_symplectic_monodromy(monkeypatch
 
     op = random_operator(1, 2, 2)
     assert _status(verify_identities(op), "symplectic-normalization") == "pass"
-    monkeypatch.setattr(spectral_mod, "_monodromy_exact", doubled_row)
+    monkeypatch.setattr(spectral_mod, "monodromy_at", doubled_row)
     assert _status(verify_identities(op), "symplectic-normalization") == "fail"
 
 
@@ -843,7 +862,7 @@ def _asymptotes(op, z0=1000.0):
                      key=lambda w: (w.real, w.imag))
     rho, degenerate = resonance_poly(cd)
     dis = discriminant(charpoly([[Fraction(x) / 2 for x in row] for row in ap]))
-    rho_ratio = complex(rho(z0)) / z0 ** (p * m * (m - 1))
+    rho_ratio = complex(horner(rho, z0)) / z0 ** (p * m * (m - 1))
     return scaled, targets, rho_ratio, None if degenerate or dis == 0 else float(dis)
 
 
@@ -856,9 +875,9 @@ def test_leading_asymptotics_free():
     op = free_operator(2, 2)
     cd = char_determinant(op)
     pm = op.p * op.m
-    assert [q.coeff(pm) for q in cd.q] == [1] + [0] * op.m
-    assert cd.xi[op.m].coeff(pm) == cd.c
-    assert all(cd.xi[j].degree <= op.p * j for j in range(2 * op.m + 1))
+    assert [coeff(q, pm) for q in cd.q] == [1] + [0] * op.m
+    assert coeff(cd.xi[op.m], pm) == cd.c
+    assert all(len(cd.xi[j]) - 1 <= op.p * j for j in range(2 * op.m + 1))
     scaled, targets, _, rho_target = _asymptotes(op)
     _assert_branch_asymptote(scaled, targets)
     assert rho_target is None
