@@ -262,23 +262,27 @@ def _squarefree_certificate(parts):
     return None
 
 
-def squarefree_decomposition(f) -> list:
-    """Monic, pairwise coprime g_k with f = lc(f) * prod g_k^k.
+def _exact_form(parts) -> tuple:
+    """The exact polynomial of _gaussian_parts triples: a Fraction where b = 0, a CRational elsewhere."""
+    return tuple(CRational(Fraction(a, s), Fraction(b, s)) if b else Fraction(a, s) for a, b, s in parts)
+
+
+def squarefree_decomposition(parts) -> list:
+    """Monic, pairwise coprime g_k with f = prod g_k^k for a monic f, all as lists of _gaussian_parts triples.
 
     Returns [(g_k, k)] for the factors of degree >= 1, ascending in k.  Root
     multiplicities come out exactly, so callers never have to guess them from
     clustered float approximations.  A squarefree f, the usual case, is
     proved so modulo a prime (see _squarefree_certificate) and returned as
-    [(monic(f), 1)]; when no prime gives the proof, _yun splits f.
+    [(parts, 1)], with no exact polynomial formed; else _yun splits _exact_form(parts).
     """
-    if not f:
+    if not parts:
         raise ValueError("squarefree decomposition of zero polynomial")
-    f = monic(f)
-    if len(f) < 2:
+    if len(parts) < 2:
         return []
-    if len(f) == 2 or _squarefree_certificate(list(map(_gaussian_parts, f))) is not None:
-        return [(f, 1)]
-    return _yun(f)
+    if len(parts) == 2 or _squarefree_certificate(parts) is not None:
+        return [(parts, 1)]
+    return [([_gaussian_parts(c) for c in g], k) for g, k in _yun(_exact_form(parts))]
 
 
 def _yun(f) -> list:

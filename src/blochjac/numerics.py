@@ -67,8 +67,8 @@ def roots_all(f):
     and scales with them, so its n-th power stays in range where the
     roots' own powers do (Bini, Numer. Algorithms 13, 1996). At most
     MAX_ITER sweeps; stops when every point stagnates, then enforces
-    |f(r)| <= DEFAULT_REL_TOL * sum|c_k||r|^k.
-    Exact zero roots are factored out first. Output sorted by (re, im).
+    |f(r)| <= DEFAULT_REL_TOL * sum|c_k||r|^k. Exact zero roots are factored
+    out first; an infinite radius raises OverflowError. Sorted by (re, im).
     """
     cs = _as_complex_coeffs(f)
     if len(cs) < 2:
@@ -83,6 +83,8 @@ def roots_all(f):
     lead = cs[-1]
     mon = [c / lead for c in cs]
     radius = 2 * max(abs(c) ** (1.0 / (n - k)) for k, c in enumerate(mon[:-1]))
+    if not math.isfinite(radius):  # every iterate would be NaN
+        raise OverflowError("the Fujiwara root bound is beyond the float range")
     pts = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     locked = [False] * n
     for _ in range(MAX_ITER):

@@ -15,12 +15,10 @@ from operator import mul
 from typing import NamedTuple
 
 from .exactmath import (
-    CRational,
     _crt,
+    _exact_form,
     _gaussian_parts,
     _primes,
-    _squarefree_certificate,
-    _yun,
     chebyshev,
     charpoly,
     derivative,
@@ -32,6 +30,7 @@ from .exactmath import (
     lincomb,
     mat_mul,
     mat_transpose,
+    monic,
     squarefree_decomposition,
 )
 from .numerics import hermitian_eigs, roots_all
@@ -71,7 +70,8 @@ class CharDeterminant(NamedTuple):
     Phi(z, nu) = D / (2 tau)^m = sum phi_j(z) nu^(m-j) under
     nu = (tau + 1/tau)/2, monic in nu (phi_0 = 1). scaled holds
     (d, the integer coefficients of d * phi_j) per phi_j, ascending in nu,
-    so that evaluation at a point runs Horner over ints (phi_at).
+    so that Phi(z, .) reaches the squarefree split and the root finder as
+    integer triples by Horner over ints (phi_at), exact only where Yun runs.
     """
 
     xi: tuple
@@ -95,7 +95,7 @@ class CharDeterminant(NamedTuple):
 
         With z = (a + b i) / s, homogeneous Horner over ints gives
         s^deg * d * phi_j(z) = re + im i, and the triple is (re, im, d s^deg),
-        the layout of _gaussian_parts.
+        the layout of _gaussian_parts, which squarefree_decomposition takes.
         """
         a, b, s = _gaussian_parts(z)
         out = []
@@ -108,10 +108,6 @@ class CharDeterminant(NamedTuple):
                 re, im = re * a - im * b + c * pw, re * b + im * a
             out.append((re, im, d * pw))
         return out
-
-    def nu_poly_at(self, z) -> tuple:
-        """Phi(z, .) as an exact polynomial in nu, from the triples of phi_at; over Q at a real z."""
-        return tuple(CRational(Fraction(a, s), Fraction(b, s)) if b else Fraction(a, s) for a, b, s in self.phi_at(z))
 
 
 class LyapunovBranch(NamedTuple):
@@ -348,35 +344,41 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     return cd
 
 
-def _exact_roots(parts, what: str) -> list:
-    """roots_all of _gaussian_parts triples, each rounded once; names what when one overflows."""
-    try:
-        cs = [complex(a / s, b / s) for a, b, s in parts]
-    except OverflowError:
-        raise ValueError(f"{what} has a coefficient beyond the float range") from None
-    return roots_all(cs)
+def _roots(parts, what) -> list:
+    """[(roots of g, k)] over squarefree_decomposition(parts), each coefficient of g rounded once, a / s.
+
+    what() names the polynomial where a coefficient or the root bound lies
+    beyond the float range; the name is formatted only then.
+    """
+    out = []
+    for g, k in squarefree_decomposition(parts):
+        try:
+            cs = [complex(a / s, b / s) for a, b, s in g]
+        except OverflowError:
+            raise ValueError(f"{what()} has a coefficient beyond the float range") from None
+        try:
+            out.append((roots_all(cs), k))
+        except OverflowError:
+            raise ValueError(f"{what()} has a root bound beyond the float range") from None
+    return out
 
 
 def branch_values(cd: CharDeterminant, z) -> list:
     """The m branch values of nu at a Fraction, float or complex z, sorted by (re, im).
 
-    Phi(z, .) is evaluated over the integers (phi_at), which prove it
-    squarefree modulo a prime in the usual case. Where none does, repeated
-    roots are split off the exact polynomial first: Aberth splits a k-fold
-    root into a cloud of diameter eps^(1/k), which for a permanently double
-    branch (any free operator with m >= 2) fakes a conjugate pair. At a real
-    z, Phi(z, .) is real: near-real values are snapped to the axis and
-    conjugate values share one real part, so the order of a conjugate pair
-    does not rest on rounding.
+    Phi(z, .) is evaluated over the integers (phi_at), and _roots splits off
+    repeated roots exactly first: Aberth splits a k-fold root into a cloud
+    of diameter eps^(1/k), which for a permanently double branch (any free
+    operator with m >= 2) fakes a conjugate pair. At a real z, Phi(z, .) is
+    real: near-real values are snapped to the axis and conjugate values
+    share one real part, so the order of a conjugate pair does not rest on
+    rounding.
     """
-    zc = complex(z)
-    what = f"Phi(z, nu) at z = {repr(zc.real) if not zc.imag else repr(zc)}"
-    parts = cd.phi_at(z)
-    if cd.m == 1 or _squarefree_certificate(parts) is not None:
-        vals = _exact_roots(parts, what)
-    else:
-        vals = [r for g, k in _yun(cd.nu_poly_at(z))
-                for r in _exact_roots(map(_gaussian_parts, g), what) for _ in range(k)]
+    def what():
+        zc = complex(z)
+        return f"Phi(z, nu) at z = {repr(zc.real) if not zc.imag else repr(zc)}"
+
+    vals = [r for rs, k in _roots(cd.phi_at(z), what) for r in rs for _ in range(k)]
     if not (isinstance(z, complex) and z.imag):
         vals = _conjugate_symmetrize(vals)
     return sorted(vals, key=lambda w: (w.real, w.imag))
@@ -444,7 +446,7 @@ def resonance_poly(cd: CharDeterminant):
     xs = range(-(n // 2), n - n // 2)
     samples = []
     for x in xs:
-        f = cd.nu_poly_at(x)
+        f = _exact_form(cd.phi_at(x))
         r = discriminant(f)
         if not r:
             f = exact_div(f, gcd(f, derivative(f)))
@@ -463,8 +465,8 @@ def resonances(cd: CharDeterminant) -> ResonanceSet:
         return ResonanceSet((), (), (), degenerate, rho)
     clusters = []
     vals = []
-    for g, k in squarefree_decomposition(rho):
-        for r in _conjugate_symmetrize(_exact_roots(map(_gaussian_parts, g), "rho(z)")):
+    for rs, k in _roots([_gaussian_parts(c) for c in monic(rho)], lambda: "rho(z)"):
+        for r in _conjugate_symmetrize(rs):
             clusters.append((r, k))
             vals.extend([r] * k)
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
@@ -492,8 +494,8 @@ def _eigs_at_tau(cd: CharDeterminant, tau0) -> list:
     if len(f) - 1 != cd.p * cd.m:
         raise InternalConsistencyError(f"q(., {tau0}) has degree {len(f) - 1}")
     out = []
-    for g, mult in squarefree_decomposition(f):
-        for r in _exact_roots(map(_gaussian_parts, g), f"q(z, {tau0})"):
+    for rs, mult in _roots([_gaussian_parts(c) for c in f], lambda: f"q(z, {tau0})"):
+        for r in rs:
             if abs(r.imag) > 1e-7:
                 raise InternalConsistencyError(
                     f"non-real root {r} of q(., {tau0}) for a self-adjoint operator"
@@ -630,14 +632,6 @@ def band_structure(cd: CharDeterminant) -> BandStructure:
     return BandStructure(positive, tuple(edges), tuple(branch_bands))
 
 
-def _phase_grid(grid: int) -> list:
-    """grid phases from 0 to 2 pi, bit for bit as linspace(0, 2 pi, grid) spaces them."""
-    if grid < 2:
-        return [0.0] * grid
-    step = 2 * math.pi / (grid - 1)
-    return [i * step for i in range(grid - 1)] + [2 * math.pi]
-
-
 def cross_validate(op: PeriodicOperator, bs: BandStructure, grid: int):
     """Every Floquet eigenvalue of op at grid phases lies within CROSS_TOL of a band of bs.
 
@@ -652,7 +646,7 @@ def cross_validate(op: PeriodicOperator, bs: BandStructure, grid: int):
             f"band computation found no band (candidate edges within EDGE_TOL = {EDGE_TOL} are merged)"
         )
     lo, hi = np.array([(s.lo, s.hi) for s in segs]).T
-    for x in _phase_grid(grid):
+    for x in np.linspace(0, 2 * math.pi, grid).tolist():
         tau = complex(math.cos(x), math.sin(x))
         lams = hermitian_eigs(floquet_matrix(op, tau))
         col = np.array(lams)[:, None]

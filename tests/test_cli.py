@@ -604,6 +604,15 @@ def test_entry_beyond_float_range_exits_2(tmp_path, capsys, argv):
     assert code == 2 and stage in line
 
 
+@pytest.mark.parametrize("z,where", [("0.5", "0.5"), ("0.5,0.25", "(0.5+0.25j)")])
+def test_lyapunov_root_bound_beyond_float_range_exits_2(tmp_path, capsys, z, where):
+    # Phi(0.5, .) = nu + 1e308 + 7/8 has finite coefficients, but the root
+    # finder's start radius 2e308 is not
+    doc = {"p": 2, "m": 1, "a": [[["1"]], [["1"]]], "b": [[["4e308"]], [["0"]]]}
+    code, line = run_error_line(capsys, ["lyapunov", write_json(tmp_path, doc, "big.json"), "--z", z])
+    assert code == 2 and f"Phi(z, nu) at z = {where}" in line
+
+
 def test_recover_eigenvalue_beyond_float_range_exits_2(tmp_path, capsys):
     data = {"p": 2, "m": 1, "kappas": [0.0, math.pi], "lambda_sets": [[-2, 1e308], [0]]}
     assert run_error(capsys, ["recover", write_json(tmp_path, data, "big.json")]) == 2
@@ -712,10 +721,10 @@ def test_d_evaluates_the_monodromy_once_per_point(monkeypatch):
 def test_lyapunov_proves_phi_squarefree_without_an_exact_polynomial(tmp_path, capsys, monkeypatch):
     # Phi(x, .) is squarefree at every grid point, which the integer certificate proves
     path = write_json(tmp_path, cli.operator_to_document(random_operator(1, 3, 3)), "op.json")
-    counts = count_calls(monkeypatch, "squarefree_decomposition")
+    counts = count_calls(monkeypatch, "_exact_form", "_yun")
     code, _ = run_cli(capsys, ["lyapunov", path, "--z-grid=-3:3:50"])
     assert code == 0
-    assert counts == {"squarefree_decomposition": 0}
+    assert counts == {"_exact_form": 0, "_yun": 0}
 
 
 def test_bands_builds_the_float_form_once_and_solves_every_phase(tmp_path, capsys, monkeypatch):

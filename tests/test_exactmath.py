@@ -182,21 +182,43 @@ def test_gcd_examples():
     assert gcd(coeffs((Z - 1) ** 2), coeffs(Z**2 - 1)) == coeffs(Z - 1)
 
 
+def squarefree(f):
+    """squarefree_decomposition of monic(f) through its triples, the factors read back exactly."""
+    return [(exactmath._exact_form(g), k)
+            for g, k in squarefree_decomposition([exactmath._gaussian_parts(c) for c in (monic(f) if f else f)])]
+
+
+def big_rationals():
+    return st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**20))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(big_rationals(), st.builds(CRational, big_rationals(), big_rationals())), max_size=6))
+def test_exact_form_inverts_gaussian_parts_and_rounds_once(f):
+    # each triple (a, b, s) gives back its coefficient exactly, and a / s, b / s
+    # are the correctly rounded parts, so the root finder sees complex(c)
+    f = tuple(f)
+    assert exactmath._exact_form(map(exactmath._gaussian_parts, f)) == f
+    for c in f:
+        a, b, s = exactmath._gaussian_parts(c)
+        assert complex(a / s, b / s) == complex(c)
+
+
 def test_squarefree_decomposition():
     f = coeffs(7 * (Z - 1) ** 2 * (Z + 2))
-    assert squarefree_decomposition(f) == [(coeffs(Z + 2), 1), (coeffs(Z - 1), 2)]
-    assert squarefree_decomposition(coeffs(Z**3)) == [(coeffs(Z), 3)]
-    assert squarefree_decomposition(coeffs((Z - 3) ** 2 * (Z + 1) ** 2)) == [(coeffs((Z - 3) * (Z + 1)), 2)]
-    assert squarefree_decomposition((Fraction(5),)) == []
+    assert squarefree(f) == [(coeffs(Z + 2), 1), (coeffs(Z - 1), 2)]
+    assert squarefree(coeffs(Z**3)) == [(coeffs(Z), 3)]
+    assert squarefree(coeffs((Z - 3) ** 2 * (Z + 1) ** 2)) == [(coeffs((Z - 3) * (Z + 1)), 2)]
+    assert squarefree((Fraction(5),)) == []
     with pytest.raises(ValueError):
-        squarefree_decomposition(())
+        squarefree(())
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(rationals(), min_size=1, max_size=3), st.integers(min_value=1, max_value=3))
 def test_squarefree_decomposition_rebuilds(roots, extra_mult):
     f = coeffs(math.prod((Z - sympy.Rational(r) for r in roots), start=(Z - 99) ** extra_mult))
-    rebuilt = math.prod((expr(g) ** k for g, k in squarefree_decomposition(f)), start=sympy.Integer(1))
+    rebuilt = math.prod((expr(g) ** k for g, k in squarefree(f)), start=sympy.Integer(1))
     assert coeffs(rebuilt) == f
 
 
@@ -217,7 +239,7 @@ def test_squarefree_decomposition_matches_sympy(gc, hc, k):
     if sympy.degree(G, Z) < 1 or sympy.degree(H, Z) < 1:
         return
     f = coeffs(G * H**k)
-    got = sorted((list(part), mult) for part, mult in squarefree_decomposition(f))
+    got = sorted((list(part), mult) for part, mult in squarefree(f))
     assert got == _monic_sqf_list(f)
 
 
@@ -263,29 +285,29 @@ def test_certificate_skips_an_unlucky_first_prime():
     # disc(z^2 - P0) = 4 P0: z^2 - P0 = z^2 mod P0, so only a later prime proves it
     f = coeffs(Z**2 - P0)
     assert certificate(f) == P1
-    assert squarefree_decomposition(f) == [(f, 1)]
+    assert squarefree(f) == [(f, 1)]
     # P0 divides the cleared leading coefficient: P0 is skipped, not asked
     f = coeffs(P0 * Z**2 + Z + 1)
     g = coeffs(Z**2 + (Z + 1) / sympy.Integer(P0))
     assert certificate(g) == P1
-    assert squarefree_decomposition(f) == [(g, 1)]
+    assert squarefree(f) == [(g, 1)]
 
 
 def test_certificate_without_a_lucky_prime_falls_back_to_yun():
     f = coeffs(Z**2 - math.prod(P for P, _ in exactmath._CERTIFICATE))
     assert certificate(f) is None
-    assert squarefree_decomposition(f) == [(f, 1)]
+    assert squarefree(f) == [(f, 1)]
     assert certificate(coeffs((Z - 1) ** 2 * (Z + 2))) is None
 
 
 def test_certificate_maps_i_to_a_square_root_of_minus_one():
     f = coeffs((Z - sympy.I) * (Z + 2 * sympy.I) * (Z - 1))
     assert certificate(f) is not None
-    assert squarefree_decomposition(f) == [(f, 1)]
+    assert squarefree(f) == [(f, 1)]
     # (z - i)^2 (z + 3) would look squarefree if i were mapped to anything else
     f = coeffs((Z - sympy.I) ** 2 * (Z + 3))
     assert certificate(f) is None
-    assert squarefree_decomposition(f) == [(coeffs(Z + 3), 1), (coeffs(Z - sympy.I), 2)]
+    assert squarefree(f) == [(coeffs(Z + 3), 1), (coeffs(Z - sympy.I), 2)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,10 +364,11 @@ def test_bipoly_arithmetic_and_subs():
     cd = char_determinant(free_operator(2, 2))
     assert cd.phi == ((1,), coeffs(-2 * branch), coeffs(branch**2))
     for x in (Fraction(-3), Fraction(1, 2), Fraction(5, 3)):
-        assert cd.nu_poly_at(x) == coeffs((NU - branch.subs(Z, sympy.Rational(x))) ** 2, NU)
-        assert all(type(c) is Fraction for c in cd.nu_poly_at(x))
+        phi = exactmath._exact_form(cd.phi_at(x))
+        assert phi == coeffs((NU - branch.subs(Z, sympy.Rational(x))) ** 2, NU)
+        assert all(type(c) is Fraction for c in phi)
     # off the real axis the coefficients are Gaussian: b(1/2 + i/4) = -29/32 + i/8
-    assert cd.nu_poly_at(complex(0.5, 0.25))[1] == CRational(Fraction(29, 16), Fraction(-1, 4))
+    assert exactmath._exact_form(cd.phi_at(complex(0.5, 0.25)))[1] == CRational(Fraction(29, 16), Fraction(-1, 4))
 
 
 def test_laurent_bipoly_round_trip():

@@ -72,6 +72,12 @@ def test_roots_nan_iterates_fail_the_contract():
         roots_all([1.0] + [6e10] * 35 + [1.0])
 
 
+def test_roots_refuse_a_start_radius_beyond_the_float_range():
+    # the one root, -1e308, is a float, but the start radius 2e308 is not
+    with pytest.raises(OverflowError, match="float range"):
+        roots_all([1e308, 1.0])
+
+
 def test_roots_wilkinson_20_within_the_contract():
     # a start radius of 1 + max|c_k/c_n| = 1 + 20! overflows in its 20th power
     f = coeffs(math.prod(Z - j for j in range(1, 21)))

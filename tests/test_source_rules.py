@@ -98,3 +98,22 @@ def test_readme_library_table_names_exist():
                 assert hasattr(module, name), f"{module.__name__} has no {name}"
             else:
                 assert name.startswith("blochjac "), name  # a command line, not a name
+
+
+def _readers(tree, name):
+    """The functions, nested ones included, whose bodies read name."""
+    return [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and name in _used_names(f)]
+
+
+def test_one_path_from_an_exact_polynomial_to_its_roots():
+    # squarefree_decomposition alone decides between the certificate and Yun,
+    # and one function in spectral takes a polynomial to its roots
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    for private in ("_yun", "_squarefree_certificate"):
+        for module, tree in trees.items():
+            imported = {alias.name for sub in ast.walk(tree) if isinstance(sub, ast.ImportFrom) for alias in sub.names}
+            if module != "exactmath.py":
+                assert private not in _used_names(tree) | imported, f"{module} reads {private}"
+        assert _readers(trees["exactmath.py"], private) == ["squarefree_decomposition"]
+    for name in ("roots_all", "squarefree_decomposition"):
+        assert len(_readers(trees["spectral.py"], name)) == 1, name

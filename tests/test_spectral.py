@@ -48,7 +48,6 @@ from blochjac.spectral import (
     Segment,
     _conjugate_symmetrize,
     _match_nearest,
-    _phase_grid,
     antiperiodic_eigs,
     band_structure,
     branch_values,
@@ -238,8 +237,9 @@ def test_lyapunov_double_point_example3():
 def exact_route_branch_values(cd, z):
     """branch_values the way it was first written: an exact polynomial, Yun, then Aberth."""
     vals = []
-    for g, k in squarefree_decomposition(cd.nu_poly_at(z)):
-        for r in roots_all([complex(c) for c in g]):
+    f = exactmath._exact_form(cd.phi_at(z))
+    for g, k in squarefree_decomposition([exactmath._gaussian_parts(c) for c in f]):
+        for r in roots_all([complex(c) for c in exactmath._exact_form(g)]):
             vals.extend([r] * k)
     if not (isinstance(z, complex) and z.imag):
         vals = _conjugate_symmetrize(vals)
@@ -259,14 +259,17 @@ def test_integer_branch_values_equal_the_exact_route(seed, p, m):
 
 def test_integer_branch_values_fall_back_to_yun_on_a_double_branch(monkeypatch):
     # free(2, 2) has Phi = (nu - T_2(z/2))^2, so no prime proves it squarefree
+    # (the exact route also runs Yun, so it is taken before the count starts)
     cd = char_determinant(free_operator(2, 2))
+    points = (Fraction(1, 3), 0.5, complex(0.5, 0.25))
+    want = [exact_route_branch_values(cd, z) for z in points]
     calls = []
-    real = spectral_mod._yun
-    monkeypatch.setattr(spectral_mod, "_yun", lambda f: calls.append(f) or real(f))
-    for z in (Fraction(1, 3), 0.5, complex(0.5, 0.25)):
+    real = exactmath._yun
+    monkeypatch.setattr(exactmath, "_yun", lambda f: calls.append(f) or real(f))
+    for z, exact in zip(points, want):
         a, b = branch_values(cd, z)
         assert a == b
-        assert branch_values(cd, z) == exact_route_branch_values(cd, z)
+        assert branch_values(cd, z) == exact
     assert len(calls) == 6
 
 
@@ -282,7 +285,6 @@ def test_branch_values_runs_one_certificate_per_point_before_yun(monkeypatch):
         return real(parts)
 
     monkeypatch.setattr(exactmath, "_squarefree_certificate", counted)
-    monkeypatch.setattr(spectral_mod, "_squarefree_certificate", counted)
     for k in range(50):
         branch_values(cd, -3 + 6 * k / 49)
     assert len(calls) == 50
@@ -555,6 +557,17 @@ def test_cross_validation_guard():
     assert str(exc.value) == "Floquet eigenvalue -2.0 at x=0.0 misses every band by 1.5"
 
 
+@pytest.mark.parametrize("grid", [2, 3, 257])
+def test_cross_validation_visits_the_linspace_phases(monkeypatch, grid):
+    op = free_operator(2, 1)
+    bands = band_structure(char_determinant(op))
+    taus = []
+    real = spectral_mod.floquet_matrix
+    monkeypatch.setattr(spectral_mod, "floquet_matrix", lambda op, tau: taus.append(tau) or real(op, tau))
+    cross_validate(op, bands, grid)
+    assert taus == [complex(math.cos(x), math.sin(x)) for x in np.linspace(0.0, 2 * math.pi, grid)]
+
+
 @pytest.mark.parametrize("lo,hi", [(-3.0, math.nan), (math.nan, 3.0), (math.nan, math.nan)])
 def test_cross_validation_fails_a_band_with_a_nan_edge(lo, hi):
     # (-3, 3) holds every Floquet eigenvalue of free(2, 1); a NaN edge must not pass
@@ -562,12 +575,6 @@ def test_cross_validation_fails_a_band_with_a_nan_edge(lo, hi):
     fake = BandStructure((Segment(lo, hi, 1),), (), ((lo, hi),))
     with pytest.raises(InternalConsistencyError, match="misses every band by nan"):
         cross_validate(op, fake, 33)
-
-
-@pytest.mark.parametrize("grid", [2, 3, 257, 4097, 10**5])
-def test_phase_grid_is_numpy_linspace_bit_for_bit(grid):
-    want = np.linspace(0.0, 2 * math.pi, grid)
-    assert [x.hex() for x in _phase_grid(grid)] == [float(x).hex() for x in want]
 
 
 def test_dual_route_tamper_detected(monkeypatch):
@@ -694,7 +701,7 @@ def test_resonance_poly_is_the_pointwise_discriminant(seed, shape, x):
     cd = char_determinant(random_operator(seed, *shape))
     rho, degenerate = resonance_poly(cd)
     assert not degenerate
-    want = discriminant(cd.nu_poly_at(x)) if cd.m > 1 else 1
+    want = discriminant(exactmath._exact_form(cd.phi_at(x))) if cd.m > 1 else 1
     assert horner(rho, x) == want
 
 
@@ -711,7 +718,7 @@ def test_resonance_poly_partial_degeneracy_skips_unlucky_points():
     # so the deflated rho is (D0 - D2)^2 = z^2. At the centre sample z = 0 all
     # three branches meet, so that point must not set the degree
     cd = char_determinant(partially_degenerate_operator())
-    ((_, k),) = squarefree_decomposition(cd.nu_poly_at(Fraction(0)))
+    ((_, k),) = squarefree_decomposition(cd.phi_at(Fraction(0)))
     assert k == 3
     assert resonance_poly(cd) == ((0, 0, 1), True)
 
