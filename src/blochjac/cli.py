@@ -233,7 +233,7 @@ def _band_payload(bs, gaps) -> dict:
 
 def cmd_bands(args) -> int:
     op, digest = _load_operator(args)
-    bs = band_structure(char_determinant(op))
+    bs = band_structure(char_determinant(op), op)
     cross_validate(op, bs, args.grid)
     _emit(_result("bands", digest, _band_payload(bs, classify_gaps(bs))))
     return EXIT_OK

@@ -1,8 +1,5 @@
-"""Built-in operator families used by the CLI, the tests, and the acceptance suite."""
+"""The built-in operators that `blochjac example` emits; the tests build them too."""
 
-from __future__ import annotations
-
-import random
 from fractions import Fraction
 
 from .operators import PeriodicOperator
@@ -21,11 +18,7 @@ def period4_block_operator(alphas, betas) -> PeriodicOperator:
     a_1 = ((1, b1), (0, 1)), a_2 = ((1, b3), (0, 1))."""
     a0, a1, a2, a3 = (Fraction(x) for x in alphas)
     b0, b1, b2, b3 = (Fraction(x) for x in betas)
-    bmat1 = [[a0, b0], [b0, a1]]
-    bmat2 = [[a2, b2], [b2, a3]]
-    amat1 = [[Fraction(1), b1], [Fraction(0), Fraction(1)]]
-    amat2 = [[Fraction(1), b3], [Fraction(0), Fraction(1)]]
-    return PeriodicOperator([amat1, amat2], [bmat1, bmat2])
+    return PeriodicOperator([[[1, b1], [0, 1]], [[1, b3], [0, 1]]], [[[a0, b0], [b0, a1]], [[a2, b2], [b2, a3]]])
 
 
 def example1_diag(alphas=(1, 0, -1, 2)) -> PeriodicOperator:
@@ -47,59 +40,3 @@ def example3(t) -> PeriodicOperator:
 def example4(t) -> PeriodicOperator:
     """alpha = (0, 1, 0, 1), beta = (t, 0, 0, 0)."""
     return period4_block_operator((0, 1, 0, 1), (t, 0, 0, 0))
-
-
-def scalar_operator(a_values, b_values) -> PeriodicOperator:
-    """m = 1 operator from plain scalar lists."""
-    return PeriodicOperator([[[Fraction(x)]] for x in a_values],
-                            [[[Fraction(x)]] for x in b_values])
-
-
-def rotation_operator(p: int) -> PeriodicOperator:
-    """m = 2, b = 0, every a_n the rational rotation ((3/5, -4/5), (4/5, 3/5)).
-
-    Satisfies a_n a_n^T = I with det a_n = 1: an equality case of the trace
-    lower bound.
-    """
-    rot = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
-    zero = [[Fraction(0)] * 2 for _ in range(2)]
-    return PeriodicOperator([rot] * p, [zero] * p)
-
-
-def _rand_fraction(rng, num=4, dens=(2, 3, 4)):
-    return Fraction(rng.randint(-num, num), rng.choice(dens))
-
-
-def random_operator(seed: int, p: int, m: int) -> PeriodicOperator:
-    """Seeded random operator with symmetric b and exactly-invertible a.
-
-    b entries live in [-2, 2]; each a_n is a product of unit triangular
-    matrices (so its determinant is 1), except a_1 which gets one row scaled
-    by a nonzero rational to exercise nontrivial leading constants.
-    """
-    rng = random.Random(seed)
-    a_list, b_list = [], []
-    for n in range(p):
-        bmat = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            bmat[i][i] = _rand_fraction(rng)
-            for j in range(i + 1, m):
-                v = _rand_fraction(rng)
-                bmat[i][j] = v
-                bmat[j][i] = v
-        lo = [[Fraction(i == j) for j in range(m)] for i in range(m)]
-        up = [[Fraction(i == j) for j in range(m)] for i in range(m)]
-        for i in range(m):
-            for j in range(i):
-                lo[i][j] = _rand_fraction(rng, 2)
-            for j in range(i + 1, m):
-                up[i][j] = _rand_fraction(rng, 2)
-        amat = [[sum(lo[i][k] * up[k][j] for k in range(m)) for j in range(m)]
-                for i in range(m)]
-        if n == 0:
-            s = rng.choice([Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(-1),
-                            Fraction(1, 3), Fraction(1)])
-            amat[0] = [s * x for x in amat[0]]
-        a_list.append(amat)
-        b_list.append(bmat)
-    return PeriodicOperator(a_list, b_list)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
+from fractions import Fraction
 
 DEFAULT_REL_TOL = 1e-12
 MAX_ITER = 500
@@ -135,12 +137,76 @@ def roots_all(f):
     return sorted(out, key=lambda r: (r.real, r.imag))
 
 
+def _sign_at(ints, x) -> int:
+    """The sign of sum_k ints[k] x^k at a float or Fraction x = a / s, exactly, by Horner over ints in a and s."""
+    a, s = x.as_integer_ratio()
+    acc = 0
+    pw = 1  # s^k at step k
+    for k, c in enumerate(reversed(ints)):
+        if k:
+            pw *= s
+        acc = acc * a + c * pw
+    return (acc > 0) - (acc < 0)
+
+
+def _ordinal(x: float) -> int:
+    """The place of x among the doubles: adjacent doubles differ by 1, and 0.0 and -0.0 are both 0."""
+    n = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return n if x >= 0 else -n
+
+
+def _double(n: int) -> float:
+    """The double at place n (_ordinal's inverse)."""
+    x = struct.unpack("<d", struct.pack("<q", abs(n)))[0]
+    return x if n >= 0 else -x
+
+
+def certified_roots(ints, seeds, eigensolver: bool) -> list:
+    """The real roots of the squarefree g = sum_k ints[k] z^k, each as the double nearest to it.
+
+    Around each seed x, g must change sign exactly (_sign_at) across
+    [x - w, x] or [x, x + w]. w starts at 4 ulps of max(|x|, max |seeds|),
+    absolute so that a root at 0 gets a bracket too, and doubles up to
+    1e-10 max |seeds| for eigenvalues (hermitian_eigs' contract), or half
+    the gap to the next seed for Aberth's roots of g. Bisection over the
+    doubles in order ends at a zero or two adjacent doubles, and the sign at
+    their exact midpoint picks the nearer (float of the midpoint on a tie).
+    The final brackets are disjoint, so deg g of them prove every root real.
+    """
+    norm = max(map(abs, seeds), default=0.0)
+    found = {}
+    for n, x in enumerate(seeds):
+        w = 4 * math.ulp(max(abs(x), norm))
+        # a lone Aberth seed is the root of a linear g, which is real
+        gap = min((abs(x - y) for k, y in enumerate(seeds) if k != n), default=math.inf)
+        limit = 1e-10 * norm if eigensolver else gap / 2
+        while not (pair := next(((a, b) for a, b in ((x - w, x), (x, x + w))
+                                 if _sign_at(ints, a) * _sign_at(ints, b) <= 0), None)) and w < limit:
+            w *= 2
+        if pair is None:
+            continue
+        (i, at_i), (j, at_j) = ((_ordinal(t), _sign_at(ints, t)) for t in pair)
+        while j - i > 1 and at_i:  # at_i at_j <= 0, and at_i stays nonzero
+            k = (i + j) // 2
+            at_k = _sign_at(ints, _double(k))
+            i, j, at_j = (k, j, at_j) if at_k == at_i else (i, k, at_k)
+        lo, hi = _double(i), _double(j)
+        if not (at_i and at_j):  # a zero at a double
+            found[(i, i) if not at_i else (j, j)] = lo if not at_i else hi
+            continue
+        mid = (Fraction(lo) + Fraction(hi)) / 2
+        at_mid = _sign_at(ints, mid)
+        found[i, j] = float(mid) if not at_mid else lo if at_mid != at_i else hi
+    return sorted(found.values())
+
+
 def hermitian_eigs(H):
     """Ascending real eigenvalues of a Hermitian matrix.
 
     Accepts anything numpy can turn into a square complex matrix; rejects
     inputs whose Hermiticity defect exceeds 1e-12 absolute. Accuracy
-    contract: 1e-10 * ||H||.
+    contract: 1e-10 * ||H||, eps * ||H|| in practice (eigvalsh is backward
+    stable); certified_roots proves each band edge within it.
     """
     import numpy as np
 

@@ -33,7 +33,7 @@ from .exactmath import (
     monic,
     squarefree_decomposition,
 )
-from .numerics import hermitian_eigs, roots_all
+from .numerics import certified_roots, hermitian_eigs, roots_all
 from .operators import (
     PeriodicOperator,
     TransferParts,
@@ -344,11 +344,11 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     return cd
 
 
-def _roots(parts, what) -> list:
-    """[(roots of g, k)] over squarefree_decomposition(parts), each coefficient of g rounded once, a / s.
+def _roots(parts, what, aberth=True) -> list:
+    """[(g, Aberth's roots of g, or None if not aberth, k)] over squarefree_decomposition(parts).
 
-    what() names the polynomial where a coefficient or the root bound lies
-    beyond the float range; the name is formatted only then.
+    Each coefficient of g is rounded once, a / s, in either case; what() names
+    the polynomial where one, or the root bound, lies beyond the float range.
     """
     out = []
     for g, k in squarefree_decomposition(parts):
@@ -357,7 +357,7 @@ def _roots(parts, what) -> list:
         except OverflowError:
             raise ValueError(f"{what()} has a coefficient beyond the float range") from None
         try:
-            out.append((roots_all(cs), k))
+            out.append((g, roots_all(cs) if aberth else None, k))
         except OverflowError:
             raise ValueError(f"{what()} has a root bound beyond the float range") from None
     return out
@@ -378,7 +378,7 @@ def branch_values(cd: CharDeterminant, z) -> list:
         zc = complex(z)
         return f"Phi(z, nu) at z = {repr(zc.real) if not zc.imag else repr(zc)}"
 
-    vals = [r for rs, k in _roots(cd.phi_at(z), what) for r in rs for _ in range(k)]
+    vals = [r for _, rs, k in _roots(cd.phi_at(z), what) for r in rs for _ in range(k)]
     if not (isinstance(z, complex) and z.imag):
         vals = _conjugate_symmetrize(vals)
     return sorted(vals, key=lambda w: (w.real, w.imag))
@@ -465,7 +465,7 @@ def resonances(cd: CharDeterminant) -> ResonanceSet:
         return ResonanceSet((), (), (), degenerate, rho)
     clusters = []
     vals = []
-    for rs, k in _roots([_gaussian_parts(c) for c in monic(rho)], lambda: "rho(z)"):
+    for _, rs, k in _roots([_gaussian_parts(c) for c in monic(rho)], lambda: "rho(z)"):
         for r in _conjugate_symmetrize(rs):
             clusters.append((r, k))
             vals.extend([r] * k)
@@ -489,50 +489,62 @@ def _conjugate_symmetrize(roots):
     return out
 
 
-def _eigs_at_tau(cd: CharDeterminant, tau0) -> list:
+def _eigs_at_tau(cd: CharDeterminant, tau0, op=None) -> list:
+    """The roots of q(., tau0), tau0 = 1 or -1, as (nearest double, multiplicity), ascending.
+
+    They are the eigenvalues of the Hermitian L(tau0): certified_roots proves
+    each squarefree factor's, seeded by hermitian_eigs of op's L(tau0), or
+    by Aberth's roots of the factor without op.
+    """
     f = cd.section(tau0)  # nu0 = tau0 at tau0 = 1 and -1
     if len(f) - 1 != cd.p * cd.m:
         raise InternalConsistencyError(f"q(., {tau0}) has degree {len(f) - 1}")
+    factors = _roots([_gaussian_parts(c) for c in f], lambda: f"q(z, {tau0})", aberth=op is None)
+    eigs = None if op is None else hermitian_eigs(floquet_matrix(op, tau0))
     out = []
-    for rs, mult in _roots([_gaussian_parts(c) for c in f], lambda: f"q(z, {tau0})"):
-        for r in rs:
-            if abs(r.imag) > 1e-7:
-                raise InternalConsistencyError(
-                    f"non-real root {r} of q(., {tau0}) for a self-adjoint operator"
-                )
-            out.append((r.real, mult))
+    for g, rs, k in factors:
+        d = math.lcm(*(s for _, _, s in g))
+        found = certified_roots([a * (d // s) for a, _, s in g], eigs or [r.real for r in rs], eigs is not None)
+        if len(found) != len(g) - 1:
+            raise InternalConsistencyError(f"q(., {tau0}) has a squarefree factor of degree {len(g) - 1} with "
+                                           f"{len(found)} certified real roots; a self-adjoint operator's are real")
+        out.extend((v, k) for v in found)
     return sorted(out)
 
 
-def periodic_eigs(cd: CharDeterminant) -> list:
-    """Roots of q(z, 1) as (value, multiplicity), ascending."""
-    return _eigs_at_tau(cd, Fraction(1))
+def periodic_eigs(cd: CharDeterminant, op=None) -> list:
+    """Roots of q(z, 1) as (value, multiplicity), ascending; see _eigs_at_tau."""
+    return _eigs_at_tau(cd, Fraction(1), op)
 
 
-def antiperiodic_eigs(cd: CharDeterminant) -> list:
-    """Roots of q(z, -1) as (value, multiplicity), ascending."""
-    return _eigs_at_tau(cd, Fraction(-1))
+def antiperiodic_eigs(cd: CharDeterminant, op=None) -> list:
+    """Roots of q(z, -1) as (value, multiplicity), ascending; see _eigs_at_tau."""
+    return _eigs_at_tau(cd, Fraction(-1), op)
 
 
-def _candidate_edges(cd: CharDeterminant):
-    """Sorted deduplicated (value, kinds) from eigenvalues and resonances."""
-    tagged = []
-    for v, _ in periodic_eigs(cd):
-        tagged.append((v, "periodic"))
-    for v, _ in antiperiodic_eigs(cd):
-        tagged.append((v, "antiperiodic"))
-    for center, _ in resonances(cd).clusters:
-        if abs(center.imag) <= 1e-7:
-            tagged.append((center.real, "resonance"))
+def _candidate_edges(cd: CharDeterminant, op=None):
+    """Sorted (value, kinds): the roots of q(., 1) and q(., -1) (_eigs_at_tau), and the real resonances.
+
+    A candidate joins the one before it only when both are the same double,
+    or when one is a real resonance (a float) within EDGE_TOL; two different
+    roots never merge, so no band between them is lost however thin. A
+    merged candidate takes the value of its root, or the mean of its
+    resonances when it has none.
+    """
+    tagged = [(v, "periodic") for v, _ in periodic_eigs(cd, op)]
+    tagged += [(v, "antiperiodic") for v, _ in antiperiodic_eigs(cd, op)]
+    tagged += [(c.real, "resonance") for c, _ in resonances(cd).clusters if abs(c.imag) <= 1e-7]
     tagged.sort(key=lambda t: t[0])
-    merged = []
+    merged = []  # [its root or None, its values, its kinds]
     for v, kind in tagged:
-        if merged and v - merged[-1][0][-1] <= EDGE_TOL:
-            merged[-1][0].append(v)
-            merged[-1][1].add(kind)
+        root = None if kind == "resonance" else v
+        if merged and v - merged[-1][1][-1] <= EDGE_TOL and (root is None or merged[-1][0] in (None, v)):
+            merged[-1][0] = merged[-1][0] if root is None else root
+            merged[-1][1].append(v)
+            merged[-1][2].add(kind)
         else:
-            merged.append(([v], {kind}))
-    return [(sum(vs) / len(vs), frozenset(kinds)) for vs, kinds in merged]
+            merged.append([root, [v], {kind}])
+    return [(sum(vs) / len(vs) if root is None else root, frozenset(kinds)) for root, vs, kinds in merged]
 
 
 def _match_nearest(targets, vals) -> list:
@@ -552,18 +564,20 @@ def _match_nearest(targets, vals) -> list:
     return out
 
 
-def band_structure(cd: CharDeterminant) -> BandStructure:
+def band_structure(cd: CharDeterminant, op=None) -> BandStructure:
     """Bands with multiplicity, edge provenance, and per-branch intervals.
 
-    Candidate edges are the real roots of q(., 1), q(., -1) and the real
-    resonances; multiplicity on each interval between consecutive candidates
-    is the number of real Lyapunov branches inside [-1, 1] at its midpoint.
-    Only D(z, tau) is needed, so bands of a determinant recovered from
-    spectral data come from here too; cross_validate checks them against
-    the Floquet eigenvalues of an operator.
+    Candidate edges are the real roots of q(., 1), q(., -1), certified
+    nearest doubles whatever the seeds (the eigenvalues of op's L(+-1),
+    else Aberth), and the real resonances (_candidate_edges); multiplicity
+    on each interval between consecutive candidates is the number of real
+    Lyapunov branches inside [-1, 1] at its midpoint. Only D(z, tau) is
+    needed, so bands of a determinant recovered from spectral data come
+    from here too; cross_validate checks them against the Floquet
+    eigenvalues of an operator.
     """
     m = cd.m
-    cands = _candidate_edges(cd)
+    cands = _candidate_edges(cd, op)
     if not cands:
         raise InternalConsistencyError("no candidate band edges found")
     values = [v for v, _ in cands]
@@ -578,10 +592,14 @@ def band_structure(cd: CharDeterminant) -> BandStructure:
     prev = prev2 = None
     xprev = xprev2 = 0.0
     for left, right in zip(values, values[1:]):
-        # the interior of linspace(left, right, _SUBSAMPLES + 2), bit for bit
+        # the interior of linspace(left, right, _SUBSAMPLES + 2), bit for bit;
+        # an interval too few ulps wide for distinct interior samples is read
+        # at its exact midpoint alone, so the samples always increase
         step = (right - left) / (_SUBSAMPLES + 1)
-        for idx in range(_SUBSAMPLES):
-            x = left + (idx + 1) * step
+        xs = [left + (idx + 1) * step for idx in range(_SUBSAMPLES)]
+        if not all(a < b for a, b in zip([left] + xs, xs + [right])):
+            xs = [(Fraction(left) + Fraction(right)) / 2]
+        for idx, x in enumerate(xs):
             cur = branch_values(cd, x)
             if prev2 is not None:
                 r = (x - xprev) / (xprev - xprev2)
@@ -590,39 +608,33 @@ def band_structure(cd: CharDeterminant) -> BandStructure:
                 cur = _match_nearest(prev, cur)
             prev2, xprev2 = prev, xprev
             prev, xprev = cur, x
-            if idx == _SUBSAMPLES // 2:
-                mid_flags = tuple(
-                    abs(v.imag) <= REAL_TOL and -1 - 1e-10 <= v.real <= 1 + 1e-10 for v in cur
-                )
+            if idx == len(xs) // 2:
+                mid_flags = tuple(abs(v.imag) <= REAL_TOL and -1 - 1e-10 <= v.real <= 1 + 1e-10 for v in cur)
         member.append(mid_flags)
 
     if not member:  # single candidate point: no interior, no bands
         return BandStructure((), (), tuple(() for _ in range(m)))
 
-    mults = [sum(flags) for flags in member]
-    segments = []
-    for i, mult in enumerate(mults):
-        if segments and segments[-1][2] == mult and segments[-1][1] == values[i]:
-            segments[-1][1] = values[i + 1]
+    segments = []  # the intervals are contiguous, so equal multiplicities join
+    for lo, hi, mult in zip(values, values[1:], map(sum, member)):
+        if segments and segments[-1][2] == mult:
+            segments[-1][1] = hi
         else:
-            segments.append([values[i], values[i + 1], mult])
+            segments.append([lo, hi, mult])
     positive = tuple(Segment(lo, hi, mult) for lo, hi, mult in segments if mult > 0)
 
     branch_bands = []
     for j in range(m):
         bands = []
-        for i, flags in enumerate(member):
-            if not flags[j]:
-                continue
-            if bands and bands[-1][1] == values[i]:
-                bands[-1][1] = values[i + 1]
-            else:
-                bands.append([values[i], values[i + 1]])
-        branch_bands.append(tuple((lo, hi) for lo, hi in bands))
+        for lo, hi, flags in zip(values, values[1:], member):
+            if flags[j] and bands and bands[-1][1] == lo:
+                bands[-1][1] = hi
+            elif flags[j]:
+                bands.append([lo, hi])
+        branch_bands.append(tuple(map(tuple, bands)))
 
-    # band ends are taken from values, and merged candidates lie more than
-    # EDGE_TOL apart, so a branch touches an edge exactly when one of its
-    # band ends is that value
+    # band ends are taken from values, which are distinct doubles, so a
+    # branch touches an edge exactly when one of its band ends is that value
     edges = []
     for value, kinds in cands:
         touching = tuple(j for j in range(m) if any(value in band for band in branch_bands[j]))
@@ -643,7 +655,8 @@ def cross_validate(op: PeriodicOperator, bs: BandStructure, grid: int):
     segs = bs.segments
     if not segs:
         raise InternalConsistencyError(
-            f"band computation found no band (candidate edges within EDGE_TOL = {EDGE_TOL} are merged)"
+            "band computation found no band (candidate edges merge when they are the same double, "
+            f"or when one is a real resonance within EDGE_TOL = {EDGE_TOL} of the other)"
         )
     lo, hi = np.array([(s.lo, s.hi) for s in segs]).T
     for x in np.linspace(0, 2 * math.pi, grid).tolist():
@@ -825,7 +838,7 @@ def verify_identities(op: PeriodicOperator) -> list:
     else:
         report.append(_na("moment-2-lower-bound", "stated for period >= 2"))
 
-    bands = band_structure(cd)
+    bands = band_structure(cd, op)
     cross_validate(op, bands, DEFAULT_GRID)
     norm_inf = float(op.norm_infty())
     lo = bands.segments[0].lo

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from polyref import Z, coeffs, expr
+from testops import random_operator, rotation_operator
 
 from blochjac.exactmath import CRational, det_inv, horner, interpolate, mat_mul
 from blochjac.fixtures import (
@@ -21,8 +22,6 @@ from blochjac.fixtures import (
     example3,
     example4,
     free_operator,
-    random_operator,
-    rotation_operator,
 )
 from blochjac.inverse import (
     InconsistentDataError,

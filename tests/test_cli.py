@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from testops import random_operator
 
 from blochjac import cli, exactmath, operators, spectral
-from blochjac.fixtures import example3, example4, random_operator
+from blochjac.fixtures import example3, example4
 from blochjac.spectral import IdentityCheck
 
 
@@ -728,19 +730,22 @@ def test_lyapunov_proves_phi_squarefree_without_an_exact_polynomial(tmp_path, ca
 
 
 def test_bands_builds_the_float_form_once_and_solves_every_phase(tmp_path, capsys, monkeypatch):
-    # one Floquet matrix and one eigensolve per phase of the default grid, on
-    # the float form of the operator, whose two block layouts (base and
-    # corner) are built once
+    # one Floquet matrix and one eigensolve per phase of the default grid,
+    # plus one each at tau = 1 and -1 that seed the band edges, on the float
+    # form of the operator, whose two block layouts (base and corner) are
+    # built once
     path = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1/2"])
     counts = count_calls(monkeypatch, "floquet_matrix", "hermitian_eigs", "_floquet_layout")
     code, _ = run_cli(capsys, ["bands", path])
     assert code == 0
-    assert counts == {"floquet_matrix": 257, "hermitian_eigs": 257, "_floquet_layout": 2}
+    assert counts == {"floquet_matrix": 259, "hermitian_eigs": 259, "_floquet_layout": 2}
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["resonances", "OP"], ["lyapunov", "OP", "--z", "0"],
                                   ["recover", "DATA"], ["example", "example3", "--t", "1/2"]])
 def test_commands_without_floquet_solves_never_import_numpy(tmp_path, capsys, argv):
+    # recover certifies its band edges from Aberth's roots, with no L(+-1) to
+    # solve, so it stays without numpy, and with it the inverse workload's memory
     path = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1/2"])
     data = write_json(tmp_path, _readme_json("recover")[0], "spectral.json")
     script = (
@@ -758,6 +763,8 @@ def test_commands_without_floquet_solves_never_import_numpy(tmp_path, capsys, ar
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert not done.stdout.endswith("numpy loaded")
+    if argv[0] == "recover":
+        assert '"bands":{' in done.stdout
 
 
 @pytest.mark.parametrize("command", ["bands", "resonances", "verify", "lyapunov"])
@@ -836,8 +843,57 @@ def test_bands_thinner_than_the_merge_tolerance_name_the_stage(tmp_path, capsys)
     path = write_json(tmp_path, doc, "thin.json")
     assert cli.main(["bands", path]) == 3
     err = capsys.readouterr().err
-    assert err == ("error: band computation found no band "
-                   "(candidate edges within EDGE_TOL = 1e-09 are merged)\n")
+    assert err == ("error: band computation found no band (candidate edges merge when they are "
+                   "the same double, or when one is a real resonance within EDGE_TOL = 1e-09 of the other)\n")
+
+
+@pytest.mark.parametrize("shape,thinnest", [((1, 24, 1), 1e-9), ((1, 32, 1), 1e-12), ((2, 32, 1), 1e-10),
+                                             ((1, 16, 3), None)])
+def test_bands_keeps_bands_thinner_than_the_merge_tolerance(tmp_path, capsys, shape, thinnest):
+    # the periodic and antiperiodic edges are certified doubles and merge only
+    # when equal, so bands of width 4.8e-10, 5.4e-13 and 8.7e-12 stay; at
+    # (1; 16,3) the edges used to miss a Floquet eigenvalue by 1.3e-7
+    path = write_json(tmp_path, cli.operator_to_document(random_operator(*shape)), "op.json")
+    segments = run_json(capsys, ["bands", path])["payload"]["segments"]
+    if thinnest is not None:
+        assert min(hi - lo for lo, hi, _ in segments) < thinnest
+
+
+def test_bands_at_period_one_runs_aberth_only_on_linear_polynomials(tmp_path, capsys, monkeypatch):
+    # q(., +-1) is certified from the eigenvalues of L(+-1), and Phi(z, .) is linear in nu
+    degrees = []
+    real = spectral.roots_all
+
+    def recorded(cs):
+        degrees.append(len(cs) - 1)
+        return real(cs)
+
+    monkeypatch.setattr(spectral, "roots_all", recorded)
+    path = write_json(tmp_path, cli.operator_to_document(random_operator(1, 16, 1)), "op.json")
+    code, _ = run_cli(capsys, ["bands", path])
+    assert code == 0
+    assert degrees and max(degrees) == 1
+
+
+@pytest.mark.parametrize("shape", [(1, 48, 1), (1, 64, 1), (1, 32, 2)])
+def test_bands_on_edges_a_few_ulps_apart_ends_in_a_documented_exit(tmp_path, capsys, shape):
+    # at (1; 48,1) a root of q(., 1) and one of q(., -1) lie 4.4e-16 apart, too
+    # close for 17 distinct samples, and the tracker used to divide by zero;
+    # a band narrower than one double still vanishes, which cross-validation
+    # reports as exit 3
+    path = write_json(tmp_path, cli.operator_to_document(random_operator(*shape)), "op.json")
+    assert cli.main(["bands", path]) in (0, 3)
+
+
+@pytest.mark.parametrize("command", ["bands", "verify"])
+def test_edges_past_the_float_range_of_phi_exit_2_naming_the_stage(tmp_path, capsys, command):
+    # the certified edges of q(z, 1) reach 1e160, and Phi(z, .) between them
+    # has a coefficient beyond the float range; this used to exit 3 in the
+    # root finder on q(z, 1)
+    doc = {"p": 2, "m": 1, "a": [[["1"]], [["1"]]], "b": [[["1e160"]], [["0"]]]}
+    code, line = run_error_line(capsys, [command, write_json(tmp_path, doc, "big.json")])
+    assert code == 2
+    assert re.fullmatch(r"error: Phi\(z, nu\) at z = \S+e\+158 has a coefficient beyond the float range", line)
 
 
 def test_verify_exits_5_when_one_floquet_entry_changes(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from polyref import Z, coeffs, expr
+from testops import random_operator
 
 from blochjac import exactmath
 from blochjac.exactmath import (
@@ -24,7 +25,7 @@ from blochjac.exactmath import (
     monic,
     squarefree_decomposition,
 )
-from blochjac.fixtures import free_operator, random_operator
+from blochjac.fixtures import free_operator
 from blochjac.spectral import build_char_determinant, char_determinant, resonance_poly
 
 I = CRational(0, 1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from testops import random_operator
 
 from blochjac import inverse
 from blochjac.fixtures import (
@@ -14,7 +15,6 @@ from blochjac.fixtures import (
     example3,
     example4,
     free_operator,
-    random_operator,
 )
 from blochjac.inverse import (
     InconsistentDataError,

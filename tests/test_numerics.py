@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from polyref import Z, coeffs
 from blochjac.numerics import (
     NonHermitianError,
     RootFindingError,
+    certified_roots,
     hermitian_eigs,
     roots_all,
 )
@@ -142,3 +144,18 @@ def test_hermitian_eigs_trace_and_rotation_invariance():
     eigs2 = hermitian_eigs(U @ A @ U.conj().T)
     assert np.allclose(eigs, eigs2, atol=1e-9)
 
+
+@pytest.mark.parametrize("root", [Fraction(0), Fraction(-7, 3), Fraction(2 * 10**100),
+                                  1 + Fraction(3, 2**54), 1 + Fraction(1, 2**53), Fraction(1, 10**300)])
+def test_certified_roots_are_the_nearest_doubles(root):
+    # 1 + 3/2^54 lies nearer to 1 + 2^-52 than to 1; 1 + 2^-53 is a tie,
+    # which float rounds to even, 1; a root at or near 0 gets an absolute bracket
+    g = [-root.numerator, root.denominator]
+    for seed in (float(root), float(root) + 1e-15 * max(1.0, abs(float(root)))):
+        assert certified_roots(g, [seed, 4.0], True) == [float(root)]
+        assert certified_roots(g, [seed], False) == [float(root)]
+
+
+def test_certified_roots_count_only_real_roots():
+    # z^2 + 1 has no real root; two Aberth seeds share the real part 0
+    assert certified_roots([1, 0, 1], [0.0, 0.0], False) == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from testops import random_operator, scalar_operator
 
 from blochjac.exactmath import (
     CRational,
@@ -19,8 +20,6 @@ from blochjac.exactmath import (
 from blochjac.fixtures import (
     example1_diag,
     free_operator,
-    random_operator,
-    scalar_operator,
 )
 from blochjac.numerics import hermitian_eigs
 from blochjac.operators import (

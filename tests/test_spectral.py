@@ -11,14 +11,18 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from polyref import Z, coeffs, expr
+from testops import random_operator, rotation_operator, scalar_operator
 
 import blochjac.exactmath as exactmath
 import blochjac.spectral as spectral_mod
 from blochjac.exactmath import (
     CRational,
     _primes,
+    derivative,
     det_inv,
     discriminant,
+    exact_div,
+    gcd,
     horner,
     interpolate,
     mat_mul,
@@ -29,9 +33,6 @@ from blochjac.fixtures import (
     example3,
     example4,
     free_operator,
-    random_operator,
-    rotation_operator,
-    scalar_operator,
 )
 from blochjac.numerics import hermitian_eigs, roots_all
 from blochjac.operators import (
@@ -374,6 +375,50 @@ def test_periodic_antiperiodic_example2():
     # beta = 2 merges the double periodic eigenvalue with a simple one.
     per = periodic_eigs(char_determinant(example2_const(2)))
     assert [(round(v, 9), k) for v, k in per] == [(-2.0, 3), (6.0, 1)]
+
+
+def _signs_half_an_ulp_around(f, v):
+    """The exact signs of the polynomial f at the midpoints between the double v and its two neighbours."""
+    out = []
+    for side in (-math.inf, math.inf):
+        y = horner(f, (Fraction(v) + Fraction(math.nextafter(v, side))) / 2)
+        out.append((y > 0) - (y < 0))
+    return out
+
+
+EDGE_SHAPES = [(p, m) for p in (1, 2, 3) for m in (1, 2, 3)] + [(2, 4), (16, 1), (32, 1)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 50), st.sampled_from(EDGE_SHAPES))
+def test_periodic_and_antiperiodic_edges_are_the_doubles_nearest_the_roots(seed, shape):
+    # the edge theorem in doubles: each root of q(., +-1) comes out as the
+    # double nearest to it, so the squarefree part of q(., +-1) changes sign,
+    # or vanishes, between the half-ulp points around it; the multiplicities
+    # add up to pm, so every root is found
+    op = random_operator(seed, *shape)
+    cd = char_determinant(op)
+    edges = band_structure(cd, op).edges
+    for tau0, kind, eigs in ((1, "periodic", periodic_eigs), (-1, "antiperiodic", antiperiodic_eigs)):
+        f = cd.section(Fraction(tau0))
+        g = exact_div(f, gcd(f, derivative(f)))
+        roots = eigs(cd, op)
+        assert sum(k for _, k in roots) == op.p * op.m
+        for v, _ in roots:
+            below, above = _signs_half_an_ulp_around(g, v)
+            assert below * above <= 0, (kind, v)
+        assert {e.value for e in edges if e.kind == kind} <= {v for v, _ in roots}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_operator(1, 3, 3), lambda: random_operator(1, 2, 4), lambda: random_operator(1, 32, 1),
+    lambda: random_operator(2, 32, 1), lambda: free_operator(3, 2), lambda: example2_const(2),
+])
+def test_band_structure_does_not_depend_on_the_edge_seeds(make):
+    # eigenvalues of L(+-1) or Aberth's roots seed the same certified doubles
+    op = make()
+    cd = char_determinant(op)
+    assert band_structure(cd) == band_structure(cd, op)
 
 
 def validated_bands(op):
