@@ -272,7 +272,7 @@ def recover_determinant(sd: SpectralData) -> Recovery:
         section = [_cosine_sum([qj[n] for qj in coeffs], kappa) for n in range(pm + 1)]
         try:
             worst = _max_root_distance(section, sd.lambda_sets[j])
-        except RootFindingError:
+        except (RootFindingError, OverflowError):
             # a limit of the input, such as coefficients 200 orders of magnitude apart
             raise ValueError(
                 f"recovered section at kappa_{j} has coefficients beyond the float root finder"

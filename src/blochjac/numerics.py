@@ -70,7 +70,8 @@ def roots_all(f):
     roots' own powers do (Bini, Numer. Algorithms 13, 1996). At most
     MAX_ITER sweeps; stops when every point stagnates, then enforces
     |f(r)| <= DEFAULT_REL_TOL * sum|c_k||r|^k. Exact zero roots are factored
-    out first; an infinite radius raises OverflowError. Sorted by (re, im).
+    out first. An infinite radius, or an iterate that is not finite (no later
+    sweep recovers from it), raises OverflowError. Sorted by (re, im).
     """
     cs = _as_complex_coeffs(f)
     if len(cs) < 2:
@@ -113,6 +114,8 @@ def roots_all(f):
             denom = 1 - w * s
             step = w if denom == 0 else w / denom
             pts[j] = z - step
+            if not cmath.isfinite(pts[j]):
+                raise OverflowError("an Aberth iterate left the float range")
             if abs(step) <= STAGNATION * (1 + abs(pts[j])):
                 locked[j] = True
             else:
@@ -138,14 +141,17 @@ def roots_all(f):
 
 
 def _sign_at(ints, x) -> int:
-    """The sign of sum_k ints[k] x^k at a float or Fraction x = a / s, exactly, by Horner over ints in a and s."""
+    """The sign of sum_k ints[k] x^k, exactly, at a double or the midpoint of two, x = a / 2^e.
+
+    Horner over ints in a, with each power of the denominator 2^e applied as
+    a shift; certified_roots evaluates only at such points.
+    """
     a, s = x.as_integer_ratio()
+    e = s.bit_length() - 1
+    assert s == 1 << e, "a dyadic x is required"
     acc = 0
-    pw = 1  # s^k at step k
     for k, c in enumerate(reversed(ints)):
-        if k:
-            pw *= s
-        acc = acc * a + c * pw
+        acc = acc * a + (c << (e * k))
     return (acc > 0) - (acc < 0)
 
 
@@ -180,12 +186,12 @@ def certified_roots(ints, seeds, eigensolver: bool) -> list:
         # a lone Aberth seed is the root of a linear g, which is real
         gap = min((abs(x - y) for k, y in enumerate(seeds) if k != n), default=math.inf)
         limit = 1e-10 * norm if eigensolver else gap / 2
-        while not (pair := next(((a, b) for a, b in ((x - w, x), (x, x + w))
-                                 if _sign_at(ints, a) * _sign_at(ints, b) <= 0), None)) and w < limit:
+        at_x = _sign_at(ints, x)
+        while not (end := next((t for t in (x - w, x + w) if _sign_at(ints, t) * at_x <= 0), None)) and w < limit:
             w *= 2
-        if pair is None:
+        if end is None:
             continue
-        (i, at_i), (j, at_j) = ((_ordinal(t), _sign_at(ints, t)) for t in pair)
+        (i, at_i), (j, at_j) = sorted([(_ordinal(x), at_x), (_ordinal(end), _sign_at(ints, end))])
         while j - i > 1 and at_i:  # at_i at_j <= 0, and at_i stays nonzero
             k = (i + j) // 2
             at_k = _sign_at(ints, _double(k))

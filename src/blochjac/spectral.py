@@ -44,7 +44,6 @@ from .operators import (
 )
 
 REAL_TOL = 1e-9
-EDGE_TOL = 1e-9
 CROSS_TOL = 1e-7
 DEFAULT_GRID = 257
 _SUBSAMPLES = 17
@@ -127,7 +126,7 @@ class _Rho(tuple):
 
 
 class ResonanceSet(NamedTuple):
-    """The zeros of rho with real flags, their clusters with multiplicity, and rho itself."""
+    """The zeros of rho, flagged real where proved real, their clusters with multiplicity, and rho itself."""
 
     values: tuple
     real: tuple
@@ -348,7 +347,7 @@ def _roots(parts, what, aberth=True) -> list:
     """[(g, Aberth's roots of g, or None if not aberth, k)] over squarefree_decomposition(parts).
 
     Each coefficient of g is rounded once, a / s, in either case; what() names
-    the polynomial where one, or the root bound, lies beyond the float range.
+    the polynomial where one, or Aberth's iteration on it, leaves the float range.
     """
     out = []
     for g, k in squarefree_decomposition(parts):
@@ -359,8 +358,14 @@ def _roots(parts, what, aberth=True) -> list:
         try:
             out.append((g, roots_all(cs) if aberth else None, k))
         except OverflowError:
-            raise ValueError(f"{what()} has a root bound beyond the float range") from None
+            raise ValueError(f"{what()} has roots that Aberth's iteration cannot reach in the float range") from None
     return out
+
+
+def _certified(g, seeds, eigensolver: bool) -> list:
+    """certified_roots of the squarefree factor g, given as (a, b, s) triples, with its denominators cleared."""
+    d = math.lcm(*(s for _, _, s in g))
+    return certified_roots([a * (d // s) for a, _, s in g], seeds, eigensolver)
 
 
 def branch_values(cd: CharDeterminant, z) -> list:
@@ -459,20 +464,27 @@ def resonance_poly(cd: CharDeterminant):
 
 
 def resonances(cd: CharDeterminant) -> ResonanceSet:
-    """All zeros of rho, conjugate-paired, with exact multiplicities."""
+    """All zeros of rho, conjugate-paired, with exact multiplicities.
+
+    The real ones are the certified_roots of each squarefree factor g of rho,
+    seeded by the real parts of Aberth's roots of g: each is the double
+    nearest to a root of g, proved real by an exact sign change, and only
+    these are flagged real. For each, the Aberth root nearest to it is
+    dropped, and the rest are conjugate-paired (_conjugate_symmetrize).
+    """
     rho, degenerate = resonance_poly(cd)
     if len(rho) <= 1:
         return ResonanceSet((), (), (), degenerate, rho)
-    clusters = []
-    vals = []
-    for _, rs, k in _roots([_gaussian_parts(c) for c in monic(rho)], lambda: "rho(z)"):
-        for r in _conjugate_symmetrize(rs):
-            clusters.append((r, k))
-            vals.extend([r] * k)
+    clusters = []  # (value, multiplicity, proved real)
+    for g, rs, k in _roots([_gaussian_parts(c) for c in monic(rho)], lambda: "rho(z)"):
+        real = _certified(g, [r.real for r in rs], False)
+        for x in real:
+            rs.remove(min(rs, key=lambda r: abs(r - x)))
+        clusters += [(complex(x, 0.0), k, True) for x in real] + [(r, k, False) for r in _conjugate_symmetrize(rs)]
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    vals = tuple(sorted(vals, key=lambda w: (w.real, w.imag)))
-    flags = tuple(abs(v.imag) <= REAL_TOL for v in vals)
-    return ResonanceSet(vals, flags, tuple(clusters), degenerate, rho)
+    vals = tuple(v for v, k, _ in clusters for _ in range(k))
+    flags = tuple(real for _, k, real in clusters for _ in range(k))
+    return ResonanceSet(vals, flags, tuple((v, k) for v, k, _ in clusters), degenerate, rho)
 
 
 def _conjugate_symmetrize(roots):
@@ -503,8 +515,7 @@ def _eigs_at_tau(cd: CharDeterminant, tau0, op=None) -> list:
     eigs = None if op is None else hermitian_eigs(floquet_matrix(op, tau0))
     out = []
     for g, rs, k in factors:
-        d = math.lcm(*(s for _, _, s in g))
-        found = certified_roots([a * (d // s) for a, _, s in g], eigs or [r.real for r in rs], eigs is not None)
+        found = _certified(g, eigs or [r.real for r in rs], eigs is not None)
         if len(found) != len(g) - 1:
             raise InternalConsistencyError(f"q(., {tau0}) has a squarefree factor of degree {len(g) - 1} with "
                                            f"{len(found)} certified real roots; a self-adjoint operator's are real")
@@ -512,39 +523,22 @@ def _eigs_at_tau(cd: CharDeterminant, tau0, op=None) -> list:
     return sorted(out)
 
 
-def periodic_eigs(cd: CharDeterminant, op=None) -> list:
-    """Roots of q(z, 1) as (value, multiplicity), ascending; see _eigs_at_tau."""
-    return _eigs_at_tau(cd, Fraction(1), op)
-
-
-def antiperiodic_eigs(cd: CharDeterminant, op=None) -> list:
-    """Roots of q(z, -1) as (value, multiplicity), ascending; see _eigs_at_tau."""
-    return _eigs_at_tau(cd, Fraction(-1), op)
-
-
 def _candidate_edges(cd: CharDeterminant, op=None):
-    """Sorted (value, kinds): the roots of q(., 1) and q(., -1) (_eigs_at_tau), and the real resonances.
+    """Sorted (value, kinds): the roots of q(., 1) and q(., -1) (_eigs_at_tau), and the real zeros of rho.
 
-    A candidate joins the one before it only when both are the same double,
-    or when one is a real resonance (a float) within EDGE_TOL; two different
-    roots never merge, so no band between them is lost however thin. A
-    merged candidate takes the value of its root, or the mean of its
-    resonances when it has none.
+    Each is the double nearest to an exact root (resonances proves the real
+    zeros of rho as _eigs_at_tau proves the eigenvalues), and candidates
+    merge only when they are the same double, so no band between two
+    distinct doubles is lost however thin.
     """
-    tagged = [(v, "periodic") for v, _ in periodic_eigs(cd, op)]
-    tagged += [(v, "antiperiodic") for v, _ in antiperiodic_eigs(cd, op)]
-    tagged += [(c.real, "resonance") for c, _ in resonances(cd).clusters if abs(c.imag) <= 1e-7]
-    tagged.sort(key=lambda t: t[0])
-    merged = []  # [its root or None, its values, its kinds]
-    for v, kind in tagged:
-        root = None if kind == "resonance" else v
-        if merged and v - merged[-1][1][-1] <= EDGE_TOL and (root is None or merged[-1][0] in (None, v)):
-            merged[-1][0] = merged[-1][0] if root is None else root
-            merged[-1][1].append(v)
-            merged[-1][2].add(kind)
-        else:
-            merged.append([root, [v], {kind}])
-    return [(sum(vs) / len(vs) if root is None else root, frozenset(kinds)) for root, vs, kinds in merged]
+    kinds = {}
+    for tau0, kind in ((Fraction(1), "periodic"), (Fraction(-1), "antiperiodic")):
+        for v, _ in _eigs_at_tau(cd, tau0, op):
+            kinds.setdefault(v, set()).add(kind)
+    rs = resonances(cd)
+    for v in (v.real for v, real in zip(rs.values, rs.real) if real):
+        kinds.setdefault(v, set()).add("resonance")
+    return [(v, frozenset(kinds[v])) for v in sorted(kinds)]
 
 
 def _match_nearest(targets, vals) -> list:
@@ -655,8 +649,7 @@ def cross_validate(op: PeriodicOperator, bs: BandStructure, grid: int):
     segs = bs.segments
     if not segs:
         raise InternalConsistencyError(
-            "band computation found no band (candidate edges merge when they are the same double, "
-            f"or when one is a real resonance within EDGE_TOL = {EDGE_TOL} of the other)"
+            "band computation found no band (candidate edges merge only when they are the same double)"
         )
     lo, hi = np.array([(s.lo, s.hi) for s in segs]).T
     for x in np.linspace(0, 2 * math.pi, grid).tolist():

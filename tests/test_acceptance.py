@@ -36,7 +36,7 @@ from blochjac.operators import (
     monodromy_at,
 )
 from blochjac.spectral import (
-    antiperiodic_eigs,
+    _eigs_at_tau,
     DEFAULT_GRID,
     band_structure,
     build_char_determinant,
@@ -44,7 +44,6 @@ from blochjac.spectral import (
     classify_gaps,
     cross_validate,
     lyapunov_at,
-    periodic_eigs,
     resonances,
     verify_identities,
 )
@@ -214,19 +213,19 @@ def test_criterion_4_example4_bands_and_gap():
 @criterion(5, "example2: beta=1 periodic/antiperiodic eigenvalues, beta=2 triple")
 def test_criterion_5_example2_eigenvalues():
     cd = char_determinant(example2_const(1))
-    per = [(v, k) for v, k in periodic_eigs(cd)]
+    per = [(v, k) for v, k in _eigs_at_tau(cd, 1)]
     expected = [(-2, 2), (0, 1), (4, 1)]
     assert len(per) == len(expected)
     for (v, k), (ev, ek) in zip(per, expected):
         assert abs(v - ev) <= 1e-9 and k == ek
-    anti = antiperiodic_eigs(cd)
+    anti = _eigs_at_tau(cd, -1)
     s2 = math.sqrt(2)
     assert len(anti) == 2
     for (v, k), ev in zip(anti, (-s2, s2)):
         assert abs(v - ev) <= 1e-9 and k == 2
 
     cd2 = char_determinant(example2_const(2))
-    triple = [(v, k) for v, k in periodic_eigs(cd2) if abs(v + 2) <= 1e-9]
+    triple = [(v, k) for v, k in _eigs_at_tau(cd2, 1) if abs(v + 2) <= 1e-9]
     assert triple and triple[0][1] == 3
 
 

@@ -606,10 +606,11 @@ def test_entry_beyond_float_range_exits_2(tmp_path, capsys, argv):
     assert code == 2 and stage in line
 
 
-@pytest.mark.parametrize("z,where", [("0.5", "0.5"), ("0.5,0.25", "(0.5+0.25j)")])
+@pytest.mark.parametrize("z,where", [("0.5", "0.5"), ("0.5,0.25", "(0.5+0.25j)"), ("0.3,0.2", "(0.3+0.2j)")])
 def test_lyapunov_root_bound_beyond_float_range_exits_2(tmp_path, capsys, z, where):
     # Phi(0.5, .) = nu + 1e308 + 7/8 has finite coefficients, but the root
-    # finder's start radius 2e308 is not
+    # finder's start radius 2e308 is not; at 0.3 + 0.2i the radius is finite,
+    # but the first Horner step overflows and the iterate is NaN
     doc = {"p": 2, "m": 1, "a": [[["1"]], [["1"]]], "b": [[["4e308"]], [["0"]]]}
     code, line = run_error_line(capsys, ["lyapunov", write_json(tmp_path, doc, "big.json"), "--z", z])
     assert code == 2 and f"Phi(z, nu) at z = {where}" in line
@@ -843,8 +844,7 @@ def test_bands_thinner_than_the_merge_tolerance_name_the_stage(tmp_path, capsys)
     path = write_json(tmp_path, doc, "thin.json")
     assert cli.main(["bands", path]) == 3
     err = capsys.readouterr().err
-    assert err == ("error: band computation found no band (candidate edges merge when they are "
-                   "the same double, or when one is a real resonance within EDGE_TOL = 1e-09 of the other)\n")
+    assert err == "error: band computation found no band (candidate edges merge only when they are the same double)\n"
 
 
 @pytest.mark.parametrize("shape,thinnest", [((1, 24, 1), 1e-9), ((1, 32, 1), 1e-12), ((2, 32, 1), 1e-10),
@@ -873,6 +873,14 @@ def test_bands_at_period_one_runs_aberth_only_on_linear_polynomials(tmp_path, ca
     code, _ = run_cli(capsys, ["bands", path])
     assert code == 0
     assert degrees and max(degrees) == 1
+
+
+@pytest.mark.parametrize("shape", [(7, 4, 4), (1, 2, 6)])
+def test_bands_with_every_real_resonance_certified_exit_0(tmp_path, capsys, shape):
+    # rho has 18 real zeros at (7; 4,4); when 6 of them came out as Aberth
+    # roots off the axis, bands lacked their edges and cross-validation exited 3
+    path = write_json(tmp_path, cli.operator_to_document(random_operator(*shape)), "op.json")
+    assert run_json(capsys, ["bands", path])["payload"]["segments"]
 
 
 @pytest.mark.parametrize("shape", [(1, 48, 1), (1, 64, 1), (1, 32, 2)])

@@ -106,7 +106,8 @@ def _readers(tree, name):
 
 def test_one_path_from_an_exact_polynomial_to_its_roots():
     # squarefree_decomposition alone decides between the certificate and Yun,
-    # and one function in spectral takes a polynomial to its roots
+    # one function in spectral takes a polynomial to its roots, and one
+    # certifies real roots, so no second path to real band edges exists
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     for private in ("_yun", "_squarefree_certificate"):
         for module, tree in trees.items():
@@ -114,5 +115,5 @@ def test_one_path_from_an_exact_polynomial_to_its_roots():
             if module != "exactmath.py":
                 assert private not in _used_names(tree) | imported, f"{module} reads {private}"
         assert _readers(trees["exactmath.py"], private) == ["squarefree_decomposition"]
-    for name in ("roots_all", "squarefree_decomposition"):
+    for name in ("roots_all", "squarefree_decomposition", "certified_roots"):
         assert len(_readers(trees["spectral.py"], name)) == 1, name

@@ -48,8 +48,8 @@ from blochjac.spectral import (
     InternalConsistencyError,
     Segment,
     _conjugate_symmetrize,
+    _eigs_at_tau,
     _match_nearest,
-    antiperiodic_eigs,
     band_structure,
     branch_values,
     build_char_determinant,
@@ -58,7 +58,6 @@ from blochjac.spectral import (
     cross_validate,
     lyapunov_at,
     multipliers_at,
-    periodic_eigs,
     resonance_poly,
     resonances,
     verify_identities,
@@ -357,23 +356,23 @@ def test_resonances_double_point_example4():
 
 def test_periodic_antiperiodic_free():
     cd = char_determinant(free_operator(2, 1))
-    per = periodic_eigs(cd)
+    per = _eigs_at_tau(cd, 1)
     assert [m for _, m in per] == [1, 1]
     assert abs(per[0][0] + 2) < 1e-12 and abs(per[1][0] - 2) < 1e-12
-    assert antiperiodic_eigs(cd) == [(0.0, 2)]
+    assert _eigs_at_tau(cd, -1) == [(0.0, 2)]
 
 
 def test_periodic_antiperiodic_example2():
     cd = char_determinant(example2_const(1))
-    per = periodic_eigs(cd)
+    per = _eigs_at_tau(cd, 1)
     assert [(round(v, 9), k) for v, k in per] == [(-2.0, 2), (0.0, 1), (4.0, 1)]
-    anti = antiperiodic_eigs(cd)
+    anti = _eigs_at_tau(cd, -1)
     r2 = math.sqrt(2)
     assert [k for _, k in anti] == [2, 2]
     assert abs(anti[0][0] + r2) < 1e-12 and abs(anti[1][0] - r2) < 1e-12
 
     # beta = 2 merges the double periodic eigenvalue with a simple one.
-    per = periodic_eigs(char_determinant(example2_const(2)))
+    per = _eigs_at_tau(char_determinant(example2_const(2)), 1)
     assert [(round(v, 9), k) for v, k in per] == [(-2.0, 3), (6.0, 1)]
 
 
@@ -399,10 +398,10 @@ def test_periodic_and_antiperiodic_edges_are_the_doubles_nearest_the_roots(seed,
     op = random_operator(seed, *shape)
     cd = char_determinant(op)
     edges = band_structure(cd, op).edges
-    for tau0, kind, eigs in ((1, "periodic", periodic_eigs), (-1, "antiperiodic", antiperiodic_eigs)):
+    for tau0, kind in ((1, "periodic"), (-1, "antiperiodic")):
         f = cd.section(Fraction(tau0))
         g = exact_div(f, gcd(f, derivative(f)))
-        roots = eigs(cd, op)
+        roots = _eigs_at_tau(cd, tau0, op)
         assert sum(k for _, k in roots) == op.p * op.m
         for v, _ in roots:
             below, above = _signs_half_an_ulp_around(g, v)
@@ -510,8 +509,8 @@ def test_branches_monotone_between_candidates():
     for op in (example4(0), example3(1)):
         cd = char_determinant(op)
         cands = sorted(
-            [v for v, _ in periodic_eigs(cd)]
-            + [v for v, _ in antiperiodic_eigs(cd)]
+            [v for v, _ in _eigs_at_tau(cd, 1)]
+            + [v for v, _ in _eigs_at_tau(cd, -1)]
             + [c.real for c, _ in resonances(cd).clusters if abs(c.imag) < 1e-9]
         )
         for left, right in zip(cands, cands[1:]):
@@ -832,11 +831,36 @@ def test_resonances_3_4_are_finite_with_the_exact_real_count():
 
 
 def test_resonances_4_4_complete():
-    # some real roots of this rho still come out off the axis, unpaired,
-    # with imaginary parts up to 8e-5, so only completion is asserted here
+    # Aberth puts some real roots of this rho off the axis, unpaired, with
+    # imaginary parts up to 8e-5; their real parts still seed certified zeros
     rs = resonances(char_determinant(random_operator(7, 4, 4)))
     assert len(rs.values) == len(rs.rho) - 1 == 48
     assert all(math.isfinite(v.real) and math.isfinite(v.imag) for v in rs.values)
+    assert sum(rs.real) == _sympy_real_root_count(rs.rho) == 18
+    assert sum(v.imag > 0 for v in rs.values) == sum(v.imag < 0 for v in rs.values) == 15
+
+
+RESONANCE_SHAPES = [(p, m) for p in (1, 2, 3) for m in (2, 3)] + [(2, 4), (4, 3)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 50), st.sampled_from(RESONANCE_SHAPES))
+def test_real_resonances_are_counted_exactly_and_are_the_nearest_doubles(seed, shape):
+    # the real zeros of rho are certified like the roots of q(., +-1): as
+    # many are flagged real as sympy isolates, the others pair up, and each
+    # resonance edge of the bands is the double nearest to a root of rho's
+    # squarefree part, whose sign changes between the half-ulp points
+    op = random_operator(seed, *shape)
+    cd = char_determinant(op)
+    rs = resonances(cd)
+    want = sum(k for _, k in sympy.Poly(expr(rs.rho), Z, domain="QQ").intervals())
+    assert sum(rs.real) == want
+    assert sum(v.imag > 0 for v in rs.values) == sum(v.imag < 0 for v in rs.values)
+    g = exact_div(rs.rho, gcd(rs.rho, derivative(rs.rho))) if len(rs.rho) > 1 else rs.rho
+    for e in band_structure(cd, op).edges:
+        if e.kind == "resonance":
+            below, above = _signs_half_an_ulp_around(g, e.value)
+            assert below * above <= 0, e.value
 
 
 def test_build_char_determinant_rejects_bad_shapes():
