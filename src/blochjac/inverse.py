@@ -263,9 +263,7 @@ def recover_determinant(sd: SpectralData) -> Recovery:
     c = 1 / qm0
 
     q = {j: tuple(coeffs[j]) for j in range(m + 1)}
-    D = {}
-    for i in range(2 * m + 1):
-        D[i] = tuple(c * v for v in q[abs(m - i)])
+    D = {i: tuple(c * v for v in q[abs(m - i)]) for i in range(2 * m + 1)}
 
     residuals = []
     for j, kappa in enumerate(kappas):
@@ -290,8 +288,6 @@ def _snap_value(v: complex):
     if abs(v.imag) > SNAP_TOL:
         return None
     x = v.real
-    if abs(x) <= 1e-9:
-        return Fraction(0)
     f = Fraction(x).limit_denominator(SNAP_DENOMINATOR)
     return f if abs(float(f) - x) <= SNAP_TOL else None
 
@@ -300,8 +296,9 @@ def snap_to_rational(rec: Recovery) -> CharDeterminant:
     """Round the recovered determinant to exact rational coefficients.
 
     Every coefficient must sit within 1e-7 of a rational with denominator
-    at most 10^6 (and have negligible imaginary part), or the data is not
-    a clean snapshot of a rational operator and the whole pass refuses.
+    at most 10^6 (and have negligible imaginary part), and all of D must
+    share one such denominator, or the data is not a clean snapshot of a
+    rational operator and the whole pass refuses.
     """
     m = len(rec.q) - 1
     p = (len(rec.q[0]) - 1) // m
@@ -317,6 +314,11 @@ def snap_to_rational(rec: Recovery) -> CharDeterminant:
                 )
             snapped.append(f)
         cols.append(lincomb((1, snapped)))
+    den = 1  # the lcm so far, which stops just past the bound, so the message stays short
+    for f in (f for col in cols for f in col):
+        if (den := math.lcm(den, f.denominator)) > SNAP_DENOMINATOR:
+            raise InconsistentDataError(f"inconsistent spectral data: the snapped D coefficients need a common "
+                                        f"denominator of at least {den}, above {SNAP_DENOMINATOR}")
     try:
         # cols ascend in tau, and xi[j] is the coefficient of tau^(2m-j)
         return build_char_determinant(tuple(reversed(cols)), p, m, None)

@@ -61,9 +61,9 @@ class CharDeterminant(NamedTuple):
     palindromic, xi[j] == xi[2m-j], so xi also lists D's coefficients
     ascending in tau. c is the leading constant. q[j] = xi[m-j] / c, so
     that D / (c tau^m) = q[0] + sum_j q[j] (tau^j + tau^-j), monic of
-    degree pm in z. p and m are the periods, and parts are the transfer
-    parts of the operator D was computed from (None when D came from
-    spectral data).
+    degree pm in z. p and m are the periods. op is the operator
+    char_determinant computed D from and parts are its transfer parts; both
+    are None when D was rebuilt from spectral data.
 
     phi is D written in the Chebyshev variable: the surface polynomial
     Phi(z, nu) = D / (2 tau)^m = sum phi_j(z) nu^(m-j) under
@@ -81,6 +81,7 @@ class CharDeterminant(NamedTuple):
     parts: TransferParts | None
     phi: tuple
     scaled: tuple
+    op: PeriodicOperator | None = None
 
     def section(self, nu0) -> tuple:
         """q(z, tau0) = q[0] + sum_j 2 T_j(nu0) q[j] for nu0 = (tau0 + 1/tau0)/2, exactly.
@@ -335,7 +336,7 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
         raise InternalConsistencyError(
             "determinant route and trace route disagree on D(z, tau)"
         )
-    cd = build_char_determinant(by_tau, op.p, m, parts)
+    cd = build_char_determinant(by_tau, op.p, m, parts)._replace(op=op)
     if cd.c != op.leading_constant():
         raise InternalConsistencyError(
             f"leading constant {cd.c} != (-1)^m det A_p = {op.leading_constant()}"
@@ -501,18 +502,16 @@ def _conjugate_symmetrize(roots):
     return out
 
 
-def _eigs_at_tau(cd: CharDeterminant, tau0, op=None) -> list:
+def _eigs_at_tau(cd: CharDeterminant, tau0) -> list:
     """The roots of q(., tau0), tau0 = 1 or -1, as (nearest double, multiplicity), ascending.
 
     They are the eigenvalues of the Hermitian L(tau0): certified_roots proves
-    each squarefree factor's, seeded by hermitian_eigs of op's L(tau0), or
-    by Aberth's roots of the factor without op.
+    each squarefree factor's, seeded by hermitian_eigs of L(tau0) where D
+    carries its operator (cd.op), else by Aberth's roots of the factor.
     """
     f = cd.section(tau0)  # nu0 = tau0 at tau0 = 1 and -1
-    if len(f) - 1 != cd.p * cd.m:
-        raise InternalConsistencyError(f"q(., {tau0}) has degree {len(f) - 1}")
-    factors = _roots([_gaussian_parts(c) for c in f], lambda: f"q(z, {tau0})", aberth=op is None)
-    eigs = None if op is None else hermitian_eigs(floquet_matrix(op, tau0))
+    factors = _roots([_gaussian_parts(c) for c in f], lambda: f"q(z, {tau0})", aberth=cd.op is None)
+    eigs = None if cd.op is None else hermitian_eigs(floquet_matrix(cd.op, tau0))
     out = []
     for g, rs, k in factors:
         found = _certified(g, eigs or [r.real for r in rs], eigs is not None)
@@ -523,7 +522,7 @@ def _eigs_at_tau(cd: CharDeterminant, tau0, op=None) -> list:
     return sorted(out)
 
 
-def _candidate_edges(cd: CharDeterminant, op=None):
+def _candidate_edges(cd: CharDeterminant):
     """Sorted (value, kinds): the roots of q(., 1) and q(., -1) (_eigs_at_tau), and the real zeros of rho.
 
     Each is the double nearest to an exact root (resonances proves the real
@@ -533,7 +532,7 @@ def _candidate_edges(cd: CharDeterminant, op=None):
     """
     kinds = {}
     for tau0, kind in ((Fraction(1), "periodic"), (Fraction(-1), "antiperiodic")):
-        for v, _ in _eigs_at_tau(cd, tau0, op):
+        for v, _ in _eigs_at_tau(cd, tau0):
             kinds.setdefault(v, set()).add(kind)
     rs = resonances(cd)
     for v in (v.real for v, real in zip(rs.values, rs.real) if real):
@@ -558,22 +557,20 @@ def _match_nearest(targets, vals) -> list:
     return out
 
 
-def band_structure(cd: CharDeterminant, op=None) -> BandStructure:
+def band_structure(cd: CharDeterminant) -> BandStructure:
     """Bands with multiplicity, edge provenance, and per-branch intervals.
 
     Candidate edges are the real roots of q(., 1), q(., -1), certified
-    nearest doubles whatever the seeds (the eigenvalues of op's L(+-1),
-    else Aberth), and the real resonances (_candidate_edges); multiplicity
-    on each interval between consecutive candidates is the number of real
-    Lyapunov branches inside [-1, 1] at its midpoint. Only D(z, tau) is
-    needed, so bands of a determinant recovered from spectral data come
-    from here too; cross_validate checks them against the Floquet
+    nearest doubles whatever the seeds (_eigs_at_tau), and the real
+    resonances (_candidate_edges); multiplicity on each interval between
+    consecutive candidates is the number of real Lyapunov branches inside
+    [-1, 1] at its midpoint. The bands are read off D(z, tau), so a
+    determinant recovered from spectral data, which carries no operator,
+    takes the same path; cross_validate checks them against the Floquet
     eigenvalues of an operator.
     """
     m = cd.m
-    cands = _candidate_edges(cd, op)
-    if not cands:
-        raise InternalConsistencyError("no candidate band edges found")
+    cands = _candidate_edges(cd)
     values = [v for v, _ in cands]
 
     # Track branch identity through sub-sampled interval interiors.  Branches
@@ -831,7 +828,7 @@ def verify_identities(op: PeriodicOperator) -> list:
     else:
         report.append(_na("moment-2-lower-bound", "stated for period >= 2"))
 
-    bands = band_structure(cd, op)
+    bands = band_structure(cd)
     cross_validate(op, bands, DEFAULT_GRID)
     norm_inf = float(op.norm_infty())
     lo = bands.segments[0].lo

@@ -696,11 +696,14 @@ def test_cross_validation_runs_once_per_command(tmp_path, capsys, monkeypatch, c
 
 
 def test_band_structure_alone_builds_no_floquet_matrix(monkeypatch):
-    # the Floquet oracle is cross_validate's, and runs only where an operator is known
+    # a D that carries no operator, as a recovered one, seeds its edges with
+    # Aberth's roots; a D computed from an operator solves its L(1) and L(-1)
     cd = spectral.char_determinant(random_operator(1, 3, 3))
     counts = count_calls(monkeypatch, "floquet_matrix")
-    spectral.band_structure(cd)
+    spectral.band_structure(cd._replace(op=None))
     assert counts == {"floquet_matrix": 0}
+    spectral.band_structure(cd)
+    assert counts == {"floquet_matrix": 2}
 
 
 @pytest.mark.parametrize("command", ["bands", "resonances", "verify", "lyapunov"])

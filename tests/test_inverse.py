@@ -333,6 +333,16 @@ def test_snap_rejects_complex_dirt():
         snap_to_rational(rec._replace(D=dirty))
 
 
+def test_snap_refuses_coefficients_without_a_common_small_denominator():
+    # each coefficient of the ascending recovery sits near some small
+    # rational, but together they need a common denominator beyond 10^6;
+    # the descending recovery of the same operator snaps to its exact D
+    op = random_operator(1, 3, 2)
+    with pytest.raises(InconsistentDataError, match="common denominator of at least .*, above 1000000"):
+        snap_to_rational(recover_determinant(data_for(op, 2, "ascending")))
+    assert snap_to_rational(recover_determinant(data_for(op, 2, "descending"))).xi == char_determinant(op).xi
+
+
 def test_downstream_bands_and_resonances_match():
     op = example4(Fraction(1, 2))
     direct = char_determinant(op)
