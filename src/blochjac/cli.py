@@ -32,12 +32,10 @@ from .inverse import (
 from .numerics import RootFindingError
 from .operators import PeriodicOperator
 from .spectral import (
-    DEFAULT_GRID,
     InternalConsistencyError,
     band_structure,
     char_determinant,
     classify_gaps,
-    cross_validate,
     lyapunov_at,
     multipliers_at,
     resonances,
@@ -235,7 +233,6 @@ def _band_payload(bs, gaps) -> dict:
 def cmd_bands(args) -> int:
     op, digest = _load_operator(args)
     bs = band_structure(char_determinant(op))
-    cross_validate(op, bs, args.grid)
     _emit(_result("bands", digest, _band_payload(bs, classify_gaps(bs))))
     return EXIT_OK
 
@@ -431,8 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bands", help="spectral bands, edges, and gap classification")
     add_input(sp)
-    sp.add_argument("--grid", type=_int_in(2, 10**5, "--grid"), default=DEFAULT_GRID,
-                    help=f"Floquet cross-validation grid size, 2 to 100000 (default {DEFAULT_GRID})")
     sp.set_defaults(func=cmd_bands)
 
     sp = sub.add_parser("resonances", help="resonance polynomial and its zeros")

@@ -321,6 +321,6 @@ def snap_to_rational(rec: Recovery) -> CharDeterminant:
                                         f"denominator of at least {den}, above {SNAP_DENOMINATOR}")
     try:
         # cols ascend in tau, and xi[j] is the coefficient of tau^(2m-j)
-        return build_char_determinant(tuple(reversed(cols)), p, m, None)
+        return build_char_determinant(tuple(reversed(cols)), p, m)
     except InternalConsistencyError as exc:
         raise InconsistentDataError(f"inconsistent spectral data: {exc}") from exc

@@ -23,11 +23,11 @@ class PeriodicOperator:
     checks the shapes and the hypotheses (every b_n symmetric, every a_n
     invertible) and raises ValueError when one fails, so every operator
     that exists satisfies them. The one elimination of each a_n that checks
-    it also keeps its inverse, in a_inv with the layout of a. The float
-    form that floquet_matrix reads is built on first use and kept too.
+    it also keeps its inverse, in a_inv with the layout of a. The float form
+    of floquet_matrix and the transfer parts are built on first use and kept.
     """
 
-    __slots__ = ("p", "m", "a", "b", "a_inv", "_prod_det_a", "_float")
+    __slots__ = ("p", "m", "a", "b", "a_inv", "_prod_det_a", "_float", "_parts")
 
     def __init__(self, a, b):
         p = len(a)
@@ -53,6 +53,7 @@ class PeriodicOperator:
         object.__setattr__(self, "a_inv", tuple(tuple(map(tuple, inv)) for inv in invs))
         object.__setattr__(self, "_prod_det_a", math.prod(dets))
         object.__setattr__(self, "_float", None)
+        object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodicOperator is immutable")
@@ -100,15 +101,17 @@ class TransferParts(NamedTuple):
 
 
 def transfer_parts(op: PeriodicOperator) -> TransferParts:
-    """The exact per-operator setup of every monodromy evaluation, built once."""
-    steps = []
-    for n in range(1, op.p + 1):
-        inv = op.a_inv[n - 1]
-        minus_prev_t = [[-x for x in col] for col in zip(*op.a_at(n - 1))]
-        raw = (mat_mul(inv, minus_prev_t), inv, mat_mul(inv, op.b_at(n)))
-        d = math.lcm(*(x.denominator for mat in raw for row in mat for x in row))
-        steps.append((d,) + tuple(tuple(tuple(int(x * d) for x in row) for row in mat) for mat in raw))
-    return TransferParts(math.prod(step[0] for step in steps), tuple(steps))
+    """The exact per-operator setup of every monodromy evaluation, built on first use and kept on op."""
+    if op._parts is None:
+        steps = []
+        for n in range(1, op.p + 1):
+            inv = op.a_inv[n - 1]
+            minus_prev_t = [[-x for x in col] for col in zip(*op.a_at(n - 1))]
+            raw = (mat_mul(inv, minus_prev_t), inv, mat_mul(inv, op.b_at(n)))
+            d = math.lcm(*(x.denominator for mat in raw for row in mat for x in row))
+            steps.append((d,) + tuple(tuple(tuple(int(x * d) for x in row) for row in mat) for mat in raw))
+        object.__setattr__(op, "_parts", TransferParts(math.prod(step[0] for step in steps), tuple(steps)))
+    return op._parts
 
 
 def monodromy_at(parts: TransferParts, x) -> list:

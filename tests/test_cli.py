@@ -522,11 +522,10 @@ def test_example_free_rejects_zero_sizes(capsys, flag):
     assert run_error(capsys, ["example", "free", flag, "0"]) == 2
 
 
-@pytest.mark.parametrize("flag", ["--p", "--m", "--grid"])
+@pytest.mark.parametrize("flag", ["--p", "--m"])
 def test_int_flags_refuse_values_past_sys_maxsize(capsys, flag):
-    # no list or grid can be indexed that far; the flag is named either way
-    argv = ["bands", "-"] if flag == "--grid" else ["example", "free"]
-    code, line = run_error_line(capsys, argv + [flag, "1" + "0" * 400])
+    # no list can be indexed that far; the flag is named either way
+    code, line = run_error_line(capsys, ["example", "free", flag, "1" + "0" * 400])
     assert code == 2 and line.startswith(f"error: {flag} must be at most ")
     assert line.endswith(", got 1" + "0" * 400)
 
@@ -541,8 +540,8 @@ def _refuse_before_work(monkeypatch):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["bands", "--grid", "100001"], "--grid must be at most 100000, got 100001"),
-        (["bands", "--grid", "1000000000000"], "--grid must be at most 100000, got 1000000000000"),
+        (["example", "free", "--p", "10000", "--m", "2"], "--p * --m^2 must be at most 10000, got 40000"),
+        (["lyapunov", "--z-grid=-3:3:" + "1" + "0" * 30], "--z-grid N must be at most 100000, got 1" + "0" * 30),
         (["lyapunov", "--z-grid=-3:3:100001"], "--z-grid N must be at most 100000, got 100001"),
         (["lyapunov", "--z-grid=-3:3:10000000000"], "--z-grid N must be at most 100000, got 10000000000"),
         (["example", "free", "--p", "10001"], "--p must be at most 10000, got 10001"),
@@ -559,7 +558,6 @@ def test_size_flags_refuse_values_past_their_ceiling(capsys, monkeypatch, argv, 
 
 def test_size_flags_accept_their_ceiling(capsys):
     parser = cli._build_parser()
-    assert parser.parse_args(["bands", "--grid", "100000"]).grid == 100000
     assert len(parser.parse_args(["lyapunov", "--z-grid=-3:3:100000"]).z_grid) == 100000
     args = parser.parse_args(["example", "free", "--p", "10000"])
     assert (args.p, args.m) == (10000, 1)
@@ -572,10 +570,11 @@ def test_operator_document_rejects_empty_blocks(tmp_path, capsys):
     assert run_error(capsys, ["bands", path]) == 2
 
 
-@pytest.mark.parametrize("grid", ["0", "1"])
-def test_bands_rejects_grid_without_cross_validation(tmp_path, capsys, grid):
-    path = write_doc(tmp_path, capsys, ["example", "free"])
-    assert run_error(capsys, ["bands", path, "--grid", grid]) == 2
+def test_bands_has_no_grid_flag():
+    # the bands of an operator are always cross-validated at the DEFAULT_GRID phases
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bands", "-", "--grid", str(spectral.DEFAULT_GRID)])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("grid", ["nan:1:3", "-inf:0:3", "0:inf:3", "-1e308:1e308:3"])
@@ -697,24 +696,47 @@ def test_cross_validation_runs_once_per_command(tmp_path, capsys, monkeypatch, c
 
 def test_band_structure_alone_builds_no_floquet_matrix(monkeypatch):
     # a D that carries no operator, as a recovered one, seeds its edges with
-    # Aberth's roots; a D computed from an operator solves its L(1) and L(-1)
+    # Aberth's roots and is not cross-validated; a D computed from an
+    # operator solves its L(1) and L(-1), and L(tau) at every phase of the grid
     cd = spectral.char_determinant(random_operator(1, 3, 3))
     counts = count_calls(monkeypatch, "floquet_matrix")
     spectral.band_structure(cd._replace(op=None))
     assert counts == {"floquet_matrix": 0}
     spectral.band_structure(cd)
-    assert counts == {"floquet_matrix": 2}
+    assert counts == {"floquet_matrix": 2 + spectral.DEFAULT_GRID}
+
+
+def test_band_structure_raises_when_its_operator_misses_the_bands():
+    # at p = 1, an antisymmetric K added to a leaves L(1) = b + a + a^T and
+    # L(-1) unchanged, so the edges of D certify from the other operator's
+    # eigenvalues, but L(i) = b + i (a - a^T) is not, and its Floquet
+    # eigenvalues miss the bands read off D
+    op = random_operator(1, 1, 3)
+    K = [[0, 10, 0], [-10, 0, 0], [0, 0, 0]]
+    other = operators.PeriodicOperator([[[x + k for x, k in zip(row, krow)] for row, krow in zip(op.a[0], K)]], op.b)
+    cd = spectral.char_determinant(op)
+    with pytest.raises(spectral.InternalConsistencyError, match="misses every band"):
+        spectral.band_structure(cd._replace(op=other))
 
 
 @pytest.mark.parametrize("command", ["bands", "resonances", "verify", "lyapunov"])
 def test_each_command_builds_the_transfer_parts_once(tmp_path, capsys, monkeypatch, command):
     # the exact per-operator setup that every monodromy evaluation reads
     path = write_doc(tmp_path, capsys, ["example", "example4", "--t", "1/2"])
-    counts = count_calls(monkeypatch, "transfer_parts")
+    # they are built on first use and kept on the operator, so count the builds
+    builds = []
+    real = operators.transfer_parts
+
+    def counted(op):
+        builds.append(op._parts is None)
+        return real(op)
+
+    for mod in (operators, spectral):
+        monkeypatch.setattr(mod, "transfer_parts", counted)
     argv = [command, path] + (["--z", "0.5"] if command == "lyapunov" else [])
     code, _ = run_cli(capsys, argv)
     assert code == 0
-    assert counts == {"transfer_parts": 1}
+    assert builds.count(True) == 1
 
 
 def test_d_evaluates_the_monodromy_once_per_point(monkeypatch):
@@ -843,11 +865,37 @@ def test_period_one_operator_with_large_entries_passes_bands_and_verify(tmp_path
 
 
 def test_bands_thinner_than_the_merge_tolerance_name_the_stage(tmp_path, capsys):
-    doc = {"p": 2, "m": 1, "a": [[["1e-300"]], [["1"]]], "b": [[["0"]], [["0"]]]}
+    # at m = 2 a band narrower than one double still vanishes
+    doc = {"p": 1, "m": 2, "a": [[["1e-300", "0"], ["0", "1e-300"]]], "b": [[["1", "0"], ["0", "1"]]]}
     path = write_json(tmp_path, doc, "thin.json")
     assert cli.main(["bands", path]) == 3
     err = capsys.readouterr().err
     assert err == "error: band computation found no band (candidate edges merge only when they are the same double)\n"
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_bands_keep_a_band_thinner_than_one_double_at_period_32(tmp_path, capsys, seed):
+    # one extreme band's periodic and antiperiodic edges round to one double;
+    # that band used to vanish, and cross-validation exited 3
+    path = write_json(tmp_path, cli.operator_to_document(random_operator(seed, 32, 1)), "op.json")
+    payload = run_json(capsys, ["bands", path])["payload"]
+    assert len(payload["segments"]) == 32
+    zero_width = [s for s in payload["segments"] if s[0] == s[1]]
+    assert zero_width in ([payload["segments"][0]], [payload["segments"][-1]])
+
+
+def test_bands_and_verify_on_bands_thinner_than_one_double(tmp_path, capsys):
+    # both bands are about 1e-300 wide, so each is one double, and the trace
+    # identity's Tr M^n / scale^n is beyond the float range
+    doc = {"p": 2, "m": 1, "a": [[["1e-300"]], [["1"]]], "b": [[["0"]], [["0"]]]}
+    path = write_json(tmp_path, doc, "thin.json")
+    assert run_json(capsys, ["bands", path])["payload"]["segments"] == [[-1.0, -1.0, 1], [1.0, 1.0, 1]]
+    payload = run_json(capsys, ["verify", path])["payload"]
+    assert len(payload["checks"]) == 12 and payload["all_pass"]
+    (trace,) = [c for c in payload["checks"] if c["name"] == "trace-chebyshev-sampling"]
+    assert trace["status"] == "n/a"
+    assert re.fullmatch(r"beyond the float range: Tr M\^(\d) / scale\^\1 or its Chebyshev sum at z = \S+",
+                        trace["detail"])
 
 
 @pytest.mark.parametrize("shape,thinnest", [((1, 24, 1), 1e-9), ((1, 32, 1), 1e-12), ((2, 32, 1), 1e-10),
@@ -890,10 +938,9 @@ def test_bands_with_every_real_resonance_certified_exit_0(tmp_path, capsys, shap
 def test_bands_on_edges_a_few_ulps_apart_ends_in_a_documented_exit(tmp_path, capsys, shape):
     # at (1; 48,1) a root of q(., 1) and one of q(., -1) lie 4.4e-16 apart, too
     # close for 17 distinct samples, and the tracker used to divide by zero;
-    # a band narrower than one double still vanishes, which cross-validation
-    # reports as exit 3
+    # at m = 1 a band narrower than one double is kept as [v, v, 1]
     path = write_json(tmp_path, cli.operator_to_document(random_operator(*shape)), "op.json")
-    assert cli.main(["bands", path]) in (0, 3)
+    assert cli.main(["bands", path]) == 0
 
 
 @pytest.mark.parametrize("command", ["bands", "verify"])

@@ -375,7 +375,7 @@ def test_bipoly_arithmetic_and_subs():
 def test_laurent_bipoly_round_trip():
     # D / (c tau) = q[0] + q[1] (tau + 1/tau), and D comes back from q
     xi = ((1,), (0, -1), (1,))
-    cd = build_char_determinant(xi, 1, 1, None)
+    cd = build_char_determinant(xi, 1, 1)
     assert cd.c == -1
     assert cd.q == ((0, 1), (-1,))
     assert tuple(tuple(v * cd.c for v in cd.q[abs(i - 1)]) for i in range(3)) == xi
@@ -385,11 +385,11 @@ def test_laurent_bipoly_round_trip():
 def test_bipoly_resultant_discriminant():
     # Phi = nu^2 - z^2 = (nu - z)(nu + z), from D = (2 tau)^2 Phi: discriminant 4z^2
     xi = ((1,), (), coeffs(2 - 4 * Z**2), (), (1,))
-    assert resonance_poly(build_char_determinant(xi, 1, 2, None)) == ((0, 0, 4), False)
+    assert resonance_poly(build_char_determinant(xi, 1, 2)) == ((0, 0, 4), False)
     # repeated branch Phi = (nu - z)^2: the discriminant vanishes identically,
     # and the squarefree part nu - z has no branch points
     xi = ((1,), coeffs(-4 * Z), coeffs(2 + 4 * Z**2), coeffs(-4 * Z), (1,))
-    assert resonance_poly(build_char_determinant(xi, 1, 2, None)) == ((1,), True)
+    assert resonance_poly(build_char_determinant(xi, 1, 2)) == ((1,), True)
 
 
 def test_det_helpers():

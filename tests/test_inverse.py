@@ -28,10 +28,8 @@ from blochjac.inverse import (
     _solve,
 )
 from blochjac.spectral import (
-    DEFAULT_GRID,
     band_structure,
     char_determinant,
-    cross_validate,
     resonances,
 )
 
@@ -348,7 +346,6 @@ def test_downstream_bands_and_resonances_match():
     direct = char_determinant(op)
     recovered = snap_to_rational(recover_determinant(data_for(op, 2)))
     bands_direct = band_structure(direct)
-    cross_validate(op, bands_direct, DEFAULT_GRID)
     bands_rec = band_structure(recovered)
     assert len(bands_rec.segments) == len(bands_direct.segments)
     for sa, sb in zip(bands_rec.segments, bands_direct.segments):

@@ -117,3 +117,9 @@ def test_one_path_from_an_exact_polynomial_to_its_roots():
         assert _readers(trees["exactmath.py"], private) == ["squarefree_decomposition"]
     for name in ("roots_all", "squarefree_decomposition", "certified_roots"):
         assert len(_readers(trees["spectral.py"], name)) == 1, name
+    # the bands of an operator check themselves, so no caller runs the oracle apart
+    assert _readers(trees["spectral.py"], "cross_validate") == ["band_structure"]
+    for module in ("cli.py", "inverse.py"):
+        imported = {alias.name for sub in ast.walk(trees[module]) if isinstance(sub, ast.ImportFrom)
+                    for alias in sub.names}
+        assert "cross_validate" not in _used_names(trees[module]) | imported, module
