@@ -1,16 +1,17 @@
 """Exact arithmetic underneath the spectral pipeline.
 
-Everything in this module is exact: Gaussian rationals, univariate
-polynomials as ascending coefficient tuples with a few kernels on them, and
-a small GF(P) layer over one list of 61-bit primes with Chinese
-remaindering. Each job has one algorithm: one
-Euclidean remainder loop, euclid, gives gcds, resultants and
-discriminants over Q(i) and GF(P); one Hessenberg characteristic
-polynomial over GF(P) and one Newton interpolation let a
+Everything in this module is exact: univariate polynomials over Q as
+ascending coefficient tuples with a few kernels on them, and a small GF(P)
+layer over one list of 61-bit primes with Chinese remaindering. Each job
+has one algorithm: one Euclidean remainder loop, euclid, gives gcds,
+resultants and discriminants over Q and GF(P); one Hessenberg
+characteristic polynomial over GF(P) and one Newton interpolation let a
 polynomial-valued quantity be computed at sample points modulo primes and
 interpolated; and one Gauss-Jordan elimination, det_inv, gives a
-determinant with its inverse. Floating point is confined to the numerics
-module; coefficients here are ints, Fractions, or CRationals, never floats.
+determinant with its inverse. Gaussian values reach this module only as
+integer triples, which the squarefree certificate reduces modulo primes.
+Floating point is confined to the numerics module; coefficients here are
+ints or Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -20,118 +21,8 @@ from fractions import Fraction
 from itertools import count, islice
 from operator import mul
 
-_HASH_IM = 1000003
-
-
-def _is_real_scalar(x):
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
-class CRational:
-    """Gaussian rational re + im*i with exact Fraction parts.
-
-    Supports mixed arithmetic with int and Fraction; equal-to-Fraction
-    values hash consistently with the Fraction they equal.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CRational is immutable")
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, CRational):
-            return x
-        if _is_real_scalar(x):
-            return CRational(x, 0)
-        return None
-
-    def demote(self):
-        """Return the plain Fraction when the imaginary part vanishes."""
-        return self.re if self.im == 0 else self
-
-    def abs2(self):
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self):
-        d = self.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero CRational")
-        return CRational(self.re / d, -self.im / d)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CRational(self.re * o.re - self.im * o.im,
-                         self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __neg__(self):
-        return CRational(-self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash(self.re) + _HASH_IM * hash(self.im)
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"CRational({self.re!r}, {self.im!r})"
-
-
 # Polynomials are ascending coefficient tuples, index = degree, with no
-# trailing zeros; () is the zero polynomial. Coefficients are Fractions, or
-# CRationals for a polynomial over Q(i).
+# trailing zeros; () is the zero polynomial. Coefficients are Fractions.
 
 
 def lincomb(*terms) -> tuple:
@@ -231,9 +122,8 @@ def _crt(residues, primes):
 
 
 def _gaussian_parts(c):
-    """Integers (a, b, s), s > 0, with c = (a + b i) / s, for an exact, float or complex c."""
-    pair = (c.re, c.im) if isinstance(c, CRational) else (c.real, c.imag)
-    (a, r), (b, t) = (x.as_integer_ratio() for x in pair)
+    """Integers (a, b, s), s > 0, with c = (a + b i) / s, for an int, Fraction, float or complex c."""
+    (a, r), (b, t) = (x.as_integer_ratio() for x in (c.real, c.imag))
     s = math.lcm(r, t)
     return a * (s // r), b * (s // t), s
 
@@ -263,8 +153,10 @@ def _squarefree_certificate(parts):
 
 
 def _exact_form(parts) -> tuple:
-    """The exact polynomial of _gaussian_parts triples: a Fraction where b = 0, a CRational elsewhere."""
-    return tuple(CRational(Fraction(a, s), Fraction(b, s)) if b else Fraction(a, s) for a, b, s in parts)
+    """The polynomial over Q of _gaussian_parts triples; ValueError where one is not real."""
+    if any(b for _, b, _ in parts):
+        raise ValueError("no prime proves a Gaussian polynomial squarefree and Yun's algorithm runs over Q only")
+    return tuple(Fraction(a, s) for a, _, s in parts)
 
 
 def squarefree_decomposition(parts) -> list:
@@ -274,7 +166,9 @@ def squarefree_decomposition(parts) -> list:
     multiplicities come out exactly, so callers never have to guess them from
     clustered float approximations.  A squarefree f, the usual case, is
     proved so modulo a prime (see _squarefree_certificate) and returned as
-    [(parts, 1)], with no exact polynomial formed; else _yun splits _exact_form(parts).
+    [(parts, 1)], with no exact polynomial formed; else _yun splits
+    _exact_form(parts), so a Gaussian f that no prime proves squarefree
+    raises ValueError.
     """
     if not parts:
         raise ValueError("squarefree decomposition of zero polynomial")
@@ -286,7 +180,7 @@ def squarefree_decomposition(parts) -> list:
 
 
 def _yun(f) -> list:
-    """squarefree_decomposition of a monic f of degree >= 2, by Yun's algorithm with Euclid over Q(i)."""
+    """squarefree_decomposition of a monic f of degree >= 2, by Yun's algorithm with Euclid over Q."""
     df = derivative(f)
     a = gcd(f, df)
     b = exact_div(f, a)
@@ -361,8 +255,8 @@ def interpolate(xs, ys, P=None):
     """Ascending coefficients of the polynomial of degree < len(xs) with the value ys[k] at xs[k].
 
     Newton divided differences, then Horner on the Newton form. Exact over
-    Q(i) on int, Fraction or CRational values at distinct rational points;
-    over GF(P) on ints when P is given, at integer points distinct modulo P.
+    Q on int or Fraction values at distinct rational points; over GF(P) on
+    ints when P is given, at integer points distinct modulo P.
     """
     red = _reducer(P)
     n = len(ys)
@@ -386,12 +280,12 @@ def euclid(a, b, P=None):
 
     a and b are ascending coefficient lists with len(a) >= len(b) and
     nonzero last entries (modulo P when P is given); an empty b, the zero
-    polynomial, gives g = a, and r = 0 when deg a >= 1. Exact over Q(i) on int,
-    Fraction or CRational entries; over GF(P) on ints when P is given. Each
-    division step a = q b + c carries the resultant along by
+    polynomial, gives g = a, and r = 0 when deg a >= 1. Exact over Q on int
+    or Fraction entries; over GF(P) on ints when P is given. Each division
+    step a = q b + c carries the resultant along by
     Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg c) Res(b, c),
     down to Res(a, b_0) = b_0^(deg a) for a constant b (Cohen, GTM 138,
-    section 3.3). Powers are repeated products, since CRational has none.
+    section 3.3).
     """
     red = _reducer(P)
     a, b = red(list(a)), red(list(b))
@@ -407,14 +301,10 @@ def euclid(a, b, P=None):
                 c.pop()
         if (len(a) - 1) * (len(b) - 1) % 2:
             r = -r
-        for _ in range(len(a) - len(c)):
-            r = r * b[-1]
-        r, = red([r])
+        r, = red([r * b[-1] ** (len(a) - len(c))])
         a, b = b, c
-    for _ in range(len(a) - 1):
-        r = r * (b[0] if b else 0)
-    r, = red([r])
-    return b or a, r.demote() if isinstance(r, CRational) else r
+    r, = red([r * (b[0] if b else 0) ** (len(a) - 1)])
+    return b or a, r
 
 
 def gcd(f, g) -> tuple:
@@ -430,9 +320,7 @@ def discriminant(f):
     if n < 1:
         raise ValueError("discriminant requires degree >= 1")
     r = euclid(f, derivative(f))[1] / f[-1]
-    if (n * (n - 1) // 2) % 2:
-        r = -r
-    return r.demote() if isinstance(r, CRational) else r
+    return -r if (n * (n - 1) // 2) % 2 else r
 
 
 def mat_mul(A, B, P=None):
@@ -448,11 +336,7 @@ def mat_transpose(A):
 
 
 def det_inv(mat):
-    """(det mat, mat^-1) by Gauss-Jordan elimination over a field; the inverse is None when det mat = 0.
-
-    Exact on int, Fraction or CRational entries; a CRational determinant is
-    demoted.
-    """
+    """(det mat, mat^-1) by Gauss-Jordan elimination over Q; the inverse is None when det mat = 0."""
     n = len(mat)
     a = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(mat)]
     det = Fraction(1)
@@ -470,4 +354,4 @@ def det_inv(mat):
             f = row[col]
             if f and r != col:
                 a[r] = [x - f * y for x, y in zip(row, pivot_row)]
-    return det.demote() if isinstance(det, CRational) else det, [row[n:] for row in a]
+    return det, [row[n:] for row in a]

@@ -73,11 +73,6 @@ class PeriodicOperator:
         """Max entry magnitude over all a_n and b_n."""
         return max(abs(x) for grp in (self.a, self.b) for mat in grp for row in mat for x in row)
 
-    def __eq__(self, other):
-        if not isinstance(other, PeriodicOperator):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
     def __repr__(self):
         return f"PeriodicOperator(p={self.p}, m={self.m})"
 

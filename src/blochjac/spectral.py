@@ -11,6 +11,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 from typing import NamedTuple
 
@@ -21,10 +22,7 @@ from .exactmath import (
     _primes,
     chebyshev,
     charpoly,
-    derivative,
     discriminant,
-    exact_div,
-    gcd,
     horner,
     interpolate,
     lincomb,
@@ -66,10 +64,12 @@ class CharDeterminant(NamedTuple):
 
     phi is D written in the Chebyshev variable: the surface polynomial
     Phi(z, nu) = D / (2 tau)^m = sum phi_j(z) nu^(m-j) under
-    nu = (tau + 1/tau)/2, monic in nu (phi_0 = 1). scaled holds
-    (d, the integer coefficients of d * phi_j) per phi_j, ascending in nu,
-    so that Phi(z, .) reaches the squarefree split and the root finder as
-    integer triples by Horner over ints (phi_at), exact only where Yun runs.
+    nu = (tau + 1/tau)/2, monic in nu (phi_0 = 1). factors is its squarefree
+    factorization Phi = prod F_k^k in nu over Q[z] (_squarefree_factors),
+    pairs (F, k) ascending in k, one (F, 1) where Phi is squarefree; F holds
+    (d, the integer coefficients of d * f_j) per coefficient f_j of the
+    monic F_k, ascending in nu, so that each F_k(z, .) reaches the squarefree
+    split and the root finder as integer triples by Horner over ints (phi_at).
     """
 
     xi: tuple
@@ -78,7 +78,7 @@ class CharDeterminant(NamedTuple):
     p: int
     m: int
     phi: tuple
-    scaled: tuple
+    factors: tuple
     op: PeriodicOperator | None = None
 
     def section(self, nu0) -> tuple:
@@ -89,23 +89,37 @@ class CharDeterminant(NamedTuple):
         return lincomb(*((2 * horner(chebyshev(j), nu0) if j else 1, f) for j, f in enumerate(self.q)))
 
     def phi_at(self, z) -> list:
-        """Phi(z, .) at a Fraction, float or complex z, as integer triples ascending in nu.
+        """[(F_k(z, .), k)] over factors at a Fraction, float or complex z, each as integer triples (_at)."""
+        return [(_at(F, z), k) for F, k in self.factors]
 
-        With z = (a + b i) / s, homogeneous Horner over ints gives
-        s^deg * d * phi_j(z) = re + im i, and the triple is (re, im, d s^deg),
-        the layout of _gaussian_parts, which squarefree_decomposition takes.
-        """
-        a, b, s = _gaussian_parts(z)
-        out = []
-        for d, coeffs in self.scaled:
-            re = im = 0
-            pw = 1  # s^k at step k
-            for k, c in enumerate(reversed(coeffs)):
-                if k:
-                    pw *= s
-                re, im = re * a - im * b + c * pw, re * b + im * a
-            out.append((re, im, d * pw))
-        return out
+
+def _integer_form(poly) -> tuple:
+    """(d, the integer coefficients of d * f) per coefficient f of poly, a sequence of polynomials in z."""
+    out = []
+    for f in poly:
+        d = math.lcm(*(v.denominator for v in f))
+        out.append((d, tuple(v.numerator * (d // v.denominator) for v in f)))
+    return tuple(out)
+
+
+def _at(F, z) -> list:
+    """The polynomial of _integer_form F at a Fraction, float or complex z, as integer triples.
+
+    With z = (a + b i) / s, homogeneous Horner over ints gives
+    s^deg * d * f(z) = re + im i, and the triple is (re, im, d s^deg),
+    the layout of _gaussian_parts, which squarefree_decomposition takes.
+    """
+    a, b, s = _gaussian_parts(z)
+    out = []
+    for d, coeffs in F:
+        re = im = 0
+        pw = 1  # s^k at step k
+        for k, c in enumerate(reversed(coeffs)):
+            if k:
+                pw *= s
+            re, im = re * a - im * b + c * pw, re * b + im * a
+        out.append((re, im, d * pw))
+    return out
 
 
 class LyapunovBranch(NamedTuple):
@@ -203,13 +217,48 @@ def build_char_determinant(xi: tuple, p: int, m: int) -> CharDeterminant:
         for i, t in enumerate(chebyshev(k)):
             by_nu[i].append((Fraction(2 if k else 1, 2**m) * t, xi[m - k]))
     phi = tuple(lincomb(*terms) for terms in reversed(by_nu))
-    if phi[0] != (1,):
-        raise InternalConsistencyError("surface polynomial is not monic in nu")
-    scaled = []
-    for f in reversed(phi):
-        d = math.lcm(*(v.denominator for v in f))
-        scaled.append((d, tuple(v.numerator * (d // v.denominator) for v in f)))
-    return CharDeterminant(xi=xi, c=c, q=q, p=p, m=m, phi=phi, scaled=tuple(scaled))
+    return CharDeterminant(xi=xi, c=c, q=q, p=p, m=m, phi=phi, factors=_squarefree_factors(phi))
+
+
+def _samples(phi):
+    """(xs, w): n = w m (m - 1) + 1 centred integers xs, where phi_j has z-degree at most w j."""
+    m = len(phi) - 1
+    w = max((-(-(len(f) - 1) // j) for j, f in enumerate(phi) if j and f), default=0)
+    n = w * m * (m - 1) + 1
+    return range(-(n // 2), n - n // 2), w
+
+
+def _squarefree_factors(phi) -> tuple:
+    """Phi = prod F_k^k in nu over Q[z], as ((_integer_form of the monic F_k, k), ...) ascending in k.
+
+    Phi is monic in nu, so by Gauss's lemma each monic F_k has coefficients
+    in Q[z]; the branches grow like |z|^w, so the coefficient of
+    nu^(d_k - j) in F_k has z-degree at most w j. Phi(x, .) is split at the
+    _samples points x in turn. The first split [(Phi(x, .), 1)] proves Phi
+    squarefree, the usual case, with one certificate. Else Yun runs at all
+    n points. The generic pattern is the one of largest total degree d, the
+    nu-degree of prod F_k, and where it shows, the split is
+    [(F_k(x, .), k)]; the other points are zeros of disc(prod F_k), at most
+    w d (d - 1) of them. As d < m, n - w d (d - 1) >= w d + 1 points remain,
+    and each coefficient is interpolated exactly from the first w d + 1.
+    """
+    whole = _integer_form(reversed(phi))
+    xs, w = _samples(phi)
+    splits = []  # (total degree, x, split)
+    for x in xs:
+        split = _split(_at(whole, x), lambda: f"Phi(z, nu) at z = {x}")
+        if [k for _, k in split] == [1]:
+            return ((whole, 1),)
+        splits.append((sum(len(g) - 1 for g, _ in split), x, split))
+    d = max(deg for deg, _, _ in splits)
+    generic = [(x, split) for deg, x, split in splits if deg == d][:w * d + 1]
+    pts = [x for x, _ in generic]
+    factors = []
+    for i, (_, k) in enumerate(generic[0][1]):
+        # the coefficients of F_k(x, .) at each point, then one column per power of nu
+        values = [[Fraction(a, s) for a, _, s in split[i][0]] for _, split in generic]
+        factors.append((_integer_form([lincomb((1, interpolate(pts, col))) for col in zip(*values)]), k))
+    return tuple(factors)
 
 
 def _route_one(parts: TransferParts, N: list, P: int) -> list:
@@ -342,14 +391,28 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     return cd
 
 
+def _split(parts, what) -> list:
+    """squarefree_decomposition(parts); what() names the polynomial where that refuses it.
+
+    Yun's algorithm runs over Q only, so only a Gaussian polynomial that no
+    prime proves squarefree is refused: of those this module splits, only
+    some F_k(z, .) at a non-real zero z of rho.
+    """
+    try:
+        return squarefree_decomposition(parts)
+    except ValueError as exc:
+        raise ValueError(f"{what()} is not split into squarefree factors: z is a non-real zero of rho, "
+                         f"where {exc}") from None
+
+
 def _roots(parts, what, aberth=True) -> list:
-    """[(g, Aberth's roots of g, or None if not aberth, k)] over squarefree_decomposition(parts).
+    """[(g, Aberth's roots of g, or None if not aberth, k)] over _split(parts, what).
 
     Each coefficient of g is rounded once, a / s, in either case; what() names
     the polynomial where one, or Aberth's iteration on it, leaves the float range.
     """
     out = []
-    for g, k in squarefree_decomposition(parts):
+    for g, k in _split(parts, what):
         try:
             cs = [complex(a / s, b / s) for a, b, s in g]
         except OverflowError:
@@ -370,11 +433,12 @@ def _certified(g, seeds, eigensolver: bool) -> list:
 def branch_values(cd: CharDeterminant, z) -> list:
     """The m branch values of nu at a Fraction, float or complex z, sorted by (re, im).
 
-    Phi(z, .) is evaluated over the integers (phi_at), and _roots splits off
-    repeated roots exactly first: Aberth splits a k-fold root into a cloud
-    of diameter eps^(1/k), which for a permanently double branch (any free
-    operator with m >= 2) fakes a conjugate pair. At a real z, Phi(z, .) is
-    real: near-real values are snapped to the axis and conjugate values
+    Each squarefree factor F_k(z, .) of Phi is evaluated over the integers
+    (phi_at), and _roots splits off its repeated roots exactly, which it has
+    only at a zero of rho: Aberth splits a j-fold root into a cloud of
+    diameter eps^(1/j), which would fake a conjugate pair. A root of a
+    j-fold factor of F_k(z, .) is a k j-fold branch. At a real z, Phi(z, .)
+    is real: near-real values are snapped to the axis and conjugate values
     share one real part, so the order of a conjugate pair does not rest on
     rounding.
     """
@@ -382,7 +446,7 @@ def branch_values(cd: CharDeterminant, z) -> list:
         zc = complex(z)
         return f"Phi(z, nu) at z = {repr(zc.real) if not zc.imag else repr(zc)}"
 
-    vals = [r for _, rs, k in _roots(cd.phi_at(z), what) for r in rs for _ in range(k)]
+    vals = [r for parts, k in cd.phi_at(z) for _, rs, j in _roots(parts, what) for r in rs for _ in range(k * j)]
     if not (isinstance(z, complex) and z.imag):
         vals = _conjugate_symmetrize(vals)
     return sorted(vals, key=lambda w: (w.real, w.imag))
@@ -423,39 +487,23 @@ def multipliers_at(branches) -> list:
 
 
 def resonance_poly(cd: CharDeterminant):
-    """(rho, degenerate): the discriminant of Phi in nu, deflated if it vanishes.
+    """(rho, degenerate): the discriminant in nu of F = prod F_k, and whether some k > 1.
 
-    rho = prod_{i<j} (Delta_i - Delta_j)^2 up to the usual discriminant
-    normalization; identically zero means permanently repeated branches
-    (for example any free operator with m >= 2), in which case Phi is
-    replaced by its squarefree part F in nu and the flag is set.
-
-    Both come from univariate work at n = w m (m - 1) + 1 centred integer
-    points x, where phi_j has z-degree at most w j (w = p when Phi comes
-    from D). A discriminant in nu is isobaric of weight m (m - 1), so its
-    z-degree is below n. Phi is monic in nu, so the discriminant of
-    Phi(x, .) is rho(x); where it vanishes, Phi(x, .) is replaced by its
-    squarefree part. Let d be the largest degree reached. If rho is
-    identically zero, d is the nu-degree of F: the points that fall short
-    are zeros of disc F, which has degree at most w d (d - 1) < n, and at
-    the others the squarefree part is F(x, .). So disc F is known at every
-    point, the discriminant there when the degree is d and 0 at the
-    unlucky points, and interpolation gives it exactly.
+    rho = prod_{i<j} (Delta_i - Delta_j)^2 over the distinct branches, up
+    to the usual discriminant normalization; Phi itself has discriminant 0
+    where it has permanently repeated branches (any free operator with
+    m >= 2), and then the flag is set. F is monic in nu of degree d <= m,
+    and its coefficient of nu^(d-j) has z-degree at most w j, so its
+    discriminant, isobaric of weight d (d - 1), has z-degree below the
+    n = w m (m - 1) + 1 of _samples: rho is interpolated from disc F(x, .)
+    at those points.
     """
-    m = cd.m
-    w = max((-(-(len(f) - 1) // j) for j, f in enumerate(cd.phi) if j and f), default=0)
-    n = w * m * (m - 1) + 1
-    xs = range(-(n // 2), n - n // 2)
-    samples = []
-    for x in xs:
-        f = _exact_form(cd.phi_at(x))
-        r = discriminant(f)
-        if not r:
-            f = exact_div(f, gcd(f, derivative(f)))
-            r = discriminant(f)
-        samples.append((len(f) - 1, r))
-    d = max(deg for deg, _ in samples)
-    return _Rho(lincomb((1, interpolate(xs, [r if deg == d else 0 for deg, r in samples])))), d < m
+    def times(f, g):
+        return lincomb(*((c, (0,) * i + g) for i, c in enumerate(f)))
+
+    xs = _samples(cd.phi)[0]
+    values = [discriminant(reduce(times, (_exact_form(parts) for parts, _ in cd.phi_at(x)))) for x in xs]
+    return _Rho(lincomb((1, interpolate(xs, values)))), any(k > 1 for _, k in cd.factors)
 
 
 def resonances(cd: CharDeterminant) -> ResonanceSet:
@@ -581,11 +629,12 @@ def band_structure(cd: CharDeterminant) -> BandStructure:
     xprev = xprev2 = 0.0
     for left, right in zip(values, values[1:]):
         # the interior of linspace(left, right, _SUBSAMPLES + 2), bit for bit;
-        # an interval too few ulps wide for distinct interior samples is read
-        # at its exact midpoint alone, so the samples always increase
+        # one branch has no identity to follow, and an interval too few ulps
+        # wide for distinct interior samples has no room for it, so either
+        # is read at its exact midpoint alone, and the samples always increase
         step = (right - left) / (_SUBSAMPLES + 1)
         xs = [left + (idx + 1) * step for idx in range(_SUBSAMPLES)]
-        if not all(a < b for a, b in zip([left] + xs, xs + [right])):
+        if m == 1 or not all(a < b for a, b in zip([left] + xs, xs + [right])):
             xs = [(Fraction(left) + Fraction(right)) / 2]
         for idx, x in enumerate(xs):
             cur = branch_values(cd, x)

@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 import sympy
 from polyref import Z, coeffs, expr
-from testops import random_operator, rotation_operator
+from testops import random_operator, realified_charpoly, rotation_operator
 
-from blochjac.exactmath import CRational, det_inv, horner, interpolate, mat_mul
+from blochjac.exactmath import det_inv, horner, mat_mul
 from blochjac.fixtures import (
     example1_diag,
     example2_const,
@@ -49,15 +49,6 @@ from blochjac.spectral import (
 
 KAPPAS = (0.0, math.pi, math.pi / 2, math.pi / 3)
 SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]
-
-
-def charpoly(A):
-    """det(zI - A) of an exact scalar matrix, interpolated from det_inv at len(A) + 1 points."""
-    n = len(A)
-    xs = range(n + 1)
-    dets = [det_inv([[Fraction(x * (i == j)) - e for j, e in enumerate(row)] for i, row in enumerate(A)])[0]
-            for x in xs]
-    return coeffs(expr(interpolate(xs, dets)))
 
 
 def coeff(f, k):
@@ -155,10 +146,12 @@ def test_criterion_2_floquet_equivalence(battery):
         u = rng.randint(1, 30)
         v = rng.choice([-1, 1]) * rng.randint(1, 30)
         norm = u * u + v * v
-        tau = CRational(Fraction(u * u - v * v, norm), Fraction(2 * u * v, norm))
-        section = cd.section(tau.re)  # nu = (tau + 1/tau)/2 = Re tau on the unit circle
-        assert section == charpoly(_floquet_layout(op.a, op.b, tau, 1 / tau))
-        eigs = hermitian_eigs(floquet_matrix(op, complex(tau)))
+        re, im = sympy.Rational(u * u - v * v, norm), sympy.Rational(2 * u * v, norm)
+        section = cd.section(Fraction(int(re.p), int(re.q)))  # nu = (tau + 1/tau)/2 = Re tau on the unit circle
+        # 1/tau = conj(tau); L(tau) = A + B i is checked through its realification over Q
+        layout = _floquet_layout(op.a, op.b, re + im * sympy.I, re - im * sympy.I)
+        assert coeffs(expr(section) ** 2) == realified_charpoly(layout)
+        eigs = hermitian_eigs(floquet_matrix(op, complex(re + im * sympy.I)))
         roots = roots_all(list(map(complex, section)))
         assert all(abs(r.imag) <= 1e-7 for r in roots)
         reals = sorted(r.real for r in roots)

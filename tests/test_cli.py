@@ -945,13 +945,14 @@ def test_bands_on_edges_a_few_ulps_apart_ends_in_a_documented_exit(tmp_path, cap
 
 @pytest.mark.parametrize("command", ["bands", "verify"])
 def test_edges_past_the_float_range_of_phi_exit_2_naming_the_stage(tmp_path, capsys, command):
-    # the certified edges of q(z, 1) reach 1e160, and Phi(z, .) between them
-    # has a coefficient beyond the float range; this used to exit 3 in the
-    # root finder on q(z, 1)
+    # the certified edges of q(z, 1) reach 1e160, and Phi(z, .) at the exact
+    # midpoint of the first interval between them, where m = 1 reads its one
+    # branch, has a coefficient beyond the float range; this used to exit 3
+    # in the root finder on q(z, 1)
     doc = {"p": 2, "m": 1, "a": [[["1"]], [["1"]]], "b": [[["1e160"]], [["0"]]]}
     code, line = run_error_line(capsys, [command, write_json(tmp_path, doc, "big.json")])
     assert code == 2
-    assert re.fullmatch(r"error: Phi\(z, nu\) at z = \S+e\+158 has a coefficient beyond the float range", line)
+    assert re.fullmatch(r"error: Phi\(z, nu\) at z = 5e\+159 has a coefficient beyond the float range", line)
 
 
 def test_verify_exits_5_when_one_floquet_entry_changes(tmp_path, capsys, monkeypatch):
@@ -982,3 +983,107 @@ def test_huge_couplings_pass_bands_and_verify(tmp_path, capsys):
     assert payload["all_pass"] is True
     (bound,) = [c for c in payload["checks"] if c["name"] == "moment-2-lower-bound"]
     assert bound["status"] == "pass" and "beyond the float range" in bound["detail"]
+
+
+OP_1_1 = {"p": 1, "m": 1, "a": [[["1"]]], "b": [[["0"]]]}
+DATA_1_1 = {"p": 1, "m": 1, "kappas": [0.0, math.pi], "lambda_sets": [[2.0], [-2.0]]}
+
+
+@pytest.mark.parametrize("argv,doc,code,message", [
+    (["bands", "DOC"], [], 2, "operator document must be a JSON object"),
+    (["bands", "DOC"], dict(OP_1_1, schema="blochjac/0"), 2, "unsupported schema 'blochjac/0'"),
+    (["bands", "DOC"], {"p": 1, "m": 1, "a": []}, 2, r"operator document needs integer p, m and lists a, b \('b'\)"),
+    (["bands", "DOC"], dict(OP_1_1, p=0), 2, "p = 0 and m = 1 must be at least 1"),
+    (["bands", "DOC"], dict(OP_1_1, a="1"), 2, "a must be a list of 1 matrices"),
+    (["bands", "DOC"], dict(OP_1_1, b=[[["0", "0"]]]), 2, r"b\[0\] is not an 1x1 matrix"),
+    (["recover", "DOC"], [], 2, "spectral data document must be a JSON object"),
+    (["recover", "DOC"], dict(DATA_1_1, schema="x"), 2, "unsupported schema 'x'"),
+    (["recover", "DOC"], {"p": 1, "m": 1, "kappas": []}, 2,
+     r"spectral data needs p, m, kappas, lambda_sets \('lambda_sets'\)"),
+    (["recover", "DOC"], dict(DATA_1_1, kappas=0.0), 2, "kappas must be a list of numbers"),
+    (["recover", "DOC"], dict(DATA_1_1, lambda_sets={}), 2, "lambda_sets must be a list of lists"),
+    (["recover", "DOC"], dict(DATA_1_1, lambda_sets=[[2.0], -2.0]), 2, r"lambda_sets\[1\] must be a list"),
+    (["recover", "DOC"], dict(DATA_1_1, lambda_sets=[[2.0], [[-2.0, 0.0, 1.0]]]), 2,
+     r"lambda_sets\[1\]\[0\]: eigenvalues are numbers or \[re, im\] pairs"),
+    (["recover", "DOC"], dict(DATA_1_1, kappas=[0.0]), 4, "inconsistent spectral data: need 2 frequencies, got 1"),
+    (["recover", "DOC"], dict(DATA_1_1, lambda_sets=[[2.0]]), 4,
+     "inconsistent spectral data: need 2 eigenvalue sets, got 1"),
+    (["lyapunov", "DOC", "--z", "1,2,3"], OP_1_1, 2, "--z wants re or re,im, got '1,2,3'"),
+    (["lyapunov", "DOC", "--z", "one"], OP_1_1, 2, "--z: could not convert string to float: 'one'"),
+    (["lyapunov", "DOC", "--z", "0,inf"], OP_1_1, 2, "--z must be finite, got '0,inf'"),
+    (["lyapunov", "DOC", "--z-grid", "0:1"], OP_1_1, 2, "--z-grid wants lo:hi:N, got '0:1'"),
+    (["lyapunov", "DOC", "--z-grid", "0:1:2.5"], OP_1_1, 2, "--z-grid: invalid literal for int"),
+    (["lyapunov", "DOC", "--z-grid", "0:inf:5"], OP_1_1, 2, "--z-grid needs finite lo, hi and hi - lo"),
+    (["bands", "MISSING"], None, 2, "cannot read .*missing.json: "),
+])
+def test_malformed_input_ends_in_one_error_line_and_its_exit(tmp_path, capsys, argv, doc, code, message):
+    files = {"DOC": write_json(tmp_path, doc, "doc.json"), "MISSING": str(tmp_path / "missing.json")}
+    got, line = run_error_line(capsys, [files.get(a, a) for a in argv])
+    assert got == code
+    assert re.match("error: " + message, line), line
+
+
+def test_example1_diag_emits_a_document_that_reads_back(capsys):
+    doc = run_json(capsys, ["example", "example1-diag"])
+    assert (doc["p"], doc["m"]) == (2, 2)
+    assert cli.operator_to_document(cli.operator_from_document(doc)) == doc
+
+
+def rational_yun_calls(monkeypatch):
+    """The polynomials exactmath._yun receives from here on, and whether each came while D was built."""
+    calls = []
+    building = []
+    real_yun, real_build = exactmath._yun, spectral.build_char_determinant
+
+    def build(*args):
+        building.append(True)
+        try:
+            return real_build(*args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(exactmath, "_yun", lambda f: calls.append((f, bool(building))) or real_yun(f))
+    for mod in (spectral, sys.modules["blochjac.inverse"]):
+        monkeypatch.setattr(mod, "build_char_determinant", build)
+    return calls
+
+
+def test_yun_receives_rational_coefficients_only(tmp_path, capsys, monkeypatch):
+    # free(2, 2) splits Phi = (nu - T_2(z/2))^2 by Yun at its 5 sample points
+    # while D is built, and then reads nu - T_2(z/2) at any z, real or not;
+    # example3 at t = 1 has a double branch at the real zero z = -1/2 of rho,
+    # which Yun splits exactly at the point
+    calls = rational_yun_calls(monkeypatch)
+    free = write_doc(tmp_path, capsys, ["example", "free", "--p", "2", "--m", "2"], "free.json")
+    for argv in (["--z", "0.5,0.25"], ["--z-grid=-3:3:50"]):
+        run_json(capsys, ["lyapunov", free] + argv)
+    assert len(calls) == 10 and all(during for _, during in calls)
+    ex3 = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1"], "ex3.json")
+    (point,) = run_json(capsys, ["lyapunov", ex3, "--z=-0.5"])["payload"]["points"]
+    assert point["branches"][0] == point["branches"][1] == {"real": True, "value": [-1.125, 0.0]}
+    assert [during for _, during in calls[10:]] == [False]
+    assert all(type(c) is Fraction for f, _ in calls for c in f)
+
+
+def test_free_2_6_grid_runs_yun_only_while_d_is_built(tmp_path, capsys, monkeypatch):
+    # Phi = (nu - T_2(z/2))^6 is split at the n = p m (m - 1) + 1 = 61 sample
+    # points of D, and never at any of the 2000 grid points
+    calls = rational_yun_calls(monkeypatch)
+    path = write_doc(tmp_path, capsys, ["example", "free", "--p", "2", "--m", "6"])
+    points = run_json(capsys, ["lyapunov", path, "--z-grid=-3:3:2000"])["payload"]["points"]
+    assert len(points) == 2000
+    assert 1 <= len(calls) <= 61 and all(during for _, during in calls)
+
+
+def test_lyapunov_at_a_non_real_zero_of_rho_exits_2_naming_z(tmp_path, capsys):
+    # example3 at t = 4/5 has rho = 1/4 + 16/25 z + 16/25 z^2, with the zeros
+    # -1/2 +- 3/8 i, each a double branch of a Gaussian Phi(z, .) that Yun
+    # over Q cannot split
+    path = write_doc(tmp_path, capsys, ["example", "example3", "--t", "4/5"])
+    payload = run_json(capsys, ["resonances", path])["payload"]
+    assert payload["rho"] == ["1/4", "16/25", "16/25"]
+    assert payload["zeros"] == [[-0.5, -0.375], [-0.5, 0.375]]
+    code, line = run_error_line(capsys, ["lyapunov", path, "--z=-0.5,0.375"])
+    assert code == 2
+    assert line.startswith("error: Phi(z, nu) at z = (-0.5+0.375j) is not split into squarefree factors: "
+                           "z is a non-real zero of rho")

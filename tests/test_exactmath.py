@@ -5,12 +5,11 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from polyref import Z, coeffs, expr
+from polyref import Z, coeffs, expr, triples
 from testops import random_operator
 
 from blochjac import exactmath
 from blochjac.exactmath import (
-    CRational,
     chebyshev,
     derivative,
     det_inv,
@@ -28,16 +27,11 @@ from blochjac.exactmath import (
 from blochjac.fixtures import free_operator
 from blochjac.spectral import build_char_determinant, char_determinant, resonance_poly
 
-I = CRational(0, 1)
 NU = sympy.Symbol("nu")
 
 
 def rationals(max_num=4, dens=(1, 2, 3)):
     return st.builds(Fraction, st.integers(-max_num, max_num), st.sampled_from(dens))
-
-
-def gaussian_rationals(max_num=4):
-    return st.builds(CRational, rationals(max_num), rationals(max_num))
 
 
 def det_charpoly(A):
@@ -47,40 +41,22 @@ def det_charpoly(A):
                                      for i, row in enumerate(A)])[0] for x in xs])
 
 
-def test_crational_arithmetic():
-    a = CRational(1, 2)
-    b = CRational(3, -1)
-    assert a * b == CRational(5, 5)
-    assert a + b == CRational(4, 1)
-    assert (a / a) == 1
-    assert a * CRational(a.re, -a.im) == a.abs2() == Fraction(5)
-    assert I * I == -1
-    assert I * I * I == CRational(0, -1)
-    assert 1 / I == CRational(0, -1)
-    assert CRational(Fraction(1, 2), 0) == Fraction(1, 2)
-    assert hash(CRational(Fraction(1, 2), 0)) == hash(Fraction(1, 2))
-    assert complex(a) == 1 + 2j
-
-
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([rationals(), gaussian_rationals()]).flatmap(lambda scalars: st.tuples(
-    st.lists(scalars, max_size=5), st.lists(scalars, max_size=4), scalars, scalars)))
-def test_polynomial_kernels_match_sympy(case):
-    # over Q and over Q(i): every kernel against sympy's arithmetic on the same polynomials
-    fc, gc, a, x = case
+@given(st.lists(rationals(), max_size=5), st.lists(rationals(), max_size=4), rationals(), rationals())
+def test_polynomial_kernels_match_sympy(fc, gc, a, x):
+    # every kernel against sympy's arithmetic on the same polynomials
     F, G = expr(fc), expr(gc)
     f, g = lincomb((1, fc)), lincomb((1, gc))
     assert f == coeffs(F) and g == coeffs(G)
-    assert all(isinstance(c, (Fraction, CRational)) for c in f)
+    assert all(isinstance(c, Fraction) for c in f)
     assert lincomb((a, f), (x, g)) == coeffs(expr([a]) * F + expr([x]) * G)
     assert derivative(f) == coeffs(sympy.diff(F, Z))
     assert expr([horner(f, x)]) == sympy.expand(F.subs(Z, expr([x])))
-    if all(isinstance(c, Fraction) for c in f):  # a float x meets real coefficients only
-        assert horner(f, complex(x)) == pytest.approx(complex(F.subs(Z, expr([x]))), abs=1e-9)
+    assert horner(f, complex(x)) == pytest.approx(complex(F.subs(Z, expr([x]))), abs=1e-9)
     if g:
-        assert monic(g) == coeffs(sympy.Poly(G, Z, domain="QQ_I").monic().as_expr())
+        assert monic(g) == coeffs(sympy.Poly(G, Z, domain="QQ").monic().as_expr())
         assert exact_div(coeffs(F * G), g) == f
-        if len(g) > 1 and sympy.rem(sympy.Poly(F + 1, Z, domain="QQ_I"), sympy.Poly(G, Z, domain="QQ_I")):
+        if len(g) > 1 and sympy.rem(sympy.Poly(F + 1, Z, domain="QQ"), sympy.Poly(G, Z, domain="QQ")):
             with pytest.raises(ValueError, match="not exact"):
                 exact_div(coeffs(F + 1), g)
 
@@ -115,13 +91,6 @@ def _to_sympy(f):
 def test_resultant_examples():
     assert resultant((-1, 0, 1), (-1, 1)) == 0
     assert resultant((-2, 1), (-3, 1)) == -1
-
-
-def test_euclid_never_raises_a_gaussian_rational_to_a_power():
-    # f = 1 + i nu has f' = i, so Res(f, f') = i and disc f = i / i = 1
-    d = discriminant((Fraction(1), I))
-    assert d == Fraction(1) and isinstance(d, Fraction)
-    assert euclid([1, 0, 1], [I])[1] == -1
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,15 +163,20 @@ def big_rationals():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.one_of(big_rationals(), st.builds(CRational, big_rationals(), big_rationals())), max_size=6))
-def test_exact_form_inverts_gaussian_parts_and_rounds_once(f):
-    # each triple (a, b, s) gives back its coefficient exactly, and a / s, b / s
-    # are the correctly rounded parts, so the root finder sees complex(c)
+@given(st.lists(big_rationals(), max_size=6), st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                                                        max_size=3))
+def test_exact_form_inverts_gaussian_parts_and_rounds_once(f, zs):
+    # each rational triple (a, 0, s) gives back its coefficient exactly, and
+    # a / s, b / s are the correctly rounded parts, so the root finder sees
+    # complex(c); a triple with b != 0 has no form over Q
     f = tuple(f)
-    assert exactmath._exact_form(map(exactmath._gaussian_parts, f)) == f
-    for c in f:
+    assert exactmath._exact_form([exactmath._gaussian_parts(c) for c in f]) == f
+    for c in f + tuple(zs):
         a, b, s = exactmath._gaussian_parts(c)
         assert complex(a / s, b / s) == complex(c)
+    if any(z.imag for z in zs):
+        with pytest.raises(ValueError, match="runs over Q only"):
+            exactmath._exact_form([exactmath._gaussian_parts(z) for z in zs])
 
 
 def test_squarefree_decomposition():
@@ -302,13 +276,15 @@ def test_certificate_without_a_lucky_prime_falls_back_to_yun():
 
 
 def test_certificate_maps_i_to_a_square_root_of_minus_one():
-    f = coeffs((Z - sympy.I) * (Z + 2 * sympy.I) * (Z - 1))
-    assert certificate(f) is not None
-    assert squarefree(f) == [(f, 1)]
-    # (z - i)^2 (z + 3) would look squarefree if i were mapped to anything else
-    f = coeffs((Z - sympy.I) ** 2 * (Z + 3))
-    assert certificate(f) is None
-    assert squarefree(f) == [(coeffs(Z + 3), 1), (coeffs(Z - sympy.I), 2)]
+    f = triples((Z - sympy.I) * (Z + 2 * sympy.I) * (Z - 1))
+    assert exactmath._squarefree_certificate(f) is not None
+    assert squarefree_decomposition(f) == [(f, 1)]
+    # (z - i)^2 (z + 3) would look squarefree if i were mapped to anything
+    # else; Yun's algorithm runs over Q only, so its split is refused
+    f = triples((Z - sympy.I) ** 2 * (Z + 3))
+    assert exactmath._squarefree_certificate(f) is None
+    with pytest.raises(ValueError, match="no prime proves a Gaussian polynomial squarefree"):
+        squarefree_decomposition(f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -354,22 +330,26 @@ def test_bipoly_eval_examples():
 
     assert at(1) == (2, -1)
     assert at(-1) == (2, 1)
-    assert at(sympy.I) == (0, CRational(0, -1))  # i^2 + 1 = 0 leaves -i*z
+    # i^2 + 1 = 0 leaves -i*z
+    assert sympy.expand(sum(expr(c) * sympy.I**k for k, c in enumerate(D))) == -sympy.I * Z
     assert [horner(c, 0) for c in D] == [1, 0, 1]
 
 
 def test_bipoly_arithmetic_and_subs():
     # free(2, 2) has Phi = (nu - b)^2 with b = z^2/2 - 1: its nu-coefficients
-    # expand the square, and substituting z = x gives (nu - b(x))^2 exactly
+    # expand the square, its one squarefree factor is F_2 = nu - b, and
+    # substituting z = x gives nu - b(x) exactly
     branch = Z**2 / 2 - 1
     cd = char_determinant(free_operator(2, 2))
     assert cd.phi == ((1,), coeffs(-2 * branch), coeffs(branch**2))
     for x in (Fraction(-3), Fraction(1, 2), Fraction(5, 3)):
-        phi = exactmath._exact_form(cd.phi_at(x))
-        assert phi == coeffs((NU - branch.subs(Z, sympy.Rational(x))) ** 2, NU)
-        assert all(type(c) is Fraction for c in phi)
-    # off the real axis the coefficients are Gaussian: b(1/2 + i/4) = -29/32 + i/8
-    assert exactmath._exact_form(cd.phi_at(complex(0.5, 0.25)))[1] == CRational(Fraction(29, 16), Fraction(-1, 4))
+        ((parts, k),) = cd.phi_at(x)
+        assert k == 2
+        assert exactmath._exact_form(parts) == coeffs(NU - branch.subs(Z, sympy.Rational(x)), NU)
+    # off the real axis the triples are Gaussian: -b(1/2 + i/4) = 29/32 - i/8
+    ((parts, _),) = cd.phi_at(complex(0.5, 0.25))
+    a, b, s = parts[0]
+    assert (Fraction(a, s), Fraction(b, s)) == (Fraction(29, 32), Fraction(-1, 8))
 
 
 def test_laurent_bipoly_round_trip():
@@ -423,18 +403,23 @@ def test_charpoly_mod_reduces_the_exact_charpoly(rows):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
-    st.lists(st.one_of(rationals(9), gaussian_rationals(9), st.just(Fraction(0))), min_size=n, max_size=n),
+    st.lists(st.one_of(st.tuples(rationals(9), rationals(9)), st.just((0, 0))), min_size=n, max_size=n),
     min_size=n, max_size=n)))
 def test_charpoly_over_q_and_qi_matches_gauss_jordan(rows):
     # zeros exercise the pivot search of the Hessenberg reduction; reduction
-    # modulo (P, i - i_P) maps Q(i) with denominators prime to P onto GF(P)
-    exact = det_charpoly(rows)
+    # modulo (P, i - i_P) maps Q(i) with denominators prime to P onto GF(P).
+    # Entries (re, im) are Gaussian rationals; the real parts alone go through
+    # det_charpoly, the Gaussian matrix through sympy's charpoly
+    real = [[re for re, _ in row] for row in rows]
+    gaussian = sympy.Matrix([[sympy.Rational(re) + sympy.I * sympy.Rational(im) for re, im in row] for row in rows])
     for P, i in exactmath._CERTIFICATE[:2]:
         def red(x):
-            a, b, s = exactmath._gaussian_parts(x)
+            ((a, b, s),) = triples(x)
             return (a + b * i) * pow(s, -1, P) % P
 
-        assert exactmath.charpoly([[red(x) for x in row] for row in rows], P) == [red(c) for c in exact]
+        assert exactmath.charpoly([[red(x) for x in row] for row in real], P) == [red(c) for c in det_charpoly(real)]
+        want = [red(c) for c in reversed(gaussian.charpoly().all_coeffs())]
+        assert exactmath.charpoly([[red(x) for x in row] for row in gaussian.tolist()], P) == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -449,10 +434,7 @@ def test_interpolation_and_crt_recover_integer_coefficients(ints):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.one_of(
-        st.lists(rationals(5), max_size=7),
-        st.lists(gaussian_rationals(), max_size=7),
-    ),
+    st.lists(rationals(5), max_size=7),
     st.integers(-3, 3),
 )
 def test_interpolate_round_trip(cs, start):
@@ -461,10 +443,5 @@ def test_interpolate_round_trip(cs, start):
     assert len(g) == len(xs) and coeffs(expr(g)) == coeffs(expr(cs))
 
 
-def test_det_inv_singular_and_complex():
+def test_det_inv_singular():
     assert det_inv([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == (0, None)
-    d, inv = det_inv([[I, CRational(1)], [CRational(-1), I]])
-    assert d == Fraction(0) and inv is None
-    d2, inv2 = det_inv([[I, CRational(0)], [CRational(0), I]])
-    assert d2 == -1 and isinstance(d2, Fraction)
-    assert inv2 == [[-I, 0], [0, -I]]

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from testops import random_operator, scalar_operator
 
 from blochjac.exactmath import (
-    CRational,
     _primes,
     charpoly,
     det_inv,
@@ -33,7 +33,6 @@ from blochjac.spectral import _route_two
 
 Z = (0, 1)  # the polynomial z, as an ascending tuple
 P, I_P = next(_primes())  # I_P * I_P = -1 modulo P
-IMAG = CRational(0, 1)
 
 
 def poly(cs):
@@ -293,7 +292,7 @@ def test_floquet_diagonal_decouples():
 
 
 @pytest.mark.parametrize("seed,p,m", [(9, 1, 2), (9, 2, 2), (9, 3, 2), (11, 4, 1)])
-@pytest.mark.parametrize("tau", [Fraction(1), CRational(Fraction(3, 5), Fraction(4, 5))], ids=["1", "3+4i_5"])
+@pytest.mark.parametrize("tau", [Fraction(1), sympy.Rational(3, 5) + sympy.I * sympy.Rational(4, 5)], ids=["1", "3+4i_5"])
 def test_floquet_exact_matches_float(seed, p, m, tau):
     # p = 1 puts tau and 1/tau into one block; at p = 2 the corners overlap
     # the off-diagonal blocks
@@ -305,7 +304,7 @@ def test_floquet_exact_matches_float(seed, p, m, tau):
 
 def test_floquet_exact_gaussian_tau():
     op = random_operator(10, 2, 2)
-    Lx = _floquet_layout(op.a, op.b, IMAG, -IMAG)
+    Lx = _floquet_layout(op.a, op.b, sympy.I, -sympy.I)
     Lf = floquet_matrix(op, 1j)
     assert np.allclose(np.array([[complex(v) for v in row] for row in Lx]), Lf)
 

@@ -10,13 +10,12 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from polyref import Z, coeffs, expr
-from testops import random_operator, rotation_operator, scalar_operator
+from polyref import Z, coeffs, expr, triples
+from testops import random_operator, realified_charpoly, rotation_operator, scalar_operator
 
 import blochjac.exactmath as exactmath
 import blochjac.spectral as spectral_mod
 from blochjac.exactmath import (
-    CRational,
     _primes,
     derivative,
     det_inv,
@@ -234,11 +233,14 @@ def test_lyapunov_double_point_example3():
 
 
 def exact_route_branch_values(cd, z):
-    """branch_values the way it was first written: an exact polynomial, Yun, then Aberth."""
+    """branch_values by a route apart from D's factors: Phi(z, .) over Q(i) in sympy, its squarefree split, Aberth."""
+    nu = sympy.Symbol("nu")
+    zc = z if isinstance(z, Fraction) else complex(z)
+    x = sympy.Rational(Fraction(zc.real)) + sympy.I * sympy.Rational(Fraction(zc.imag))
+    phi = sympy.Poly(sum(expr(f).subs(Z, x) * nu ** (cd.m - j) for j, f in enumerate(cd.phi)), nu, domain="QQ_I")
     vals = []
-    f = exactmath._exact_form(cd.phi_at(z))
-    for g, k in squarefree_decomposition([exactmath._gaussian_parts(c) for c in f]):
-        for r in roots_all([complex(c) for c in exactmath._exact_form(g)]):
+    for g, k in phi.sqf_list()[1]:
+        for r in roots_all([complex(a / s, b / s) for a, b, s in triples(g.monic().as_expr(), nu)]):
             vals.extend([r] * k)
     if not (isinstance(z, complex) and z.imag):
         vals = _conjugate_symmetrize(vals)
@@ -256,37 +258,70 @@ def test_integer_branch_values_equal_the_exact_route(seed, p, m):
         assert branch_values(cd, z) == exact_route_branch_values(cd, z)
 
 
-def test_integer_branch_values_fall_back_to_yun_on_a_double_branch(monkeypatch):
-    # free(2, 2) has Phi = (nu - T_2(z/2))^2, so no prime proves it squarefree
-    # (the exact route also runs Yun, so it is taken before the count starts)
+def test_branch_values_on_a_double_branch_run_neither_yun_nor_a_certificate(monkeypatch):
+    # free(2, 2) has Phi = (nu - T_2(z/2))^2, split once with D into F_2 = nu - T_2(z/2),
+    # so each point evaluates a linear factor, which needs no proof
     cd = char_determinant(free_operator(2, 2))
-    points = (Fraction(1, 3), 0.5, complex(0.5, 0.25))
+    assert [k for _, k in cd.factors] == [2]
+    points = [Fraction(1, 3), 0.5, complex(0.5, 0.25)] + [-3 + 6 * k / 49 for k in range(50)]
     want = [exact_route_branch_values(cd, z) for z in points]
     calls = []
-    real = exactmath._yun
-    monkeypatch.setattr(exactmath, "_yun", lambda f: calls.append(f) or real(f))
+    for name in ("_yun", "_squarefree_certificate"):
+        real = getattr(exactmath, name)
+        monkeypatch.setattr(exactmath, name, lambda f, real=real: calls.append(f) or real(f))
+    for z, exact in zip(points, want):
+        a, b = branch_values(cd, z)
+        assert a == b
+        assert [a, b] == exact
+    assert calls == []
+
+
+def crossing_operator():
+    # p = 1, a_1 = diag(1, 2), b_1 = 0: the branches z/2 and z/4 make Phi
+    # squarefree, a single factor F_1 of degree 2 with rho = z^2/16, and
+    # meet at z = 0 only
+    return PeriodicOperator([[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]], [[[Fraction(0)] * 2] * 2])
+
+
+def count_calls(monkeypatch, *names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(exactmath, name)
+
+        def counted(f, name=name, real=real):
+            calls[name] += 1
+            return real(f)
+
+        monkeypatch.setattr(exactmath, name, counted)
+    return calls
+
+
+def test_integer_branch_values_fall_back_to_yun_on_a_double_branch(monkeypatch):
+    # F_1(0, .) = nu^2 has a double root, so no prime proves it squarefree
+    # (the exact route runs sympy, so it is taken before the count starts)
+    cd = char_determinant(crossing_operator())
+    assert [k for _, k in cd.factors] == [1]
+    points = (Fraction(0), 0.0, complex(0.0, 0.0))
+    want = [exact_route_branch_values(cd, z) for z in points]
+    calls = count_calls(monkeypatch, "_yun")
     for z, exact in zip(points, want):
         a, b = branch_values(cd, z)
         assert a == b
         assert branch_values(cd, z) == exact
-    assert len(calls) == 6
+    assert calls["_yun"] == 6
 
 
 def test_branch_values_runs_one_certificate_per_point_before_yun(monkeypatch):
-    # Phi(x, .) of free(2, 2) is a square at every x, so each of 50 points
-    # fails the certificate once and goes straight to Yun
-    cd = char_determinant(free_operator(2, 2))
-    calls = []
-    real = exactmath._squarefree_certificate
-
-    def counted(parts):
-        calls.append(parts)
-        return real(parts)
-
-    monkeypatch.setattr(exactmath, "_squarefree_certificate", counted)
+    # F_1(x, .) is squarefree at each of 50 points off z = 0, so each is proved
+    # by one certificate and none reaches Yun; at z = 0 the certificate fails
+    # once and Yun splits the double branch
+    cd = char_determinant(crossing_operator())
+    calls = count_calls(monkeypatch, "_squarefree_certificate", "_yun")
     for k in range(50):
         branch_values(cd, -3 + 6 * k / 49)
-    assert len(calls) == 50
+    assert calls == {"_squarefree_certificate": 50, "_yun": 0}
+    assert branch_values(cd, Fraction(0)) == [0j, 0j]
+    assert calls == {"_squarefree_certificate": 51, "_yun": 1}
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -751,8 +786,8 @@ def test_resonance_poly_is_the_pointwise_discriminant(seed, shape, x):
     cd = char_determinant(random_operator(seed, *shape))
     rho, degenerate = resonance_poly(cd)
     assert not degenerate
-    want = discriminant(exactmath._exact_form(cd.phi_at(x))) if cd.m > 1 else 1
-    assert horner(rho, x) == want
+    # Phi(x, .) ascending in nu, from D's coefficients rather than its factors
+    assert horner(rho, x) == discriminant(tuple(horner(f, x) for f in reversed(cd.phi)))
 
 
 def partially_degenerate_operator():
@@ -765,12 +800,33 @@ def partially_degenerate_operator():
 
 def test_resonance_poly_partial_degeneracy_skips_unlucky_points():
     # Phi = (nu - D0)^2 (nu - D2) with D0 = (z^2 - 2)/2 and D2 = (z^2 - 2z - 2)/2,
-    # so the deflated rho is (D0 - D2)^2 = z^2. At the centre sample z = 0 all
-    # three branches meet, so that point must not set the degree
+    # so F_1 = nu - D2, F_2 = nu - D0 and rho = disc(F_1 F_2) = (D0 - D2)^2 = z^2.
+    # At the centre sample z = 0 all three branches meet, so that point must
+    # not set the pattern of the factors
     cd = char_determinant(partially_degenerate_operator())
-    ((_, k),) = squarefree_decomposition(cd.phi_at(Fraction(0)))
+    ((_, k),) = squarefree_decomposition([exactmath._gaussian_parts(horner(f, 0)) for f in reversed(cd.phi)])
     assert k == 3
+    # at z = 1, F_1 = nu - D2(1) = nu + 3/2 and F_2 = nu - D0(1) = nu + 1/2
+    assert [(exactmath._exact_form(parts), k) for parts, k in cd.phi_at(Fraction(1))] == [
+        ((Fraction(3, 2), 1), 1), ((Fraction(1, 2), 1), 2)]
     assert resonance_poly(cd) == ((0, 0, 1), True)
+
+
+def test_phi_factors_skip_points_where_two_factors_share_a_root():
+    # Phi = F_1 F_2^2 with F_1 = nu^2 - z^4 and F_2 = nu - z^2 - 24z, as D = (2 tau)^4
+    # Phi((tau + 1/tau)/2) of period 2. The first of the 25 sample points,
+    # z = -12, splits into two factors, (nu - 144) (nu + 144)^3, as the
+    # generic points do, but with other degrees, and z = 0 into nu^4; neither
+    # may enter the interpolation of F_1 and F_2
+    nu, tau = sympy.symbols("nu tau")
+    f1, f2 = nu**2 - Z**4, nu - Z**2 - 24 * Z
+    phi = sympy.Poly(f1 * f2**2, nu).all_coeffs()
+    D = sympy.Poly(sympy.expand(sum(c * (2 * tau) ** j * (tau**2 + 1) ** (4 - j) for j, c in enumerate(phi))), tau)
+    cd = build_char_determinant(tuple(coeffs(D.coeff_monomial(tau ** (8 - j))) for j in range(9)), 2, 4)
+    for x in (-12, 0, 3):
+        want = [(coeffs(f.subs(Z, x), nu), k) for f, k in ((f1, 1), (f2, 2))]
+        assert [(exactmath._exact_form(parts), k) for parts, k in cd.phi_at(Fraction(x))] == want
+    assert resonance_poly(cd) == (coeffs(sympy.discriminant(f1 * f2, nu)), True)
 
 
 def test_free_operator_2_8_resonance_poly_is_degenerate_one():
@@ -782,8 +838,9 @@ def test_char_determinant_4_4_floquet_identity():
     op = random_operator(7, 4, 4)
     cd = char_determinant(op)
     assert [coeff(q, 16) for q in cd.q] == [1, 0, 0, 0, 0]
-    for tau0, nu0 in ((Fraction(1), 1), (CRational(0, 1), 0)):
-        assert cd.section(nu0) == charpoly(_floquet_layout(op.a, op.b, tau0, 1 / tau0))
+    assert cd.section(1) == charpoly(_floquet_layout(op.a, op.b, Fraction(1), Fraction(1)))
+    # tau0 = i, nu0 = 0: L(i) = A + B i is checked through its realification over Q
+    assert coeffs(expr(cd.section(0)) ** 2) == realified_charpoly(_floquet_layout(op.a, op.b, sympy.I, -sympy.I))
 
 
 def test_floquet_determinant_check_passes_at_every_tau_at_64_1():

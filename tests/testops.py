@@ -66,3 +66,19 @@ def random_operator(seed: int, p: int, m: int) -> PeriodicOperator:
         a_list.append(amat)
         b_list.append(bmat)
     return PeriodicOperator(a_list, b_list)
+
+
+
+def realified_charpoly(L) -> tuple:
+    """det(z I - R) ascending, for R = [[A, -B], [B, A]] the realification of L = A + B i.
+
+    The entries of L are anything sympy reads as Gaussian rationals. For a
+    Hermitian L, R is real symmetric and det(z I - R) = det(z I - L)^2, so
+    a Gaussian-rational L is checked exactly over Q, by sympy.
+    """
+    import sympy
+
+    parts = [[sympy.sympify(v).as_real_imag() for v in row] for row in L]
+    A, B = ([[v[k] for v in row] for row in parts] for k in (0, 1))
+    R = sympy.Matrix([ra + [-x for x in rb] for ra, rb in zip(A, B)] + [rb + ra for ra, rb in zip(A, B)])
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(R.charpoly().all_coeffs()))
