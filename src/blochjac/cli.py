@@ -216,17 +216,7 @@ def _band_payload(bs, gaps) -> dict:
         "segments": [[s.lo, s.hi, s.multiplicity] for s in bs.segments],
         "edges": [[e.value, e.kind, list(e.branches)] for e in bs.edges],
         "branch_bands": [[[lo, hi] for lo, hi in bands] for bands in bs.branch_bands],
-        "gaps": [
-            {
-                "lo": g.lo,
-                "hi": g.hi,
-                "multiplicity": g.multiplicity,
-                "kind": g.kind,
-                "lo_kinds": sorted(g.lo_kinds),
-                "hi_kinds": sorted(g.hi_kinds),
-            }
-            for g in gaps
-        ],
+        "gaps": [g._asdict() for g in gaps],  # classify_gaps sorts lo_kinds and hi_kinds
     }
 
 

@@ -4,11 +4,11 @@ Everything in this module is exact: univariate polynomials over Q as
 ascending coefficient tuples with a few kernels on them, and a small GF(P)
 layer over one list of 61-bit primes with Chinese remaindering. Each job
 has one algorithm: one Euclidean remainder loop, euclid, gives gcds,
-resultants and discriminants over Q and GF(P); one Hessenberg
-characteristic polynomial over GF(P) and one Newton interpolation let a
-polynomial-valued quantity be computed at sample points modulo primes and
-interpolated; and one Gauss-Jordan elimination, det_inv, gives a
-determinant with its inverse. Gaussian values reach this module only as
+resultants and discriminants over Q and GF(P) and Sturm sequences over Q;
+one Hessenberg characteristic polynomial over GF(P) and one Newton
+interpolation let a polynomial-valued quantity be computed at sample
+points modulo primes and interpolated; and one Gauss-Jordan elimination,
+det_inv, gives a determinant with its inverse. Gaussian values reach this module only as
 integer triples, which the squarefree certificate reduces modulo primes.
 Floating point is confined to the numerics module; coefficients here are
 ints or Fractions, never floats.
@@ -276,21 +276,23 @@ def interpolate(xs, ys, P=None):
 
 
 def euclid(a, b, P=None):
-    """(g, r): the last nonzero remainder of Euclid's algorithm on a and b, and Res(a, b).
+    """(rems, r): the nonzero remainders of Euclid's algorithm on a and b, from a and b to the gcd, and Res(a, b).
 
     a and b are ascending coefficient lists with len(a) >= len(b) and
     nonzero last entries (modulo P when P is given); an empty b, the zero
-    polynomial, gives g = a, and r = 0 when deg a >= 1. Exact over Q on int
-    or Fraction entries; over GF(P) on ints when P is given. Each division
-    step a = q b + c carries the resultant along by
+    polynomial, gives rems = [a], and r = 0 when deg a >= 1. Exact over Q on
+    int or Fraction entries; over GF(P) on ints when P is given. Each
+    division step a = q b + c carries the resultant along by
     Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg c) Res(b, c),
     down to Res(a, b_0) = b_0^(deg a) for a constant b (Cohen, GTM 138,
     section 3.3).
     """
     red = _reducer(P)
     a, b = red(list(a)), red(list(b))
+    rems = [a]
     r = Fraction(1) if P is None else 1
     while len(b) > 1:
+        rems.append(b)
         inv = Fraction(1) / b[-1] if P is None else pow(b[-1], -1, P)
         c = list(a)
         while len(c) >= len(b):
@@ -304,14 +306,34 @@ def euclid(a, b, P=None):
         r, = red([r * b[-1] ** (len(a) - len(c))])
         a, b = b, c
     r, = red([r * (b[0] if b else 0) ** (len(a) - 1)])
-    return b or a, r
+    return rems + [b] * bool(b), r
 
 
 def gcd(f, g) -> tuple:
     """Monic gcd of univariate polynomials, the last nonzero remainder of euclid."""
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
-    return monic(euclid(*sorted((f, g), key=len, reverse=True))[0])
+    return monic(euclid(*sorted((f, g), key=len, reverse=True))[0][-1])
+
+
+def root_counts(f, a, b) -> tuple:
+    """(#roots < a, #roots in [a, b], #roots > b): the real roots of a squarefree f over Q, a <= b rational.
+
+    Sturm's sequence is euclid's remainders of f and f' signed +, +, -, -,
+    +, +, ... (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
+    section 2.2); with V(x) its sign changes at x, zeros dropped, f has
+    V(-inf) - V(x) roots in (-inf, x], as V at a root is V just right of it.
+    """
+    chain = [c if k % 4 < 2 else [-v for v in c] for k, c in enumerate(euclid(f, derivative(f))[0])]
+
+    def changes(values):
+        signs = [v > 0 for v in values if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    at_b = changes([horner(c, b) for c in chain])
+    low = changes([c[-1] * (-1) ** (len(c) - 1) for c in chain])  # V(-inf)
+    below_a = low - changes([horner(c, a) for c in chain]) - (horner(f, a) == 0)
+    return below_a, low - at_b - below_a, at_b - changes([c[-1] for c in chain])
 
 
 def discriminant(f):

@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import groupby
 from operator import mul
 from typing import NamedTuple
 
@@ -29,9 +30,10 @@ from .exactmath import (
     mat_mul,
     mat_transpose,
     monic,
+    root_counts,
     squarefree_decomposition,
 )
-from .numerics import certified_roots, hermitian_eigs, roots_all
+from .numerics import _sign_at, certified_roots, hermitian_eigs, roots_all
 from .operators import (
     PeriodicOperator,
     TransferParts,
@@ -44,7 +46,7 @@ from .operators import (
 REAL_TOL = 1e-9
 CROSS_TOL = 1e-7
 DEFAULT_GRID = 257
-_SUBSAMPLES = 17
+_BISECTIONS = 2048
 
 
 class InternalConsistencyError(RuntimeError):
@@ -146,6 +148,7 @@ class ResonanceSet(NamedTuple):
     clusters: tuple
     degenerate: bool
     rho: _Rho
+    proved: tuple  # (x, k, ints) per zero proved real, as _eigs_at_tau gives a root
 
 
 class Segment(NamedTuple):
@@ -424,10 +427,11 @@ def _roots(parts, what, aberth=True) -> list:
     return out
 
 
-def _certified(g, seeds, eigensolver: bool) -> list:
-    """certified_roots of the squarefree factor g, given as (a, b, s) triples, with its denominators cleared."""
+def _certified(g, seeds, eigensolver: bool) -> tuple:
+    """(ints, certified_roots of ints): g, a squarefree factor as (a, b, s) triples, with its denominators cleared."""
     d = math.lcm(*(s for _, _, s in g))
-    return certified_roots([a * (d // s) for a, _, s in g], seeds, eigensolver)
+    ints = [a * (d // s) for a, _, s in g]
+    return ints, certified_roots(ints, seeds, eigensolver)
 
 
 def branch_values(cd: CharDeterminant, z) -> list:
@@ -517,17 +521,19 @@ def resonances(cd: CharDeterminant) -> ResonanceSet:
     """
     rho, degenerate = resonance_poly(cd)
     if len(rho) <= 1:
-        return ResonanceSet((), (), (), degenerate, rho)
+        return ResonanceSet((), (), (), degenerate, rho, ())
     clusters = []  # (value, multiplicity, proved real)
+    proved = []
     for g, rs, k in _roots([_gaussian_parts(c) for c in monic(rho)], lambda: "rho(z)"):
-        real = _certified(g, [r.real for r in rs], False)
+        ints, real = _certified(g, [r.real for r in rs], False)
         for x in real:
             rs.remove(min(rs, key=lambda r: abs(r - x)))
         clusters += [(complex(x, 0.0), k, True) for x in real] + [(r, k, False) for r in _conjugate_symmetrize(rs)]
+        proved += [(x, k, ints) for x in real]
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
     vals = tuple(v for v, k, _ in clusters for _ in range(k))
     flags = tuple(real for _, k, real in clusters for _ in range(k))
-    return ResonanceSet(vals, flags, tuple((v, k) for v, k, _ in clusters), degenerate, rho)
+    return ResonanceSet(vals, flags, tuple((v, k) for v, k, _ in clusters), degenerate, rho, tuple(sorted(proved)))
 
 
 def _conjugate_symmetrize(roots):
@@ -545,9 +551,10 @@ def _conjugate_symmetrize(roots):
 
 
 def _eigs_at_tau(cd: CharDeterminant, tau0) -> list:
-    """The roots of q(., tau0), tau0 = 1 or -1, as (nearest double, multiplicity), ascending.
+    """The roots of q(., tau0), tau0 = 1 or -1, as (nearest double, multiplicity, ints), ascending.
 
-    They are the eigenvalues of the Hermitian L(tau0): certified_roots proves
+    ints are the integer coefficients of the root's squarefree factor. The
+    roots are the eigenvalues of the Hermitian L(tau0): certified_roots proves
     each squarefree factor's, seeded by hermitian_eigs of L(tau0) where D
     carries its operator (cd.op), else by Aberth's roots of the factor.
     """
@@ -556,147 +563,148 @@ def _eigs_at_tau(cd: CharDeterminant, tau0) -> list:
     eigs = None if cd.op is None else hermitian_eigs(floquet_matrix(cd.op, tau0))
     out = []
     for g, rs, k in factors:
-        found = _certified(g, eigs or [r.real for r in rs], eigs is not None)
+        ints, found = _certified(g, eigs or [r.real for r in rs], eigs is not None)
         if len(found) != len(g) - 1:
             raise InternalConsistencyError(f"q(., {tau0}) has a squarefree factor of degree {len(g) - 1} with "
                                            f"{len(found)} certified real roots; a self-adjoint operator's are real")
-        out.extend((v, k) for v in found)
+        out.extend((v, k, ints) for v in found)
     return sorted(out)
 
 
-def _candidate_edges(cd: CharDeterminant):
-    """Sorted (value, kinds): the roots of q(., 1) and q(., -1) (_eigs_at_tau), and the real zeros of rho.
+def _counts(cd: CharDeterminant, x: Fraction) -> tuple:
+    """(below, inside, real): the branches at the rational x real below -1, in [-1, 1], and real, exactly.
 
-    Each is the double nearest to an exact root (resonances proves the real
-    zeros of rho as _eigs_at_tau proves the eigenvalues), and candidates
-    merge only when they are the same double, so no band between two
-    distinct doubles is lost however thin.
+    root_counts takes each squarefree factor g of each F_k(x, .) by Sturm's
+    theorem; a root of a j-fold g is k j branches.
     """
-    kinds = {}
-    for tau0, kind in ((Fraction(1), "periodic"), (Fraction(-1), "antiperiodic")):
-        for v, _ in _eigs_at_tau(cd, tau0):
-            kinds.setdefault(v, set()).add(kind)
-    rs = resonances(cd)
-    for v in (v.real for v, real in zip(rs.values, rs.real) if real):
-        kinds.setdefault(v, set()).add("resonance")
-    return [(v, frozenset(kinds[v])) for v in sorted(kinds)]
+    out = [0, 0, 0]
+    for parts, k in cd.phi_at(x):
+        for g, j in _split(parts, lambda: f"Phi(z, nu) at z = {x}"):
+            out = [t + k * j * c for t, c in zip(out, root_counts(_exact_form(g), -1, 1))]
+    return out[0], out[1], sum(out)
 
 
-def _match_nearest(targets, vals) -> list:
-    """vals reordered so that entry i is the value paired with targets[i].
+def _between(v: float, factors) -> list:
+    """Rationals between the consecutive distinct roots near the double v of the integer polynomials factors.
 
-    All m^2 distances are taken in ascending order, and a pair is kept when
-    both its target and its value are still free; an exact tie goes to the
-    smaller target index, then to the earlier value.
+    Brackets start at the midpoints of v and its neighbours, v being the
+    double nearest to each root, and are halved by exact signs (_sign_at)
+    until apart; roots not apart after _BISECTIONS halvings are taken as one.
     """
-    pairs = sorted((abs(t - v), i, j) for i, t in enumerate(targets) for j, v in enumerate(vals))
-    out = [None] * len(targets)
-    taken = [False] * len(vals)
-    for _, i, j in pairs:
-        if out[i] is None and not taken[j]:
-            out[i] = vals[j]
-            taken[j] = True
-    return out
+    ends = [(Fraction(math.nextafter(v, side)) + Fraction(v)) / 2 for side in (-math.inf, math.inf)]
+    brackets = [[*ends, ints, _sign_at(ints, ends[0])] for ints in factors]  # [lo, hi, ints, sign at lo]
+    for _ in range(_BISECTIONS):
+        brackets.sort(key=lambda a: a[:2])
+        if all(a[1] < b[0] or a[0] == a[1] == b[0] == b[1] for a, b in zip(brackets, brackets[1:])):
+            break
+        for a in brackets:
+            mid = (a[0] + a[1]) / 2
+            sign = _sign_at(a[2], mid) if a[0] < a[1] else 0
+            a[:2] = [mid, mid] if not sign else [mid, a[1]] if sign == a[3] else [a[0], mid]
+    return [(a[1] + b[0]) / 2 for a, b in zip(brackets, brackets[1:]) if a[1] < b[0]]
+
+
+def _relabel(order: list, before: int, after: int, values: list, crossing: int):
+    """Reorder order, the branch at each rank, across a real zero of rho of multiplicity crossing.
+
+    before and after branches are real on either side; the closest adjacent
+    pair of values, branch_values at the zero, meets there above r real
+    values. With as many real after and crossing 2 mod 4 the pair swaps; a
+    pair turning non-real goes to the front of the non-real ranks, and one
+    turning real comes from there, lower number first.
+    """
+    i = min(range(len(values) - 1), key=lambda i: abs(values[i + 1] - values[i]))
+    r = sum(abs(w.imag) <= REAL_TOL for w in values[:i])
+    if after == before and crossing % 4 == 2 and r + 1 < before:
+        order[r:r + 2] = order[r + 1], order[r]
+    elif after == before - 2 and r + 1 < before:
+        order[r:before] = order[r + 2:before] + sorted(order[r:r + 2])
+    elif after == before + 2 and before + 2 <= len(order) and r <= before:
+        order[r:before + 2] = sorted(order[before:before + 2]) + order[r:before]
 
 
 def band_structure(cd: CharDeterminant) -> BandStructure:
     """Bands with multiplicity, edge provenance, and per-branch intervals.
 
-    Candidate edges are the real roots of q(., 1), q(., -1), certified
-    nearest doubles whatever the seeds (_eigs_at_tau), and the real
-    resonances (_candidate_edges); multiplicity on each interval between
-    consecutive candidates is the number of real Lyapunov branches inside
-    [-1, 1] at its midpoint. At m = 1 a candidate both periodic and
-    antiperiodic is the double nearest to both ends of a band, kept as [v, v].
-    The bands are read off D(z, tau), so a determinant recovered from
-    spectral data takes the same path; where D carries its operator,
+    Candidate edges, the real roots of q(., 1), q(., -1) (_eigs_at_tau) and
+    of rho (resonances), are the doubles nearest to exact roots whatever the
+    seeds, merged only when equal. Each interval between two has the exact
+    count at its rational midpoint (_counts); where a candidate v holds two
+    or more exact roots, the largest positive count between them (_between)
+    is a band [v, v] thinner than one double. Real branches rank by value,
+    non-real ones after, so ranks below .. below + inside - 1 are inside; a
+    branch keeps its rank but at a real zero of rho, where _relabel follows
+    the sheets. The bands are read off D(z, tau), so a determinant recovered
+    from spectral data takes the same path; where D carries its operator,
     cross_validate checks them against its Floquet eigenvalues.
     """
     m = cd.m
-    cands = _candidate_edges(cd)
-    values = [v for v, _ in cands]
-    # (lo, hi, a flag per branch): at m = 1 the bands [v, v] thinner than one
-    # double, and then every interval between consecutive candidates
-    pieces = [(v, v, (True,)) for v, kinds in cands if m == 1 and {"periodic", "antiperiodic"} <= kinds]
+    exact = {}  # (kind, multiplicity, the integer coefficients of its squarefree factor) per exact root
+    for tau0, kind in ((Fraction(1), "periodic"), (Fraction(-1), "antiperiodic")):
+        for v, k, ints in _eigs_at_tau(cd, tau0):
+            exact.setdefault(v, []).append((kind, k, ints))
+    for v, k, ints in resonances(cd).proved:
+        exact.setdefault(v, []).append(("resonance", k, ints))
+    cands = sorted(exact.items())  # (v, the exact roots whose nearest double is v)
+    counts = [_counts(cd, (Fraction(a) + Fraction(b)) / 2) for (a, _), (b, _) in zip(cands, cands[1:])]
+    order = list(range(m))  # the branch at each rank
 
-    # Track branch identity through sub-sampled interval interiors.  Branches
-    # are numbered by (re, im) at the first subsample.  The matching target
-    # is a linear extrapolation of each branch, so that two real branches
-    # crossing transversally (which happens exactly at interval boundaries)
-    # are continued analytically instead of swapping into upper and lower
-    # envelopes.
-    prev = prev2 = None
-    xprev = xprev2 = 0.0
-    for left, right in zip(values, values[1:]):
-        # the interior of linspace(left, right, _SUBSAMPLES + 2), bit for bit;
-        # one branch has no identity to follow, and an interval too few ulps
-        # wide for distinct interior samples has no room for it, so either
-        # is read at its exact midpoint alone, and the samples always increase
-        step = (right - left) / (_SUBSAMPLES + 1)
-        xs = [left + (idx + 1) * step for idx in range(_SUBSAMPLES)]
-        if m == 1 or not all(a < b for a, b in zip([left] + xs, xs + [right])):
-            xs = [(Fraction(left) + Fraction(right)) / 2]
-        for idx, x in enumerate(xs):
-            cur = branch_values(cd, x)
-            if prev2 is not None:
-                r = (x - xprev) / (xprev - xprev2)
-                cur = _match_nearest([a + (a - b) * r for a, b in zip(prev, prev2)], cur)
-            elif prev is not None:
-                cur = _match_nearest(prev, cur)
-            prev2, xprev2 = prev, xprev
-            prev, xprev = cur, x
-            if idx == len(xs) // 2:
-                mid_flags = tuple(abs(v.imag) <= REAL_TOL and -1 - 1e-10 <= v.real <= 1 + 1e-10 for v in cur)
-        pieces.append((left, right, mid_flags))
-    pieces.sort()
+    def flags(below, inside):
+        return tuple(j in order[below:below + inside] for j in range(m))
 
-    segments = []  # the pieces are contiguous, so equal multiplicities join
-    for lo, hi, flags in pieces:
-        if segments and segments[-1][2] == sum(flags):
-            segments[-1][1] = hi
-        else:
-            segments.append([lo, hi, sum(flags)])
-    positive = tuple(Segment(lo, hi, mult) for lo, hi, mult in segments if mult > 0)
+    pieces = []  # (lo, hi, a flag per branch), contiguous and ascending
+    for i, (v, roots) in enumerate(cands):
+        crossing = sum(k for kind, k, _ in roots if kind == "resonance")
+        if crossing and 0 < i < len(counts):
+            _relabel(order, counts[i - 1][2], counts[i][2], branch_values(cd, v), crossing)
+        if len(roots) > 1:
+            thin = max((_counts(cd, x) for x in _between(v, [ints for _, _, ints in roots])),
+                       key=lambda c: c[1], default=(0, 0))
+            if thin[1]:
+                pieces.append((v, v, flags(*thin[:2])))
+        if i < len(counts):
+            pieces.append((v, cands[i + 1][0], flags(*counts[i][:2])))
 
-    branch_bands = []
-    for j in range(m):
-        bands = []
-        for lo, hi, flags in pieces:
-            if flags[j] and bands and bands[-1][1] == lo:
-                bands[-1][1] = hi
-            elif flags[j]:
-                bands.append([lo, hi])
-        branch_bands.append(tuple(map(tuple, bands)))
+    def runs(key):  # (lo, hi, value of key) per run of consecutive, so contiguous, pieces
+        return [(run[0][0], run[-1][1], value) for value, run in ((v, list(g)) for v, g in groupby(pieces, key))]
 
+    positive = tuple(Segment(*run) for run in runs(lambda piece: sum(piece[2])) if run[2])
+    branch_bands = [tuple((lo, hi) for lo, hi, inside in runs(lambda piece: piece[2][j]) if inside) for j in range(m)]
     # band ends are taken from values, which are distinct doubles, so a
     # branch touches an edge exactly when one of its band ends is that value
     edges = []
-    for value, kinds in cands:
+    for value, roots in cands:
         touching = tuple(j for j in range(m) if any(value in band for band in branch_bands[j]))
-        if touching:
-            for kind in sorted(kinds):
-                edges.append(Edge(value, kind, touching))
+        edges += [Edge(value, kind, touching) for kind in sorted({kind for kind, _, _ in roots}) if touching]
     bs = BandStructure(positive, tuple(edges), tuple(branch_bands))
     if cd.op is not None:
-        cross_validate(cd.op, bs)
+        cross_validate(cd.op, bs, [(lo, hi, sum(fl)) for lo, hi, fl in pieces])
     return bs
 
 
-def cross_validate(op: PeriodicOperator, bs: BandStructure):
-    """Every Floquet eigenvalue of op at DEFAULT_GRID phases lies within CROSS_TOL of a band of bs.
+def cross_validate(op: PeriodicOperator, bs: BandStructure, pieces):
+    """Check bs against the Floquet eigenvalues of op at DEFAULT_GRID phases, from both sides.
 
-    The grid is odd, so pi is a phase. Distances max(lo - lam, lam - hi, 0)
-    are taken on numpy arrays; the first miss by phase, then ascending lam,
-    raises, and a NaN edge misses.
+    Every eigenvalue must lie within CROSS_TOL of a band of bs. The grid is
+    odd, so pi is a phase. Distances max(lo - lam, lam - hi, 0) are taken
+    on numpy arrays; the first miss by phase, then ascending lam, raises,
+    and a NaN edge misses. pieces are (lo, hi, multiplicity) between
+    consecutive candidate edges: at the midpoint x of one, each branch in
+    (-1, 1) is cos(theta) at one theta in (0, pi), where x is a Floquet
+    eigenvalue and #{lam < x} steps by 1. Two opposite steps within one
+    phase step cancel, so over the phases in [0, pi] the steps seen must be
+    at most the multiplicity and of its parity. A piece no wider than twice
+    hermitian_eigs' accuracy, 1e-10 ||L(tau)||, is skipped.
     """
     import numpy as np
 
     segs = bs.segments
     if not segs:
-        raise InternalConsistencyError(
-            "band computation found no band (candidate edges merge only when they are the same double)"
-        )
+        raise InternalConsistencyError("band computation found no band "
+                                       "(candidate edges merge only when they are the same double)")
     lo, hi = np.array([(s.lo, s.hi) for s in segs]).T
+    mids = np.array([(a + b) / 2 for a, b, _ in pieces])
+    below, norm = [], 0.0  # #{lam < x} per piece at each phase in [0, pi], and max |lam|
     for x in np.linspace(0, 2 * math.pi, DEFAULT_GRID).tolist():
         tau = complex(math.cos(x), math.sin(x))
         lams = hermitian_eigs(floquet_matrix(op, tau))
@@ -707,6 +715,13 @@ def cross_validate(op: PeriodicOperator, bs: BandStructure):
             raise InternalConsistencyError(
                 f"Floquet eigenvalue {lams[miss[0]]} at x={x} misses every band by {float(dist[miss[0]])}"
             )
+        norm = max(norm, abs(lams[0]), abs(lams[-1]))
+        if len(below) <= DEFAULT_GRID // 2:
+            below.append((col < mids).sum(axis=0))
+    for (a, b, mult), seen in zip(pieces, np.abs(np.diff(below, axis=0)).sum(axis=0).tolist()):
+        if (seen > mult or (mult - seen) % 2) and b - a > 2e-10 * norm:
+            raise InternalConsistencyError(f"interval [{a}, {b}] has multiplicity {mult}, but the Floquet "
+                                           f"eigenvalues at the phases in [0, pi] cross its midpoint {seen} times")
 
 
 def classify_gaps(bs: BandStructure) -> list:
@@ -717,37 +732,18 @@ def classify_gaps(bs: BandStructure) -> list:
     both endpoints are periodic or antiperiodic eigenvalues, "resonance"
     when both are branch points only, "mixed" otherwise.
     """
-    m = len(bs.branch_bands)
     kind_at = {}
     for e in bs.edges:
         kind_at.setdefault(e.value, set()).add(e.kind)
-
-    intervals = []
-    for seg in bs.segments:
-        if seg.multiplicity < m:
-            intervals.append((seg.lo, seg.hi, seg.multiplicity))
-    for left, right in zip(bs.segments, bs.segments[1:]):
-        if left.hi < right.lo:
-            intervals.append((left.hi, right.lo, 0))
-    intervals.sort()
-
+    segs = bs.segments
+    intervals = sorted([s for s in segs if s.multiplicity < len(bs.branch_bands)]
+                       + [(a.hi, b.lo, 0) for a, b in zip(segs, segs[1:]) if a.hi < b.lo])
     out = []
     for lo, hi, mult in intervals:
-        lo_kinds = tuple(sorted(kind_at.get(lo, set())))
-        hi_kinds = tuple(sorted(kind_at.get(hi, set())))
-        sides = []
-        for kinds in (lo_kinds, hi_kinds):
-            if "periodic" in kinds or "antiperiodic" in kinds:
-                sides.append("eigenvalue")
-            else:
-                sides.append("resonance")
-        if sides == ["eigenvalue", "eigenvalue"]:
-            kind = "stable"
-        elif sides == ["resonance", "resonance"]:
-            kind = "resonance"
-        else:
-            kind = "mixed"
-        out.append(Gap(lo, hi, mult, kind, lo_kinds, hi_kinds))
+        ends = [tuple(sorted(kind_at.get(t, ()))) for t in (lo, hi)]
+        sides = {bool({"periodic", "antiperiodic"} & set(kinds)) for kinds in ends}
+        kind = "mixed" if len(sides) == 2 else "stable" if True in sides else "resonance"
+        out.append(Gap(lo, hi, mult, kind, *ends))
     return out
 
 

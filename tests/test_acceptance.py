@@ -202,7 +202,7 @@ def test_criterion_4_example4_bands_and_gap():
 @criterion(5, "example2: beta=1 periodic/antiperiodic eigenvalues, beta=2 triple")
 def test_criterion_5_example2_eigenvalues():
     cd = char_determinant(example2_const(1))
-    per = [(v, k) for v, k in _eigs_at_tau(cd, 1)]
+    per = [(v, k) for v, k, _ in _eigs_at_tau(cd, 1)]
     expected = [(-2, 2), (0, 1), (4, 1)]
     assert len(per) == len(expected)
     for (v, k), (ev, ek) in zip(per, expected):
@@ -210,11 +210,11 @@ def test_criterion_5_example2_eigenvalues():
     anti = _eigs_at_tau(cd, -1)
     s2 = math.sqrt(2)
     assert len(anti) == 2
-    for (v, k), ev in zip(anti, (-s2, s2)):
+    for (v, k, _), ev in zip(anti, (-s2, s2)):
         assert abs(v - ev) <= 1e-9 and k == 2
 
     cd2 = char_determinant(example2_const(2))
-    triple = [(v, k) for v, k in _eigs_at_tau(cd2, 1) if abs(v + 2) <= 1e-9]
+    triple = [(v, k) for v, k, _ in _eigs_at_tau(cd2, 1) if abs(v + 2) <= 1e-9]
     assert triple and triple[0][1] == 3
 
 

@@ -816,9 +816,10 @@ def test_each_command_checks_the_operator_hypotheses_once(tmp_path, capsys, monk
     assert len(checks) == 1
 
 
-def test_band_structure_runs_no_euclid_over_q_on_squarefree_inputs(monkeypatch):
+def test_band_structure_runs_no_yun_on_squarefree_inputs(monkeypatch):
     # the sections, rho and every sampled Phi(x, .) are squarefree here, and
-    # the modular certificate proves it without a gcd over Q
+    # the modular certificate proves it without a gcd over Q; Sturm's
+    # sequences take euclid's remainders, not a gcd
     cd = spectral.char_determinant(random_operator(1, 3, 3))
     counts = count_calls(monkeypatch, "gcd")
     spectral.band_structure(cd)
@@ -865,12 +866,18 @@ def test_period_one_operator_with_large_entries_passes_bands_and_verify(tmp_path
 
 
 def test_bands_thinner_than_the_merge_tolerance_name_the_stage(tmp_path, capsys):
-    # at m = 2 a band narrower than one double still vanishes
+    # at m = 2 both branches have one band about 4e-300 wide round 1: its
+    # periodic and antiperiodic edges are one double, and the exact roots,
+    # bisected apart, hold both branches between them; it used to vanish,
+    # and bands and verify exited 3 with "found no band"
     doc = {"p": 1, "m": 2, "a": [[["1e-300", "0"], ["0", "1e-300"]]], "b": [[["1", "0"], ["0", "1"]]]}
     path = write_json(tmp_path, doc, "thin.json")
-    assert cli.main(["bands", path]) == 3
-    err = capsys.readouterr().err
-    assert err == "error: band computation found no band (candidate edges merge only when they are the same double)\n"
+    payload = run_json(capsys, ["bands", path])["payload"]
+    assert payload["segments"] == [[1.0, 1.0, 2]]
+    assert payload["branch_bands"] == [[[1.0, 1.0]], [[1.0, 1.0]]]
+    payload = run_json(capsys, ["verify", path])["payload"]
+    assert payload["all_pass"] and len(payload["checks"]) == 12
+    assert [c["status"] for c in payload["checks"]] == ["pass"] * 5 + ["n/a"] * 4 + ["pass"] + ["n/a"] * 2
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -911,7 +918,8 @@ def test_bands_keeps_bands_thinner_than_the_merge_tolerance(tmp_path, capsys, sh
 
 
 def test_bands_at_period_one_runs_aberth_only_on_linear_polynomials(tmp_path, capsys, monkeypatch):
-    # q(., +-1) is certified from the eigenvalues of L(+-1), and Phi(z, .) is linear in nu
+    # q(., +-1) is certified from the eigenvalues of L(+-1), and each interval
+    # is counted by Sturm's theorem, so bands runs no root finder at all
     degrees = []
     real = spectral.roots_all
 
@@ -923,7 +931,7 @@ def test_bands_at_period_one_runs_aberth_only_on_linear_polynomials(tmp_path, ca
     path = write_json(tmp_path, cli.operator_to_document(random_operator(1, 16, 1)), "op.json")
     code, _ = run_cli(capsys, ["bands", path])
     assert code == 0
-    assert degrees and max(degrees) == 1
+    assert degrees == []
 
 
 @pytest.mark.parametrize("shape", [(7, 4, 4), (1, 2, 6)])
@@ -936,9 +944,10 @@ def test_bands_with_every_real_resonance_certified_exit_0(tmp_path, capsys, shap
 
 @pytest.mark.parametrize("shape", [(1, 48, 1), (1, 64, 1), (1, 32, 2)])
 def test_bands_on_edges_a_few_ulps_apart_ends_in_a_documented_exit(tmp_path, capsys, shape):
-    # at (1; 48,1) a root of q(., 1) and one of q(., -1) lie 4.4e-16 apart, too
-    # close for 17 distinct samples, and the tracker used to divide by zero;
-    # at m = 1 a band narrower than one double is kept as [v, v, 1]
+    # at (1; 48,1) a root of q(., 1) and one of q(., -1) lie 4.4e-16 apart,
+    # and a band narrower than one double is kept as [v, v, 1]; an interval
+    # that thin is counted exactly, and is too thin for the Floquet
+    # eigenvalues to count
     path = write_json(tmp_path, cli.operator_to_document(random_operator(*shape)), "op.json")
     assert cli.main(["bands", path]) == 0
 
@@ -946,13 +955,17 @@ def test_bands_on_edges_a_few_ulps_apart_ends_in_a_documented_exit(tmp_path, cap
 @pytest.mark.parametrize("command", ["bands", "verify"])
 def test_edges_past_the_float_range_of_phi_exit_2_naming_the_stage(tmp_path, capsys, command):
     # the certified edges of q(z, 1) reach 1e160, and Phi(z, .) at the exact
-    # midpoint of the first interval between them, where m = 1 reads its one
-    # branch, has a coefficient beyond the float range; this used to exit 3
-    # in the root finder on q(z, 1)
+    # midpoint of the interval between 0 and 1e160 has a coefficient beyond
+    # the float range; both commands used to exit 2 there, and the interval
+    # is now counted exactly: the band round 1e160 is about 1e-160 wide, so
+    # one double
     doc = {"p": 2, "m": 1, "a": [[["1"]], [["1"]]], "b": [[["1e160"]], [["0"]]]}
-    code, line = run_error_line(capsys, [command, write_json(tmp_path, doc, "big.json")])
-    assert code == 2
-    assert re.fullmatch(r"error: Phi\(z, nu\) at z = 5e\+159 has a coefficient beyond the float range", line)
+    payload = run_json(capsys, [command, write_json(tmp_path, doc, "big.json")])["payload"]
+    if command == "bands":
+        assert payload["segments"] == [[-4e-160, 0.0, 1], [1e160, 1e160, 1]]
+    else:
+        assert payload["all_pass"] and len(payload["checks"]) == 12
+        assert [c["status"] for c in payload["checks"]] == ["pass"] * 6 + ["n/a"] + ["pass"] * 3 + ["n/a"] * 2
 
 
 def test_verify_exits_5_when_one_floquet_entry_changes(tmp_path, capsys, monkeypatch):

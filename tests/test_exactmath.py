@@ -22,6 +22,7 @@ from blochjac.exactmath import (
     lincomb,
     mat_mul,
     monic,
+    root_counts,
     squarefree_decomposition,
 )
 from blochjac.fixtures import free_operator
@@ -104,6 +105,30 @@ def test_euclid_matches_sympy_resultant_and_gcd(fc, gc):
     assert gcd(f, g) == coeffs(F.gcd(G).monic().as_expr())
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+       st.integers(0, 2), st.integers(0, 2), st.integers(1, 3))
+def test_root_counts_match_sympy_count_roots(hc, gc, at_minus, at_plus, power):
+    # f = (z + 1)^at_minus (z - 1)^at_plus g h^power has roots exactly at -1
+    # and 1 and repeated factors; each squarefree factor g_k of f is counted
+    # by Sturm and checked against sympy, and k times its counts add up to
+    # f's real roots on each side of [-1, 1] with multiplicity
+    F = sympy.expand((Z + 1) ** at_minus * (Z - 1) ** at_plus * expr(gc) * expr(hc) ** power)
+    if F.is_number:
+        return
+    f = monic(coeffs(F))
+    weighted = [0, 0, 0]
+    for g, k in squarefree_decomposition([(c.numerator, 0, c.denominator) for c in f]):
+        counts = root_counts([Fraction(a, d) for a, _, d in g], -1, 1)
+        G = sympy.Poly(expr([Fraction(a, d) for a, _, d in g]), Z)
+        assert counts == (G.count_roots(None, -1) - G.count_roots(-1, -1), G.count_roots(-1, 1),
+                          G.count_roots(1, None) - G.count_roots(1, 1))
+        weighted = [w + k * c for w, c in zip(weighted, counts)]
+    roots = sympy.Poly(F, Z).real_roots()
+    assert weighted == [len([r for r in roots if r < -1]), len([r for r in roots if -1 <= r <= 1]),
+                        len([r for r in roots if r > 1])]
+
+
 def _mod(c, P):
     return c.numerator * pow(c.denominator, -1, P) % P
 
@@ -123,7 +148,8 @@ def test_euclid_mod_p_reduces_the_exact_euclid(hc, uc, vc, k):
     if 0 in (H, U, V):
         return
     f, g = sorted((coeffs(H * U), coeffs(H * V)), key=len, reverse=True)
-    gp, rp = euclid([int(c) for c in f], [int(c) for c in g], P)
+    rems, rp = euclid([int(c) for c in f], [int(c) for c in g], P)
+    gp = rems[-1]
     r = euclid(f, g)[1]
     assert rp == _mod(r, P)
     # with d = gcd(f, g), gcd(f mod P, g mod P) = d mod P unless P divides

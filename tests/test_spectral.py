@@ -47,7 +47,6 @@ from blochjac.spectral import (
     Segment,
     _conjugate_symmetrize,
     _eigs_at_tau,
-    _match_nearest,
     band_structure,
     branch_values,
     build_char_determinant,
@@ -391,23 +390,23 @@ def test_resonances_double_point_example4():
 def test_periodic_antiperiodic_free():
     cd = char_determinant(free_operator(2, 1))
     per = _eigs_at_tau(cd, 1)
-    assert [m for _, m in per] == [1, 1]
+    assert [m for _, m, _ in per] == [1, 1]
     assert abs(per[0][0] + 2) < 1e-12 and abs(per[1][0] - 2) < 1e-12
-    assert _eigs_at_tau(cd, -1) == [(0.0, 2)]
+    assert [(v, k) for v, k, _ in _eigs_at_tau(cd, -1)] == [(0.0, 2)]
 
 
 def test_periodic_antiperiodic_example2():
     cd = char_determinant(example2_const(1))
     per = _eigs_at_tau(cd, 1)
-    assert [(round(v, 9), k) for v, k in per] == [(-2.0, 2), (0.0, 1), (4.0, 1)]
+    assert [(round(v, 9), k) for v, k, _ in per] == [(-2.0, 2), (0.0, 1), (4.0, 1)]
     anti = _eigs_at_tau(cd, -1)
     r2 = math.sqrt(2)
-    assert [k for _, k in anti] == [2, 2]
+    assert [k for _, k, _ in anti] == [2, 2]
     assert abs(anti[0][0] + r2) < 1e-12 and abs(anti[1][0] - r2) < 1e-12
 
     # beta = 2 merges the double periodic eigenvalue with a simple one.
     per = _eigs_at_tau(char_determinant(example2_const(2)), 1)
-    assert [(round(v, 9), k) for v, k in per] == [(-2.0, 3), (6.0, 1)]
+    assert [(round(v, 9), k) for v, k, _ in per] == [(-2.0, 3), (6.0, 1)]
 
 
 def _signs_half_an_ulp_around(f, v):
@@ -436,11 +435,11 @@ def test_periodic_and_antiperiodic_edges_are_the_doubles_nearest_the_roots(seed,
         f = cd.section(Fraction(tau0))
         g = exact_div(f, gcd(f, derivative(f)))
         roots = _eigs_at_tau(cd, tau0)
-        assert sum(k for _, k in roots) == op.p * op.m
-        for v, _ in roots:
+        assert sum(k for _, k, _ in roots) == op.p * op.m
+        for v, _, _ in roots:
             below, above = _signs_half_an_ulp_around(g, v)
             assert below * above <= 0, (kind, v)
-        assert {e.value for e in edges if e.kind == kind} <= {v for v, _ in roots}
+        assert {e.value for e in edges if e.kind == kind} <= {v for v, _, _ in roots}
 
 
 @pytest.mark.parametrize("make", [
@@ -548,8 +547,8 @@ def test_branches_monotone_between_candidates():
     for op in (example4(0), example3(1)):
         cd = char_determinant(op)
         cands = sorted(
-            [v for v, _ in _eigs_at_tau(cd, 1)]
-            + [v for v, _ in _eigs_at_tau(cd, -1)]
+            [v for v, _, _ in _eigs_at_tau(cd, 1)]
+            + [v for v, _, _ in _eigs_at_tau(cd, -1)]
             + [c.real for c, _ in resonances(cd).clusters if abs(c.imag) < 1e-9]
         )
         for left, right in zip(cands, cands[1:]):
@@ -613,22 +612,71 @@ def test_branch_bands_count_the_multiplicity_and_name_the_edges(op):
         assert edge.branches == ends
 
 
-def test_match_nearest_follows_twelve_shuffled_branches():
-    rng = random.Random(12)
-    vals = [complex(k - 6, 0.5 * (-1) ** k) for k in range(12)]  # 1 apart or more
-    targets = [v + complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for v in vals]
-    shuffled = vals[:]
-    rng.shuffle(shuffled)
-    assert shuffled != vals
-    assert _match_nearest(targets, shuffled) == vals
+def test_branch_bands_follow_the_sheets_through_a_crossing():
+    # the branches z/2 and z/4 cross at z = 0, the double zero of rho, inside
+    # [-1, 1]: by value alone the lower branch would change sheets there
+    bs = validated_bands(crossing_operator())
+    assert bs.segments == (Segment(-4.0, -2.0, 1), Segment(-2.0, 2.0, 2), Segment(2.0, 4.0, 1))
+    assert bs.branch_bands == (((-2.0, 2.0),), ((-4.0, 4.0),))
 
 
-def test_match_nearest_breaks_ties_by_label_then_value():
-    # every distance is 1: label 0 takes the first value
-    assert _match_nearest([0j, 0j], [1 + 0j, -1 + 0j]) == [1 + 0j, -1 + 0j]
-    assert _match_nearest([2 + 0j, 0j], [1 + 0j, 1 + 0j]) == [1 + 0j, 1 + 0j]
-    # the nearest pair goes first, even when label 0 must settle for a farther value
-    assert _match_nearest([0j, 0.9 + 0j], [1 + 0j, 3 + 0j]) == [3 + 0j, 1 + 0j]
+@pytest.mark.parametrize("make,calls", [
+    (crossing_operator, 1), (lambda: example3(1), 1), (lambda: random_operator(1, 3, 3), None),
+    (lambda: random_operator(1, 16, 1), 0),
+])
+def test_band_structure_reads_branch_values_only_at_real_resonances(monkeypatch, make, calls):
+    # membership is counted exactly; float branch values are read once at a
+    # real zero of rho between two intervals, to follow the sheets, and never
+    # at m = 1, where rho has no zero
+    cd = char_determinant(make())
+    edges = {x for x, _, _ in resonances(cd).proved}
+    seen = []
+    real = spectral_mod.branch_values
+    monkeypatch.setattr(spectral_mod, "branch_values", lambda cd, z: seen.append(z) or real(cd, z))
+    band_structure(cd)
+    assert len(seen) == len(set(seen)) and set(seen) <= edges
+    assert (len(seen) == calls) if calls is not None else seen
+
+
+def test_cross_validation_refuses_one_band_of_multiplicity_3_over_every_band():
+    # the segment holds every Floquet eigenvalue of (1; 3,3), so only the
+    # count of the branches at its midpoint can refuse it
+    op = random_operator(1, 3, 3)
+    segs = validated_bands(op).segments
+    lo, hi = segs[0].lo, segs[-1].hi
+    fake = BandStructure((Segment(lo, hi, 3),), (), ())
+    cross_validate(op, fake, [])
+    with pytest.raises(InternalConsistencyError, match=re.escape(f"interval [{lo}, {hi}] has multiplicity 3, but ")):
+        cross_validate(op, fake, [(lo, hi, 3)])
+
+
+def test_cross_validation_refuses_a_single_wrong_multiplicity(monkeypatch):
+    # one gap of (1; 3,3) counted as one branch inside makes a spurious band:
+    # every Floquet eigenvalue still lies in a band, and the count refuses it
+    cd = char_determinant(random_operator(1, 3, 3))
+    real = spectral_mod._counts
+    intervals = []
+    monkeypatch.setattr(spectral_mod, "_counts", lambda cd, x: intervals.append((x, real(cd, x))) or intervals[-1][1])
+    band_structure(cd)
+    gap = next(x for x, (_, inside, _) in intervals if not inside)
+
+    def one_more(cd, x):
+        below, inside, n = real(cd, x)
+        return below, inside + (x == gap), n
+
+    monkeypatch.setattr(spectral_mod, "_counts", one_more)
+    cross_validate(cd.op, band_structure(cd._replace(op=None)), [])
+    with pytest.raises(InternalConsistencyError, match=r"has multiplicity 1, but .* cross its midpoint 0 times"):
+        band_structure(cd)
+
+
+def test_cross_validation_allows_opposite_steps_within_one_phase_step():
+    # at (17; 2,3) both branches on the interval [0.976705466788988,
+    # 0.9767054879802972] are cos(theta) with theta below the first phase
+    # step, one rising and one falling, so #{lam < x} at its midpoint steps
+    # up and down between the phases 0 and pi/128 and is seen to change 0
+    # times against a multiplicity of 2
+    assert len(validated_bands(random_operator(17, 2, 3)).segments) == 11
 
 
 def test_cross_validation_guard():
@@ -636,7 +684,7 @@ def test_cross_validation_guard():
     fake = BandStructure((Segment(-0.5, 0.5, 1),), (), ((-0.5, 0.5),))
     # the first miss in (phase, ascending eigenvalue) order is named
     with pytest.raises(InternalConsistencyError) as exc:
-        cross_validate(op, fake)
+        cross_validate(op, fake, [])
     assert str(exc.value) == "Floquet eigenvalue -2.0 at x=0.0 misses every band by 1.5"
 
 
@@ -648,7 +696,7 @@ def test_cross_validation_visits_the_linspace_phases(monkeypatch, grid):
     taus = []
     real = spectral_mod.floquet_matrix
     monkeypatch.setattr(spectral_mod, "floquet_matrix", lambda op, tau: taus.append(tau) or real(op, tau))
-    cross_validate(op, bands)
+    cross_validate(op, bands, [])
     assert taus == [complex(math.cos(x), math.sin(x)) for x in np.linspace(0.0, 2 * math.pi, grid)]
     assert taus[grid // 2] == complex(math.cos(math.pi), math.sin(math.pi))
 
@@ -659,7 +707,7 @@ def test_cross_validation_fails_a_band_with_a_nan_edge(lo, hi):
     op = free_operator(2, 1)
     fake = BandStructure((Segment(lo, hi, 1),), (), ((lo, hi),))
     with pytest.raises(InternalConsistencyError, match="misses every band by nan"):
-        cross_validate(op, fake)
+        cross_validate(op, fake, [])
 
 
 def test_dual_route_tamper_detected(monkeypatch):
