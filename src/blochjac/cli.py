@@ -43,7 +43,6 @@ from .spectral import (
 )
 
 SCHEMA = "blochjac/1"
-UNIT_CIRCLE_TOL = 1e-9
 MAX_DIGITS = 4300  # Python's default limit on the digits of an int written as a string
 
 EXIT_OK = 0
@@ -300,7 +299,6 @@ def cmd_lyapunov(args) -> int:
     out = []
     for z in points:
         branches = lyapunov_at(cd, z)
-        pairs = multipliers_at(branches)
         out.append(
             {
                 "z": _cnum(z),
@@ -309,9 +307,9 @@ def cmd_lyapunov(args) -> int:
                     {
                         "pair": [_cnum(t) for t in pair],
                         "abs": [abs(t) for t in pair],
-                        "on_circle": [abs(abs(t) - 1) <= UNIT_CIRCLE_TOL for t in pair],
+                        "on_circle": [b.on_circle] * 2,
                     }
-                    for pair in pairs
+                    for b, pair in zip(branches, multipliers_at(branches))
                 ],
             }
         )
@@ -391,10 +389,7 @@ def cmd_verify(args) -> int:
     checks = verify_identities(op)
     failed = [c.name for c in checks if c.status == "fail"]
     payload = {
-        "checks": [
-            {"name": c.name, "status": c.status, "residual": c.residual, "detail": c.detail}
-            for c in checks
-        ],
+        "checks": [c._asdict() for c in checks],
         "all_pass": not failed,
     }
     _emit(_result("verify", digest, payload))

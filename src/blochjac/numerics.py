@@ -14,6 +14,7 @@ from fractions import Fraction
 DEFAULT_REL_TOL = 1e-12
 MAX_ITER = 500
 STAGNATION = 1e-14
+EIG_ACCURACY = 1e-10  # hermitian_eigs' contract, relative to ||H||
 
 
 class RootFindingError(RuntimeError):
@@ -59,7 +60,8 @@ def roots_all(f):
     Aberth-Ehrlich simultaneous iteration started on a circle of the
     Fujiwara radius 2 max_k |c_k/c_n|^(1/(n-k)), which encloses every root
     and scales with them, so its n-th power stays in range where the
-    roots' own powers do (Bini, Numer. Algorithms 13, 1996). At most
+    roots' own powers do (Bini, Numer. Algorithms 13, 1996); a linear f
+    starts at its root -c0/c1, where the first sweep stops. At most
     MAX_ITER sweeps; stops when every point stagnates, then enforces
     |f(r)| <= DEFAULT_REL_TOL * sum|c_k||r|^k. Exact zero roots are factored
     out first. An infinite radius, or an iterate that is not finite (no later
@@ -80,7 +82,7 @@ def roots_all(f):
     radius = 2 * max(abs(c) ** (1.0 / (n - k)) for k, c in enumerate(mon[:-1]))
     if not math.isfinite(radius):  # every iterate would be NaN
         raise OverflowError("the Fujiwara root bound is beyond the float range")
-    pts = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    pts = [-mon[0]] if n == 1 else [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     locked = [False] * n
     for _ in range(MAX_ITER):
         moved = False
@@ -157,7 +159,7 @@ def certified_roots(ints, seeds, eigensolver: bool) -> list:
     Around each seed x, g must change sign exactly (_sign_at) across
     [x - w, x] or [x, x + w]. w starts at 4 ulps of max(|x|, max |seeds|),
     absolute so that a root at 0 gets a bracket too, and doubles up to
-    1e-10 max |seeds| for eigenvalues (hermitian_eigs' contract), or half
+    EIG_ACCURACY max |seeds| for eigenvalues (hermitian_eigs' contract), or half
     the gap to the next seed for Aberth's roots of g. Bisection over the
     doubles in order ends at a zero or two adjacent doubles, and the sign at
     their exact midpoint picks the nearer (float of the midpoint on a tie).
@@ -169,7 +171,7 @@ def certified_roots(ints, seeds, eigensolver: bool) -> list:
         w = 4 * math.ulp(max(abs(x), norm))
         # a lone Aberth seed is the root of a linear g, which is real
         gap = min((abs(x - y) for k, y in enumerate(seeds) if k != n), default=math.inf)
-        limit = 1e-10 * norm if eigensolver else gap / 2
+        limit = EIG_ACCURACY * norm if eigensolver else gap / 2
         at_x = _sign_at(ints, x)
         while not (end := next((t for t in (x - w, x + w) if _sign_at(ints, t) * at_x <= 0), None)) and w < limit:
             w *= 2
@@ -195,8 +197,8 @@ def hermitian_eigs(H):
 
     Accepts anything numpy can turn into a square complex matrix; rejects
     inputs whose Hermiticity defect exceeds 1e-12 absolute. Accuracy
-    contract: 1e-10 * ||H||, eps * ||H|| in practice (eigvalsh is backward
-    stable); certified_roots proves each band edge within it.
+    contract: EIG_ACCURACY * ||H||, eps * ||H|| in practice (eigvalsh is
+    backward stable); certified_roots proves each band edge within it.
     """
     import numpy as np
 

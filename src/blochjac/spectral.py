@@ -9,10 +9,9 @@ multiplicities, gap classification, and a battery of identity checks.
 
 import cmath
 import math
-import random
 from fractions import Fraction
 from functools import reduce
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import mul
 from typing import NamedTuple
 
@@ -33,7 +32,7 @@ from .exactmath import (
     root_counts,
     squarefree_decomposition,
 )
-from .numerics import _sign_at, certified_roots, hermitian_eigs, roots_all
+from .numerics import EIG_ACCURACY, _sign_at, certified_roots, hermitian_eigs, roots_all
 from .operators import (
     PeriodicOperator,
     TransferParts,
@@ -127,6 +126,11 @@ def _at(F, z) -> list:
 class LyapunovBranch(NamedTuple):
     value: complex
     real: bool
+
+    @property
+    def on_circle(self) -> bool:
+        """Whether the branch is real and in [-1, 1], where multipliers_at puts its pair on the unit circle."""
+        return self.real and -1 <= self.value.real <= 1
 
 
 class _Rho(tuple):
@@ -477,7 +481,7 @@ def multipliers_at(branches) -> list:
     pairs = []
     for b in branches:
         nu = b.value
-        if b.real and -1 <= nu.real <= 1:
+        if b.on_circle:
             s = cmath.sqrt(1 - nu * nu)
             pairs.append((nu - 1j * s, nu + 1j * s))
             continue
@@ -694,7 +698,7 @@ def cross_validate(op: PeriodicOperator, bs: BandStructure, pieces):
     eigenvalue and #{lam < x} steps by 1. Two opposite steps within one
     phase step cancel, so over the phases in [0, pi] the steps seen must be
     at most the multiplicity and of its parity. A piece no wider than twice
-    hermitian_eigs' accuracy, 1e-10 ||L(tau)||, is skipped.
+    hermitian_eigs' accuracy, EIG_ACCURACY ||L(tau)||, is skipped.
     """
     import numpy as np
 
@@ -719,7 +723,7 @@ def cross_validate(op: PeriodicOperator, bs: BandStructure, pieces):
         if len(below) <= DEFAULT_GRID // 2:
             below.append((col < mids).sum(axis=0))
     for (a, b, mult), seen in zip(pieces, np.abs(np.diff(below, axis=0)).sum(axis=0).tolist()):
-        if (seen > mult or (mult - seen) % 2) and b - a > 2e-10 * norm:
+        if (seen > mult or (mult - seen) % 2) and b - a > 2 * EIG_ACCURACY * norm:
             raise InternalConsistencyError(f"interval [{a}, {b}] has multiplicity {mult}, but the Floquet "
                                            f"eigenvalues at the phases in [0, pi] cross its midpoint {seen} times")
 
@@ -789,9 +793,10 @@ def verify_identities(op: PeriodicOperator) -> list:
     palindrome and dual routes (implicit in char_determinant), the Floquet
     determinant match q(z, tau0) = det(z I - L(tau0)) for tau0 in {1, -1, i}
     (modulo primes under a proven bound), the first two eigenvalue-moment
-    identities read off q's top coefficients. Float checks: the second-moment
-    lower bound, the norm sandwich from band extremes, and the
-    trace-vs-Chebyshev sampling identity.
+    identities read off q's top coefficients, and the trace identity
+    Tr M^n = 2 sum_j T_n(Delta_j), n = 1, 2, 3, on Phi's squarefree factors
+    (at 3p + 1 points). Float checks: the second-moment lower bound and the
+    norm sandwich from band extremes.
 
     The moment identities compare Tr L(tau)^s with coefficient data; for
     p = 1 the wrap-around couples tau into every diagonal block and for
@@ -805,15 +810,15 @@ def verify_identities(op: PeriodicOperator) -> list:
     except InternalConsistencyError as exc:
         cd, dual = None, _check("palindrome-and-dual-route", False, detail=str(exc))
     parts = transfer_parts(op)
+    # the integer N = scale * M_p at -p..2p, the points of the trace identity
+    monodromies = {x: monodromy_at(parts, x) for x in range(-p, 2 * p + 1)}
     # M = P0 M_p P0^-1 with P0 = a_p^T (+) I_m has M^T J M = J exactly when
     # M_p^T W M_p = W for W = P0^T J P0 = (0 a_p; -a_p^T 0), that is when
-    # N^T W N = scale^2 W for the integer N = scale * M_p; M_p has z-degree
-    # at most p, so 2p + 1 points prove it
+    # N^T W N = scale^2 W; M_p has z-degree at most p, so 2p + 1 points prove it
     ap = op.a_at(0)
     W = [[0] * m + list(row) for row in ap] + [[-x for x in col] + [0] * m for col in zip(*ap)]
     target = [[parts.scale**2 * v for v in row] for row in W]
-    symplectic = all(mat_mul(mat_transpose(N), mat_mul(W, N)) == target
-                     for N in (monodromy_at(parts, x) for x in range(-p, p + 1)))
+    symplectic = all(mat_mul(mat_transpose(N), mat_mul(W, N)) == target for x, N in monodromies.items() if x <= p)
     report = [_check("symplectic-normalization", symplectic), dual]
     if cd is None:
         return report
@@ -891,28 +896,23 @@ def verify_identities(op: PeriodicOperator) -> list:
     else:
         report.append(_na("norm-sandwich-traceless", "requires sum Tr b_n = 0"))
 
-    rng = random.Random(0xB10C)
-    worst = 0.0
-    ok = True
-    beyond = None  # names the first n and z whose trace or Chebyshev sum leaves the float range
-    for _ in range(5):
-        z0 = Fraction(rng.randint(-194, 194), 97)
-        branches = branch_values(cd, z0)
-        N = monodromy_at(parts, z0)  # scale * M_p(z0)
-        powers = [N, mat_mul(N, N)]
-        powers.append(mat_mul(powers[1], N))
-        for n in (1, 2, 3):
-            try:
-                lhs = complex(_trace_of(powers[n - 1]) / parts.scale**n) / 2
-            except OverflowError:
-                lhs = math.inf
-            err = abs(lhs - sum(horner(chebyshev(n), v) for v in branches))
-            if math.isfinite(err):
-                worst = max(worst, err)
-                ok = ok and err <= 1e-8 * max(1.0, abs(lhs))
-            else:
-                beyond = beyond or f"beyond the float range: Tr M^{n} / scale^{n} or its Chebyshev sum at z = {z0}"
-    report.append(_na("trace-chebyshev-sampling", beyond) if ok and beyond
-                  else _check("trace-chebyshev-sampling", ok, residual=worst))
+    def chebyshev_sums(x):
+        # sum_j T_n(Delta_j), n = 1, 2, 3, at x: Newton's identities give the power sums of the roots
+        # of each monic F_k(x, .) = nu^d + f1 nu^(d-1) + ... (f_j = 0 past d), k branches per root
+        s = [0, 0, 0]
+        for g, k in cd.phi_at(x):
+            f1, f2, f3 = (_exact_form(g)[-2::-1] + (0, 0))[:3]
+            t1 = -f1
+            t2 = -f1 * t1 - 2 * f2
+            s = [a + k * b for a, b in zip(s, (t1, t2, -f1 * t2 - f2 * t1 - 3 * f3))]
+        return [s[0], 2 * s[1] - m, 4 * s[2] - 3 * s[0]]  # T_2 = 2 nu^2 - 1, T_3 = 4 nu^3 - 3 nu
+
+    # Tr M^n = Tr N^n / scale^n = 2 sum_j T_n(Delta_j) for n = 1, 2, 3. Where each
+    # F_k's coefficient of nu^(d-j) has z-degree at most p j, both sides have
+    # z-degree at most 3p, so the 3p + 1 points prove it
+    bounded = all(len(c) - 1 <= p * j for F, _ in cd.factors for j, (_, c) in enumerate(reversed(F)))
+    ok = bounded and all(_trace_of(P) == 2 * parts.scale**n * s for x, N in monodromies.items()
+                         for n, P, s in zip((1, 2, 3), accumulate([N] * 3, mat_mul), chebyshev_sums(x)))
+    report.append(_check("trace-chebyshev-sampling", ok))
     return report
 

@@ -207,6 +207,22 @@ def test_lyapunov_single_point(tmp_path, capsys):
     assert mult["abs"] == pytest.approx([1, 1])
 
 
+@pytest.mark.parametrize("z,on_circle", [("2", True), ("2.0000001", False)])
+def test_lyapunov_on_circle_is_a_real_branch_in_minus_one_one(tmp_path, capsys, z, on_circle):
+    # z = 2 is a band edge of the free operator: its one branch is real at
+    # nu = 1, and the pair is (1, 1); just past the edge the branch is real
+    # past 1, and the pair is real and apart
+    path = write_doc(tmp_path, capsys, ["example", "free", "--p", "2", "--m", "1"])
+    (point,) = run_json(capsys, ["lyapunov", path, "--z", z])["payload"]["points"]
+    (mult,) = point["multipliers"]
+    assert mult["on_circle"] == [on_circle] * 2
+    if on_circle:
+        assert point["branches"] == [{"real": True, "value": [1.0, 0.0]}]
+        assert mult["pair"] == [[1.0, 0.0], [1.0, 0.0]]
+    else:
+        assert mult["pair"][0][0] < 1 < mult["pair"][1][0]
+
+
 def test_lyapunov_grid_sweep(tmp_path, capsys):
     path = write_doc(tmp_path, capsys, ["example", "free", "--p", "2", "--m", "1"])
     points = run_json(capsys, ["lyapunov", path, "--z-grid=-3:3:7"])["payload"]["points"]
@@ -363,20 +379,24 @@ def test_recover_fuzz_ends_in_a_documented_exit(tmp_path_factory, doc):
     assert run_captured(["recover", path])[1] == out
 
 
-FUZZ_ENTRIES = ("0", "1", "-1", "2", "1/2", "-7/3", "0.25", "1e-300", "1e300")
+FUZZ_ENTRIES = ("0", "1", "-1", "2", "1/2", "1/3", "-7/3", "0.25", "2.5", "123456789/7",
+                "1e-9", "1e-300", "1e160", "1e300", "4e308")
 
 
 @st.composite
 def operator_documents(draw):
-    p = draw(st.sampled_from([1, 2]))
+    p = draw(st.sampled_from([1, 2, 3]))
     m = draw(st.sampled_from([1, 2]))
     entry = st.sampled_from(FUZZ_ENTRIES)
     a = [[[draw(entry) for _ in range(m)] for _ in range(m)] for _ in range(p)]
     b = []
     for _ in range(p):
-        # b_n symmetric, so most documents pass the operator checks
+        # b_n mostly symmetric, so most documents pass the operator checks
         upper = {(i, j): draw(entry) for i in range(m) for j in range(i, m)}
-        b.append([[upper[min(i, j), max(i, j)] for j in range(m)] for i in range(m)])
+        b_n = [[upper[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]
+        if m > 1 and draw(st.booleans()):
+            b_n[1][0] = draw(entry)
+        b.append(b_n)
     return {"p": p, "m": m, "a": a, "b": b}
 
 
@@ -384,15 +404,17 @@ def operator_documents(draw):
 @given(operator_documents())
 def test_operator_fuzz_ends_in_a_documented_exit(tmp_path_factory, doc):
     path = write_json(tmp_path_factory.mktemp("fuzz"), doc, "op.json")
-    for argv in (["bands", path], ["resonances", path], ["verify", path], ["lyapunov", path, "--z", "0.5"]):
+    for argv in (["bands", path], ["resonances", path], ["verify", path], ["lyapunov", path, "--z=0.5"],
+                 ["lyapunov", path, "--z=0.3,0.2"], ["lyapunov", path, "--z-grid=-3:3:7"]):
         code, out, err = run_captured(argv)
-        assert code in (0, 2, 3, 5), (argv, err)
+        assert code in (0, 2, 3, 4, 5), (argv, err)
         assert "Traceback" not in err
-        if code not in (0, 5):
-            lines = err.splitlines()
+        lines = err.splitlines()
+        if code in (2, 3, 4):
             assert len(lines) == 1 and lines[0].startswith("error: "), err
             assert out == ""
         else:
+            assert lines == [] if code == 0 else len(lines) == 1 and lines[0].startswith("failed checks: "), err
             strict_loads(out)
         assert run_captured(argv)[1] == out
 
@@ -605,14 +627,25 @@ def test_entry_beyond_float_range_exits_2(tmp_path, capsys, argv):
     assert code == 2 and stage in line
 
 
-@pytest.mark.parametrize("z,where", [("0.5", "0.5"), ("0.5,0.25", "(0.5+0.25j)"), ("0.3,0.2", "(0.3+0.2j)")])
+BIG_B = {"p": 2, "m": 1, "a": [[["1"]], [["1"]]], "b": [[["4e308"]], [["0"]]]}
+
+
+@pytest.mark.parametrize("z,where", [("0.5", "0.5"), ("0.5,0.25", "(0.5+0.25j)")])
 def test_lyapunov_root_bound_beyond_float_range_exits_2(tmp_path, capsys, z, where):
     # Phi(0.5, .) = nu + 1e308 + 7/8 has finite coefficients, but the root
-    # finder's start radius 2e308 is not; at 0.3 + 0.2i the radius is finite,
-    # but the first Horner step overflows and the iterate is NaN
-    doc = {"p": 2, "m": 1, "a": [[["1"]], [["1"]]], "b": [[["4e308"]], [["0"]]]}
-    code, line = run_error_line(capsys, ["lyapunov", write_json(tmp_path, doc, "big.json"), "--z", z])
+    # finder's bound on its roots, 2e308, is not
+    code, line = run_error_line(capsys, ["lyapunov", write_json(tmp_path, BIG_B, "big.json"), "--z", z])
     assert code == 2 and f"Phi(z, nu) at z = {where}" in line
+
+
+def test_lyapunov_solves_a_linear_phi_whose_aberth_iterate_overflowed(tmp_path, capsys):
+    # at 0.3 + 0.2i the root bound is finite, and Aberth's first Horner step
+    # from it overflowed, so this exited 2; a linear Phi(z, .) = nu - nu0 is
+    # solved as nu0 with no sweep
+    path = write_json(tmp_path, BIG_B, "big.json")
+    (point,) = run_json(capsys, ["lyapunov", path, "--z", "0.3,0.2"])["payload"]["points"]
+    assert point["branches"] == [{"real": False, "value": [-6e307, -4.0000000000000004e307]}]
+    assert point["multipliers"][0]["on_circle"] == [False, False]
 
 
 def test_recover_eigenvalue_beyond_float_range_exits_2(tmp_path, capsys):
@@ -869,7 +902,8 @@ def test_bands_thinner_than_the_merge_tolerance_name_the_stage(tmp_path, capsys)
     # at m = 2 both branches have one band about 4e-300 wide round 1: its
     # periodic and antiperiodic edges are one double, and the exact roots,
     # bisected apart, hold both branches between them; it used to vanish,
-    # and bands and verify exited 3 with "found no band"
+    # and bands and verify exited 3 with "found no band"; the trace identity
+    # is proved exactly however large Tr M^n grows
     doc = {"p": 1, "m": 2, "a": [[["1e-300", "0"], ["0", "1e-300"]]], "b": [[["1", "0"], ["0", "1"]]]}
     path = write_json(tmp_path, doc, "thin.json")
     payload = run_json(capsys, ["bands", path])["payload"]
@@ -877,7 +911,7 @@ def test_bands_thinner_than_the_merge_tolerance_name_the_stage(tmp_path, capsys)
     assert payload["branch_bands"] == [[[1.0, 1.0]], [[1.0, 1.0]]]
     payload = run_json(capsys, ["verify", path])["payload"]
     assert payload["all_pass"] and len(payload["checks"]) == 12
-    assert [c["status"] for c in payload["checks"]] == ["pass"] * 5 + ["n/a"] * 4 + ["pass"] + ["n/a"] * 2
+    assert [c["status"] for c in payload["checks"]] == ["pass"] * 5 + ["n/a"] * 4 + ["pass", "n/a", "pass"]
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -893,16 +927,15 @@ def test_bands_keep_a_band_thinner_than_one_double_at_period_32(tmp_path, capsys
 
 def test_bands_and_verify_on_bands_thinner_than_one_double(tmp_path, capsys):
     # both bands are about 1e-300 wide, so each is one double, and the trace
-    # identity's Tr M^n / scale^n is beyond the float range
+    # identity's Tr M^n / scale^n is beyond the float range, where it is
+    # proved exactly all the same
     doc = {"p": 2, "m": 1, "a": [[["1e-300"]], [["1"]]], "b": [[["0"]], [["0"]]]}
     path = write_json(tmp_path, doc, "thin.json")
     assert run_json(capsys, ["bands", path])["payload"]["segments"] == [[-1.0, -1.0, 1], [1.0, 1.0, 1]]
     payload = run_json(capsys, ["verify", path])["payload"]
     assert len(payload["checks"]) == 12 and payload["all_pass"]
     (trace,) = [c for c in payload["checks"] if c["name"] == "trace-chebyshev-sampling"]
-    assert trace["status"] == "n/a"
-    assert re.fullmatch(r"beyond the float range: Tr M\^(\d) / scale\^\1 or its Chebyshev sum at z = \S+",
-                        trace["detail"])
+    assert trace == {"name": "trace-chebyshev-sampling", "status": "pass", "residual": 0.0, "detail": ""}
 
 
 @pytest.mark.parametrize("shape,thinnest", [((1, 24, 1), 1e-9), ((1, 32, 1), 1e-12), ((2, 32, 1), 1e-10),
@@ -965,7 +998,7 @@ def test_edges_past_the_float_range_of_phi_exit_2_naming_the_stage(tmp_path, cap
         assert payload["segments"] == [[-4e-160, 0.0, 1], [1e160, 1e160, 1]]
     else:
         assert payload["all_pass"] and len(payload["checks"]) == 12
-        assert [c["status"] for c in payload["checks"]] == ["pass"] * 6 + ["n/a"] + ["pass"] * 3 + ["n/a"] * 2
+        assert [c["status"] for c in payload["checks"]] == ["pass"] * 6 + ["n/a"] + ["pass"] * 3 + ["n/a", "pass"]
 
 
 def test_verify_exits_5_when_one_floquet_entry_changes(tmp_path, capsys, monkeypatch):

@@ -123,3 +123,16 @@ def test_one_path_from_an_exact_polynomial_to_its_roots():
         imported = {alias.name for sub in ast.walk(trees[module]) if isinstance(sub, ast.ImportFrom)
                     for alias in sub.names}
         assert "cross_validate" not in _used_names(trees[module]) | imported, module
+
+
+def test_verify_decides_the_trace_identity_without_floats():
+    # the trace identity is proved on Phi's factors at integer points, so
+    # verify seeds no sampler and finds no branch roots; on_circle is read
+    # off the branch, so the CLI keeps no tolerance of its own for it
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    (verify,) = [f for f in trees["spectral.py"].body
+                 if isinstance(f, ast.FunctionDef) and f.name == "verify_identities"]
+    assert not {"branch_values", "random"} & _used_names(verify)
+    imported = [alias.name for sub in trees["spectral.py"].body if isinstance(sub, ast.Import) for alias in sub.names]
+    assert "random" not in imported
+    assert "UNIT_CIRCLE_TOL" not in _used_names(trees["cli.py"])

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import re
@@ -1004,6 +1005,38 @@ def test_verify_symplectic_check_fails_on_a_non_symplectic_monodromy(monkeypatch
     assert _status(verify_identities(op), "symplectic-normalization") == "pass"
     monkeypatch.setattr(spectral_mod, "monodromy_at", doubled_row)
     assert _status(verify_identities(op), "symplectic-normalization") == "fail"
+
+
+@pytest.mark.parametrize("make,j", [(lambda: random_operator(1, 16, 1), 1), (lambda: random_operator(1, 3, 3), 2),
+                                    (lambda: random_operator(1, 2, 4), 3), (lambda: free_operator(2, 6), 1)])
+def test_verify_trace_check_fails_on_a_changed_factor_coefficient(monkeypatch, make, j):
+    # Tr M^n = 2 sum T_n(Delta_j) reads f_1, f_2 and f_3 of each monic F_k;
+    # adding 1/d to f_j's constant term in z breaks it at every point
+    op = make()
+    cd = char_determinant(op)
+    assert _status(verify_identities(op), "trace-chebyshev-sampling") == "pass"
+    (F, k), *rest = cd.factors
+    d, c = F[-1 - j]
+    changed = F[:-1 - j] + ((d, (c[0] + 1,) + c[1:] if c else (1,)),) + F[len(F) - j:]
+    monkeypatch.setattr(spectral_mod, "char_determinant", lambda _: cd._replace(factors=((changed, k), *rest)))
+    assert _status(verify_identities(op), "trace-chebyshev-sampling") == "fail"
+
+
+def test_verify_trace_check_fails_on_a_factor_past_its_degree_bound(monkeypatch):
+    # adding prod (z - x) over the 3p + 1 points x to f_1 leaves both sides
+    # at every point as they were, so only the bound deg f_j <= p j makes the
+    # points a proof; the bands are those of the true D
+    op = random_operator(1, 3, 3)
+    cd = char_determinant(op)
+    (F, k), *rest = cd.factors
+    d, c = F[-2]
+    vanishing = sympy.Poly(sympy.prod([Z - x for x in range(-op.p, 2 * op.p + 1)]), Z).all_coeffs()[::-1]
+    c = tuple(a + d * int(b) for a, b in itertools.zip_longest(c, vanishing, fillvalue=0))
+    changed = cd._replace(factors=((F[:-2] + ((d, c),) + F[-1:], k), *rest))
+    monkeypatch.setattr(spectral_mod, "band_structure", lambda _, bands=band_structure(cd): bands)
+    monkeypatch.setattr(spectral_mod, "char_determinant", lambda _: changed)
+    assert all(changed.phi_at(x) == cd.phi_at(x) for x in range(-op.p, 2 * op.p + 1))
+    assert _status(verify_identities(op), "trace-chebyshev-sampling") == "fail"
 
 
 def test_verify_identities_statuses():
