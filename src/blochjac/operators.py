@@ -158,7 +158,8 @@ def floquet_matrix(op: PeriodicOperator, tau: complex):
     float arrays built once per operator. Where blocks overlap (p <= 2),
     rounding would make L[i][j] and conj(L[j][i]) differ, so the strict
     upper triangle is the conjugate of the strict lower one, which eigvalsh
-    reads, and the diagonal is real.
+    reads, and the diagonal is real. An entry beyond the float range raises
+    ValueError naming L(tau).
     """
     import numpy as np
 
@@ -166,7 +167,10 @@ def floquet_matrix(op: PeriodicOperator, tau: complex):
     if abs(abs(t) - 1) > 1e-12:
         raise ValueError(f"|tau| = {abs(t)!r} is off the unit circle")
     if op._float is None:
-        a, b = ([[[float(x) for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b))
+        try:
+            a, b = ([[[float(x) for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b))
+        except OverflowError:
+            raise ValueError("L(tau) has an entry beyond the float range") from None
         zero = [[0.0] * op.m] * op.m
         # factors 0.0 leave every sum in base unchanged; W is the corner a_p alone
         base = _floquet_layout(a, b, 0.0, 0.0)

@@ -43,7 +43,6 @@ from .operators import (
 )
 
 REAL_TOL = 1e-9
-CROSS_TOL = 1e-7
 DEFAULT_GRID = 257
 _BISECTIONS = 2048
 
@@ -124,13 +123,11 @@ def _at(F, z) -> list:
 
 
 class LyapunovBranch(NamedTuple):
+    """A branch value, its real flag, and whether multipliers_at puts its pair on the unit circle."""
+
     value: complex
     real: bool
-
-    @property
-    def on_circle(self) -> bool:
-        """Whether the branch is real and in [-1, 1], where multipliers_at puts its pair on the unit circle."""
-        return self.real and -1 <= self.value.real <= 1
+    on_circle: bool
 
 
 class _Rho(tuple):
@@ -242,30 +239,57 @@ def _squarefree_factors(phi) -> tuple:
     in Q[z]; the branches grow like |z|^w, so the coefficient of
     nu^(d_k - j) in F_k has z-degree at most w j. Phi(x, .) is split at the
     _samples points x in turn. The first split [(Phi(x, .), 1)] proves Phi
-    squarefree, the usual case, with one certificate. Else Yun runs at all
-    n points. The generic pattern is the one of largest total degree d, the
-    nu-degree of prod F_k, and where it shows, the split is
-    [(F_k(x, .), k)]; the other points are zeros of disc(prod F_k), at most
-    w d (d - 1) of them. As d < m, n - w d (d - 1) >= w d + 1 points remain,
-    and each coefficient is interpolated exactly from the first w d + 1.
+    squarefree, the usual case, with one certificate. Else Yun runs at each
+    point until w d + 1 points show the split pattern of the largest total
+    degree d seen so far, the number of distinct roots; each coefficient is
+    interpolated from them, and the factors are returned once
+    _factorization_holds proves prod F_k^k == Phi. That proves them the
+    squarefree factors: the radical of Phi, whose degree no point's d
+    exceeds, divides prod F_k, of degree d, so prod F_k is squarefree. The
+    generic pattern, where the interpolation is exact, shows at all but the
+    zeros of disc(prod F_k), at most w d (d - 1) of the n points; as d < m,
+    n - w d (d - 1) >= w d + 1 points remain.
     """
     whole = _integer_form(reversed(phi))
     xs, w = _samples(phi)
-    splits = []  # (total degree, x, split)
+    seen = {}  # split pattern, ((deg g, k), ...), -> [(x, split)]
     for x in xs:
         split = _split(_at(whole, x), lambda: f"Phi(z, nu) at z = {x}")
         if [k for _, k in split] == [1]:
             return ((whole, 1),)
-        splits.append((sum(len(g) - 1 for g, _ in split), x, split))
-    d = max(deg for deg, _, _ in splits)
-    generic = [(x, split) for deg, x, split in splits if deg == d][:w * d + 1]
-    pts = [x for x, _ in generic]
-    factors = []
-    for i, (_, k) in enumerate(generic[0][1]):
-        # the coefficients of F_k(x, .) at each point, then one column per power of nu
-        values = [[Fraction(a, s) for a, _, s in split[i][0]] for _, split in generic]
-        factors.append((_integer_form([lincomb((1, interpolate(pts, col))) for col in zip(*values)]), k))
-    return tuple(factors)
+        pattern = tuple((len(g) - 1, k) for g, k in split)
+        group = seen.setdefault(pattern, [])
+        group.append((x, split))
+        d = sum(deg for deg, _ in pattern)
+        if len(group) == w * d + 1 and d == max(sum(deg for deg, _ in other) for other in seen):
+            pts = [x for x, _ in group]
+            factors = []
+            for i, (_, k) in enumerate(pattern):
+                # the coefficients of F_k(x, .) at each point, then one column per power of nu
+                values = [[Fraction(a, s) for a, _, s in split[i][0]] for _, split in group]
+                factors.append((_integer_form([lincomb((1, interpolate(pts, col))) for col in zip(*values)]), k))
+            if _factorization_holds(phi, factors):
+                return tuple(factors)
+    raise InternalConsistencyError("no split pattern of Phi(x, .) at the sample points interpolates to its factors")
+
+
+def _times(f, g) -> tuple:
+    """f g, for polynomials f and g over Q."""
+    return lincomb(*((c, (0,) * i + g) for i, c in enumerate(f)))
+
+
+def _factorization_holds(phi, factors) -> bool:
+    """Whether prod F_k^k == Phi exactly, for factors as _squarefree_factors lists them.
+
+    At an integer x both sides are polynomials in nu over Q. Each of their
+    coefficients is a polynomial in z of degree below e, the larger of the
+    most coefficients of a phi_j and 1 + sum_k k (the largest z-degree in
+    F_k), so equality at the e integers 0..e - 1 proves the identity.
+    """
+    e = max(max(map(len, phi)), 1 + sum(k * max(len(c) - 1 for _, c in F) for F, k in factors))
+    return all(tuple(horner(f, x) for f in reversed(phi))
+               == reduce(_times, (_exact_form(_at(F, x)) for F, k in factors for _ in range(k)))
+               for x in range(e))
 
 
 def _route_one(parts: TransferParts, N: list, P: int) -> list:
@@ -415,17 +439,21 @@ def _split(parts, what) -> list:
 def _roots(parts, what, aberth=True) -> list:
     """[(g, Aberth's roots of g, or None if not aberth, k)] over _split(parts, what).
 
-    Each coefficient of g is rounded once, a / s, in either case; what() names
-    the polynomial where one, or Aberth's iteration on it, leaves the float range.
+    Only where Aberth runs is g rounded, each coefficient once, a / s; what()
+    names the polynomial where one, or Aberth's iteration on it, leaves the
+    float range.
     """
     out = []
     for g, k in _split(parts, what):
+        if not aberth:
+            out.append((g, None, k))
+            continue
         try:
             cs = [complex(a / s, b / s) for a, b, s in g]
         except OverflowError:
             raise ValueError(f"{what()} has a coefficient beyond the float range") from None
         try:
-            out.append((g, roots_all(cs) if aberth else None, k))
+            out.append((g, roots_all(cs), k))
         except OverflowError:
             raise ValueError(f"{what()} has roots that Aberth's iteration cannot reach in the float range") from None
     return out
@@ -461,8 +489,17 @@ def branch_values(cd: CharDeterminant, z) -> list:
 
 
 def lyapunov_at(cd: CharDeterminant, z) -> list:
-    """branch_values at z with real flags."""
-    return [LyapunovBranch(v, abs(v.imag) <= REAL_TOL) for v in branch_values(cd, z)]
+    """branch_values at z with real and on_circle flags.
+
+    on_circle marks a real branch in [-1, 1] at a real z only: a self-adjoint
+    operator has no multiplier on the unit circle at a non-real z.
+    """
+    real_z = not complex(z).imag
+    out = []
+    for v in branch_values(cd, z):
+        real = abs(v.imag) <= REAL_TOL
+        out.append(LyapunovBranch(v, real, real_z and real and -1 <= v.real <= 1))
+    return out
 
 
 def multipliers_at(branches) -> list:
@@ -473,7 +510,7 @@ def multipliers_at(branches) -> list:
     order, and the pair product is 1 by construction. z lies in the
     spectrum exactly when some |tau_j| = 1.
 
-    For a real branch in [-1, 1] the pair is nu -/+ i sqrt(1 - nu^2) on the
+    For a branch on_circle the pair is nu -/+ i sqrt(1 - nu^2) on the
     unit circle, negative imaginary part first; its real parts agree
     exactly, so sorting would leave the order to rounding. Other pairs are
     sorted by (re, im).
@@ -506,11 +543,8 @@ def resonance_poly(cd: CharDeterminant):
     n = w m (m - 1) + 1 of _samples: rho is interpolated from disc F(x, .)
     at those points.
     """
-    def times(f, g):
-        return lincomb(*((c, (0,) * i + g) for i, c in enumerate(f)))
-
     xs = _samples(cd.phi)[0]
-    values = [discriminant(reduce(times, (_exact_form(parts) for parts, _ in cd.phi_at(x)))) for x in xs]
+    values = [discriminant(reduce(_times, (_exact_form(parts) for parts, _ in cd.phi_at(x)))) for x in xs]
     return _Rho(lincomb((1, interpolate(xs, values)))), any(k > 1 for _, k in cd.factors)
 
 
@@ -689,7 +723,9 @@ def band_structure(cd: CharDeterminant) -> BandStructure:
 def cross_validate(op: PeriodicOperator, bs: BandStructure, pieces):
     """Check bs against the Floquet eigenvalues of op at DEFAULT_GRID phases, from both sides.
 
-    Every eigenvalue must lie within CROSS_TOL of a band of bs. The grid is
+    Every eigenvalue must lie within twice hermitian_eigs' accuracy,
+    2 EIG_ACCURACY ||L(tau)||, of a band of bs, with ||L(tau)|| the largest
+    |lam| at that phase, so the bound scales with the operator. The grid is
     odd, so pi is a phase. Distances max(lo - lam, lam - hi, 0) are taken
     on numpy arrays; the first miss by phase, then ascending lam, raises,
     and a NaN edge misses. pieces are (lo, hi, multiplicity) between
@@ -698,7 +734,8 @@ def cross_validate(op: PeriodicOperator, bs: BandStructure, pieces):
     eigenvalue and #{lam < x} steps by 1. Two opposite steps within one
     phase step cancel, so over the phases in [0, pi] the steps seen must be
     at most the multiplicity and of its parity. A piece no wider than twice
-    hermitian_eigs' accuracy, EIG_ACCURACY ||L(tau)||, is skipped.
+    hermitian_eigs' accuracy, with the largest ||L(tau)|| of all phases, is
+    skipped.
     """
     import numpy as np
 
@@ -714,12 +751,13 @@ def cross_validate(op: PeriodicOperator, bs: BandStructure, pieces):
         lams = hermitian_eigs(floquet_matrix(op, tau))
         col = np.array(lams)[:, None]
         dist = np.maximum(np.maximum(lo - col, col - hi), 0.0).min(axis=1)
-        miss = np.flatnonzero(~(dist <= CROSS_TOL))
+        size = max(abs(lams[0]), abs(lams[-1]))
+        miss = np.flatnonzero(~(dist <= 2 * EIG_ACCURACY * size))
         if miss.size:
             raise InternalConsistencyError(
                 f"Floquet eigenvalue {lams[miss[0]]} at x={x} misses every band by {float(dist[miss[0]])}"
             )
-        norm = max(norm, abs(lams[0]), abs(lams[-1]))
+        norm = max(norm, size)
         if len(below) <= DEFAULT_GRID // 2:
             below.append((col < mids).sum(axis=0))
     for (a, b, mult), seen in zip(pieces, np.abs(np.diff(below, axis=0)).sum(axis=0).tolist()):
@@ -793,10 +831,12 @@ def verify_identities(op: PeriodicOperator) -> list:
     palindrome and dual routes (implicit in char_determinant), the Floquet
     determinant match q(z, tau0) = det(z I - L(tau0)) for tau0 in {1, -1, i}
     (modulo primes under a proven bound), the first two eigenvalue-moment
-    identities read off q's top coefficients, and the trace identity
+    identities read off q's top coefficients, the trace identity
     Tr M^n = 2 sum_j T_n(Delta_j), n = 1, 2, 3, on Phi's squarefree factors
-    (at 3p + 1 points). Float checks: the second-moment lower bound and the
-    norm sandwich from band extremes.
+    (at 3p + 1 points), Phi == prod F_k^k for those factors
+    (_factorization_holds), and the second-moment lower bound. Float
+    checks: the norm sandwich from band extremes, within hermitian_eigs'
+    relative accuracy.
 
     The moment identities compare Tr L(tau)^s with coefficient data; for
     p = 1 the wrap-around couples tau into every diagonal block and for
@@ -881,7 +921,9 @@ def verify_identities(op: PeriodicOperator) -> list:
     lo = bands.segments[0].lo
     hi = bands.segments[-1].hi
     norm_j = max(abs(lo), abs(hi))
-    ok = norm_inf <= norm_j + 1e-9 and norm_j <= (4 * m - 1) * norm_inf + 1e-9
+    # the bounds allow the eigensolver's relative accuracy, which the bands' cross-validation grants
+    slack = 1 + 2 * EIG_ACCURACY
+    ok = norm_inf <= norm_j * slack and norm_j <= (4 * m - 1) * norm_inf * slack
     report.append(
         _check("norm-sandwich", ok, detail=f"|J|_inf={norm_inf}, |J|={norm_j}")
     )
@@ -889,8 +931,8 @@ def verify_identities(op: PeriodicOperator) -> list:
         half_width = (hi - lo) / 2
         center = abs(hi + lo) / 2
         ok = (
-            norm_inf + center <= half_width + 1e-9
-            and half_width <= (4 * m - 1) * norm_inf + 1e-9
+            norm_inf + center <= half_width * slack
+            and half_width <= (4 * m - 1) * norm_inf * slack
         )
         report.append(_check("norm-sandwich-traceless", ok))
     else:
@@ -914,5 +956,6 @@ def verify_identities(op: PeriodicOperator) -> list:
     ok = bounded and all(_trace_of(P) == 2 * parts.scale**n * s for x, N in monodromies.items()
                          for n, P, s in zip((1, 2, 3), accumulate([N] * 3, mat_mul), chebyshev_sums(x)))
     report.append(_check("trace-chebyshev-sampling", ok))
+    report.append(_check("phi-squarefree-factors", _factorization_holds(cd.phi, cd.factors)))
     return report
 

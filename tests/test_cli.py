@@ -207,11 +207,13 @@ def test_lyapunov_single_point(tmp_path, capsys):
     assert mult["abs"] == pytest.approx([1, 1])
 
 
-@pytest.mark.parametrize("z,on_circle", [("2", True), ("2.0000001", False)])
+@pytest.mark.parametrize("z,on_circle", [("2", True), ("2.0000001", False), ("2,1e-12", False)])
 def test_lyapunov_on_circle_is_a_real_branch_in_minus_one_one(tmp_path, capsys, z, on_circle):
     # z = 2 is a band edge of the free operator: its one branch is real at
     # nu = 1, and the pair is (1, 1); just past the edge the branch is real
-    # past 1, and the pair is real and apart
+    # past 1, and the pair is real and apart; at a non-real z no multiplier
+    # of a self-adjoint operator is unimodular, though the branch 1 + 2e-12 i
+    # is flagged real
     path = write_doc(tmp_path, capsys, ["example", "free", "--p", "2", "--m", "1"])
     (point,) = run_json(capsys, ["lyapunov", path, "--z", z])["payload"]["points"]
     (mult,) = point["multipliers"]
@@ -623,7 +625,8 @@ def test_lyapunov_rejects_z_that_overflows(tmp_path, capsys):
 def test_entry_beyond_float_range_exits_2(tmp_path, capsys, argv):
     path = write_json(tmp_path, {"p": 1, "m": 1, "a": [[["1"]]], "b": [[["1e400"]]]}, "big.json")
     code, line = run_error_line(capsys, [argv[0], path] + argv[1:])
-    stage = {"bands": "q(z, 1)", "verify": "q(z, 1)", "lyapunov": "Phi(z, nu) at z = 0.0"}[argv[0]]
+    # bands and verify round the entries first where they build L(tau)
+    stage = {"bands": "L(tau)", "verify": "L(tau)", "lyapunov": "Phi(z, nu) at z = 0.0"}[argv[0]]
     assert code == 2 and stage in line
 
 
@@ -910,8 +913,8 @@ def test_bands_thinner_than_the_merge_tolerance_name_the_stage(tmp_path, capsys)
     assert payload["segments"] == [[1.0, 1.0, 2]]
     assert payload["branch_bands"] == [[[1.0, 1.0]], [[1.0, 1.0]]]
     payload = run_json(capsys, ["verify", path])["payload"]
-    assert payload["all_pass"] and len(payload["checks"]) == 12
-    assert [c["status"] for c in payload["checks"]] == ["pass"] * 5 + ["n/a"] * 4 + ["pass", "n/a", "pass"]
+    assert payload["all_pass"] and len(payload["checks"]) == 13
+    assert [c["status"] for c in payload["checks"]] == ["pass"] * 5 + ["n/a"] * 4 + ["pass", "n/a", "pass", "pass"]
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -933,7 +936,7 @@ def test_bands_and_verify_on_bands_thinner_than_one_double(tmp_path, capsys):
     path = write_json(tmp_path, doc, "thin.json")
     assert run_json(capsys, ["bands", path])["payload"]["segments"] == [[-1.0, -1.0, 1], [1.0, 1.0, 1]]
     payload = run_json(capsys, ["verify", path])["payload"]
-    assert len(payload["checks"]) == 12 and payload["all_pass"]
+    assert len(payload["checks"]) == 13 and payload["all_pass"]
     (trace,) = [c for c in payload["checks"] if c["name"] == "trace-chebyshev-sampling"]
     assert trace == {"name": "trace-chebyshev-sampling", "status": "pass", "residual": 0.0, "detail": ""}
 
@@ -997,8 +1000,8 @@ def test_edges_past_the_float_range_of_phi_exit_2_naming_the_stage(tmp_path, cap
     if command == "bands":
         assert payload["segments"] == [[-4e-160, 0.0, 1], [1e160, 1e160, 1]]
     else:
-        assert payload["all_pass"] and len(payload["checks"]) == 12
-        assert [c["status"] for c in payload["checks"]] == ["pass"] * 6 + ["n/a"] + ["pass"] * 3 + ["n/a", "pass"]
+        assert payload["all_pass"] and len(payload["checks"]) == 13
+        assert [c["status"] for c in payload["checks"]] == ["pass"] * 6 + ["n/a"] + ["pass"] * 3 + ["n/a"] + ["pass"] * 2
 
 
 def test_verify_exits_5_when_one_floquet_entry_changes(tmp_path, capsys, monkeypatch):
@@ -1016,6 +1019,33 @@ def test_verify_exits_5_when_one_floquet_entry_changes(tmp_path, capsys, monkeyp
     failed = {c["name"] for c in json.loads(capsys.readouterr().out)["payload"]["checks"]
               if c["status"] == "fail"}
     assert failed == {"floquet-determinant-tau=1", "floquet-determinant-tau=-1", "floquet-determinant-tau=i"}
+
+
+def test_verify_exits_5_when_a_low_coefficient_of_a_factor_of_phi_changes(tmp_path, capsys, monkeypatch):
+    # at (1; 2,4) Phi is squarefree, its one factor is Phi itself, and the
+    # trace identity reads only its top three coefficients; adding 1/d to
+    # the constant term of its nu^0 coefficient breaks prod F_k^k == Phi
+    op = random_operator(1, 2, 4)
+    cd = spectral.char_determinant(op)
+    ((F, k),) = cd.factors
+    d, c = F[0]
+    changed = cd._replace(factors=((((d, (c[0] + 1,) + c[1:]),) + F[1:], k),))
+    monkeypatch.setattr(spectral, "char_determinant", lambda _: changed)
+    assert cli.main(["verify", write_json(tmp_path, cli.operator_to_document(op), "op.json")]) == 5
+    captured = capsys.readouterr()
+    failed = [c["name"] for c in json.loads(captured.out)["payload"]["checks"] if c["status"] == "fail"]
+    assert failed == ["phi-squarefree-factors"]
+    assert captured.err == "failed checks: phi-squarefree-factors\n"
+
+
+def test_bands_and_verify_pass_on_a_band_at_1e300(tmp_path, capsys):
+    # the band round 1e300 is one double wide, and the Floquet eigenvalue
+    # there is one ulp, 1.5e284, off it: within the eigensolver's relative
+    # accuracy, which the oracle grants at every scale
+    doc = {"p": 2, "m": 1, "a": [[["1"]], [["1"]]], "b": [[["1e300"]], [["0"]]]}
+    path = write_json(tmp_path, doc, "big.json")
+    assert run_json(capsys, ["bands", path])["payload"]["segments"] == [[-4e-300, 0.0, 1], [1e300, 1e300, 1]]
+    assert run_json(capsys, ["verify", path])["payload"]["all_pass"] is True
 
 
 def test_huge_couplings_pass_bands_and_verify(tmp_path, capsys):
@@ -1095,30 +1125,31 @@ def rational_yun_calls(monkeypatch):
 
 
 def test_yun_receives_rational_coefficients_only(tmp_path, capsys, monkeypatch):
-    # free(2, 2) splits Phi = (nu - T_2(z/2))^2 by Yun at its 5 sample points
-    # while D is built, and then reads nu - T_2(z/2) at any z, real or not;
+    # free(2, 2) splits Phi = (nu - T_2(z/2))^2 by Yun at the first 3 of its 5
+    # sample points while D is built, and then reads nu - T_2(z/2) at any z, real or not;
     # example3 at t = 1 has a double branch at the real zero z = -1/2 of rho,
     # which Yun splits exactly at the point
     calls = rational_yun_calls(monkeypatch)
     free = write_doc(tmp_path, capsys, ["example", "free", "--p", "2", "--m", "2"], "free.json")
     for argv in (["--z", "0.5,0.25"], ["--z-grid=-3:3:50"]):
         run_json(capsys, ["lyapunov", free] + argv)
-    assert len(calls) == 10 and all(during for _, during in calls)
+    assert len(calls) == 6 and all(during for _, during in calls)
     ex3 = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1"], "ex3.json")
     (point,) = run_json(capsys, ["lyapunov", ex3, "--z=-0.5"])["payload"]["points"]
     assert point["branches"][0] == point["branches"][1] == {"real": True, "value": [-1.125, 0.0]}
-    assert [during for _, during in calls[10:]] == [False]
+    assert [during for _, during in calls[6:]] == [False]
     assert all(type(c) is Fraction for f, _ in calls for c in f)
 
 
 def test_free_2_6_grid_runs_yun_only_while_d_is_built(tmp_path, capsys, monkeypatch):
-    # Phi = (nu - T_2(z/2))^6 is split at the n = p m (m - 1) + 1 = 61 sample
-    # points of D, and never at any of the 2000 grid points
+    # Phi = (nu - T_2(z/2))^6 is split while D is built, at the first w d + 1 = 3
+    # of its n = p m (m - 1) + 1 = 61 sample points, where F_1 = nu - T_2(z/2)
+    # is interpolated and F_1^6 == Phi proves it; never at the 2000 grid points
     calls = rational_yun_calls(monkeypatch)
     path = write_doc(tmp_path, capsys, ["example", "free", "--p", "2", "--m", "6"])
     points = run_json(capsys, ["lyapunov", path, "--z-grid=-3:3:2000"])["payload"]["points"]
     assert len(points) == 2000
-    assert 1 <= len(calls) <= 61 and all(during for _, during in calls)
+    assert len(calls) == 3 and all(during for _, during in calls)
 
 
 def test_lyapunov_at_a_non_real_zero_of_rho_exits_2_naming_z(tmp_path, capsys):

@@ -136,3 +136,15 @@ def test_verify_decides_the_trace_identity_without_floats():
     imported = [alias.name for sub in trees["spectral.py"].body if isinstance(sub, ast.Import) for alias in sub.names]
     assert "random" not in imported
     assert "UNIT_CIRCLE_TOL" not in _used_names(trees["cli.py"])
+
+
+def test_the_floquet_oracle_bound_is_the_eigensolvers_relative_contract():
+    # an absolute bound refuses correct bands of a large enough operator, so
+    # cross_validate measures misses by EIG_ACCURACY ||L(tau)|| and no
+    # module keeps an absolute oracle tolerance
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    for module, tree in trees.items():
+        assert "CROSS_TOL" not in {name for stmt in tree.body for name in _bound_names(stmt)}, module
+    (oracle,) = [f for f in trees["spectral.py"].body
+                 if isinstance(f, ast.FunctionDef) and f.name == "cross_validate"]
+    assert "EIG_ACCURACY" in _used_names(oracle)

@@ -711,6 +711,45 @@ def test_cross_validation_fails_a_band_with_a_nan_edge(lo, hi):
         cross_validate(op, fake, [])
 
 
+@functools.cache
+def _answers_times_two_to(shape, k):
+    """The bands, gaps and verify statuses of 2^k L, L = random_operator(*shape)."""
+    op = random_operator(*shape)
+    scale = Fraction(2) ** k
+    op = PeriodicOperator(*([[[x * scale for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b)))
+    bs = band_structure(char_determinant(op))
+    return bs, classify_gaps(bs), [c.status for c in verify_identities(op)]
+
+
+def _item_15(cause):
+    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item 15: {cause}")
+
+
+SCALE_SHAPES = [(1, 3, 3), (1, 16, 1), (1, 2, 3), (1, 4, 2)]
+
+
+@pytest.mark.parametrize("shape,k", [(shape, k) for shape in SCALE_SHAPES for k in (-30, -10, 10, 30)]
+                         + [(shape, k) for shape in [(1, 16, 1), (1, 4, 2)] for k in (60, 100)]
+                         + [((1, 16, 1), -40)]
+                         + [pytest.param(shape, -40, marks=_item_15("Aberth's stagnation test is absolute near 0, "
+                                                                    "so rho's roots miss the residual contract"))
+                            for shape in SCALE_SHAPES if shape[2] >= 2]
+                         + [pytest.param((1, 3, 3), 60, marks=_item_15("rho has a coefficient beyond the float "
+                                                                       "range: it is rounded in z, not balanced"))])
+def test_two_to_the_k_times_the_operator_has_two_to_the_k_times_the_bands(shape, k):
+    # every exact edge scales by 2^k, and each printed edge is the double
+    # nearest to one, so it scales exactly; the Floquet oracle's bound is
+    # relative, so it passes the same bands at every scale
+    bs, gaps, statuses = _answers_times_two_to(shape, 0)
+    f = 2.0 ** k
+    got_bs, got_gaps, got_statuses = _answers_times_two_to(shape, k)
+    assert got_bs.segments == tuple(s._replace(lo=s.lo * f, hi=s.hi * f) for s in bs.segments)
+    assert got_bs.edges == tuple(e._replace(value=e.value * f) for e in bs.edges)
+    assert got_bs.branch_bands == tuple(tuple((lo * f, hi * f) for lo, hi in bands) for bands in bs.branch_bands)
+    assert got_gaps == [g._replace(lo=g.lo * f, hi=g.hi * f) for g in gaps]
+    assert got_statuses == statuses
+
+
 def test_dual_route_tamper_detected(monkeypatch):
     # one wrong residue, at one point modulo one prime, in either route; a
     # route call's point is the x of the monodromy_at call just before it
