@@ -126,19 +126,46 @@ def roots_all(f):
     return sorted(out, key=lambda r: (r.real, r.imag))
 
 
-def _sign_at(ints, x) -> int:
-    """The sign of sum_k ints[k] x^k, exactly, at a double or the midpoint of two, x = a / 2^e.
-
-    Horner over ints in a, with each power of the denominator 2^e applied as
-    a shift; certified_roots evaluates only at such points.
-    """
-    a, s = x.as_integer_ratio()
-    e = s.bit_length() - 1
-    assert s == 1 << e, "a dyadic x is required"
+def _scaled_value(ints, a: int, e: int) -> int:
+    """2^(e deg g) g(a / 2^e) for g = sum_k ints[k] z^k, exactly: Horner in a, each power of 2^e a shift."""
     acc = 0
     for k, c in enumerate(reversed(ints)):
         acc = acc * a + (c << (e * k))
+    return acc
+
+
+def _sign_at(ints, x) -> int:
+    """The sign of sum_k ints[k] x^k, exactly, at a double or the midpoint of two (_scaled_value)."""
+    a, s = x.as_integer_ratio()
+    e = s.bit_length() - 1
+    assert s == 1 << e, "a dyadic x is required"
+    acc = _scaled_value(ints, a, e)
     return (acc > 0) - (acc < 0)
+
+
+def _refine(ints, bracket) -> tuple:
+    """One quadratic interval refinement step (Abbott, 2006) on bracket = (a, b, e, at_a, at_b, n).
+
+    The root of ints is in [a, b] / 2^e, where its scaled values at_a and at_b
+    (_scaled_value) have opposite signs; n is a power of two. The secant
+    through the ends picks one of n equal parts: where it brackets the sign
+    change it is the new bracket and n squares, else [a, b] is halved and n
+    falls to its square root, at least 4. A zero at x returns (x, x, e, 0, 0, n).
+    """
+    a, b, e, at_a, at_b, n = bracket
+    s, d, w = n.bit_length() - 1, len(ints) - 1, b - a
+
+    def part(x, y, e, at_x, at_y, n):  # [x, y] / 2^e where the sign changes in it, or its zero; else None
+        if not (at_x and at_y) or (at_x > 0) != (at_y > 0):
+            return (x, y, e, at_x, at_y, n) if at_x and at_y else (y, y, e, 0, 0, n) if at_x else (x, x, e, 0, 0, n)
+
+    j = n * at_a // (at_a - at_b)  # 0 <= j < n, as at_a / (at_a - at_b) is in (0, 1)
+    x, y = (a << s) + j * w, (a << s) + (j + 1) * w
+    at_x, at_y = (_scaled_value(ints, t, e + s) for t in (x, y))
+    if found := part(x, y, e + s, at_x, at_y, n * n):
+        return found
+    at_m, n = _scaled_value(ints, a + b, e + 1), max(4, math.isqrt(n))
+    return part(2 * a, a + b, e + 1, at_a << d, at_m, n) or part(a + b, 2 * b, e + 1, at_m, at_b << d, n)
 
 
 def _ordinal(x: float) -> int:

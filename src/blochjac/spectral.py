@@ -16,6 +16,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .exactmath import (
+    _CERTIFICATE,
     _crt,
     _exact_form,
     _gaussian_parts,
@@ -23,6 +24,7 @@ from .exactmath import (
     chebyshev,
     charpoly,
     discriminant,
+    euclid,
     horner,
     interpolate,
     lincomb,
@@ -32,7 +34,7 @@ from .exactmath import (
     root_counts,
     squarefree_decomposition,
 )
-from .numerics import EIG_ACCURACY, _sign_at, certified_roots, hermitian_eigs, roots_all
+from .numerics import EIG_ACCURACY, _refine, _scaled_value, certified_roots, hermitian_eigs, roots_all
 from .operators import (
     PeriodicOperator,
     TransferParts,
@@ -44,7 +46,6 @@ from .operators import (
 
 REAL_TOL = 1e-9
 DEFAULT_GRID = 257
-_BISECTIONS = 2048
 
 
 class InternalConsistencyError(RuntimeError):
@@ -625,21 +626,32 @@ def _counts(cd: CharDeterminant, x: Fraction) -> tuple:
 def _between(v: float, factors) -> list:
     """Rationals between the consecutive distinct roots near the double v of the integer polynomials factors.
 
-    Brackets start at the midpoints of v and its neighbours, v being the
-    double nearest to each root, and are halved by exact signs (_sign_at)
-    until apart; roots not apart after _BISECTIONS halvings are taken as one.
+    Each factor has one root in v's rounding interval [lo, hi], between the midpoints of v and its
+    neighbours. One that shares it with an earlier factor is dropped: no prime proves the two coprime
+    by a nonzero resultant (euclid modulo a _CERTIFICATE prime), and their gcd over Q has a root in
+    [lo, hi]. Brackets of the distinct roots left are refined (_refine) until none overlaps another.
     """
-    ends = [(Fraction(math.nextafter(v, side)) + Fraction(v)) / 2 for side in (-math.inf, math.inf)]
-    brackets = [[*ends, ints, _sign_at(ints, ends[0])] for ints in factors]  # [lo, hi, ints, sign at lo]
-    for _ in range(_BISECTIONS):
-        brackets.sort(key=lambda a: a[:2])
-        if all(a[1] < b[0] or a[0] == a[1] == b[0] == b[1] for a, b in zip(brackets, brackets[1:])):
-            break
-        for a in brackets:
-            mid = (a[0] + a[1]) / 2
-            sign = _sign_at(a[2], mid) if a[0] < a[1] else 0
-            a[:2] = [mid, mid] if not sign else [mid, a[1]] if sign == a[3] else [a[0], mid]
-    return [(a[1] + b[0]) / 2 for a, b in zip(brackets, brackets[1:]) if a[1] < b[0]]
+    lo, hi = [(Fraction(math.nextafter(v, side)) + Fraction(v)) / 2 for side in (-math.inf, math.inf)]
+
+    def shared(f, g):
+        f, g = sorted((f, g), key=len, reverse=True)
+        coprime = any(f[-1] % P and g[-1] % P and euclid(f, g, P)[1] for P, _ in _CERTIFICATE)
+        return not coprime and horner(h := euclid(f, g)[0][-1], lo) * horner(h, hi) <= 0
+
+    e = max(lo.denominator, hi.denominator).bit_length() - 1
+    a, b = int(lo * (1 << e)), int(hi * (1 << e))
+    brackets = []  # (factor, its _refine bracket), one per distinct root
+    for i, f in enumerate(factors):
+        if not any(shared(f, g) for g in factors[:i]):
+            at_a, at_b = _scaled_value(f, a, e), _scaled_value(f, b, e)
+            brackets.append((f, (a, a, e, 0, 0, 4) if not at_a else (b, b, e, 0, 0, 4) if not at_b
+                             else (a, b, e, at_a, at_b, 4)))
+    while True:
+        ends = sorted(((Fraction(t[0], 1 << t[2]), Fraction(t[1], 1 << t[2])), k) for k, (_, t) in enumerate(brackets))
+        close = {k for (x, i), (y, j) in zip(ends, ends[1:]) if x[1] >= y[0] for k in (i, j)}
+        if not close:
+            return [(x[1] + y[0]) / 2 for (x, _), (y, _) in zip(ends, ends[1:])]
+        brackets = [(f, _refine(f, t) if k in close and t[0] < t[1] else t) for k, (f, t) in enumerate(brackets)]
 
 
 def _relabel(order: list, before: int, after: int, values: list, crossing: int):
@@ -668,13 +680,14 @@ def band_structure(cd: CharDeterminant) -> BandStructure:
     of rho (resonances), are the doubles nearest to exact roots whatever the
     seeds, merged only when equal. Each interval between two has the exact
     count at its rational midpoint (_counts); where a candidate v holds two
-    or more exact roots, the largest positive count between them (_between)
-    is a band [v, v] thinner than one double. Real branches rank by value,
-    non-real ones after, so ranks below .. below + inside - 1 are inside; a
-    branch keeps its rank but at a real zero of rho, where _relabel follows
-    the sheets. The bands are read off D(z, tau), so a determinant recovered
-    from spectral data takes the same path; where D carries its operator,
-    cross_validate checks them against its Floquet eigenvalues.
+    or more distinct exact roots, a shared one counted once, the largest
+    positive count between them (_between) is a band [v, v] thinner than
+    one double. Real branches rank by value, non-real ones after, so ranks
+    below .. below + inside - 1 are inside; a branch keeps its rank but at a
+    real zero of rho, where _relabel follows the sheets. The bands are read
+    off D(z, tau), so a determinant recovered from spectral data takes the
+    same path; where D carries its operator, cross_validate checks them
+    against its Floquet eigenvalues.
     """
     m = cd.m
     exact = {}  # (kind, multiplicity, the integer coefficients of its squarefree factor) per exact root

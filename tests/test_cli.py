@@ -904,7 +904,7 @@ def test_period_one_operator_with_large_entries_passes_bands_and_verify(tmp_path
 def test_bands_thinner_than_the_merge_tolerance_name_the_stage(tmp_path, capsys):
     # at m = 2 both branches have one band about 4e-300 wide round 1: its
     # periodic and antiperiodic edges are one double, and the exact roots,
-    # bisected apart, hold both branches between them; it used to vanish,
+    # separated, hold both branches between them; it used to vanish,
     # and bands and verify exited 3 with "found no band"; the trace identity
     # is proved exactly however large Tr M^n grows
     doc = {"p": 1, "m": 2, "a": [[["1e-300", "0"], ["0", "1e-300"]]], "b": [[["1", "0"], ["0", "1"]]]}

@@ -148,3 +148,14 @@ def test_the_floquet_oracle_bound_is_the_eigensolvers_relative_contract():
     (oracle,) = [f for f in trees["spectral.py"].body
                  if isinstance(f, ast.FunctionDef) and f.name == "cross_validate"]
     assert "EIG_ACCURACY" in _used_names(oracle)
+
+
+def test_no_cap_decides_a_thin_band():
+    # _between ends on a proof: a shared root is found by a modular resultant
+    # or a gcd and counted once, and the distinct roots are refined until
+    # apart, so no module binds an iteration cap for the separation
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    for module, tree in trees.items():
+        assert "_BISECTIONS" not in {name for stmt in tree.body for name in _bound_names(stmt)}, module
+    (between,) = [f for f in trees["spectral.py"].body if isinstance(f, ast.FunctionDef) and f.name == "_between"]
+    assert {"_refine", "euclid"} <= _used_names(between)

@@ -15,6 +15,7 @@ from polyref import Z, coeffs, expr, triples
 from testops import random_operator, realified_charpoly, rotation_operator, scalar_operator
 
 import blochjac.exactmath as exactmath
+import blochjac.numerics as numerics_mod
 import blochjac.spectral as spectral_mod
 from blochjac.exactmath import (
     _primes,
@@ -34,7 +35,7 @@ from blochjac.fixtures import (
     example4,
     free_operator,
 )
-from blochjac.numerics import hermitian_eigs, roots_all
+from blochjac.numerics import certified_roots, hermitian_eigs, roots_all
 from blochjac.operators import (
     PeriodicOperator,
     _floquet_layout,
@@ -637,6 +638,88 @@ def test_band_structure_reads_branch_values_only_at_real_resonances(monkeypatch,
     band_structure(cd)
     assert len(seen) == len(set(seen)) and set(seen) <= edges
     assert (len(seen) == calls) if calls is not None else seen
+
+
+def separation_evaluations(monkeypatch):
+    """A one-item list that counts the exact evaluations (_scaled_value) made inside spectral._between."""
+    count, inside = [0], [False]
+    real_value, real_between = numerics_mod._scaled_value, spectral_mod._between
+
+    def value(*args):
+        count[0] += inside[0]
+        return real_value(*args)
+
+    def between(v, factors):
+        inside[0] = True
+        try:
+            return real_between(v, factors)
+        finally:
+            inside[0] = False
+
+    for module in (numerics_mod, spectral_mod):
+        monkeypatch.setattr(module, "_scaled_value", value)
+    monkeypatch.setattr(spectral_mod, "_between", between)
+    return count
+
+
+@pytest.mark.parametrize("k", [60, 150, 400, 2100])
+def test_between_separates_two_roots_2_to_the_minus_k_apart(monkeypatch, k):
+    # sqrt(2) and sqrt(2 + 2^-k) round to one double; halving every bracket
+    # one bit a round took 704 evaluations at k = 400, and at k = 2100 its
+    # cap of 2048 rounds took the two roots as one and returned no separator
+    count = separation_evaluations(monkeypatch)
+    (r,) = spectral_mod._between(math.sqrt(2), [[-2, 0, 1], [-(2**(k + 1) + 1), 0, 2**k]])
+    assert 2 < r * r < 2 + Fraction(1, 2**k)
+    assert count[0] <= 60
+
+
+def test_between_orders_the_separators_of_three_roots_at_one_double():
+    # z^2 = 2 + 2^-81, 2 and 2 + 2^-80, listed out of order
+    r, s = spectral_mod._between(math.sqrt(2), [[-(2**82 + 1), 0, 2**81], [-2, 0, 1], [-(2**81 + 1), 0, 2**80]])
+    assert 2 < r * r < 2 + Fraction(1, 2**81) < s * s < 2 + Fraction(1, 2**80)
+
+
+def test_between_separates_a_root_on_the_end_of_the_rounding_interval():
+    # 1 + 2^-53 is the midpoint of 1.0 and the next double, and rounds to 1.0
+    assert certified_roots([-(2**53 + 1), 2**53], [1.0], False) == [1.0]
+    (r,) = spectral_mod._between(1.0, [[-(2**53 + 1), 2**53], [-1, 1]])
+    assert 1 < r < 1 + Fraction(1, 2**53)
+
+
+@pytest.mark.parametrize("factors", [[[-2, 0, 1], [-2, 0, 1]], [[-2, 0, 1], [6, -2, -3, 1]],
+                                     [[6, -2, -3, 1], [-2, 0, 1], [-2, 0, 1]]])
+def test_between_counts_a_shared_root_once(monkeypatch, factors):
+    # z^2 - 2 and (z^2 - 2)(z - 3) share sqrt(2) exactly; no prime proves them
+    # coprime, and their gcd changes sign across the rounding interval, so no
+    # bracket is refined; the halvings used to run to the cap of 2048
+    count = separation_evaluations(monkeypatch)
+    assert spectral_mod._between(math.sqrt(2), factors) == []
+    assert count[0] <= 2
+
+
+def test_bands_of_two_sheets_sharing_an_irrational_edge(monkeypatch):
+    # two decoupled sheets: at the roots of z^2 - z - 1 one is periodic and
+    # the other antiperiodic, so the factors of q(., 1) and q(., -1) share the
+    # roots -0.618... and 1.618...; each is one edge of both kinds, and its
+    # separation used to run all 2048 halvings
+    half, one, two, zero = Fraction(1, 2), Fraction(1), Fraction(2), Fraction(0)
+    op = PeriodicOperator([[[half, zero], [zero, one]], [[half, zero], [zero, two]]],
+                          [[[zero, zero], [zero, zero]], [[one, zero], [zero, one]]])
+    count = separation_evaluations(monkeypatch)
+    bs = validated_bands(op)
+    assert bs.segments == (Segment(-2.5413812651491097, 0.0, 1), Segment(1.0, 3.5413812651491097, 1))
+    for v in (-0.6180339887498949, 1.618033988749895):
+        assert sorted(e.kind for e in bs.edges if e.value == v) == ["antiperiodic", "periodic"]
+    assert count[0] <= 20
+
+
+def test_band_structure_at_period_128_separates_every_thin_band(monkeypatch):
+    # 49 of the 128 bands are thinner than one double; one bit a round took
+    # 4338 evaluations to separate their edges
+    count = separation_evaluations(monkeypatch)
+    segments = validated_bands(random_operator(1, 128, 1)).segments
+    assert len(segments) == 128 and sum(s.lo == s.hi for s in segments) == 49
+    assert count[0] <= 1500
 
 
 def test_cross_validation_refuses_one_band_of_multiplicity_3_over_every_band():
