@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
-from fractions import Fraction
 
 DEFAULT_REL_TOL = 1e-12
 MAX_ITER = 500
@@ -134,13 +132,13 @@ def _scaled_value(ints, a: int, e: int) -> int:
     return acc
 
 
-def _sign_at(ints, x) -> int:
-    """The sign of sum_k ints[k] x^k, exactly, at a double or the midpoint of two (_scaled_value)."""
-    a, s = x.as_integer_ratio()
-    e = s.bit_length() - 1
-    assert s == 1 << e, "a dyadic x is required"
-    acc = _scaled_value(ints, a, e)
-    return (acc > 0) - (acc < 0)
+def _bracket(a: int, b: int, e: int, at_a: int, at_b: int, n: int = 4):
+    """The _refine bracket of [a, b] / 2^e from the values at its ends (_scaled_value), or None.
+
+    None where the values share a sign; a zero end becomes the point bracket (x, x, e, 0, 0, n).
+    """
+    if not (at_a and at_b) or (at_a > 0) != (at_b > 0):
+        return (a, b, e, at_a, at_b, n) if at_a and at_b else (b, b, e, 0, 0, n) if at_a else (a, a, e, 0, 0, n)
 
 
 def _refine(ints, bracket) -> tuple:
@@ -154,69 +152,49 @@ def _refine(ints, bracket) -> tuple:
     """
     a, b, e, at_a, at_b, n = bracket
     s, d, w = n.bit_length() - 1, len(ints) - 1, b - a
-
-    def part(x, y, e, at_x, at_y, n):  # [x, y] / 2^e where the sign changes in it, or its zero; else None
-        if not (at_x and at_y) or (at_x > 0) != (at_y > 0):
-            return (x, y, e, at_x, at_y, n) if at_x and at_y else (y, y, e, 0, 0, n) if at_x else (x, x, e, 0, 0, n)
-
     j = n * at_a // (at_a - at_b)  # 0 <= j < n, as at_a / (at_a - at_b) is in (0, 1)
     x, y = (a << s) + j * w, (a << s) + (j + 1) * w
     at_x, at_y = (_scaled_value(ints, t, e + s) for t in (x, y))
-    if found := part(x, y, e + s, at_x, at_y, n * n):
+    if found := _bracket(x, y, e + s, at_x, at_y, n * n):
         return found
     at_m, n = _scaled_value(ints, a + b, e + 1), max(4, math.isqrt(n))
-    return part(2 * a, a + b, e + 1, at_a << d, at_m, n) or part(a + b, 2 * b, e + 1, at_m, at_b << d, n)
-
-
-def _ordinal(x: float) -> int:
-    """The place of x among the doubles: adjacent doubles differ by 1, and 0.0 and -0.0 are both 0."""
-    n = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
-    return n if x >= 0 else -n
-
-
-def _double(n: int) -> float:
-    """The double at place n (_ordinal's inverse)."""
-    x = struct.unpack("<d", struct.pack("<q", abs(n)))[0]
-    return x if n >= 0 else -x
+    return _bracket(2 * a, a + b, e + 1, at_a << d, at_m, n) or _bracket(a + b, 2 * b, e + 1, at_m, at_b << d, n)
 
 
 def certified_roots(ints, seeds, eigensolver: bool) -> list:
     """The real roots of the squarefree g = sum_k ints[k] z^k, each as the double nearest to it.
 
-    Around each seed x, g must change sign exactly (_sign_at) across
-    [x - w, x] or [x, x + w]. w starts at 4 ulps of max(|x|, max |seeds|),
-    absolute so that a root at 0 gets a bracket too, and doubles up to
-    EIG_ACCURACY max |seeds| for eigenvalues (hermitian_eigs' contract), or half
-    the gap to the next seed for Aberth's roots of g. Bisection over the
-    doubles in order ends at a zero or two adjacent doubles, and the sign at
-    their exact midpoint picks the nearer (float of the midpoint on a tie).
-    The final brackets are disjoint, so deg g of them prove every root real.
+    Around each seed x, g must change sign exactly (_scaled_value) across
+    [x - w, x] or [x, x + w], with x and w on one dyadic grid 2^-e. w starts
+    at 4 ulps of max(|x|, max |seeds|), absolute so that a root at 0 gets a
+    bracket too, and doubles up to EIG_ACCURACY max |seeds| for eigenvalues
+    (hermitian_eigs' contract), or half the gap to the next seed for Aberth's
+    roots of g. _refine narrows the bracket, from the values the search took,
+    until both ends round to one double, which is the root's (a root that
+    rounds to zero is +0.0); a dyadic root, a tie included, is met exactly on
+    the way. Distinct doubles are distinct roots, so deg g of them prove
+    every root real.
     """
     norm = max(map(abs, seeds), default=0.0)
-    found = {}
+    found = set()
     for n, x in enumerate(seeds):
         w = 4 * math.ulp(max(abs(x), norm))
         # a lone Aberth seed is the root of a linear g, which is real
         gap = min((abs(x - y) for k, y in enumerate(seeds) if k != n), default=math.inf)
         limit = EIG_ACCURACY * norm if eigensolver else gap / 2
-        at_x = _sign_at(ints, x)
-        while not (end := next((t for t in (x - w, x + w) if _sign_at(ints, t) * at_x <= 0), None)) and w < limit:
-            w *= 2
-        if end is None:
+        (p, q), (r, t) = x.as_integer_ratio(), w.as_integer_ratio()
+        e = max(q, t).bit_length() - 1  # q and t are powers of two
+        a, u = (p << e) // q, (r << e) // t
+        at_a = _scaled_value(ints, a, e)
+        while not (bracket := _bracket(a - u, a, e, _scaled_value(ints, a - u, e), at_a)
+                   or _bracket(a, a + u, e, at_a, _scaled_value(ints, a + u, e))) and w < limit:
+            w, u = 2 * w, 2 * u
+        if bracket is None:
             continue
-        (i, at_i), (j, at_j) = sorted([(_ordinal(x), at_x), (_ordinal(end), _sign_at(ints, end))])
-        while j - i > 1 and at_i:  # at_i at_j <= 0, and at_i stays nonzero
-            k = (i + j) // 2
-            at_k = _sign_at(ints, _double(k))
-            i, j, at_j = (k, j, at_j) if at_k == at_i else (i, k, at_k)
-        lo, hi = _double(i), _double(j)
-        if not (at_i and at_j):  # a zero at a double
-            found[(i, i) if not at_i else (j, j)] = lo if not at_i else hi
-            continue
-        mid = (Fraction(lo) + Fraction(hi)) / 2
-        at_mid = _sign_at(ints, mid)
-        found[i, j] = float(mid) if not at_mid else lo if at_mid != at_i else hi
-    return sorted(found.values())
+        while (v := bracket[0] / (1 << bracket[2])) != bracket[1] / (1 << bracket[2]):
+            bracket = _refine(ints, bracket)
+        found.add(v or 0.0)
+    return sorted(found)
 
 
 def hermitian_eigs(H):

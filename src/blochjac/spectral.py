@@ -34,7 +34,7 @@ from .exactmath import (
     root_counts,
     squarefree_decomposition,
 )
-from .numerics import EIG_ACCURACY, _refine, _scaled_value, certified_roots, hermitian_eigs, roots_all
+from .numerics import EIG_ACCURACY, _bracket, _refine, _scaled_value, certified_roots, hermitian_eigs, roots_all
 from .operators import (
     PeriodicOperator,
     TransferParts,
@@ -629,7 +629,8 @@ def _between(v: float, factors) -> list:
     Each factor has one root in v's rounding interval [lo, hi], between the midpoints of v and its
     neighbours. One that shares it with an earlier factor is dropped: no prime proves the two coprime
     by a nonzero resultant (euclid modulo a _CERTIFICATE prime), and their gcd over Q has a root in
-    [lo, hi]. Brackets of the distinct roots left are refined (_refine) until none overlaps another.
+    [lo, hi]. Brackets of the distinct roots left start as certified_roots' do (_bracket) and are
+    refined (_refine) until none overlaps another.
     """
     lo, hi = [(Fraction(math.nextafter(v, side)) + Fraction(v)) / 2 for side in (-math.inf, math.inf)]
 
@@ -640,12 +641,8 @@ def _between(v: float, factors) -> list:
 
     e = max(lo.denominator, hi.denominator).bit_length() - 1
     a, b = int(lo * (1 << e)), int(hi * (1 << e))
-    brackets = []  # (factor, its _refine bracket), one per distinct root
-    for i, f in enumerate(factors):
-        if not any(shared(f, g) for g in factors[:i]):
-            at_a, at_b = _scaled_value(f, a, e), _scaled_value(f, b, e)
-            brackets.append((f, (a, a, e, 0, 0, 4) if not at_a else (b, b, e, 0, 0, 4) if not at_b
-                             else (a, b, e, at_a, at_b, 4)))
+    brackets = [(f, _bracket(a, b, e, _scaled_value(f, a, e), _scaled_value(f, b, e)))  # one per distinct root
+                for i, f in enumerate(factors) if not any(shared(f, g) for g in factors[:i])]
     while True:
         ends = sorted(((Fraction(t[0], 1 << t[2]), Fraction(t[1], 1 << t[2])), k) for k, (_, t) in enumerate(brackets))
         close = {k for (x, i), (y, j) in zip(ends, ends[1:]) if x[1] >= y[0] for k in (i, j)}

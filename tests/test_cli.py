@@ -154,6 +154,13 @@ def test_bands_rejects_invalid_operator(tmp_path, capsys):
     assert code == 2
 
 
+def test_bands_reads_json_integer_entries_as_their_string_form(tmp_path, capsys):
+    ints = {"p": 1, "m": 1, "a": [[[1]]], "b": [[[0]]]}
+    strings = {"p": 1, "m": 1, "a": [[["1"]]], "b": [[["0"]]]}
+    assert (run_json(capsys, ["bands", write_json(tmp_path, ints, "int.json")])["payload"]
+            == run_json(capsys, ["bands", write_json(tmp_path, strings, "str.json")])["payload"])
+
+
 def test_bands_rejects_float_entries(tmp_path, capsys):
     path = tmp_path / "float.json"
     path.write_text(json.dumps({"p": 1, "m": 1, "a": [[[1.5]]], "b": [[[0]]]}))
@@ -1091,6 +1098,8 @@ DATA_1_1 = {"p": 1, "m": 1, "kappas": [0.0, math.pi], "lambda_sets": [[2.0], [-2
     (["lyapunov", "DOC", "--z-grid", "0:1:2.5"], OP_1_1, 2, "--z-grid: invalid literal for int"),
     (["lyapunov", "DOC", "--z-grid", "0:inf:5"], OP_1_1, 2, "--z-grid needs finite lo, hi and hi - lo"),
     (["bands", "MISSING"], None, 2, "cannot read .*missing.json: "),
+    (["bands", "DOC"], dict(OP_1_1, a=[[[None]]]), 2, r"a\[0\]\[0\]\[0\]: expected a string, got NoneType$"),
+    (["example", "free", "--p", "x"], None, 2, r"--p: invalid literal for int\(\) with base 10: 'x'$"),
 ])
 def test_malformed_input_ends_in_one_error_line_and_its_exit(tmp_path, capsys, argv, doc, code, message):
     files = {"DOC": write_json(tmp_path, doc, "doc.json"), "MISSING": str(tmp_path / "missing.json")}

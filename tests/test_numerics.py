@@ -158,14 +158,20 @@ def test_hermitian_eigs_trace_and_rotation_invariance():
 
 
 @pytest.mark.parametrize("root", [Fraction(0), Fraction(-7, 3), Fraction(2 * 10**100),
-                                  1 + Fraction(3, 2**54), 1 + Fraction(1, 2**53), Fraction(1, 10**300)])
+                                  1 + Fraction(3, 2**54), 1 + Fraction(1, 2**53), Fraction(1, 10**300),
+                                  -Fraction(1, 2**1076), -Fraction(1, 2**1075), Fraction(-3, 8)])
 def test_certified_roots_are_the_nearest_doubles(root):
     # 1 + 3/2^54 lies nearer to 1 + 2^-52 than to 1; 1 + 2^-53 is a tie,
-    # which float rounds to even, 1; a root at or near 0 gets an absolute bracket
+    # which float rounds to even, 1; a root at or near 0 gets an absolute
+    # bracket, and one that rounds to zero, the tie -2^-1075 included, is +0.0;
+    # two eigenvalues one ulp apart count a root once, one at a double (0, -3/8) too
     g = [-root.numerator, root.denominator]
-    for seed in (float(root), float(root) + 1e-15 * max(1.0, abs(float(root)))):
-        assert certified_roots(g, [seed, 4.0], True) == [float(root)]
-        assert certified_roots(g, [seed], False) == [float(root)]
+    x = float(root)
+    nearest = x or 0.0
+    for seed in (x, x + 1e-15 * max(1.0, abs(x))):
+        for found in (certified_roots(g, [seed, 4.0], True), certified_roots(g, [seed], False)):
+            assert found == [nearest] and math.copysign(1.0, found[0]) == math.copysign(1.0, nearest)
+    assert certified_roots(g, [x, math.nextafter(x, math.inf)], True) == [nearest]
 
 
 def test_certified_roots_count_only_real_roots():

@@ -159,3 +159,16 @@ def test_no_cap_decides_a_thin_band():
         assert "_BISECTIONS" not in {name for stmt in tree.body for name in _bound_names(stmt)}, module
     (between,) = [f for f in trees["spectral.py"].body if isinstance(f, ast.FunctionDef) and f.name == "_between"]
     assert {"_refine", "euclid"} <= _used_names(between)
+
+
+def test_one_exact_kernel_refines_every_real_root():
+    # certified_roots and _between both narrow dyadic brackets by _refine,
+    # so no bit casts over the doubles or second sign evaluator come back
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    numerics = trees["numerics.py"].body
+    names = {stmt.name for stmt in numerics if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    names |= {name for stmt in numerics for name in _bound_names(stmt)}
+    assert not {"struct", "_sign_at", "_ordinal", "_double"} & names
+    for module, name in (("numerics.py", "certified_roots"), ("spectral.py", "_between")):
+        (f,) = [f for f in trees[module].body if isinstance(f, ast.FunctionDef) and f.name == name]
+        assert "_refine" in _used_names(f), name
