@@ -32,8 +32,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactmath import lincomb
-from .numerics import RootFindingError, hermitian_eigs, roots_all
-from .operators import PeriodicOperator, floquet_matrix
+from .numerics import RootFindingError, roots_all
+from .operators import PeriodicOperator, floquet_eigs
 from .spectral import CharDeterminant, InternalConsistencyError, build_char_determinant
 
 SNAP_DENOMINATOR = 10**6
@@ -120,7 +120,7 @@ def forward_spectral_data(op: PeriodicOperator, kappas, subset_rule: str = "asce
     rng = random.Random(seed)
     sets = []
     for j, kappa in enumerate(kappas):
-        eigs = hermitian_eigs(floquet_matrix(op, cmath.exp(1j * float(kappa))))
+        eigs = floquet_eigs(op, cmath.exp(1j * float(kappa)))
         if j == 0:
             sets.append(tuple(eigs))
             continue

@@ -1,7 +1,9 @@
-"""Floating-point layer: polynomial roots and Hermitian eigenvalues.
+"""Floating-point layer: polynomial roots, and the certification of real ones.
 
-Everything upstream is exact; this module is the only place roots and
-eigenvalues become floats, with explicit tolerances at every boundary.
+Everything upstream is exact; this module is where roots become floats,
+with explicit tolerances at every boundary, and where an exact sign change
+proves each real root. The Floquet eigenvalues are taken in float by
+operators.floquet_eigs, within EIG_ACCURACY.
 """
 
 from __future__ import annotations
@@ -12,15 +14,11 @@ import math
 DEFAULT_REL_TOL = 1e-12
 MAX_ITER = 500
 STAGNATION = 1e-14
-EIG_ACCURACY = 1e-10  # hermitian_eigs' contract, relative to ||H||
+EIG_ACCURACY = 1e-10  # floquet_eigs' contract, relative to ||L(tau)||
 
 
 class RootFindingError(RuntimeError):
     """Raised when the simultaneous iteration fails its residual contract; the message names the worst miss."""
-
-
-class NonHermitianError(ValueError):
-    pass
 
 
 def _as_complex_coeffs(f):
@@ -168,7 +166,7 @@ def certified_roots(ints, seeds, eigensolver: bool) -> list:
     [x - w, x] or [x, x + w], with x and w on one dyadic grid 2^-e. w starts
     at 4 ulps of max(|x|, max |seeds|), absolute so that a root at 0 gets a
     bracket too, and doubles up to EIG_ACCURACY max |seeds| for eigenvalues
-    (hermitian_eigs' contract), or half the gap to the next seed for Aberth's
+    (floquet_eigs' contract), or half the gap to the next seed for Aberth's
     roots of g. _refine narrows the bracket, from the values the search took,
     until both ends round to one double, which is the root's (a root that
     rounds to zero is +0.0); a dyadic root, a tie included, is met exactly on
@@ -195,25 +193,3 @@ def certified_roots(ints, seeds, eigensolver: bool) -> list:
             bracket = _refine(ints, bracket)
         found.add(v or 0.0)
     return sorted(found)
-
-
-def hermitian_eigs(H):
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    Accepts anything numpy can turn into a square complex matrix; rejects
-    inputs whose Hermiticity defect exceeds 1e-12 absolute. Accuracy
-    contract: EIG_ACCURACY * ||H||, eps * ||H|| in practice (eigvalsh is
-    backward stable); certified_roots proves each band edge within it.
-    """
-    import numpy as np
-
-    A = np.asarray(H, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("square matrix required")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("non-finite entry")
-    defect = np.max(np.abs(A - A.conj().T)) if A.size else 0.0
-    if defect > 1e-12:
-        raise NonHermitianError(f"Hermiticity defect {defect:.3e} exceeds 1e-12")
-    return [float(v) for v in np.linalg.eigvalsh(A)]
-

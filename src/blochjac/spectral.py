@@ -34,12 +34,12 @@ from .exactmath import (
     root_counts,
     squarefree_decomposition,
 )
-from .numerics import EIG_ACCURACY, _bracket, _refine, _scaled_value, certified_roots, hermitian_eigs, roots_all
+from .numerics import EIG_ACCURACY, _bracket, _refine, _scaled_value, certified_roots, roots_all
 from .operators import (
     PeriodicOperator,
     TransferParts,
     _floquet_layout,
-    floquet_matrix,
+    floquet_eigs,
     monodromy_at,
     transfer_parts,
 )
@@ -594,12 +594,12 @@ def _eigs_at_tau(cd: CharDeterminant, tau0) -> list:
 
     ints are the integer coefficients of the root's squarefree factor. The
     roots are the eigenvalues of the Hermitian L(tau0): certified_roots proves
-    each squarefree factor's, seeded by hermitian_eigs of L(tau0) where D
+    each squarefree factor's, seeded by floquet_eigs(cd.op, tau0) where D
     carries its operator (cd.op), else by Aberth's roots of the factor.
     """
     f = cd.section(tau0)  # nu0 = tau0 at tau0 = 1 and -1
     factors = _roots([_gaussian_parts(c) for c in f], lambda: f"q(z, {tau0})", aberth=cd.op is None)
-    eigs = None if cd.op is None else hermitian_eigs(floquet_matrix(cd.op, tau0))
+    eigs = None if cd.op is None else floquet_eigs(cd.op, tau0)
     out = []
     for g, rs, k in factors:
         ints, found = _certified(g, eigs or [r.real for r in rs], eigs is not None)
@@ -733,7 +733,7 @@ def band_structure(cd: CharDeterminant) -> BandStructure:
 def cross_validate(op: PeriodicOperator, bs: BandStructure, pieces):
     """Check bs against the Floquet eigenvalues of op at DEFAULT_GRID phases, from both sides.
 
-    Every eigenvalue must lie within twice hermitian_eigs' accuracy,
+    Every eigenvalue must lie within twice floquet_eigs' accuracy,
     2 EIG_ACCURACY ||L(tau)||, of a band of bs, with ||L(tau)|| the largest
     |lam| at that phase, so the bound scales with the operator. The grid is
     odd, so pi is a phase. Distances max(lo - lam, lam - hi, 0) are taken
@@ -744,7 +744,7 @@ def cross_validate(op: PeriodicOperator, bs: BandStructure, pieces):
     eigenvalue and #{lam < x} steps by 1. Two opposite steps within one
     phase step cancel, so over the phases in [0, pi] the steps seen must be
     at most the multiplicity and of its parity. A piece no wider than twice
-    hermitian_eigs' accuracy, with the largest ||L(tau)|| of all phases, is
+    floquet_eigs' accuracy, with the largest ||L(tau)|| of all phases, is
     skipped.
     """
     import numpy as np
@@ -758,7 +758,7 @@ def cross_validate(op: PeriodicOperator, bs: BandStructure, pieces):
     below, norm = [], 0.0  # #{lam < x} per piece at each phase in [0, pi], and max |lam|
     for x in np.linspace(0, 2 * math.pi, DEFAULT_GRID).tolist():
         tau = complex(math.cos(x), math.sin(x))
-        lams = hermitian_eigs(floquet_matrix(op, tau))
+        lams = floquet_eigs(op, tau)
         col = np.array(lams)[:, None]
         dist = np.maximum(np.maximum(lo - col, col - hi), 0.0).min(axis=1)
         size = max(abs(lams[0]), abs(lams[-1]))
@@ -845,7 +845,7 @@ def verify_identities(op: PeriodicOperator) -> list:
     Tr M^n = 2 sum_j T_n(Delta_j), n = 1, 2, 3, on Phi's squarefree factors
     (at 3p + 1 points), Phi == prod F_k^k for those factors
     (_factorization_holds), and the second-moment lower bound. Float
-    checks: the norm sandwich from band extremes, within hermitian_eigs'
+    checks: the norm sandwich from band extremes, within floquet_eigs'
     relative accuracy.
 
     The moment identities compare Tr L(tau)^s with coefficient data; for

@@ -29,10 +29,10 @@ from blochjac.inverse import (
     recover_determinant,
     snap_to_rational,
 )
-from blochjac.numerics import hermitian_eigs, roots_all
+from blochjac.numerics import roots_all
 from blochjac.operators import (
     _floquet_layout,
-    floquet_matrix,
+    floquet_eigs,
     monodromy_at,
     transfer_parts,
 )
@@ -151,7 +151,7 @@ def test_criterion_2_floquet_equivalence(battery):
         # 1/tau = conj(tau); L(tau) = A + B i is checked through its realification over Q
         layout = _floquet_layout(op.a, op.b, re + im * sympy.I, re - im * sympy.I)
         assert coeffs(expr(section) ** 2) == realified_charpoly(layout)
-        eigs = hermitian_eigs(floquet_matrix(op, complex(re + im * sympy.I)))
+        eigs = floquet_eigs(op, complex(re + im * sympy.I))
         roots = roots_all(list(map(complex, section)))
         assert all(abs(r.imag) <= 1e-7 for r in roots)
         reals = sorted(r.real for r in roots)
@@ -253,7 +253,7 @@ def test_criterion_7_free_operator():
                 d_at = sum(expr(f) * tau0 ** (2 * m - j) for j, f in enumerate(cd.xi))
                 assert coeffs(d_at) == coeffs(block**m)
             for kappa in (0.0, math.pi / 3, math.pi / 2):
-                eigs = hermitian_eigs(floquet_matrix(op, cmath.exp(1j * kappa)))
+                eigs = floquet_eigs(op, cmath.exp(1j * kappa))
                 expected = sorted(
                     2 * math.cos((kappa + 2 * math.pi * n) / p) for n in range(p)
                 ) * m

@@ -628,13 +628,32 @@ def test_lyapunov_rejects_z_that_overflows(tmp_path, capsys):
     assert code == 2 and "Phi(z, nu) at z = 1e+300" in line
 
 
+# b = 1e400 rounds to no double; a = 1e308 does, but L(1) = b + 2a does not
+BIG_ENTRY = {"p": 1, "m": 1, "a": [[["1"]]], "b": [[["1e400"]]]}
+BIG_SUM = {"p": 1, "m": 1, "a": [[["1e308"]]], "b": [[["0"]]]}
+
+
 @pytest.mark.parametrize("argv", [["bands"], ["verify"], ["lyapunov", "--z", "0"]])
 def test_entry_beyond_float_range_exits_2(tmp_path, capsys, argv):
-    path = write_json(tmp_path, {"p": 1, "m": 1, "a": [[["1"]]], "b": [[["1e400"]]]}, "big.json")
-    code, line = run_error_line(capsys, [argv[0], path] + argv[1:])
-    # bands and verify round the entries first where they build L(tau)
+    # bands and verify round the entries first where they build L(tau);
+    # lyapunov evaluates Phi exactly, so a sum beyond the float range is no
+    # error there
     stage = {"bands": "L(tau)", "verify": "L(tau)", "lyapunov": "Phi(z, nu) at z = 0.0"}[argv[0]]
-    assert code == 2 and stage in line
+    for doc in [BIG_ENTRY] + [BIG_SUM] * (argv[0] != "lyapunov"):
+        code, line = run_error_line(capsys, [argv[0], write_json(tmp_path, doc, "big.json")] + argv[1:])
+        assert code == 2 and stage in line
+
+
+@pytest.mark.parametrize("command", ["bands", "verify"])
+def test_floquet_sum_beyond_float_range_prints_one_error_line(tmp_path, command):
+    # a separate process, so that a numpy overflow warning would reach the real stderr
+    done = subprocess.run(
+        [sys.executable, "-m", "blochjac.cli", command, write_json(tmp_path, BIG_SUM, "big.json")],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: L(tau) has an entry beyond the float range\n"
+    assert done.stdout == ""
 
 
 BIG_B = {"p": 2, "m": 1, "a": [[["1"]], [["1"]]], "b": [[["4e308"]], [["0"]]]}
@@ -742,11 +761,11 @@ def test_band_structure_alone_builds_no_floquet_matrix(monkeypatch):
     # Aberth's roots and is not cross-validated; a D computed from an
     # operator solves its L(1) and L(-1), and L(tau) at every phase of the grid
     cd = spectral.char_determinant(random_operator(1, 3, 3))
-    counts = count_calls(monkeypatch, "floquet_matrix")
+    counts = count_calls(monkeypatch, "floquet_eigs")
     spectral.band_structure(cd._replace(op=None))
-    assert counts == {"floquet_matrix": 0}
+    assert counts == {"floquet_eigs": 0}
     spectral.band_structure(cd)
-    assert counts == {"floquet_matrix": 2 + spectral.DEFAULT_GRID}
+    assert counts == {"floquet_eigs": 2 + spectral.DEFAULT_GRID}
 
 
 def test_band_structure_raises_when_its_operator_misses_the_bands():
@@ -799,15 +818,14 @@ def test_lyapunov_proves_phi_squarefree_without_an_exact_polynomial(tmp_path, ca
 
 
 def test_bands_builds_the_float_form_once_and_solves_every_phase(tmp_path, capsys, monkeypatch):
-    # one Floquet matrix and one eigensolve per phase of the default grid,
-    # plus one each at tau = 1 and -1 that seed the band edges, on the float
-    # form of the operator, whose two block layouts (base and corner) are
-    # built once
+    # one eigensolve of L(tau) per phase of the default grid, plus one each
+    # at tau = 1 and -1 that seed the band edges, on the float form of the
+    # operator, whose two block layouts (base and corner) are built once
     path = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1/2"])
-    counts = count_calls(monkeypatch, "floquet_matrix", "hermitian_eigs", "_floquet_layout")
+    counts = count_calls(monkeypatch, "floquet_eigs", "_floquet_layout")
     code, _ = run_cli(capsys, ["bands", path])
     assert code == 0
-    assert counts == {"floquet_matrix": 259, "hermitian_eigs": 259, "_floquet_layout": 2}
+    assert counts == {"floquet_eigs": 259, "_floquet_layout": 2}
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["resonances", "OP"], ["lyapunov", "OP", "--z", "0"],

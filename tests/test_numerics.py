@@ -1,23 +1,21 @@
 import math
-import random
 import re
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from polyref import Z, coeffs
 
+from blochjac.fixtures import free_operator
 from blochjac.numerics import (
     DEFAULT_REL_TOL,
-    NonHermitianError,
     RootFindingError,
     certified_roots,
-    hermitian_eigs,
     roots_all,
 )
+from blochjac.operators import floquet_eigs
 
 
 def test_roots_quadratic():
@@ -113,48 +111,12 @@ def test_roots_rejects_constants():
         roots_all([5])
 
 
-def test_hermitian_eigs_examples():
-    assert np.allclose(hermitian_eigs([[0, 1], [1, 0]]), [-1, 1])
-    assert np.allclose(hermitian_eigs([[0, 2], [2, 0]]), [-2, 2])
-
-
 def test_hermitian_eigs_free_floquet_cosines():
+    # L(tau) of free(2, 1) is [[0, 1 + conj(tau)], [1 + tau, 0]]
     for x in (0.3, 1.1, 2.9):
-        tau = complex(math.cos(x), math.sin(x))
-        L = np.array([[0, 1 + tau.conjugate()], [1 + tau, 0]])
-        eigs = hermitian_eigs(L)
+        eigs = floquet_eigs(free_operator(2, 1), complex(math.cos(x), math.sin(x)))
         want = sorted(2 * math.cos((x + 2 * math.pi * n) / 2) for n in range(2))
-        assert np.allclose(eigs, want, atol=1e-9)
-
-
-def test_hermitian_eigs_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        hermitian_eigs([[0, 1], [1 + 1e-6, 0]])
-
-
-def test_hermitian_eigs_trace_and_rotation_invariance():
-    rng = random.Random(7)
-    n = 5
-    A = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        A[i, i] = rng.uniform(-2, 2)
-        for j in range(i + 1, n):
-            v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            A[i, j] = v
-            A[j, i] = v.conjugate()
-    eigs = hermitian_eigs(A)
-    assert abs(sum(eigs) - A.trace().real) < 1e-9 * (1 + np.linalg.norm(A))
-    U = np.eye(n, dtype=complex)
-    for _ in range(6):
-        i, j = rng.sample(range(n), 2)
-        th = rng.uniform(0, 2 * math.pi)
-        R = np.eye(n, dtype=complex)
-        R[i, i] = R[j, j] = math.cos(th)
-        R[i, j] = -math.sin(th)
-        R[j, i] = math.sin(th)
-        U = U @ R
-    eigs2 = hermitian_eigs(U @ A @ U.conj().T)
-    assert np.allclose(eigs, eigs2, atol=1e-9)
+        assert all(abs(e - w) <= 1e-9 for e, w in zip(eigs, want, strict=True))
 
 
 @pytest.mark.parametrize("root", [Fraction(0), Fraction(-7, 3), Fraction(2 * 10**100),

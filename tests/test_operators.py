@@ -21,11 +21,10 @@ from blochjac.fixtures import (
     example1_diag,
     free_operator,
 )
-from blochjac.numerics import hermitian_eigs
 from blochjac.operators import (
     PeriodicOperator,
     _floquet_layout,
-    floquet_matrix,
+    floquet_eigs,
     monodromy_at,
     transfer_parts,
 )
@@ -217,33 +216,73 @@ def test_scale_is_the_product_of_the_per_step_denominators():
     assert [[Fraction(v, parts.scale) for v in row] for row in monodromy_at(parts, x)] == want
 
 
+def float_form(op, tau):
+    """L(tau) summed from the float form (base, W) that floquet_eigs builds and keeps on op."""
+    floquet_eigs(op, tau)
+    base, W = op._float
+    t = complex(tau)
+    return base + t * W + t.conjugate() * W.T
+
+
 def test_floquet_free_p2_m1():
-    L = floquet_matrix(free_operator(2, 1), 1)
-    assert np.allclose(L, [[0, 2], [2, 0]])
+    op = free_operator(2, 1)
+    assert np.allclose(float_form(op, 1), [[0, 2], [2, 0]])
+    assert np.allclose(floquet_eigs(op, 1), [-2, 2])
 
 
 def test_floquet_free_p3_m1():
-    L = floquet_matrix(free_operator(3, 1), 1)
-    assert np.allclose(L, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    op = free_operator(3, 1)
+    assert np.allclose(float_form(op, 1), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    assert np.allclose(floquet_eigs(op, 1), [-1, -1, 2])
 
 
 def test_floquet_p1():
     op = scalar_operator([1], [0])
     x = 0.9
-    L = floquet_matrix(op, complex(math.cos(x), math.sin(x)))
-    assert np.allclose(L, [[2 * math.cos(x)]])
+    tau = complex(math.cos(x), math.sin(x))
+    assert np.allclose(float_form(op, tau), [[2 * math.cos(x)]])
+    assert np.allclose(floquet_eigs(op, tau), [2 * math.cos(x)])
 
 
 def test_floquet_rejects_off_circle():
     with pytest.raises(ValueError):
-        floquet_matrix(free_operator(2, 1), 1.5)
+        floquet_eigs(free_operator(2, 1), 1.5)
+
+
+def floquet_reference(op, tau):
+    """L(tau) rebuilt exactly Hermitian, as once solved: float entries into one
+    list layout per call, the strict upper triangle the conjugate of the strict
+    lower one, and the diagonal real."""
+    t = complex(tau)
+    a, b = ([[[float(x) for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b))
+    L = np.array(_floquet_layout(a, b, t, t.conjugate()), dtype=complex)
+    lower = np.tril(L, -1)
+    return lower + lower.conj().T + np.diag(L.diagonal().real)
+
+
+def assert_reference_eigs(op, tau):
+    # eigvalsh reads the lower triangle and the real diagonal alone, so the
+    # rounding that sets L[i][j] and conj(L[j][i]) apart where blocks overlap
+    # (p <= 2) leaves every eigenvalue as the rebuild's
+    assert floquet_eigs(op, tau) == np.linalg.eigvalsh(floquet_reference(op, tau)).tolist()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("seed,m", [(1, 1), (1, 2), (5, 2), (3, 3)])
+def test_floquet_matrix_from_the_float_form_is_bit_for_bit_the_reference(p, seed, m):
+    # p = 1 puts tau and 1/tau into one block; at p = 2 the corners overlap
+    # the off-diagonal blocks
+    op = random_operator(seed, p, m)
+    phases = [2 * math.pi * k / 16 for k in range(17)] + [0.9, math.pi / 2, math.pi]
+    for tau in [1, -1, 1j, -1j] + [complex(math.cos(x), math.sin(x)) for x in phases]:
+        assert_reference_eigs(op, tau)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32), st.floats(0, 2 * math.pi))
-def test_floquet_matrix_is_exactly_hermitian(p, m, seed, x):
+def test_floquet_eigs_of_large_entries_are_bit_for_bit_the_reference(p, m, seed, x):
     # entries of size up to about 1e6; where blocks overlap (p = 1) the float sums
-    # alone would round L[i][j] and conj(L[j][i]) apart
+    # alone round L[i][j] and conj(L[j][i]) apart
     rng = random.Random(seed)
 
     def block(symmetric):
@@ -256,38 +295,16 @@ def test_floquet_matrix_is_exactly_hermitian(p, m, seed, x):
         return mat
 
     op = PeriodicOperator([block(False) for _ in range(p)], [block(True) for _ in range(p)])
-    L = floquet_matrix(op, complex(math.cos(x), math.sin(x)))
-    assert np.array_equal(L, L.conj().T)
-
-
-def floquet_reference(op, tau):
-    """L(tau) built the way floquet_matrix first built it: float entries into one list layout per call."""
-    t = complex(tau)
-    a, b = ([[[float(x) for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b))
-    L = np.array(_floquet_layout(a, b, t, t.conjugate()), dtype=complex)
-    lower = np.tril(L, -1)
-    return lower + lower.conj().T + np.diag(L.diagonal().real)
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("seed,m", [(1, 1), (1, 2), (5, 2), (3, 3)])
-def test_floquet_matrix_from_the_float_form_is_bit_for_bit_the_reference(p, seed, m):
-    # p = 1 puts tau and 1/tau into one block; at p = 2 the corners overlap
-    # the off-diagonal blocks
-    op = random_operator(seed, p, m)
-    phases = [2 * math.pi * k / 16 for k in range(17)] + [0.9, math.pi / 2, math.pi]
-    for tau in [1, -1, 1j, -1j] + [complex(math.cos(x), math.sin(x)) for x in phases]:
-        L = floquet_matrix(op, tau)
-        assert L.dtype == complex and L.tobytes() == floquet_reference(op, tau).tobytes()
+    assert_reference_eigs(op, complex(math.cos(x), math.sin(x)))
 
 
 def test_floquet_diagonal_decouples():
     op = example1_diag((1, 0, -1, 2))
     x = 1.3
     tau = complex(math.cos(x), math.sin(x))
-    eigs = hermitian_eigs(floquet_matrix(op, tau))
-    s1 = hermitian_eigs(floquet_matrix(scalar_operator([1, 1], [1, -1]), tau))
-    s2 = hermitian_eigs(floquet_matrix(scalar_operator([1, 1], [0, 2]), tau))
+    eigs = floquet_eigs(op, tau)
+    s1 = floquet_eigs(scalar_operator([1, 1], [1, -1]), tau)
+    s2 = floquet_eigs(scalar_operator([1, 1], [0, 2]), tau)
     assert np.allclose(eigs, sorted(s1 + s2), atol=1e-9)
 
 
@@ -298,14 +315,14 @@ def test_floquet_exact_matches_float(seed, p, m, tau):
     # the off-diagonal blocks
     op = random_operator(seed, p, m)
     Lx = _floquet_layout(op.a, op.b, tau, 1 / tau)
-    Lf = floquet_matrix(op, complex(tau))
+    Lf = float_form(op, complex(tau))
     assert np.allclose(np.array([[complex(v) for v in row] for row in Lx]), Lf, rtol=0, atol=1e-12)
 
 
 def test_floquet_exact_gaussian_tau():
     op = random_operator(10, 2, 2)
     Lx = _floquet_layout(op.a, op.b, sympy.I, -sympy.I)
-    Lf = floquet_matrix(op, 1j)
+    Lf = float_form(op, 1j)
     assert np.allclose(np.array([[complex(v) for v in row] for row in Lx]), Lf)
 
 
@@ -321,7 +338,7 @@ def test_charpoly_matches_eigs():
     op = random_operator(12, 2, 2)
     L = _floquet_layout(op.a, op.b, -1, -1)
     cp = det_charpoly(L)
-    eigs = hermitian_eigs(floquet_matrix(op, -1))
+    eigs = floquet_eigs(op, -1)
     vals = sorted(np.roots([complex(c) for c in reversed(cp)]).real)
     assert np.allclose(vals, eigs, atol=1e-8)
     # the Hessenberg charpoly over GF(P) reduces the exact one

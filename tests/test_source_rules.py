@@ -172,3 +172,31 @@ def test_one_exact_kernel_refines_every_real_root():
     for module, name in (("numerics.py", "certified_roots"), ("spectral.py", "_between")):
         (f,) = [f for f in trees[module].body if isinstance(f, ast.FunctionDef) and f.name == name]
         assert "_refine" in _used_names(f), name
+
+
+def _numpy_importers(node, where=""):
+    """The function, by name ("" at module level), around each import of numpy under node."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            out += [where for alias in child.names if alias.name.split(".")[0] == "numpy"]
+        elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "numpy":
+            out.append(where)
+        out += _numpy_importers(child, child.name if isinstance(child, ast.FunctionDef) else where)
+    return out
+
+
+def test_one_floquet_eigensolve():
+    # floquet_eigs builds L(tau) and solves it, so no module keeps the matrix
+    # or a generic Hermitian solver apart, and numpy is imported only where
+    # Floquet eigenvalues are taken: lyapunov, resonances and recover run
+    # without it
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    for module, tree in trees.items():
+        bound = {sub.name for sub in ast.walk(tree) if isinstance(sub, (ast.FunctionDef, ast.ClassDef))}
+        bound |= {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+        bound |= {(alias.asname or alias.name) for sub in ast.walk(tree)
+                  if isinstance(sub, (ast.Import, ast.ImportFrom)) for alias in sub.names}
+        assert not {"floquet_matrix", "hermitian_eigs", "NonHermitianError"} & bound, module
+    importers = sorted((module, where) for module, tree in trees.items() for where in _numpy_importers(tree))
+    assert importers == [("operators.py", "floquet_eigs"), ("spectral.py", "cross_validate")]

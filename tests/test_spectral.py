@@ -35,11 +35,11 @@ from blochjac.fixtures import (
     example4,
     free_operator,
 )
-from blochjac.numerics import certified_roots, hermitian_eigs, roots_all
+from blochjac.numerics import certified_roots, roots_all
 from blochjac.operators import (
     PeriodicOperator,
     _floquet_layout,
-    floquet_matrix,
+    floquet_eigs,
     monodromy_at,
     transfer_parts,
 )
@@ -574,7 +574,7 @@ def test_band_edges_are_attained():
     samples = []
     for x in np.linspace(0.0, 2 * math.pi, 257):
         tau = complex(math.cos(x), math.sin(x))
-        samples.extend(hermitian_eigs(floquet_matrix(op, tau)))
+        samples.extend(floquet_eigs(op, tau))
     for lo, hi, _ in bs.segments:
         inside = [s for s in samples if lo - 1e-9 <= s <= hi + 1e-9]
         width = hi - lo
@@ -778,8 +778,8 @@ def test_cross_validation_visits_the_linspace_phases(monkeypatch, grid):
     op = free_operator(2, 1)
     bands = band_structure(char_determinant(op))
     taus = []
-    real = spectral_mod.floquet_matrix
-    monkeypatch.setattr(spectral_mod, "floquet_matrix", lambda op, tau: taus.append(tau) or real(op, tau))
+    real = spectral_mod.floquet_eigs
+    monkeypatch.setattr(spectral_mod, "floquet_eigs", lambda op, tau: taus.append(tau) or real(op, tau))
     cross_validate(op, bands, [])
     assert taus == [complex(math.cos(x), math.sin(x)) for x in np.linspace(0.0, 2 * math.pi, grid)]
     assert taus[grid // 2] == complex(math.cos(math.pi), math.sin(math.pi))
