@@ -2,16 +2,16 @@
 
 Everything in this module is exact: univariate polynomials over Q as
 ascending coefficient tuples with a few kernels on them, and a small GF(P)
-layer over one list of 61-bit primes with Chinese remaindering. Each job
-has one algorithm: one Euclidean remainder loop, euclid, gives gcds,
-resultants and discriminants over Q and GF(P) and Sturm sequences over Q;
-one Hessenberg characteristic polynomial over GF(P) and one Newton
-interpolation let a polynomial-valued quantity be computed at sample
-points modulo primes and interpolated; and one Gauss-Jordan elimination,
-det_inv, gives a determinant with its inverse. Gaussian values reach this module only as
-integer triples, which the squarefree certificate reduces modulo primes.
-Floating point is confined to the numerics module; coefficients here are
-ints or Fractions, never floats.
+layer over one list of 61-bit primes with Chinese remaindering. Each job has
+one algorithm: one Euclidean remainder loop, euclid, gives gcds, resultants
+and discriminants over Q and GF(P) and Sturm sequences over Q; one
+Hessenberg characteristic polynomial over GF(P) and one Newton interpolation
+let a polynomial-valued quantity be computed at sample points modulo primes,
+lifted modulo their product and interpolated once; and one Gauss-Jordan
+elimination, det_inv, gives a determinant with its inverse. Gaussian values
+reach this module only as integer triples, which the squarefree certificate
+reduces modulo primes. Floating point is confined to the numerics module;
+coefficients here are ints or Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def chebyshev(n: int) -> tuple:
 
 
 def _reducer(P):
-    """Identity on a list of field elements, or reduction modulo P when P is given."""
+    """Identity on a list of ring elements, or reduction modulo P when P is given."""
     return (lambda vals: vals) if P is None else (lambda vals: [v % P for v in vals])
 
 
@@ -255,8 +255,9 @@ def interpolate(xs, ys, P=None):
     """Ascending coefficients of the polynomial of degree < len(xs) with the value ys[k] at xs[k].
 
     Newton divided differences, then Horner on the Newton form. Exact over
-    Q on int or Fraction values at distinct rational points; over GF(P) on
-    ints when P is given, at integer points distinct modulo P.
+    Q on int or Fraction values at distinct rational points; modulo P on
+    ints when P, a prime or a product of primes, is given, at integer points
+    whose every difference is invertible modulo P.
     """
     red = _reducer(P)
     n = len(ys)

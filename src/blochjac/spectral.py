@@ -367,32 +367,31 @@ def _coefficient_bound(parts: TransferParts) -> int:
 def _reconstruct(route, primes, parts: TransferParts, xs, bound: int) -> tuple:
     """The xi_j that route computes pointwise, over Q.
 
-    Primes come from primes until their product exceeds 2 * bound. At each
+    Primes come from primes until their product K exceeds 2 * bound. At each
     point of xs, monodromy_at runs once and route reads its reduction modulo
-    each prime, so one exact matrix is alive at a time. Modulo each prime the
-    values are interpolated; the Chinese remainder theorem lifts the
-    coefficients to integers in symmetric range, divided by scale^min(j, 2m-j).
+    each prime, so one exact matrix is alive at a time. One Chinese remainder
+    step lifts all the values modulo K, and each xi_j is interpolated once
+    modulo K, in symmetric range, divided by scale^min(j, 2m-j).
     """
     used = [P for P, _ in _enough_primes(primes, bound)]
-    values = []
-    for x in xs:
-        N = monodromy_at(parts, x)
-        values.append([route(parts, [[v % P for v in row] for row in N], P) for P in used])
-    residues = [[c for ys in zip(*vals) for c in interpolate(xs, ys, P)] for P, vals in zip(used, zip(*values))]
-    ints = _crt(residues, used)
-    n, m = len(xs), parts.m
-    scales = [parts.scale ** min(j, 2 * m - j) for j in range(len(ints) // n)]
-    return tuple(lincomb((Fraction(1, d), ints[j * n:(j + 1) * n])) for j, d in enumerate(scales))
+    Ns = (monodromy_at(parts, x) for x in xs)
+    values = [[route(parts, [[v % P for v in row] for row in N], P) for P in used] for N in Ns]
+    K, m, width = math.prod(used), parts.m, len(values[0][0])
+    lifted = _crt([[c for ys in vals for c in ys] for vals in zip(*values)], used)  # xi_0 .. xi_(width-1) per point
+    cs = [[v - K if 2 * v > K else v for v in interpolate(xs, lifted[j::width], K)] for j in range(width)]
+    return tuple(lincomb((Fraction(1, parts.scale ** min(j, 2 * m - j)), c)) for j, c in enumerate(cs))
 
 
 def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     """D(z, tau) computed two independent ways, which must agree exactly.
 
-    Each route evaluates scale * M_p exactly from the transfer parts, once
-    at each of its pm + 1 integer points, reduces it modulo 61-bit primes
-    and interpolates every tau-coefficient in z (its degree is at most pm,
-    which build_char_determinant enforces). Route one takes the charpoly of
-    M_p at the centred points; route two the Newton recursion
+    Each route evaluates scale * M_p exactly from the transfer parts, once at
+    each of its pm + 1 integer points, and reduces it modulo 61-bit primes.
+    One Chinese remainder step lifts the values modulo K, the product of the
+    primes, and every tau-coefficient is interpolated in z once modulo K (its
+    degree is at most pm, which build_char_determinant enforces; points differ
+    by less than any prime). Route one takes the charpoly of M_p at the
+    centred points; route two the Newton recursion
     xi_s = -(1/s) * sum_{j<s} T_{s-j} xi_j on the traces T_n = Tr M_p^n at
     the next pm + 1 integers, mirrored across the palindrome. Each takes as
     many primes as the proven coefficient bound needs (Brown, J. ACM 18,

@@ -808,6 +808,21 @@ def test_d_evaluates_the_monodromy_once_per_point(monkeypatch):
     assert counts == {"monodromy_at": 2 * (3 * 3 + 1)}
 
 
+def test_d_interpolates_each_coefficient_once(monkeypatch):
+    # each route lifts all its point values by one CRT and interpolates each
+    # of its 2m + 1 and m + 1 coefficients once, modulo the product of its
+    # primes, however many primes the coefficient bound asks for
+    counts = count_calls(monkeypatch, "interpolate", "monodromy_at", "_crt")
+    spectral.char_determinant(random_operator(1, 3, 3))
+    assert counts == {"interpolate": 3 * 3 + 2, "monodromy_at": 2 * (3 * 3 + 1), "_crt": 2}
+    # 2^997 L takes 100 primes per route, where L takes 3
+    op = random_operator(1, 2, 3)
+    a, b = ([[[x * 2**997 for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b))
+    counts.update(dict.fromkeys(counts, 0))
+    spectral.char_determinant(operators.PeriodicOperator(a, b))
+    assert counts == {"interpolate": 3 * 3 + 2, "monodromy_at": 2 * (2 * 3 + 1), "_crt": 2}
+
+
 def test_lyapunov_proves_phi_squarefree_without_an_exact_polynomial(tmp_path, capsys, monkeypatch):
     # Phi(x, .) is squarefree at every grid point, which the integer certificate proves
     path = write_json(tmp_path, cli.operator_to_document(random_operator(1, 3, 3)), "op.json")

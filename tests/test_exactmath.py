@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from polyref import Z, coeffs, expr, triples
 from testops import random_operator
@@ -448,14 +449,26 @@ def test_charpoly_over_q_and_qi_matches_gauss_jordan(rows):
         assert exactmath.charpoly([[red(x) for x in row] for row in gaussian.tolist()], P) == want
 
 
+LIFT_PRIMES = [P for P, _ in islice(exactmath._primes(), 8)]
+LIFT_K = math.prod(LIFT_PRIMES)
+LIFT_HALF = (LIFT_K - 1) // 2  # LIFT_K is odd, so (-K/2, K/2] is [-LIFT_HALF, LIFT_HALF]
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=9))
+@given(st.lists(st.integers(-LIFT_HALF, LIFT_HALF), min_size=1, max_size=9))
+@example([LIFT_HALF])
+@example([-LIFT_HALF] * 9)
+@example([LIFT_HALF, -LIFT_HALF] * 4 + [LIFT_HALF])
 def test_interpolation_and_crt_recover_integer_coefficients(ints):
-    # three 61-bit primes hold every integer of at most 182 bits in symmetric range
-    primes = [P for P, _ in exactmath._CERTIFICATE]
+    # eight 61-bit primes hold every integer in (-K/2, K/2], K their product;
+    # interpolating modulo each prime and then lifting, or lifting the point
+    # values and then interpolating once modulo K, both give the coefficients
     xs = range(-(len(ints) // 2), len(ints) - len(ints) // 2)
-    residues = [interpolate(xs, [horner(ints, x) % P for x in xs], P) for P in primes]
-    assert exactmath._crt(residues, primes) == ints
+    values = [horner(ints, x) for x in xs]
+    per_prime = [interpolate(xs, [v % P for v in values], P) for P in LIFT_PRIMES]
+    assert exactmath._crt(per_prime, LIFT_PRIMES) == ints
+    lifted = exactmath._crt([[v % P for v in values] for P in LIFT_PRIMES], LIFT_PRIMES)
+    assert [c - LIFT_K if 2 * c > LIFT_K else c for c in interpolate(xs, lifted, LIFT_K)] == ints
 
 
 @settings(max_examples=40, deadline=None)

@@ -794,12 +794,16 @@ def test_cross_validation_fails_a_band_with_a_nan_edge(lo, hi):
         cross_validate(op, fake, [])
 
 
+def _times_two_to(op, k):
+    """2^k L: every entry of a and b multiplied by 2^k."""
+    scale = Fraction(2) ** k
+    return PeriodicOperator(*([[[x * scale for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b)))
+
+
 @functools.cache
 def _answers_times_two_to(shape, k):
     """The bands, gaps and verify statuses of 2^k L, L = random_operator(*shape)."""
-    op = random_operator(*shape)
-    scale = Fraction(2) ** k
-    op = PeriodicOperator(*([[[x * scale for x in row] for row in mat] for mat in grp] for grp in (op.a, op.b)))
+    op = _times_two_to(random_operator(*shape), k)
     bs = band_structure(char_determinant(op))
     return bs, classify_gaps(bs), [c.status for c in verify_identities(op)]
 
@@ -831,6 +835,18 @@ def test_two_to_the_k_times_the_operator_has_two_to_the_k_times_the_bands(shape,
     assert got_bs.branch_bands == tuple(tuple((lo * f, hi * f) for lo, hi in bands) for bands in bs.branch_bands)
     assert got_gaps == [g._replace(lo=g.lo * f, hi=g.hi * f) for g in gaps]
     assert got_statuses == statuses
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3), (1, 4, 2)])
+def test_d_is_exactly_scale_covariant_through_huge_lifts(shape):
+    # 2^k L - z = 2^k (L - z / 2^k), so xi_j of 2^k L is xi_j of L at z / 2^k
+    # and its z^i coefficient is divided by 2^(k i); at |k| = 997 each route
+    # lifts its point values over 100 (2,3) or 132 (4,2) primes
+    op = random_operator(*shape)
+    xi = char_determinant(op).xi
+    for k in (-997, -300, 300, 997):
+        want = tuple(tuple(c / Fraction(2) ** (k * i) for i, c in enumerate(f)) for f in xi)
+        assert char_determinant(_times_two_to(op, k)).xi == want
 
 
 def test_dual_route_tamper_detected(monkeypatch):
