@@ -118,19 +118,25 @@ def _finite_number(value, where) -> float:
     return x
 
 
-def operator_from_document(doc) -> PeriodicOperator:
+def _header(doc, kind: str, needs: str, keys) -> tuple:
+    """(p, m, doc[key] for each key) of a kind document, refusing a bad object, schema, p or m."""
     if not isinstance(doc, dict):
-        raise InputError("operator document must be a JSON object")
+        raise InputError(f"{kind} document must be a JSON object")
     if doc.get("schema") not in (None, SCHEMA):
         raise InputError(f"unsupported schema {doc.get('schema')!r}")
     try:
         p, m = _json_int(doc, "p"), _json_int(doc, "m")
-        a_raw = doc["a"]
-        b_raw = doc["b"]
+        values = tuple(doc[key] for key in keys)
     except KeyError as exc:
-        raise InputError(f"operator document needs integer p, m and lists a, b ({exc})") from exc
+        raise InputError(f"{needs} ({exc})") from exc
     if p < 1 or m < 1:
         raise InputError(f"p = {p} and m = {m} must be at least 1")
+    return (p, m) + values
+
+
+def operator_from_document(doc) -> PeriodicOperator:
+    p, m, a_raw, b_raw = _header(doc, "operator", "operator document needs integer p, m and lists a, b",
+                                 ("a", "b"))
     for name, mats in (("a", a_raw), ("b", b_raw)):
         if not isinstance(mats, list) or len(mats) != p:
             raise InputError(f"{name} must be a list of {p} matrices")
@@ -151,8 +157,8 @@ def operator_to_document(op: PeriodicOperator) -> dict:
         "schema": SCHEMA,
         "p": op.p,
         "m": op.m,
-        "a": [[[str(x) for x in row] for row in mat] for mat in op.a],
-        "b": [[[str(x) for x in row] for row in mat] for mat in op.b],
+        "a": [[[_exact(x) for x in row] for row in mat] for mat in op.a],
+        "b": [[[_exact(x) for x in row] for row in mat] for mat in op.b],
     }
 
 
@@ -326,18 +332,8 @@ def _complex_from_doc(value, where) -> complex:
 
 
 def spectral_data_from_document(doc) -> SpectralData:
-    if not isinstance(doc, dict):
-        raise InputError("spectral data document must be a JSON object")
-    if doc.get("schema") not in (None, SCHEMA):
-        raise InputError(f"unsupported schema {doc.get('schema')!r}")
-    try:
-        p, m = _json_int(doc, "p"), _json_int(doc, "m")
-        raw_kappas = doc["kappas"]
-        raw_sets = doc["lambda_sets"]
-    except KeyError as exc:
-        raise InputError(f"spectral data needs p, m, kappas, lambda_sets ({exc})") from exc
-    if p < 1 or m < 1:
-        raise InputError(f"p = {p} and m = {m} must be at least 1")
+    p, m, raw_kappas, raw_sets = _header(doc, "spectral data", "spectral data needs p, m, kappas, lambda_sets",
+                                         ("kappas", "lambda_sets"))
     if not isinstance(raw_kappas, list):
         raise InputError("kappas must be a list of numbers")
     kappas = tuple(_finite_number(k, f"kappas[{i}]") for i, k in enumerate(raw_kappas))
@@ -369,8 +365,8 @@ def cmd_recover(args) -> int:
         payload["snap_error"] = str(exc)
     else:
         payload["exact"] = {
-            "c": str(snapped.c),
-            "q": [[str(c) for c in q] + ["0"] * (sd.p * sd.m + 1 - len(q)) for q in snapped.q],
+            "c": _exact(snapped.c),
+            "q": [[_exact(c) for c in q + (0,) * (sd.p * sd.m + 1 - len(q))] for q in snapped.q],
         }
         try:
             bs = band_structure(snapped)

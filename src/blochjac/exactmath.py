@@ -3,15 +3,18 @@
 Everything in this module is exact: univariate polynomials over Q as
 ascending coefficient tuples with a few kernels on them, and a small GF(P)
 layer over one list of 61-bit primes with Chinese remaindering. Each job has
-one algorithm: one Euclidean remainder loop, euclid, gives gcds, resultants
-and discriminants over Q and GF(P) and Sturm sequences over Q; one
-Hessenberg characteristic polynomial over GF(P) and one Newton interpolation
-let a polynomial-valued quantity be computed at sample points modulo primes,
-lifted modulo their product and interpolated once; and one Gauss-Jordan
-elimination, det_inv, gives a determinant with its inverse. Gaussian values
+one algorithm: one product, poly_mul, multiplies polynomials; one Euclidean
+remainder loop, euclid, gives gcds, resultants and discriminants over Q and
+GF(P) and Sturm sequences over Q; one Hessenberg characteristic polynomial
+over GF(P) and one Newton interpolation let a polynomial-valued quantity be
+computed at sample points modulo primes, lifted modulo their product and
+interpolated once; and one Gauss-Jordan elimination, det_inv, gives a
+determinant with its inverse. Gaussian values
 reach this module only as integer triples, which the squarefree certificate
 reduces modulo primes. Floating point is confined to the numerics module;
-coefficients here are ints or Fractions, never floats.
+coefficients here are ints or Fractions, never floats, but where a caller
+passes complex ones: horner at a complex point, and poly_mul, whose complex
+products build the recovery system of the inverse module.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ def lincomb(*terms) -> tuple:
     while out and not out[-1]:
         out.pop()
     return tuple(out)
+
+
+def poly_mul(f, g) -> tuple:
+    """f g, for coefficient tuples over Q, or over C at complex coefficients."""
+    return lincomb(*((c, (0,) * i + g) for i, c in enumerate(f)))
 
 
 def derivative(f) -> tuple:
@@ -297,16 +305,17 @@ def euclid(a, b, P=None):
         inv = Fraction(1) / b[-1] if P is None else pow(b[-1], -1, P)
         c = list(a)
         while len(c) >= len(b):
-            q, = red([c.pop() * inv])
+            q = c.pop() * inv if P is None else c.pop() * inv % P
             off = len(c) - len(b) + 1
             c[off:] = red([x - q * y for x, y in zip(c[off:], b)])
             while c and not c[-1]:
                 c.pop()
         if (len(a) - 1) * (len(b) - 1) % 2:
             r = -r
-        r, = red([r * b[-1] ** (len(a) - len(c))])
+        r = r * b[-1] ** (len(a) - len(c)) if P is None else r * pow(b[-1], len(a) - len(c), P) % P
         a, b = b, c
-    r, = red([r * (b[0] if b else 0) ** (len(a) - 1)])
+    last = b[0] if b else 0
+    r = r * last ** (len(a) - 1) if P is None else r * pow(last, len(a) - 1, P) % P
     return rems + [b] * bool(b), r
 
 

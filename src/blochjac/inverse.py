@@ -29,9 +29,10 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
-from .exactmath import lincomb
+from .exactmath import lincomb, poly_mul
 from .numerics import RootFindingError, roots_all
 from .operators import PeriodicOperator, floquet_eigs
 from .spectral import CharDeterminant, InternalConsistencyError, build_char_determinant
@@ -52,28 +53,11 @@ class SpectralData(NamedTuple):
     lambda_sets: tuple  # lambda_sets[j] has (m-j)*p + 1 values for j >= 1, p*m for j = 0
 
 
-def _cosine_sum(row, kappa: float) -> complex:
-    """row[0] + sum_j 2 cos(j kappa) row[j]: one z-coefficient of q at tau = e^{i kappa}."""
-    return complex(sum((2 * math.cos(j * kappa) if j else 1) * complex(v) for j, v in enumerate(row)))
-
-
 class Recovery(NamedTuple):
     q: dict  # j = 0..m -> ascending z coefficients of CharDeterminant.q[j] (complex floats)
     D: dict  # tau-power i = 0..2m -> ascending z coefficients (complex floats)
     c: complex
     residuals: tuple  # per kappa_j: how far the input eigenvalues sit from the recovered roots
-
-
-def _poly_from_roots(roots) -> list:
-    """Ascending complex coefficients of prod(z - root)."""
-    coeffs = [complex(1)]
-    for r in roots:
-        nxt = [complex(0)] * (len(coeffs) + 1)
-        for i, v in enumerate(coeffs):
-            nxt[i + 1] += v
-            nxt[i] -= complex(r) * v
-        coeffs = nxt
-    return coeffs
 
 
 def require_spectral_data(sd: SpectralData):
@@ -238,10 +222,10 @@ def recover_determinant(sd: SpectralData) -> Recovery:
             raise InconsistentDataError("inconsistent spectral data: kappa values too close")
 
     unknowns = [(j, n) for j in range(m + 1) for n in range(p * (m - j) + 1)]
+    weights = [[1.0] + [2 * math.cos(j * kappa) for j in range(1, m + 1)] for kappa in kappas]
     rows = []
-    for s, (kappa, lam) in enumerate(zip(kappas, sd.lambda_sets)):
-        weight = [1.0] + [2 * math.cos(j * kappa) for j in range(1, m + 1)]
-        rem = _remainders(_poly_from_roots(lam), pm)
+    for s, (weight, lam) in enumerate(zip(weights, sd.lambda_sets)):
+        rem = _remainders(reduce(poly_mul, [(-complex(v), 1) for v in lam], (complex(1),)), pm)
         block = [[weight[j] * rem[n][i] for j, n in unknowns] for i in range(len(lam))]
         if not all(cmath.isfinite(v) for row in block for v in row):
             raise ValueError(f"z^n modulo prod(z - lambda) over lambda set {s} overflows a float")
@@ -266,8 +250,9 @@ def recover_determinant(sd: SpectralData) -> Recovery:
     D = {i: tuple(c * v for v in q[abs(m - i)]) for i in range(2 * m + 1)}
 
     residuals = []
-    for j, kappa in enumerate(kappas):
-        section = [_cosine_sum([qj[n] for qj in coeffs], kappa) for n in range(pm + 1)]
+    for j, weight in enumerate(weights):
+        # q(., e^{i kappa_j}) = q_0 + sum_k 2 cos(k kappa_j) q_k, with the weights of the rows
+        section = [sum(w * qk[n] for w, qk in zip(weight, coeffs)) for n in range(pm + 1)]
         try:
             worst = _max_root_distance(section, sd.lambda_sets[j])
         except (RootFindingError, OverflowError):

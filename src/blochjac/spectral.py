@@ -31,6 +31,7 @@ from .exactmath import (
     mat_mul,
     mat_transpose,
     monic,
+    poly_mul,
     root_counts,
     squarefree_decomposition,
 )
@@ -274,11 +275,6 @@ def _squarefree_factors(phi) -> tuple:
     raise InternalConsistencyError("no split pattern of Phi(x, .) at the sample points interpolates to its factors")
 
 
-def _times(f, g) -> tuple:
-    """f g, for polynomials f and g over Q."""
-    return lincomb(*((c, (0,) * i + g) for i, c in enumerate(f)))
-
-
 def _factorization_holds(phi, factors) -> bool:
     """Whether prod F_k^k == Phi exactly, for factors as _squarefree_factors lists them.
 
@@ -289,22 +285,24 @@ def _factorization_holds(phi, factors) -> bool:
     """
     e = max(max(map(len, phi)), 1 + sum(k * max(len(c) - 1 for _, c in F) for F, k in factors))
     return all(tuple(horner(f, x) for f in reversed(phi))
-               == reduce(_times, (_exact_form(_at(F, x)) for F, k in factors for _ in range(k)))
+               == reduce(poly_mul, (_exact_form(_at(F, x)) for F, k in factors for _ in range(k)))
                for x in range(e))
 
 
 def _route_one(parts: TransferParts, N: list, P: int) -> list:
-    """scale^min(j, 2m-j) xi_j(x) mod P for j = 0..2m, from the charpoly of N = scale * M_p(x) mod P.
+    """scale^j xi_j(x) mod P for j = 0..m, from the charpoly of N = scale * M_p(x) mod P.
 
     M_p is similar to the normalized M, so the two share D. The charpoly of
-    scale * M_p gives scale^j xi_j; past the middle the palindrome
-    xi_j = xi_(2m-j) makes scale^(2m-j) xi_j the integral one.
+    scale * M_p gives scale^j xi_j for j = 0..2m, on which the palindrome
+    xi_(m-j) = xi_(m+j) is checked before the upper half is dropped.
     """
     m = parts.m
     # det(M - tau I) = det(tau I - M) at even size, so xi_j is the t^(2m-j) coefficient
     out = charpoly(N, P)[::-1]
     back = pow(parts.scale, -2, P)
-    return out[:m + 1] + [v * pow(back, j, P) % P for j, v in enumerate(out[m + 1:], 1)]
+    if any(out[m - j] != out[m + j] * pow(back, j, P) % P for j in range(1, m + 1)):
+        raise InternalConsistencyError(f"the charpoly of M_p(x) modulo {P} breaks the palindrome xi_(m-j) = xi_(m+j)")
+    return out[:m + 1]
 
 
 def _route_two(parts: TransferParts, N: list, P: int) -> list:
@@ -351,35 +349,32 @@ def _coefficient_bound(parts: TransferParts) -> int:
     """B >= |every z-coefficient of scale^j xi_j|, j = 0..m, by _row_sum_bound.
 
     scale^j xi_j is up to sign the j-th charpoly coefficient of scale * M_p,
-    and |scale * M_p| <= R = |d_p T_p| ... |d_1 T_1|, where |.| sums the
-    absolute values of a polynomial's coefficients, taken entrywise.
+    and |scale * M_p| <= |d_p T_p| ... |d_1 T_1|, where |.| sums the
+    absolute values of a polynomial's coefficients, taken entrywise. That
+    product is monodromy_at 1 of the parts with K and S taken absolutely and
+    R as -|R|, so that x S - R at x = 1 is |S| + |R|.
     """
-    m = parts.m
-    R = [[int(i == j) for j in range(2 * m)] for i in range(2 * m)]
-    for d, K, S, Rn in parts.steps:
-        T = [[0] * m + [d * (i == j) for j in range(m)] for i in range(m)]
-        T += [[abs(k) for k in Ki] + [abs(s) + abs(r) for s, r in zip(Si, Ri)]
-              for Ki, Si, Ri in zip(K, S, Rn)]
-        R = mat_mul(T, R)
-    return _row_sum_bound([sum(row) for row in R], m)
+    steps = tuple((d, [[abs(v) for v in row] for row in K], [[abs(v) for v in row] for row in S],
+                   [[-abs(v) for v in row] for row in R]) for d, K, S, R in parts.steps)
+    return _row_sum_bound(map(sum, monodromy_at(parts._replace(steps=steps), 1)), parts.m)
 
 
 def _reconstruct(route, primes, parts: TransferParts, xs, bound: int) -> tuple:
-    """The xi_j that route computes pointwise, over Q.
+    """xi_0 .. xi_m over Q, which route computes pointwise as scale^j xi_j.
 
     Primes come from primes until their product K exceeds 2 * bound. At each
     point of xs, monodromy_at runs once and route reads its reduction modulo
     each prime, so one exact matrix is alive at a time. One Chinese remainder
     step lifts all the values modulo K, and each xi_j is interpolated once
-    modulo K, in symmetric range, divided by scale^min(j, 2m-j).
+    modulo K, in symmetric range, divided by scale^j.
     """
     used = [P for P, _ in _enough_primes(primes, bound)]
     Ns = (monodromy_at(parts, x) for x in xs)
     values = [[route(parts, [[v % P for v in row] for row in N], P) for P in used] for N in Ns]
-    K, m, width = math.prod(used), parts.m, len(values[0][0])
-    lifted = _crt([[c for ys in vals for c in ys] for vals in zip(*values)], used)  # xi_0 .. xi_(width-1) per point
+    K, width = math.prod(used), parts.m + 1
+    lifted = _crt([[c for ys in vals for c in ys] for vals in zip(*values)], used)  # xi_0 .. xi_m per point
     cs = [[v - K if 2 * v > K else v for v in interpolate(xs, lifted[j::width], K)] for j in range(width)]
-    return tuple(lincomb((Fraction(1, parts.scale ** min(j, 2 * m - j)), c)) for j, c in enumerate(cs))
+    return tuple(lincomb((Fraction(1, parts.scale ** j), c)) for j, c in enumerate(cs))
 
 
 def char_determinant(op: PeriodicOperator) -> CharDeterminant:
@@ -388,16 +383,17 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     Each route evaluates scale * M_p exactly from the transfer parts, once at
     each of its pm + 1 integer points, and reduces it modulo 61-bit primes.
     One Chinese remainder step lifts the values modulo K, the product of the
-    primes, and every tau-coefficient is interpolated in z once modulo K (its
-    degree is at most pm, which build_char_determinant enforces; points differ
-    by less than any prime). Route one takes the charpoly of M_p at the
-    centred points; route two the Newton recursion
+    primes, and each of the m + 1 independent tau-coefficients xi_0 .. xi_m
+    is interpolated in z once modulo K (its degree is at most pm, which
+    build_char_determinant enforces; points differ by less than any prime).
+    Route one takes the charpoly of M_p at the centred points and proves the
+    palindrome on it pointwise; route two the Newton recursion
     xi_s = -(1/s) * sum_{j<s} T_{s-j} xi_j on the traces T_n = Tr M_p^n at
-    the next pm + 1 integers, mirrored across the palindrome. Each takes as
-    many primes as the proven coefficient bound needs (Brown, J. ACM 18,
-    1971), disjoint from the other's, and skips a prime that divides scale.
-    With disjoint points as well, a fault in reduction, interpolation or
-    lifting shows as a disagreement.
+    the next pm + 1 integers. Each takes as many primes as the proven
+    coefficient bound needs (Brown, J. ACM 18, 1971), disjoint from the
+    other's, and skips a prime that divides scale. With disjoint points as
+    well, a fault in reduction, interpolation or lifting shows as a
+    disagreement. The agreed half is mirrored once across the palindrome.
     """
     m = op.m
     pm = op.p * m
@@ -405,16 +401,13 @@ def char_determinant(op: PeriodicOperator) -> CharDeterminant:
     xs = range(-(pm // 2), pm - pm // 2 + 1)
     bound = _coefficient_bound(parts)
     primes = (pair for pair in _primes() if parts.scale % pair[0])
-    by_tau = _reconstruct(_route_one, primes, parts, xs, bound)
-    xi = list(_reconstruct(_route_two, primes, parts, range(xs.stop, xs.stop + pm + 1), bound))
-    # palindromic by construction, so it also reads ascending in tau
-    mirrored = tuple(xi + xi[m - 1::-1])
-
-    if by_tau != mirrored:
+    half = _reconstruct(_route_one, primes, parts, xs, bound)
+    if half != _reconstruct(_route_two, primes, parts, range(xs.stop, xs.stop + pm + 1), bound):
         raise InternalConsistencyError(
             "determinant route and trace route disagree on D(z, tau)"
         )
-    cd = build_char_determinant(by_tau, op.p, m)._replace(op=op)
+    # palindromic, so xi also reads ascending in tau
+    cd = build_char_determinant(half + half[m - 1::-1], op.p, m)._replace(op=op)
     if cd.c != op.leading_constant():
         raise InternalConsistencyError(
             f"leading constant {cd.c} != (-1)^m det A_p = {op.leading_constant()}"
@@ -544,7 +537,7 @@ def resonance_poly(cd: CharDeterminant):
     at those points.
     """
     xs = _samples(cd.phi)[0]
-    values = [discriminant(reduce(_times, (_exact_form(parts) for parts, _ in cd.phi_at(x)))) for x in xs]
+    values = [discriminant(reduce(poly_mul, (_exact_form(parts) for parts, _ in cd.phi_at(x)))) for x in xs]
     return _Rho(lincomb((1, interpolate(xs, values)))), any(k > 1 for _, k in cd.factors)
 
 

@@ -38,5 +38,10 @@ def triples(e, var=Z) -> list:
 
 
 def expr(f, var=Z):
-    """An ascending coefficient sequence of ints or Fractions as a sympy expression in var."""
-    return sympy.expand(sum((sympy.Rational(c) * var**k for k, c in enumerate(f)), sympy.Integer(0)))
+    """An ascending sequence of int, Fraction or complex coefficients, taken exactly, as a sympy expression in var."""
+    def exact(c):
+        if isinstance(c, complex):
+            return sympy.Rational(c.real) + sympy.I * sympy.Rational(c.imag)
+        return sympy.Rational(c)
+
+    return sympy.expand(sum((exact(c) * var**k for k, c in enumerate(f)), sympy.Integer(0)))

@@ -11,6 +11,7 @@ from testops import random_operator
 
 from blochjac import exactmath
 from blochjac.exactmath import (
+    _gaussian_parts,
     chebyshev,
     derivative,
     det_inv,
@@ -23,6 +24,7 @@ from blochjac.exactmath import (
     lincomb,
     mat_mul,
     monic,
+    poly_mul,
     root_counts,
     squarefree_decomposition,
 )
@@ -61,6 +63,22 @@ def test_polynomial_kernels_match_sympy(fc, gc, a, x):
         if len(g) > 1 and sympy.rem(sympy.Poly(F + 1, Z, domain="QQ"), sympy.Poly(G, Z, domain="QQ")):
             with pytest.raises(ValueError, match="not exact"):
                 exact_div(coeffs(F + 1), g)
+
+
+gaussian = st.builds(complex, st.integers(-9, 9), st.integers(-9, 9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(rationals(), max_size=5), st.lists(rationals(), max_size=5),
+       st.lists(gaussian, max_size=5), st.lists(gaussian, max_size=5))
+def test_poly_mul_matches_sympy_over_q_and_c(fc, gc, fz, gz):
+    # the one polynomial product, on Fractions and on complex coefficients;
+    # small Gaussian integers keep every float product and sum exact, and a
+    # zero top coefficient of an input must not survive in the product
+    f, g = lincomb((1, fc)), lincomb((1, gc))
+    assert poly_mul(f, g) == coeffs(expr(f) * expr(g))
+    E = sympy.expand(expr(fz) * expr(gz))
+    assert [_gaussian_parts(c) for c in poly_mul(tuple(fz), tuple(gz))] == (triples(E) if E != 0 else [])
 
 
 def test_chebyshev_small():

@@ -23,7 +23,6 @@ from blochjac.inverse import (
     recover_determinant,
     require_spectral_data,
     snap_to_rational,
-    _cosine_sum,
     _max_root_distance,
     _solve,
 )
@@ -41,8 +40,9 @@ def data_for(op, m, subset_rule="ascending", seed=0):
 
 
 def recovered_section(rec, kappa):
-    """Ascending z-coefficients of the recovered q(., e^{i kappa}), summed as recovery sums them."""
-    return [_cosine_sum(column, kappa) for column in zip(*rec.q.values())]
+    """Ascending z-coefficients of the recovered q(., e^{i kappa}) = q_0 + sum_j 2 cos(j kappa) q_j."""
+    weight = [1.0] + [2 * math.cos(j * kappa) for j in range(1, len(rec.q))]
+    return [sum(w * v for w, v in zip(weight, column)) for column in zip(*rec.q.values())]
 
 
 def test_eta_table_free_rows():

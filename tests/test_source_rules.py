@@ -174,6 +174,24 @@ def test_one_exact_kernel_refines_every_real_root():
         assert "_refine" in _used_names(f), name
 
 
+def test_one_polynomial_product():
+    # exactmath defines the one product of polynomials, which spectral and
+    # inverse read and define none of their own; the coefficient bound of D
+    # is the monodromy of the absolute transfer parts, with no hand-built
+    # matrix product
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {module: {stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+               for module, tree in trees.items()}
+    assert "poly_mul" in defined["exactmath.py"]
+    for module in ("spectral.py", "inverse.py"):
+        assert "poly_mul" in _used_names(trees[module]), module
+        assert not {"poly_mul", "_times", "_poly_from_roots", "_cosine_sum"} & defined[module], module
+    (bound,) = [f for f in trees["spectral.py"].body
+                if isinstance(f, ast.FunctionDef) and f.name == "_coefficient_bound"]
+    assert "monodromy_at" in _used_names(bound)
+    assert "mat_mul" not in _used_names(bound)
+
+
 def _numpy_importers(node, where=""):
     """The function, by name ("" at module level), around each import of numpy under node."""
     out = []

@@ -893,6 +893,30 @@ def test_dual_route_tamper_detected(monkeypatch):
                     char_determinant(op)
 
 
+@pytest.mark.parametrize("make", [lambda: free_operator(2, 1), lambda: random_operator(1, 2, 2),
+                                  lambda: random_operator(1, 1, 3)], ids=["free 2,1", "2,2", "1,3"])
+def test_route_one_proves_the_palindrome_pointwise(monkeypatch, make):
+    # route one returns only xi_0 .. xi_m, so a wrong upper-half value, at
+    # one point modulo one prime, is caught by its own palindrome check and
+    # never reaches the comparison of the routes
+    op = make()
+    real = spectral_mod.charpoly
+    for k in range(op.m):  # the t^k coefficient of det(t I - N) is scale^(2m-k) xi_(2m-k)
+        calls = []
+
+        def tampered(N, P):
+            out = real(N, P)
+            calls.append(P)
+            if len(calls) == 2:
+                out[k] = (out[k] + 1) % P
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral_mod, "charpoly", tampered)
+            with pytest.raises(InternalConsistencyError, match="palindrome"):
+                char_determinant(op)
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (16, 1)])
 def test_a_fault_in_the_shared_interpolation_is_detected(monkeypatch, shape):
     # an interpolation that takes its points to be 0, 1, ... returns D(z + s)
