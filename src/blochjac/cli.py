@@ -9,11 +9,19 @@ consistency failure, 4 inconsistent spectral data, 5 verification failure.
 
 import argparse
 import decimal
-import hashlib
 import json
 import math
 import sys
 from fractions import Fraction
+
+try:
+    # hashlib maps OpenSSL's libcrypto for one digest; CPython's own modules do not
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .fixtures import (
@@ -67,7 +75,7 @@ def _read_bytes(path):
 
 
 def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return "sha256:" + sha256(data).hexdigest()
 
 
 def _parse_json(data: bytes):

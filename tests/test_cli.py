@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -535,6 +536,29 @@ def test_documents_carry_schema_and_digest(tmp_path, capsys):
     assert doc["version"]
 
 
+@pytest.mark.parametrize("source", ["file", "stdin", "recover", "non-ascii"])
+def test_input_is_the_sha256_of_the_exact_input_bytes(tmp_path, capsys, monkeypatch, source):
+    # the digest is compared with hashlib's in this process, so the module
+    # the CLI takes sha256 from cannot change a byte of it
+    if source == "recover":
+        raw, argv = json.dumps(_readme_json("recover")[0]).encode(), ["recover"]
+    else:
+        code, out = run_cli(capsys, ["example", "example3", "--t", "1/2"])
+        assert code == 0
+        doc = json.loads(out)
+        if source == "non-ascii":
+            doc["note"] = "\u00e9\u5171\U0001d53b" * 2**17  # 2, 3 and 4 UTF-8 bytes each: over 1 MB
+        raw, argv = json.dumps(doc, ensure_ascii=False).encode(), ["lyapunov", "--z", "0"]
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        argv.append("-")
+    else:
+        path = tmp_path / "input.json"
+        path.write_bytes(raw)
+        argv.insert(1, str(path))
+    assert run_json(capsys, argv)["input"] == "sha256:" + hashlib.sha256(raw).hexdigest()
+
+
 def test_cli_pipe_round_trip():
     emit = subprocess.run(
         [sys.executable, "-m", "blochjac.cli", "example", "free", "--p", "2", "--m", "1"],
@@ -868,6 +892,31 @@ def test_commands_without_floquet_solves_never_import_numpy(tmp_path, capsys, ar
     assert not done.stdout.endswith("numpy loaded")
     if argv[0] == "recover":
         assert '"bands":{' in done.stdout
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["example", "example3", "--t", "1/2"], ["bands", "OP"],
+                                  ["verify", "OP"], ["resonances", "OP"], ["lyapunov", "OP", "--z", "0"],
+                                  ["recover", "DATA"]])
+def test_no_command_maps_openssl(tmp_path, capsys, argv):
+    # the input digest comes from CPython's built-in sha256, so no command
+    # loads hashlib's OpenSSL backend and its libcrypto for one hash
+    path = write_doc(tmp_path, capsys, ["example", "example3", "--t", "1/2"])
+    data = write_json(tmp_path, _readme_json("recover")[0], "spectral.json")
+    script = (
+        "import sys\n"
+        "from blochjac import cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "sys.stdout.write('_hashlib loaded' if '_hashlib' in sys.modules else '')\n"
+        "sys.exit(code)\n"
+    )
+    files = {"OP": path, "DATA": data}
+    done = subprocess.run([sys.executable, "-c", script] + [files.get(a, a) for a in argv],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert not done.stdout.endswith("_hashlib loaded")
 
 
 @pytest.mark.parametrize("command", ["bands", "resonances", "verify", "lyapunov"])

@@ -218,3 +218,16 @@ def test_one_floquet_eigensolve():
         assert not {"floquet_matrix", "hermitian_eigs", "NonHermitianError"} & bound, module
     importers = sorted((module, where) for module, tree in trees.items() for where in _numpy_importers(tree))
     assert importers == [("operators.py", "floquet_eigs"), ("spectral.py", "cross_validate")]
+
+
+def test_hashlib_only_as_the_digest_fallback():
+    # the input digest takes sha256 from CPython's built-in module, and hashlib,
+    # which maps OpenSSL's libcrypto, is imported only where that module is missing
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    imports = {sub for tree in trees for sub in ast.walk(tree)
+               if isinstance(sub, ast.Import) and "hashlib" in {alias.name for alias in sub.names}
+               or isinstance(sub, ast.ImportFrom) and sub.module == "hashlib"}
+    fallbacks = {sub for tree in trees for handler in ast.walk(tree)
+                 if isinstance(handler, ast.ExceptHandler) and isinstance(handler.type, ast.Name)
+                 and handler.type.id == "ImportError" for stmt in handler.body for sub in ast.walk(stmt)}
+    assert imports and imports <= fallbacks
